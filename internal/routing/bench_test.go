@@ -113,8 +113,8 @@ func BenchmarkSingleMCFRDecision(b *testing.B) {
 // BenchmarkSingleGMPDecision measures one bare GMP decision core — group
 // split plus next-hop selection for 12 destinations — invoked directly on a
 // NodeView with no engine around it. Steady-state allocations exercise the
-// per-node scratch caches (DistMemo); compare against the PR 2 SingleGMPHop
-// baseline in BENCH_PR2.json.
+// per-node scratch caches (DistMemo); BENCH_PR5.json gates its allocs/op and
+// keeps the earlier SingleGMPDecision numbers under pr3_reference.
 func BenchmarkSingleGMPDecision(b *testing.B) {
 	b.ReportAllocs()
 	r := rand.New(rand.NewSource(1))
