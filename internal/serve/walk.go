@@ -5,7 +5,7 @@ package serve
 // and pay a round trip per transmission. A ROUTE request hands the daemon
 // the start frame once; the walker then runs the whole multicast walk
 // in-process, applying each decision's forwards to in-flight packet copies
-// exactly as the simulation engine's apply/send/arrive path does, and
+// under the simulation kernel's send and arrival rules, and
 // streams each transmission back as a HOP message before summarizing every
 // destination's fate in ROUTE_DONE.
 //
@@ -14,14 +14,15 @@ package serve
 // streamed mode's throughput comes from (BenchmarkRouteK120 vs
 // BenchmarkPerHopRouteK120; E-X14 measures the same ratio end to end).
 //
-// Fidelity: the walker mirrors the engine's copy-event semantics
-// (send's invalid-send and hop-budget checks, arrive's strip-then-decide,
-// stranded and drop-sentinel billing, first-delivery-wins) but keeps full
-// in-memory routing state between hops — perimeter watchdog fields and the
-// previous hop survive, which the per-hop wire format cannot carry. Copies
-// advance in FIFO order from a breadth-first queue, so arrivals are
-// processed in nondecreasing hop order and the first delivery at a
-// destination is a minimum-hop delivery, matching the engine for every
+// Fidelity: the walker applies the simulation kernel's own forwarding
+// rules — sim.CheckSend (invalid-send and hop-budget kills before the air)
+// and (*sim.Packet).StripAt (strip-then-decide arrivals, first delivery
+// wins) — and bills stranded copies and drop sentinels as the kernel does.
+// It keeps full in-memory routing state between hops — perimeter watchdog
+// fields and the previous hop survive, which the per-hop wire format cannot
+// carry. Copies advance in FIFO order from a breadth-first queue, so
+// arrivals are processed in nondecreasing hop order and the first delivery
+// at a destination is a minimum-hop delivery, matching the engine for every
 // non-redundant protocol (the E-X14 replay oracle pins this).
 
 import (
@@ -180,10 +181,9 @@ func (d *decider) walkRoute(protoName string, rb wire.RouteBody, emit func(hb wi
 
 	var queue []walkItem
 	head := 0
-	// step runs one decision at node on pkt and applies its forwards,
-	// mirroring Engine.apply/send: explicit drop sentinels kill with their
-	// reasons; transmissions are range-checked, hop-bumped, budget-checked,
-	// then enqueued as fresh pooled copies.
+	// step runs one decision at node on pkt and applies its forwards:
+	// explicit drop sentinels kill with their reasons; transmissions pass
+	// sim.CheckSend, then are enqueued as fresh pooled copies.
 	step := func(op byte, node int, pkt *sim.Packet, pooled bool) error {
 		if int(done.Decisions) >= maxSteps {
 			return ErrWalkOverrun
@@ -217,14 +217,10 @@ func (d *decider) walkRoute(protoName string, rb wire.RouteBody, emit func(hb wi
 					return err
 				}
 			default:
-				if r.To < 0 || r.To >= nw.Len() || node == r.To || !nw.InRange(node, r.To) {
-					bill(r.Dests, sim.ReasonInvalidSend)
-					continue // no transmission, exactly like Engine.send
-				}
 				hops := pkt.Hops + 1
-				if budget > 0 && hops > budget {
-					bill(r.Dests, sim.ReasonHopBudget)
-					continue // killed before the air, like the engine
+				if reason, ok := sim.CheckSend(nw, node, r.To, hops, budget); !ok {
+					bill(r.Dests, reason)
+					continue // killed before the air
 				}
 				if err := event(node, r.To, hops, r); err != nil {
 					return err
@@ -260,25 +256,14 @@ func (d *decider) walkRoute(protoName string, rb wire.RouteBody, emit func(hb wi
 		it := queue[head]
 		queue[head] = walkItem{}
 		head++
-		// Arrive: strip destinations delivered here (first delivery wins),
-		// then decide if work remains — the engine's arrive, verbatim.
+		// Arrive: strip the node (first delivery wins), then decide if work
+		// remains.
 		q := it.pkt
-		kept, keptL := q.Dests[:0], q.Locs[:0]
-		for i, id := range q.Dests {
-			if id == it.node {
-				if _, dup := delivered[id]; !dup {
-					h := q.Hops
-					if h > 0xFFFF {
-						h = 0xFFFF
-					}
-					delivered[id] = uint16(h)
-				}
-				continue
+		if q.StripAt(it.node) > 0 {
+			if _, dup := delivered[it.node]; !dup {
+				delivered[it.node] = uint16(min(q.Hops, 0xFFFF))
 			}
-			kept = append(kept, id)
-			keptL = append(keptL, q.Locs[i])
 		}
-		q.Dests, q.Locs = kept, keptL
 		if len(q.Dests) == 0 {
 			// Fully delivered; this copy was never shown to a handler, so
 			// its storage goes back to the pool for the next hop's clone.

@@ -3,23 +3,23 @@ package sim
 import "testing"
 
 func BenchmarkSchedulerThroughput(b *testing.B) {
-	var s Scheduler
+	var ln lane
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.After(1, func() {})
-		if !s.Step() {
-			b.Fatal("no event")
-		}
+		ln.schedule(event{time: ln.now + 1})
+		ln.now = ln.q.pop().time
 	}
 }
 
 func BenchmarkSchedulerDeepQueue(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		var s Scheduler
+		var ln lane
 		for j := 0; j < 1024; j++ {
-			s.At(float64(1024-j), func() {})
+			ln.schedule(event{time: float64(1024 - j)})
 		}
-		s.Run()
+		for len(ln.q) > 0 {
+			ln.q.pop()
+		}
 	}
 }
 

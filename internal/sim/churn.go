@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"gmp/internal/geom"
+	"gmp/internal/network"
 )
 
 // Motion is a true-position stream: the physical positions of all nodes at
@@ -127,7 +128,7 @@ type sessionChurn struct {
 	events []churnEvent // sorted by (at, leaves-before-joins, node)
 	next   int          // first unfired event
 	// ready holds join nodes whose events fired but that have not yet been
-	// spliced aboard a packet.
+	// boarded onto a packet.
 	ready []int
 	// member marks nodes that are, or are scheduled to become, destinations
 	// of this session (seeded from the task's destination set).
@@ -180,125 +181,97 @@ func (p ChurnPlan) newSessionChurn(session, src int, dests []int) *sessionChurn 
 	return sc
 }
 
-// applyChurn advances a session's churn events to the current virtual time
-// and applies them to the packet in hand: fired leaves retire destinations
-// from the header (billed as ReasonLeft, once per destination even when
-// duplicate copies carry it), and fired joins splice into this copy's header
-// so the next decision re-plans around the newcomer. Called at Start and on
-// every hop arrival, before delivery bookkeeping — so a leave beats a
-// delivery at the exact same instant.
-//
-// at is the node holding the packet. Anchor-steered protocols (LGS/LGK)
-// keep a destination ID in pkt.Anchor and look up its header location every
-// relay hop; retiring that destination would leave the anchor dangling, so
-// the copy is re-anchored at the holding node — the handler sees itself as
-// the subtree root and re-partitions around the departure.
-func (e *Engine) applyChurn(pkt *Packet, at int) {
-	st := &e.sessions[pkt.Session]
-	sc := st.churn
-	now := e.sched.Now()
-	for sc.next < len(sc.events) && sc.events[sc.next].at <= now {
+// fire advances the session's churn events to time t: a leave marks its
+// node departed, a join of a fresh node queues it for boarding, and a join
+// of a member or departed node is counted missed in m. Reports whether any
+// leave fired.
+func (sc *sessionChurn) fire(t float64, m *SessionMetrics) (leaves bool) {
+	for sc.next < len(sc.events) && sc.events[sc.next].at <= t {
 		ev := sc.events[sc.next]
 		sc.next++
 		if !ev.join {
 			sc.left[ev.node] = true
+			leaves = true
 			continue
 		}
 		if sc.member[ev.node] || sc.left[ev.node] {
-			st.metrics.JoinsMissed++
+			m.JoinsMissed++
 			continue
 		}
 		sc.member[ev.node] = true
 		sc.ready = append(sc.ready, ev.node)
 	}
-	if len(sc.left) > 0 {
-		kept := pkt.Dests[:0]
-		keptL := pkt.Locs[:0]
-		var retiredN int
-		for i, d := range pkt.Dests {
-			if sc.left[d] {
-				if !sc.retired[d] {
-					if sc.retired == nil {
-						sc.retired = make(map[int]bool)
-					}
-					sc.retired[d] = true
-					retiredN++
-				}
-				continue
-			}
-			kept = append(kept, d)
-			keptL = append(keptL, pkt.Locs[i])
-		}
-		pkt.Dests = kept
-		pkt.Locs = keptL
-		if pkt.Anchor >= 0 && sc.left[pkt.Anchor] {
-			pkt.Anchor = at
-		}
-		if retiredN > 0 {
-			st.metrics.DropsByReason[ReasonLeft]++
-			st.metrics.DestDropsByReason[ReasonLeft] += retiredN
-		}
-	}
-	if len(sc.ready) > 0 {
-		for _, j := range sc.ready {
-			if sc.left[j] {
-				// The leave overtook the join before any packet passed by.
-				st.metrics.JoinsMissed++
-				continue
-			}
-			st.metrics.DestCount++
-			st.metrics.JoinsSpliced++
-			if j == sc.src {
-				// The source joined its own group: trivially delivered where
-				// the task originated, at hop 0.
-				st.metrics.Delivered[j] = 0
-				st.metrics.DeliveredAt[j] = now
-				continue
-			}
-			pkt.Dests = append(pkt.Dests, j)
-			pkt.Locs = append(pkt.Locs, e.net.Pos(j))
-		}
-		sc.ready = sc.ready[:0]
-	}
+	return leaves
 }
 
-// billUncovered bills destinations aboard pkt that no forward in fwds
-// carries. Correct partition-discipline cores hand every remaining
-// destination to exactly one forward, but a spliced-in join can fall outside
-// state a core froze at Start (SMT's embedded source route is the canonical
-// case) — the copy forwards on without the newcomer, which would otherwise
-// leak out of the conservation accounting. Billed as ReasonStranded: the
-// protocol had no plan for the destination. Only churn-affected sessions run
-// this scan, so churn-free runs stay byte-identical.
-func (e *Engine) billUncovered(pkt *Packet, fwds []Forward) {
-	st := &e.sessions[pkt.Session]
+// retire strips every departed destination (and its header location) from
+// pkt and returns how many it retired for the first time — duplicate copies
+// carrying the same destination retire it once. Anchor-steered protocols
+// (LGS/LGK) keep a destination ID in pkt.Anchor and look up its header
+// location every relay hop; retiring that destination would leave the
+// anchor dangling, so the copy is re-anchored at holder, the node holding
+// the packet — the handler sees itself as the subtree root and
+// re-partitions around the departure.
+func (sc *sessionChurn) retire(pkt *Packet, holder int) int {
 	var n int
-	for _, d := range pkt.Dests {
-		covered := false
-	scan:
-		for _, f := range fwds {
-			for _, fd := range f.Pkt.Dests {
-				if fd == d {
-					covered = true
-					break scan
+	kept := pkt.Dests[:0]
+	keptL := pkt.Locs[:0]
+	for i, d := range pkt.Dests {
+		if sc.left[d] {
+			if !sc.retired[d] {
+				if sc.retired == nil {
+					sc.retired = make(map[int]bool)
 				}
+				sc.retired[d] = true
+				n++
 			}
+			continue
 		}
-		if !covered {
-			n++
-			if st.pending != nil {
-				if _, seen := st.pending[d]; !seen {
-					st.pending[d] = ReasonStranded
-				}
-			}
+		kept = append(kept, d)
+		keptL = append(keptL, pkt.Locs[i])
+	}
+	pkt.Dests = kept
+	pkt.Locs = keptL
+	if pkt.Anchor >= 0 && sc.left[pkt.Anchor] {
+		pkt.Anchor = holder
+	}
+	return n
+}
+
+// board splices the queued joins aboard pkt at time t, so the next decision
+// re-plans around the newcomers. A join whose leave overtook it before any
+// packet passed by is counted missed; the source joining its own group is
+// trivially delivered where the task originated, at hop 0.
+func (sc *sessionChurn) board(pkt *Packet, m *SessionMetrics, t float64, nw *network.Network) {
+	for _, j := range sc.ready {
+		if sc.left[j] {
+			m.JoinsMissed++
+			continue
+		}
+		m.DestCount++
+		m.JoinsSpliced++
+		if j == sc.src {
+			m.Delivered[j] = 0
+			m.DeliveredAt[j] = t
+			continue
+		}
+		pkt.Dests = append(pkt.Dests, j)
+		pkt.Locs = append(pkt.Locs, nw.Pos(j))
+	}
+	sc.ready = sc.ready[:0]
+}
+
+// finish counts joins that never fired, or fired but never found a packet
+// to board, as missed — so every scheduled join lands in exactly one of
+// JoinsSpliced/JoinsMissed.
+func (sc *sessionChurn) finish(m *SessionMetrics) {
+	for ; sc.next < len(sc.events); sc.next++ {
+		if sc.events[sc.next].join {
+			m.JoinsMissed++
 		}
 	}
-	if n > 0 {
-		st.metrics.DropsByReason[ReasonStranded]++
-		if st.pending == nil {
-			st.metrics.DestDropsByReason[ReasonStranded] += n
-		}
-	}
+	m.JoinsMissed += len(sc.ready)
+	sc.ready = nil
 }
 
 // motionInRange reports whether from and to are within radio range under the

@@ -101,7 +101,7 @@ func TestRedundantDuplicateDeliveriesAudited(t *testing.T) {
 
 func TestRedundantSettlementMatchesShardedKernel(t *testing.T) {
 	// The sharded kernel's lane-merged deferred settlement must reproduce the
-	// single-queue engine's metrics exactly, for every redundant shape.
+	// untiled engine's metrics exactly, for every redundant shape.
 	nw := chainNet(t, 6)
 	shapes := []redundantChain{
 		{deliver: true, copies: 1, drops: []int{DropCopy}},

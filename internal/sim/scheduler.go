@@ -9,51 +9,93 @@
 // forwarding decisions and neighborhoods, so an 802.11 contention model would
 // only add noise, not change the comparison (see DESIGN.md §3).
 //
-// The kernel runs in one of two modes. The default is the single-queue
-// Scheduler below: one virtual clock, strictly (time, seq)-ordered, single
-// threaded. Engine.SetSharding switches a run to the tiled kernel in
-// shard.go: per-tile event queues advanced in conservative time windows, so
-// one large network saturates many cores while staying byte-identical for
-// any shard count (see DESIGN.md §2.4).
+// One lane kernel (shard.go) applies every forwarding decision, in one of
+// two shapes. Untiled — the default — a single lane covers every node and
+// drains its queue to empty in strict (time, seq) order. Engine.SetSharding
+// tiles the network: one lane per spatial tile, advanced in conservative
+// time windows by a pool of workers, byte-identical for any shard count
+// (see DESIGN.md §2.4). Four behaviours follow from the shape, never from
+// an option:
+//
+//   - fault draws: one seed+run stream untiled, one strided stream per tile
+//     tiled;
+//   - ARQ give-up: at the failed arrival untiled, a sender-side event one
+//     timeout later tiled;
+//   - membership churn: applied at Start and at each arrival untiled, as
+//     barrier surgery on queued packets tiled;
+//   - tracing: allowed untiled, refused (panic) tiled.
 package sim
 
-// event is a scheduled callback. seq breaks time ties FIFO so runs are
-// deterministic.
+// eventKind discriminates the kernel's typed events. Events are values the
+// kernel can inspect — to route them to lanes, and to let the churn barrier
+// find and edit in-flight packets.
+type eventKind uint8
+
+const (
+	// evStart begins a session at its source node.
+	evStart eventKind = iota
+	// evReceive resolves one frame's fate at its arrival time.
+	evReceive
+	// evRetransmit fires an ARQ retry at the sender.
+	evRetransmit
+	// evGiveUp fires the sender's final ARQ timeout (tiled shape only): ban
+	// the link, offer the copy to the NackHandler, kill it if no re-route
+	// salvages it.
+	evGiveUp
+	// evCrash and evRecover flip a node's radio state.
+	evCrash
+	evRecover
+)
+
+// event is one scheduled event. (time, tile, seq) is the kernel's strict
+// total order: tile and seq identify the originating lane and its sequence
+// counter at creation, both deterministic. The untiled shape has one lane,
+// so its order is (time, seq): FIFO among same-time events.
 type event struct {
 	time float64
+	tile int32
 	seq  int64
-	fn   func()
+	kind eventKind
+
+	from, to int
+	attempt  int
+	lost     bool
+	sess     int
+	pkt      *Packet
 }
 
-// eventQueue is a min-heap of events ordered by (time, seq). It is
-// hand-rolled rather than built on container/heap: the standard heap boxes
-// every element into an interface{}, one allocation per Push, which a
-// million-node event loop cannot afford. The ordering is a strict total
-// order — seq is unique per scheduler — so every pop returns the unique
-// minimum and the execution sequence is identical to the container/heap
-// version (TestEventQueueMatchesContainerHeap proves this on randomized
-// workloads).
-type eventQueue []event
-
-// before reports whether event i fires before event j.
-func (q eventQueue) before(i, j int) bool {
-	if q[i].time != q[j].time {
-		return q[i].time < q[j].time
+// before is the kernel's (time, tile, seq) order.
+func (a *event) before(b *event) bool {
+	if a.time != b.time {
+		return a.time < b.time
 	}
-	return q[i].seq < q[j].seq
+	if a.tile != b.tile {
+		return a.tile < b.tile
+	}
+	return a.seq < b.seq
 }
 
-func (q *eventQueue) push(e event) {
+// eventHeap is a min-heap of events in kernel order. It is hand-rolled
+// rather than built on container/heap: the standard heap boxes every element
+// into an interface{}, one allocation per Push, which a million-node event
+// loop cannot afford. The order is strict — (tile, seq) is unique — so every
+// pop returns the unique minimum (TestEventQueueMatchesContainerHeap checks
+// this against container/heap on randomized workloads).
+type eventHeap []event
+
+func (q eventHeap) less(i, j int) bool { return q[i].before(&q[j]) }
+
+func (q *eventHeap) push(e event) {
 	*q = append(*q, e)
 	q.up(len(*q) - 1)
 }
 
-func (q *eventQueue) pop() event {
+func (q *eventHeap) pop() event {
 	h := *q
 	n := len(h) - 1
 	h[0], h[n] = h[n], h[0]
 	e := h[n]
-	h[n] = event{} // drop the fn reference so the GC can collect the closure
+	h[n] = event{} // drop the packet reference
 	*q = h[:n]
 	if n > 0 {
 		h[:n].down(0)
@@ -61,10 +103,10 @@ func (q *eventQueue) pop() event {
 	return e
 }
 
-func (q eventQueue) up(i int) {
+func (q eventHeap) up(i int) {
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !q.before(i, parent) {
+		if !q.less(i, parent) {
 			break
 		}
 		q[i], q[parent] = q[parent], q[i]
@@ -72,7 +114,7 @@ func (q eventQueue) up(i int) {
 	}
 }
 
-func (q eventQueue) down(i int) {
+func (q eventHeap) down(i int) {
 	n := len(q)
 	for {
 		l := 2*i + 1
@@ -80,81 +122,13 @@ func (q eventQueue) down(i int) {
 			return
 		}
 		best := l
-		if r := l + 1; r < n && q.before(r, l) {
+		if r := l + 1; r < n && q.less(r, l) {
 			best = r
 		}
-		if !q.before(best, i) {
+		if !q.less(best, i) {
 			return
 		}
 		q[i], q[best] = q[best], q[i]
 		i = best
-	}
-}
-
-// Scheduler is a discrete-event virtual clock. The zero value is ready to
-// use: Now and Processed start at 0, Pending at 0, and the first At may be
-// called without any initialization. Not safe for concurrent use: a
-// Scheduler is single-threaded by design (determinism first). Parallelism
-// lives elsewhere — experiments fan out across independent Scheduler
-// instances, and the sharded kernel (shard.go) runs one logical clock as
-// per-tile queues whose aggregate Pending/Processed counts keep the same
-// meaning: events queued but not yet executed, and events executed so far,
-// over the whole run.
-type Scheduler struct {
-	now       float64
-	seq       int64
-	queue     eventQueue
-	processed int64
-}
-
-// Now returns the current virtual time in seconds.
-func (s *Scheduler) Now() float64 { return s.now }
-
-// Processed returns the number of events executed so far.
-func (s *Scheduler) Processed() int64 { return s.processed }
-
-// Pending returns the number of queued events.
-func (s *Scheduler) Pending() int { return len(s.queue) }
-
-// At schedules fn at absolute virtual time t. Scheduling in the past is a
-// programming error; the event is clamped to Now so time never runs
-// backwards.
-func (s *Scheduler) At(t float64, fn func()) {
-	if t < s.now {
-		t = s.now
-	}
-	s.queue.push(event{time: t, seq: s.seq, fn: fn})
-	s.seq++
-}
-
-// After schedules fn at Now+d.
-func (s *Scheduler) After(d float64, fn func()) { s.At(s.now+d, fn) }
-
-// Step executes the earliest pending event. It reports whether an event was
-// available.
-func (s *Scheduler) Step() bool {
-	if len(s.queue) == 0 {
-		return false
-	}
-	e := s.queue.pop()
-	s.now = e.time
-	s.processed++
-	e.fn()
-	return true
-}
-
-// Run executes events until the queue drains.
-func (s *Scheduler) Run() {
-	for s.Step() {
-	}
-}
-
-// RunUntil executes events with time ≤ t, then advances the clock to t.
-func (s *Scheduler) RunUntil(t float64) {
-	for len(s.queue) > 0 && s.queue[0].time <= t {
-		s.Step()
-	}
-	if s.now < t {
-		s.now = t
 	}
 }

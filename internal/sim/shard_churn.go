@@ -1,192 +1,111 @@
 package sim
 
-// Barrier-time churn for the sharded kernel. The single-queue engine applies
-// membership changes lazily, at each hop arrival (applyChurn); a parallel
-// kernel cannot, because an arrival in one tile must not reach into the
-// coordinator's churn bookkeeping mid-round. Instead, churn fires at window
-// barriers, when no worker is running and a key invariant holds: every live
-// packet copy of a session is attached to exactly one queued event (a copy
-// popped during a round either dissolves, delivers, or reappears as clones
-// on follow-up events before the round ends). The barrier can therefore
-// enumerate and edit every in-flight header directly:
+// Membership churn in both kernel shapes, built from sessionChurn's
+// per-packet rules (fire, retire, board, finish in churn.go).
+//
+// Untiled, churn is applied lazily to the packet in hand: at Start and at
+// every hop arrival, before delivery bookkeeping — so a leave beats a
+// delivery at the exact same instant.
+//
+// Tiled, an arrival in one tile must not reach into the coordinator's churn
+// bookkeeping mid-round, so churn fires at window barriers instead, when no
+// worker is running and a key invariant holds: every live packet copy of a
+// session is attached to exactly one queued event (a copy popped during a
+// round either dissolves, delivers, or reappears as clones on follow-up
+// events before the round ends). The barrier can therefore enumerate and
+// edit every in-flight header directly:
 //
 //   - A fired leave strips the destination from every queued copy, billed as
-//     ReasonLeft once per destination (the `retired` set dedupes duplicate
-//     copies exactly as the single-queue engine does). Copies cloned later
-//     inherit stripped parents, so one sweep per leave-firing barrier is
-//     complete. Emptied copies dissolve, unbilled, when their event fires.
-//   - A fired join is spliced into the earliest queued copy of its session —
-//     earliest by the kernel's (time, tile, seq) order, i.e. the first copy
-//     that would "pass by" — wherever in the region that copy is held, which
-//     is exactly the remote-tile-inbox case the tests pin down. Joins with no
-//     live copy to board stay pending; if none ever appears they are counted
-//     JoinsMissed at the end of the run, like the single-queue engine's
-//     epilogue.
+//     ReasonLeft once per destination. Copies cloned later inherit stripped
+//     parents, so one sweep per leave-firing barrier is complete. Emptied
+//     copies dissolve, unbilled, when their event fires.
+//   - A fired join is boarded onto the earliest queued copy of its session —
+//     earliest in kernel order, i.e. the first copy that would "pass by" —
+//     wherever in the region that copy is held, including a remote tile's
+//     inbox. Joins with no live copy to board stay queued; if none ever
+//     appears they are counted JoinsMissed at the end of the run.
 //   - Retiring a copy's anchor destination re-anchors at the node currently
 //     holding the copy (the receiver for a queued arrival, the sender for a
-//     queued retry/give-up, the source for an unstarted session), mirroring
-//     applyChurn's "re-anchor at the node in hand".
+//     queued retry/give-up, the source for an unstarted session).
 //
-// The observable divergence from the single-queue engine is bounded and
+// The observable divergence from the untiled shape is bounded and
 // one-sided: a change scheduled at time t takes effect at the first barrier
 // whose floor T ≥ t, so it lands within one window (≤ lookahead) of where
 // hop-arrival application would put it — and identically so for every shard
 // count, since barriers depend only on event times, never on workers.
 
+// applyChurn advances the session's churn events to the lane clock and
+// applies them to pkt, held at node at: departed destinations are retired
+// (billed as ReasonLeft, one event per affected packet) and queued joins
+// board this copy. Untiled shape only.
+func (r *kernel) applyChurn(ln *lane, pkt *Packet, at int) {
+	sc := r.sess[pkt.Session].churn
+	m := &r.base[pkt.Session]
+	sc.fire(ln.now, m)
+	if len(sc.left) > 0 {
+		if n := sc.retire(pkt, at); n > 0 {
+			m.DropsByReason[ReasonLeft]++
+			m.DestDropsByReason[ReasonLeft] += n
+		}
+	}
+	if len(sc.ready) > 0 {
+		sc.board(pkt, m, ln.now, r.e.net)
+	}
+}
+
 // churnBarrier fires all membership events with at ≤ T and applies them to
-// the queued in-flight packets. Coordinator-only: runs between rounds.
-func (r *shardRun) churnBarrier(T float64) {
-	for si, sc := range r.churn {
+// the queued in-flight packets. Tiled shape, coordinator-only: runs between
+// rounds.
+func (r *kernel) churnBarrier(T float64) {
+	for si := range r.sess {
+		sc := r.sess[si].churn
 		if sc == nil {
 			continue
 		}
-		newLeaves := false
-		for sc.next < len(sc.events) && sc.events[sc.next].at <= T {
-			ev := sc.events[sc.next]
-			sc.next++
-			if !ev.join {
-				sc.left[ev.node] = true
-				newLeaves = true
-				continue
+		m := &r.base[si]
+		if sc.fire(T, m) {
+			// One retirement event per barrier sweep (the untiled shape
+			// counts one per affected packet); the destination-level counts —
+			// the conservation invariant's side — are identical.
+			var n int
+			r.eachQueued(si, func(ev *event) { n += sc.retire(ev.pkt, holderOf(ev)) })
+			if n > 0 {
+				m.DropsByReason[ReasonLeft]++
+				m.DestDropsByReason[ReasonLeft] += n
 			}
-			if sc.member[ev.node] || sc.left[ev.node] {
-				r.base[si].JoinsMissed++
-				continue
-			}
-			sc.member[ev.node] = true
-			sc.pending = append(sc.pending, ev.node)
 		}
-		if newLeaves {
-			r.stripLeft(si, sc)
-		}
-		if len(sc.pending) > 0 {
-			r.spliceJoins(si, sc)
-		}
-	}
-}
-
-// stripLeft retires every left destination from every queued copy of session
-// si, billing each retired destination once and re-anchoring copies whose
-// anchor departed.
-func (r *shardRun) stripLeft(si int, sc *shardChurn) {
-	var retiredN int
-	for _, ln := range r.lanes {
-		for i := range ln.q {
-			ev := &ln.q[i]
-			pkt := ev.pkt
-			if pkt == nil || pkt.Session != si {
-				continue
-			}
-			kept := pkt.Dests[:0]
-			keptL := pkt.Locs[:0]
-			for k, d := range pkt.Dests {
-				if sc.left[d] {
-					if !sc.retired[d] {
-						if sc.retired == nil {
-							sc.retired = make(map[int]bool)
-						}
-						sc.retired[d] = true
-						retiredN++
-					}
-					continue
+		if len(sc.ready) > 0 {
+			// Board the earliest queued copy; with no live copy the joins
+			// stay queued for a later barrier (or finish's missed count).
+			var best *event
+			r.eachQueued(si, func(ev *event) {
+				if best == nil || ev.before(best) {
+					best = ev
 				}
-				kept = append(kept, d)
-				keptL = append(keptL, pkt.Locs[k])
-			}
-			pkt.Dests = kept
-			pkt.Locs = keptL
-			if pkt.Anchor >= 0 && sc.left[pkt.Anchor] {
-				pkt.Anchor = holderOf(ev)
+			})
+			if best != nil {
+				sc.board(best.pkt, m, best.time, r.e.net)
 			}
 		}
 	}
-	if retiredN > 0 {
-		// One retirement event per barrier sweep (the single-queue engine
-		// counts one per affected packet); the destination-level counts —
-		// the conservation invariant's side — are identical.
-		r.base[si].DropsByReason[ReasonLeft]++
-		r.base[si].DestDropsByReason[ReasonLeft] += retiredN
-	}
 }
 
-// spliceJoins boards all pending joins onto the earliest queued copy of
-// session si, in the kernel's event order. With no live copy the joins stay
-// pending for a later barrier (or the epilogue's missed count).
-func (r *shardRun) spliceJoins(si int, sc *shardChurn) {
-	var best *shardEvent
+// eachQueued calls fn for every queued event carrying a packet of session
+// si, across all lanes.
+func (r *kernel) eachQueued(si int, fn func(*event)) {
 	for _, ln := range r.lanes {
 		for i := range ln.q {
-			ev := &ln.q[i]
-			if ev.pkt == nil || ev.pkt.Session != si {
-				continue
-			}
-			if best == nil || eventBefore(ev, best) {
-				best = ev
+			if ev := &ln.q[i]; ev.pkt != nil && ev.pkt.Session == si {
+				fn(ev)
 			}
 		}
 	}
-	if best == nil {
-		return
-	}
-	bl := &r.base[si]
-	for _, j := range sc.pending {
-		if sc.left[j] {
-			// The leave overtook the join before any packet passed by.
-			bl.JoinsMissed++
-			continue
-		}
-		bl.DestCount++
-		bl.JoinsSpliced++
-		if j == sc.src {
-			// The source joined its own group: trivially delivered where the
-			// task originated, at hop 0.
-			bl.Delivered[j] = 0
-			bl.DeliveredAt[j] = best.time
-			continue
-		}
-		best.pkt.Dests = append(best.pkt.Dests, j)
-		best.pkt.Locs = append(best.pkt.Locs, r.e.net.Pos(j))
-	}
-	sc.pending = sc.pending[:0]
-}
-
-// churnEpilogue counts joins that never fired, or fired but never found a
-// packet to board, as missed — so every scheduled join lands in exactly one
-// of JoinsSpliced/JoinsMissed, matching the single-queue engine.
-func (r *shardRun) churnEpilogue() {
-	if r.churn == nil {
-		return
-	}
-	for si, sc := range r.churn {
-		if sc == nil {
-			continue
-		}
-		for ; sc.next < len(sc.events); sc.next++ {
-			if sc.events[sc.next].join {
-				r.base[si].JoinsMissed++
-			}
-		}
-		r.base[si].JoinsMissed += len(sc.pending)
-		sc.pending = nil
-	}
-}
-
-// eventBefore is the kernel's (time, tile, seq) strict total order on event
-// pointers, used when scanning queues in place.
-func eventBefore(a, b *shardEvent) bool {
-	if a.time != b.time {
-		return a.time < b.time
-	}
-	if a.tile != b.tile {
-		return a.tile < b.tile
-	}
-	return a.seq < b.seq
 }
 
 // holderOf returns the node currently responsible for a queued event's
 // packet: the receiver of an in-flight frame, the sender of a pending retry
 // or give-up, the source of an unstarted session.
-func holderOf(ev *shardEvent) int {
+func holderOf(ev *event) int {
 	if ev.kind == evReceive {
 		return ev.to
 	}
