@@ -2,10 +2,35 @@
 package testutil
 
 import (
+	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
 	"time"
 )
+
+// Golden compares got with the golden file at path or, when update is set,
+// rewrites the file with got. Each package's tests bind update to their own
+// -update flag.
+func Golden(t *testing.T, path, got string, update bool) {
+	t.Helper()
+	if update {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Fatalf("output differs from %s (rerun with -update to accept it):\ngot:\n%s\nwant:\n%s", path, got, want)
+	}
+}
 
 // SkipIfRace skips allocation-budget tests under the race detector: race
 // instrumentation adds its own allocations, so AllocsPerRun numbers measured
