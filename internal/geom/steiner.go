@@ -20,6 +20,11 @@ const maxFermatAngle = 2 * math.Pi / 3
 //   - Otherwise it is the intersection of two Simpson lines: the line from a
 //     to the apex of the outward equilateral triangle erected on bc, and the
 //     line from b to the apex of the outward equilateral triangle on ca.
+//
+// The construction treats its arguments asymmetrically, so the result is not
+// bit-symmetric in argument order: permuting a, b and c yields the same point
+// up to rounding, but not necessarily the same float64 bits. Callers whose
+// output must be reproducible bit for bit keep one argument order.
 func SteinerPoint(a, b, c Point) Point {
 	// Coincident-point degeneracies first: with two coincident points the
 	// minimizer is that shared location.

@@ -11,9 +11,9 @@ import (
 // TestRRSTRBuildAllocBudget pins the steady-state allocation budget of one
 // radio-aware rrSTR construction on a reused Builder — the arena GMP keeps
 // per node. After warm-up every buffer (tree vertices/edges/adjacency, pair
-// heap, dead-pair set) is recycled, so the budget is the ISSUE 5 acceptance
-// ceiling, ≤ 30% of the PR 3 baseline of 171. Regressions here mean a Build
-// temporary escaped the arena.
+// heap, source distances) is recycled, so the budget is ≤ 30% of the 171
+// allocs/op a build made before the arena existed. Regressions here mean a
+// Build temporary escaped the arena.
 func TestRRSTRBuildAllocBudget(t *testing.T) {
 	testutil.SkipIfRace(t)
 	r := rand.New(rand.NewSource(3))

@@ -35,7 +35,9 @@ func BenchmarkReductionRatio(b *testing.B) {
 	}
 }
 
-func benchmarkBuild(b *testing.B, k int, opts Options) {
+// benchmarkBuild times build on 32 random K-destination sets around a
+// central source.
+func benchmarkBuild(b *testing.B, k int, opts Options, build func(geom.Point, []Dest, Options)) {
 	r := rand.New(rand.NewSource(2))
 	src := geom.Pt(500, 500)
 	sets := make([][]Dest, 32)
@@ -44,18 +46,37 @@ func benchmarkBuild(b *testing.B, k int, opts Options) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Build(src, sets[i%len(sets)], opts)
+		build(src, sets[i%len(sets)], opts)
 	}
 }
 
+// BenchmarkRRSTRBuild times the lazy Builder.Build, reused across builds as
+// GMP's per-node arenas are, against its eager reference twin on the same
+// sets. The lazy runs report exact Steiner-point evaluations per build
+// (evals/op) next to the pairs pushed (pairs/op), which is the number the
+// eager reference evaluates.
 func BenchmarkRRSTRBuild(b *testing.B) {
-	for _, k := range []int{5, 12, 25, 50} {
-		b.Run(fmt.Sprintf("k=%d/basic", k), func(b *testing.B) {
-			benchmarkBuild(b, k, Options{})
-		})
-		b.Run(fmt.Sprintf("k=%d/aware", k), func(b *testing.B) {
-			benchmarkBuild(b, k, Options{RadioRange: 150, RadioAware: true})
-		})
+	for _, k := range []int{5, 12, 25, 50, 120} {
+		for _, c := range []struct {
+			name string
+			opts Options
+		}{{"basic", Options{}}, {"aware", Options{RadioRange: 150, RadioAware: true}}} {
+			b.Run(fmt.Sprintf("k=%d/%s", k, c.name), func(b *testing.B) {
+				var lazy Builder
+				pairs, evals := 0, 0
+				benchmarkBuild(b, k, c.opts, func(s geom.Point, d []Dest, o Options) {
+					lazy.Build(s, d, o)
+					pairs += lazy.pairs
+					evals += lazy.evals
+				})
+				b.ReportMetric(float64(evals)/float64(b.N), "evals/op")
+				b.ReportMetric(float64(pairs)/float64(b.N), "pairs/op")
+			})
+			b.Run(fmt.Sprintf("k=%d/%s/reference", k, c.name), func(b *testing.B) {
+				var ref refBuilder
+				benchmarkBuild(b, k, c.opts, func(s geom.Point, d []Dest, o Options) { ref.build(s, d, o) })
+			})
+		}
 	}
 }
 

@@ -9,8 +9,8 @@ import (
 // Builder constructs multicast trees into reusable storage. GMP rebuilds an
 // rrSTR tree at every transmitting node (paper §3–4), so the construction is
 // the hot inner loop of every forwarding decision; a Builder keeps the tree,
-// the pair queue, the active-vertex set and the MST working arrays across
-// calls, making steady-state builds allocation-free.
+// the pair queue, the active-vertex set, the source distances and the MST
+// working arrays across calls, making steady-state builds allocation-free.
 //
 // The zero value is ready to use. Each build method resets and returns the
 // builder's own tree: the result is valid only until the next call on the
@@ -18,10 +18,16 @@ import (
 // are not safe for concurrent use — hang one off each node's decision
 // scratch (view.Scratch), never share one across goroutines.
 type Builder struct {
-	tree      Tree
-	q         pairQueue
-	active    []bool
-	deadPairs map[[2]int]bool
+	tree    Tree
+	q       pairQueue
+	active  []bool
+	nActive int       // number of true entries in active
+	ds      []float64 // vertex ID -> distance from the source
+
+	// pairs and evals count, for the last Build, the pairs pushed onto the
+	// queue and the exact reduction ratios computed; tests and benchmarks
+	// read them.
+	pairs, evals int
 
 	// Prim working arrays for the MST builders.
 	inTree   []bool
@@ -62,42 +68,70 @@ func growInts(s []int, n int) []int {
 // Build is the arena-backed rrSTR construction; see the package-level Build
 // for the algorithm contract. The returned tree is owned by the builder and
 // valid until the next call on it.
+//
+// Pairs enter the queue keyed by reductionRatioBound, which costs one
+// distance; the exact ratio is computed only when a pair's bound reaches the
+// top of the queue while both its ends are active. Every key bounds its
+// pair's exact ratio from above and the order is (key desc, u asc, v asc), so
+// an exact item on top is the maximum the eager construction of Figure 3
+// would pop next: the tree is the same, edge for edge and Seq for Seq.
 func (b *Builder) Build(source geom.Point, dests []Dest, opts Options) *Tree {
 	tree := &b.tree
 	tree.Reset(source)
+	b.pairs, b.evals = 0, 0
 	n := len(dests)
 	if n == 0 {
 		return tree
 	}
 
 	b.active = growBools(b.active, n+1)
+	b.ds = growFloats(b.ds, n+1)
 	for _, d := range dests {
 		id := tree.AddTerminal(d.Pos, d.Label)
 		b.active[id] = true
+		b.ds[id] = source.Dist(d.Pos)
 	}
+	b.nActive = n
 
-	// Step 2 of Figure 3: reduction ratios and Steiner points for all pairs.
+	// Step 2 of Figure 3: every destination pair, keyed by its bound. The
+	// queue never needs more room than this (see dropStale), so its storage
+	// is exactly 16 B per destination pair.
+	if pairs := n * (n - 1) / 2; cap(b.q) < pairs {
+		b.q = make(pairQueue, 0, pairs)
+	}
 	q := b.q[:0]
 	for i := 1; i <= n; i++ {
 		for j := i + 1; j <= n; j++ {
-			rr, t := ReductionRatioPoint(source, tree.Vertex(i).Pos, tree.Vertex(j).Pos)
-			q = append(q, pairItem{u: i, v: j, rr: rr, t: t})
+			q = append(q, b.boundItem(i, j))
 		}
 	}
 	q.init()
 
-	if b.deadPairs == nil {
-		b.deadPairs = make(map[[2]int]bool)
-	} else {
-		clear(b.deadPairs)
-	}
-
 	for len(q) > 0 {
-		it := q.pop()
-		if !b.active[it.u] || !b.active[it.v] || b.deadPairs[[2]int{it.u, it.v}] {
-			continue // lazily discarded stale entry
+		if a := b.nActive; len(q) > a*(a-1) {
+			// Over half the queue is stale, since at most a(a-1)/2 pairs
+			// can be live. Dropping them all costs less than popping them
+			// one by one, and each item is dropped at most once.
+			q = b.dropStale(q)
+			continue
 		}
-		u, v, t := it.u, it.v, it.t
+		it := q[0]
+		u, v := it.pair()
+		if !b.active[u] || !b.active[v] {
+			q.pop() // lazily discarded stale entry
+			continue
+		}
+		rr, t := b.ratio(u, v)
+		if !it.exact() {
+			// Replace the bound by the exact ratio; the pair is processed
+			// now only if it stays on top.
+			q[0] = newPairItem(rr, u, v, true)
+			q.down(0)
+			if q[0].ids != it.ids|1 {
+				continue
+			}
+		}
+		q.pop()
 		upos, vpos := tree.Vertex(u).Pos, tree.Vertex(v).Pos
 
 		switch {
@@ -105,43 +139,41 @@ func (b *Builder) Build(source geom.Point, dests []Dest, opts Options) *Tree {
 			// Steiner point collocated with the source: direct edges.
 			tree.AddEdge(0, u)
 			tree.AddEdge(0, v)
-			b.active[u] = false
-			b.active[v] = false
+			b.retire(u)
+			b.retire(v)
 
 		case t.Eq(upos):
 			// u acts as the Steiner point; u stays active so it can keep
 			// pairing with other destinations.
 			tree.AddEdge(u, v)
-			b.active[v] = false
+			b.retire(v)
 
 		case t.Eq(vpos):
 			tree.AddEdge(u, v)
-			b.active[u] = false
+			b.retire(u)
 
 		default:
-			if opts.RadioAware && b.applyRadioCases(it, opts) {
+			if opts.RadioAware && b.applyRadioCases(u, v, t, opts) {
 				continue
 			}
 			// Create a new virtual destination w at the Steiner point.
 			w := tree.AddVirtual(t)
 			b.active = append(b.active, false)
+			b.ds = append(b.ds, source.Dist(t))
 			tree.AddEdge(w, u)
 			tree.AddEdge(w, v)
-			b.active[u] = false
-			b.active[v] = false
+			b.retire(u)
+			b.retire(v)
 			b.active[w] = true
-			// Pair w with every other active vertex, in ascending ID order
-			// for determinism (IDs are dense, so the scan is already sorted).
-			for id := 1; id < tree.NumVertices(); id++ {
-				if id == w || !b.active[id] {
-					continue
+			b.nActive++
+			// Pair w, the highest ID, with every other active vertex.
+			for id := 1; id < w; id++ {
+				if b.active[id] {
+					if len(q) == cap(q) {
+						q = b.dropStale(q)
+					}
+					q.push(b.boundItem(id, w))
 				}
-				rr, st := ReductionRatioPoint(source, t, tree.Vertex(id).Pos)
-				a, c := w, id
-				if a > c {
-					a, c = c, a
-				}
-				q.push(pairItem{u: a, v: c, rr: rr, t: st})
 			}
 		}
 	}
@@ -159,17 +191,63 @@ func (b *Builder) Build(source geom.Point, dests []Dest, opts Options) *Tree {
 	return tree
 }
 
-// applyRadioCases implements the three §3.3 radio-range-aware special cases.
-// It reports whether the pair was fully handled (true) or whether the caller
-// should proceed to create a virtual destination (false).
-func (b *Builder) applyRadioCases(it pairItem, opts Options) bool {
+// dropStale removes the items with an inactive end from q and re-heapifies
+// it. Those items would be discarded on pop anyway, so the pop sequence is
+// unchanged. Every remaining item pairs two active vertices, and a build
+// never has more active vertices than destinations, so after dropStale the
+// queue holds fewer than K(K-1)/2 items whenever a push is due.
+func (b *Builder) dropStale(q pairQueue) pairQueue {
+	live := q[:0]
+	for _, it := range q {
+		if u, v := it.pair(); b.active[u] && b.active[v] {
+			live = append(live, it)
+		}
+	}
+	live.init()
+	return live
+}
+
+// retire deactivates vertex id.
+func (b *Builder) retire(id int) {
+	b.active[id] = false
+	b.nActive--
+}
+
+// boundItem returns the queue item of pair u < v keyed by its reduction-ratio
+// upper bound.
+func (b *Builder) boundItem(u, v int) pairItem {
+	b.pairs++
+	duv := b.tree.Vertex(u).Pos.Dist(b.tree.Vertex(v).Pos)
+	return newPairItem(reductionRatioBound(b.ds[u], b.ds[v], duv), u, v, false)
+}
+
+// ratio returns the exact reduction ratio and Steiner point of pair u < v.
+// The arguments keep the order the eager construction used: (u, v) for two
+// terminals, and (v, u) when v is a virtual vertex, since a virtual vertex is
+// paired on creation as the newest, highest ID. ReductionRatioPoint is not
+// bit-symmetric in its last two arguments, so this order is what keeps the
+// tree identical bit for bit.
+func (b *Builder) ratio(u, v int) (float64, geom.Point) {
+	b.evals++
+	tree := &b.tree
+	upos, vv := tree.Vertex(u).Pos, tree.Vertex(v)
+	if vv.Kind == Virtual {
+		return ReductionRatioPoint(tree.Vertex(0).Pos, vv.Pos, upos)
+	}
+	return ReductionRatioPoint(tree.Vertex(0).Pos, upos, vv.Pos)
+}
+
+// applyRadioCases implements the three §3.3 radio-range-aware special cases
+// for pair u, v with Steiner point t. It reports whether the pair was fully
+// handled (true) or whether the caller should proceed to create a virtual
+// destination (false). A pair the cases drop without edges is simply not
+// pushed again: the queue holds each pair once, so its pop removed it.
+func (b *Builder) applyRadioCases(u, v int, t geom.Point, opts Options) bool {
 	tree := &b.tree
 	source := tree.Vertex(0).Pos
-	u, v, t := it.u, it.v, it.t
 	upos, vpos := tree.Vertex(u).Pos, tree.Vertex(v).Pos
 	rr := opts.RadioRange
-	du, dv := source.Dist(upos), source.Dist(vpos)
-	key := [2]int{u, v}
+	du, dv := b.ds[u], b.ds[v]
 
 	// Cost comparison of §3.3: routing through the virtual destination costs
 	// one hop (rr) plus the residual legs; direct delivery costs du + dv.
@@ -179,8 +257,7 @@ func (b *Builder) applyRadioCases(it pairItem, opts Options) bool {
 	switch {
 	case du < rr && dv < rr:
 		// Case 1: both are one hop away; a virtual destination could only
-		// add a hop to each. Deactivate the pair (not the nodes).
-		b.deadPairs[key] = true
+		// add a hop to each. Drop the pair (not the nodes).
 		return true
 
 	case du < rr:
@@ -189,16 +266,14 @@ func (b *Builder) applyRadioCases(it pairItem, opts Options) bool {
 			if opts.OneInRangeProse {
 				tree.AddEdge(0, u)
 				tree.AddEdge(0, v)
-				b.active[u] = false
-				b.active[v] = false
-			} else {
-				b.deadPairs[key] = true
+				b.retire(u)
+				b.retire(v)
 			}
 			return true
 		}
 		// u itself serves as the Steiner point.
 		tree.AddEdge(u, v)
-		b.active[v] = false
+		b.retire(v)
 		return true
 
 	case dv < rr:
@@ -207,15 +282,13 @@ func (b *Builder) applyRadioCases(it pairItem, opts Options) bool {
 			if opts.OneInRangeProse {
 				tree.AddEdge(0, u)
 				tree.AddEdge(0, v)
-				b.active[u] = false
-				b.active[v] = false
-			} else {
-				b.deadPairs[key] = true
+				b.retire(u)
+				b.retire(v)
 			}
 			return true
 		}
 		tree.AddEdge(u, v)
-		b.active[u] = false
+		b.retire(u)
 		return true
 
 	case source.Dist(t) < rr && notBeneficial:
@@ -223,8 +296,8 @@ func (b *Builder) applyRadioCases(it pairItem, opts Options) bool {
 		// detour; the source serves as the Steiner point.
 		tree.AddEdge(0, u)
 		tree.AddEdge(0, v)
-		b.active[u] = false
-		b.active[v] = false
+		b.retire(u)
+		b.retire(v)
 		return true
 	}
 	return false

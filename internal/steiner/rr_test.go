@@ -102,3 +102,45 @@ func TestReductionRatioSymmetric(t *testing.T) {
 		}
 	}
 }
+
+// TestReductionRatioUpperBound checks that reductionRatioBound, slack
+// included, is never below the float ReductionRatioPoint it stands in for,
+// in either argument order: on random triples at three scales and on the
+// shapes where the bound is tight or the construction degenerates —
+// collinear triples (the bound is exact when u lies between s and v),
+// coincident points, a 120° or wider angle at any vertex, and a destination
+// at the source.
+func TestReductionRatioUpperBound(t *testing.T) {
+	check := func(s, u, v geom.Point) {
+		t.Helper()
+		ub := reductionRatioBound(s.Dist(u), s.Dist(v), u.Dist(v))
+		for _, p := range [][2]geom.Point{{u, v}, {v, u}} {
+			if rr, _ := ReductionRatioPoint(s, p[0], p[1]); rr > ub {
+				t.Fatalf("RR(%v, %v, %v) = %v above bound %v", s, p[0], p[1], rr, ub)
+			}
+		}
+	}
+	r := rand.New(rand.NewSource(31))
+	for _, scale := range []float64{1, 1000, 1e6} {
+		pt := func() geom.Point { return geom.Pt(r.Float64()*scale, r.Float64()*scale) }
+		for i := 0; i < 5000; i++ {
+			s, u, v := pt(), pt(), pt()
+			check(s, u, v)
+			// Collinear: u and v on the ray from s through a random point,
+			// on either side of s, and with s between them.
+			d := pt().Sub(s)
+			a, b := r.Float64()*3-1, r.Float64()*3-1
+			check(s, s.Add(d.Scale(a)), s.Add(d.Scale(b)))
+			// Coincident and source-coincident.
+			check(s, u, u)
+			check(s, s, v)
+			check(s, s, s)
+			// A 120° or wider angle at s, then at u.
+			dir := geom.Pt(1, 0).Rotate(r.Float64() * 2 * math.Pi)
+			wide := (2*math.Pi/3 + r.Float64()*math.Pi/3)
+			du, dv := r.Float64()*scale, r.Float64()*scale
+			check(s, s.Add(dir.Scale(du)), s.Add(dir.Rotate(wide).Scale(dv)))
+			check(s.Add(dir.Scale(du)), s, s.Add(dir.Rotate(wide).Scale(dv)))
+		}
+	}
+}

@@ -29,20 +29,44 @@ type Options struct {
 	OneInRangeProse bool
 }
 
-// pairItem is a candidate destination pair in the reduction-ratio queue.
+// pairItem is a candidate destination pair in the reduction-ratio queue. It
+// is 16 bytes: the queue holds all K(K-1)/2 pairs of a K-destination build,
+// so the Steiner point is not stored but recomputed for the few pairs the
+// build actually processes.
 type pairItem struct {
-	u, v int // vertex IDs, u < v
-	rr   float64
-	t    geom.Point // Steiner point of {source, u, v}
+	// rr is the pair's exact reduction ratio when the item is exact, and an
+	// upper bound on it (reductionRatioBound) otherwise.
+	rr float64
+	// ids packs u<<32 | v<<1 | exact for vertex IDs u < v < 2^31, so one
+	// integer comparison orders items by u, then v. A Build's pair queue
+	// holds K(K-1)/2 items, so no build that fits in memory comes near the
+	// 31-bit ID limit.
+	ids uint64
 }
 
-// pairQueue is a max-heap of pairItems keyed by reduction ratio with a
-// deterministic vertex-ID tie-break. It is hand-rolled rather than built on
-// container/heap: the standard heap boxes every element into an interface{},
-// one allocation per push, which the per-decision rrSTR rebuild cannot
-// afford. The ordering is a strict total order (no two items compare equal),
-// so every pop returns the unique maximum and the construction sequence is
-// identical to the container/heap version.
+func newPairItem(rr float64, u, v int, exact bool) pairItem {
+	ids := uint64(u)<<32 | uint64(v)<<1
+	if exact {
+		ids |= 1
+	}
+	return pairItem{rr: rr, ids: ids}
+}
+
+// pair returns the item's vertex IDs, u < v.
+func (it pairItem) pair() (u, v int) {
+	return int(it.ids >> 32), int(uint32(it.ids) >> 1)
+}
+
+// exact reports whether rr is the pair's exact reduction ratio.
+func (it pairItem) exact() bool { return it.ids&1 != 0 }
+
+// pairQueue is a max-heap of pairItems keyed by rr with a deterministic
+// (u, v) tie-break. It is hand-rolled rather than built on container/heap:
+// the standard heap boxes every element into an interface{}, one allocation
+// per push, which the per-decision rrSTR rebuild cannot afford. A pair is in
+// the queue at most once, so the ordering is a strict total order: every pop
+// returns the unique maximum, and the pop sequence does not depend on the
+// heap's internal layout.
 type pairQueue []pairItem
 
 // before reports whether item i has priority over item j.
@@ -50,10 +74,7 @@ func (q pairQueue) before(i, j int) bool {
 	if q[i].rr != q[j].rr {
 		return q[i].rr > q[j].rr
 	}
-	if q[i].u != q[j].u {
-		return q[i].u < q[j].u
-	}
-	return q[i].v < q[j].v
+	return q[i].ids < q[j].ids
 }
 
 // init heapifies the queue in place.
