@@ -80,21 +80,8 @@ func (g *Geocast) Decide(v view.NodeView, pkt *sim.Packet) []sim.Forward {
 		}
 		return g.flood(v, pkt, prev)
 	}
-	if pkt.Perimeter {
-		anchor := g.region.Anchor()
-		if v.Pos().Dist(anchor) < pkt.Peri.Entry.Dist(anchor)-geom.Eps {
-			return g.approach(v, pkt)
-		}
-		next, nst, verdict := view.PerimeterStep(v, pkt.Peri)
-		switch verdict {
-		case view.StepDead:
-			return dropOnly(pkt)
-		case view.StepWatchdog:
-			return watchdogDrop(pkt)
-		}
-		copyPkt := pkt.Clone()
-		copyPkt.Peri = nst
-		return []sim.Forward{{To: next, Pkt: copyPkt}}
+	if pkt.Perimeter && !faceExited(v, g.region.Anchor(), pkt.Peri) {
+		return faceStep(v, pkt.Peri, pkt.Clone())
 	}
 	return g.approach(v, pkt)
 }
@@ -108,18 +95,7 @@ func (g *Geocast) approach(v view.NodeView, pkt *sim.Packet) []sim.Forward {
 		copyPkt.Anchor = v.Self()
 		return []sim.Forward{{To: next, Pkt: copyPkt}}
 	}
-	st := view.PerimeterEnter(v, g.region.Anchor())
-	next, nst, verdict := view.PerimeterStep(v, st)
-	switch verdict {
-	case view.StepDead:
-		return dropOnly(pkt)
-	case view.StepWatchdog:
-		return watchdogDrop(pkt)
-	}
-	copyPkt := pkt.Clone()
-	copyPkt.Perimeter = true
-	copyPkt.Peri = nst
-	return []sim.Forward{{To: next, Pkt: copyPkt}}
+	return faceStart(v, g.region.Anchor(), pkt.Clone())
 }
 
 // flood emits region-restricted copies to every in-region neighbor except

@@ -3,8 +3,6 @@ package routing
 import (
 	"sort"
 
-	"gmp/internal/geom"
-	"gmp/internal/planar"
 	"gmp/internal/sim"
 	"gmp/internal/steiner"
 	"gmp/internal/view"
@@ -90,7 +88,7 @@ func (g *GMP) steinerOpts(v view.NodeView) steiner.Options {
 // Start implements sim.Handler: the source runs the same procedure as every
 // forwarding node.
 func (g *GMP) Start(v view.NodeView, pkt *sim.Packet) []sim.Forward {
-	return g.process(v, pkt)
+	return greedyThenFace(v, pkt, g.forwardGroups)
 }
 
 // Nack implements sim.NackHandler: when ARQ gives up on a next hop, the
@@ -102,25 +100,15 @@ func (g *GMP) Start(v view.NodeView, pkt *sim.Packet) []sim.Forward {
 // around a dead planar edge, but re-grouping can (and residual voids
 // re-enter perimeter mode from here anyway).
 func (g *GMP) Nack(v view.NodeView, to int, pkt *sim.Packet) []sim.Forward {
-	return g.process(v, pkt)
+	return greedyThenFace(v, pkt, g.forwardGroups)
 }
 
 // Decide implements sim.Handler.
 func (g *GMP) Decide(v view.NodeView, pkt *sim.Packet) []sim.Forward {
 	if pkt.Perimeter {
-		return g.recoverPerimeter(v, pkt)
+		return recoverFace(v, pkt, g.forwardGroups)
 	}
-	return g.process(v, pkt)
-}
-
-// process is Figure 7: group, forward, and push residual voids into
-// perimeter mode.
-func (g *GMP) process(v view.NodeView, pkt *sim.Packet) []sim.Forward {
-	fwds, voids := g.forwardGroups(v, pkt)
-	if len(voids) == 0 {
-		return fwds
-	}
-	return append(fwds, g.enterPerimeter(v, pkt, voids)...)
+	return greedyThenFace(v, pkt, g.forwardGroups)
 }
 
 // forwardGroups builds the rrSTR tree, walks its pivots, emits one packet
@@ -237,66 +225,4 @@ func (g *GMP) groupLabels(s *view.Scratch, tree *steiner.Tree, p int) []int {
 	sort.Ints(group)
 	s.GroupBuf = group
 	return group
-}
-
-// enterPerimeter starts perimeter mode (§4.1): all void destinations travel
-// in a single copy aimed at their average location over the local planar
-// adjacency.
-func (g *GMP) enterPerimeter(v view.NodeView, pkt *sim.Packet, voids []int) []sim.Forward {
-	s := v.Scratch()
-	locs := s.LocBuf[:0]
-	for _, d := range voids {
-		locs = append(locs, pkt.LocOf(d))
-	}
-	s.LocBuf = locs
-	avg := geom.Centroid(locs)
-	st := view.PerimeterEnter(v, avg)
-	return g.stepPerimeter(v, pkt, voids, st)
-}
-
-// stepPerimeter advances the supervised face traversal one hop and emits the
-// perimeter copy. A dead end or a watchdog kill abandons only the void
-// destinations — any recovered groups already left in their own copies.
-func (g *GMP) stepPerimeter(v view.NodeView, pkt *sim.Packet, voids []int, st planar.State) []sim.Forward {
-	next, nst, verdict := view.PerimeterStep(v, st)
-	copyPkt := pkt.CloneFor(sortedCopy(voids))
-	switch verdict {
-	case view.StepDead:
-		return dropOnly(copyPkt)
-	case view.StepWatchdog:
-		return watchdogDrop(copyPkt)
-	}
-	copyPkt.Perimeter = true
-	copyPkt.Peri = nst
-	return []sim.Forward{{To: next, Pkt: copyPkt}}
-}
-
-// recoverPerimeter handles a perimeter-mode packet (§4.1 steps 4–7): first
-// re-run the full GMP grouping; groups that now have valid next hops leave
-// perimeter mode. If nothing recovered, continue the same traversal; if
-// some groups recovered, start a fresh traversal toward the new average of
-// the still-void destinations.
-//
-// Recovery is attempted only once the packet is strictly closer to the
-// perimeter target than its entry point — the standard GPSR exit rule the
-// paper's §4.1 refers to ("similar to the one used by PBM [21]"). Without
-// it, the literal step-4 re-run lets a packet ping-pong forever between a
-// void node and the neighbor that first absorbed it.
-func (g *GMP) recoverPerimeter(v view.NodeView, pkt *sim.Packet) []sim.Forward {
-	if v.Pos().Dist(pkt.Peri.Target) >= pkt.Peri.Entry.Dist(pkt.Peri.Target)-geom.Eps {
-		return g.stepPerimeter(v, pkt, pkt.Dests, pkt.Peri)
-	}
-	fwds, voids := g.forwardGroups(v, pkt)
-	switch {
-	case len(voids) == 0:
-		// Fully recovered.
-		return fwds
-	case len(voids) == len(pkt.Dests):
-		// No progress: keep traversing with the same average destination
-		// and face state.
-		return append(fwds, g.stepPerimeter(v, pkt, voids, pkt.Peri)...)
-	default:
-		// Partial recovery: fresh perimeter round for the remainder.
-		return append(fwds, g.enterPerimeter(v, pkt, voids)...)
-	}
 }

@@ -1,7 +1,6 @@
 package routing
 
 import (
-	"gmp/internal/geom"
 	"gmp/internal/sim"
 	"gmp/internal/view"
 )
@@ -47,23 +46,8 @@ func (g *GRD) Decide(v view.NodeView, pkt *sim.Packet) []sim.Forward {
 	if len(pkt.Dests) != 1 {
 		return dropOnly(pkt) // GRD packets always carry exactly one destination
 	}
-	if pkt.Perimeter {
-		target := pkt.Locs[0]
-		// GPSR exit rule: resume greedy once strictly closer to the target
-		// than the perimeter entry point.
-		if v.Pos().Dist(target) < pkt.Peri.Entry.Dist(target)-geom.Eps {
-			return g.forward(v, pkt)
-		}
-		next, nst, verdict := view.PerimeterStep(v, pkt.Peri)
-		switch verdict {
-		case view.StepDead:
-			return dropOnly(pkt)
-		case view.StepWatchdog:
-			return watchdogDrop(pkt)
-		}
-		copyPkt := pkt.Clone()
-		copyPkt.Peri = nst
-		return []sim.Forward{{To: next, Pkt: copyPkt}}
+	if pkt.Perimeter && !faceExited(v, pkt.Locs[0], pkt.Peri) {
+		return faceStep(v, pkt.Peri, pkt.Clone())
 	}
 	return g.forward(v, pkt)
 }
@@ -76,16 +60,5 @@ func (g *GRD) forward(v view.NodeView, pkt *sim.Packet) []sim.Forward {
 		copyPkt.Perimeter = false
 		return []sim.Forward{{To: next, Pkt: copyPkt}}
 	}
-	st := view.PerimeterEnter(v, target)
-	next, nst, verdict := view.PerimeterStep(v, st)
-	switch verdict {
-	case view.StepDead:
-		return dropOnly(pkt)
-	case view.StepWatchdog:
-		return watchdogDrop(pkt)
-	}
-	copyPkt := pkt.Clone()
-	copyPkt.Perimeter = true
-	copyPkt.Peri = nst
-	return []sim.Forward{{To: next, Pkt: copyPkt}}
+	return faceStart(v, target, pkt.Clone())
 }

@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"gmp/internal/sim"
-	"gmp/internal/steiner"
 	"gmp/internal/view"
 )
 
@@ -57,36 +56,20 @@ func (l *LGS) Decide(v view.NodeView, pkt *sim.Packet) []sim.Forward {
 	if pkt.Anchor == v.Self() {
 		return l.partition(v, pkt)
 	}
-	return l.relay(v, pkt)
+	return relayToAnchor(v, pkt)
 }
 
 // partition rebuilds the MST at a subtree root and launches one copy per
-// child group.
+// child group; a group whose root lies behind a void is dropped (LGS gives
+// up on it).
 func (l *LGS) partition(v view.NodeView, pkt *sim.Packet) []sim.Forward {
-	tree := steiner.EuclideanMST(v.Pos(), headerDests(pkt))
 	var fwds []sim.Forward
-	for _, p := range tree.Pivots() {
-		group := make([]int, 0, len(pkt.Dests))
-		for _, id := range tree.SubtreeTerminals(p, 0) {
-			group = append(group, tree.Vertex(id).Label)
-		}
-		sort.Ints(group)
-		copyPkt := pkt.CloneFor(group)
-		copyPkt.Anchor = tree.Vertex(p).Label
-		fwds = append(fwds, l.relay(v, copyPkt)...)
-	}
+	mstGroups(v, pkt, func(anchor int, group []int) {
+		copyPkt := pkt.CloneFor(append([]int(nil), group...))
+		copyPkt.Anchor = anchor
+		fwds = append(fwds, relayToAnchor(v, copyPkt)...)
+	})
 	return fwds
-}
-
-// relay takes one greedy step toward the packet's anchor root (whose
-// location is in the header — the anchor is always one of the copy's own
-// destinations).
-func (l *LGS) relay(v view.NodeView, pkt *sim.Packet) []sim.Forward {
-	next := greedyNextHop(v, pkt.LocOf(pkt.Anchor))
-	if next == -1 {
-		return dropOnly(pkt) // void: LGS gives up on this group
-	}
-	return []sim.Forward{{To: next, Pkt: pkt}}
 }
 
 // LGK is the location-guided k-ary tree variant of [5], included for
@@ -120,7 +103,7 @@ func (l *LGK) Decide(v view.NodeView, pkt *sim.Packet) []sim.Forward {
 	if pkt.Anchor == v.Self() {
 		return l.partition(v, pkt)
 	}
-	return l.relay(v, pkt)
+	return relayToAnchor(v, pkt)
 }
 
 func (l *LGK) partition(v view.NodeView, pkt *sim.Packet) []sim.Forward {
@@ -153,15 +136,7 @@ func (l *LGK) partition(v view.NodeView, pkt *sim.Packet) []sim.Forward {
 	for _, r := range roots {
 		copyPkt := pkt.CloneFor(sortedCopy(groups[r]))
 		copyPkt.Anchor = r
-		fwds = append(fwds, l.relay(v, copyPkt)...)
+		fwds = append(fwds, relayToAnchor(v, copyPkt)...)
 	}
 	return fwds
-}
-
-func (l *LGK) relay(v view.NodeView, pkt *sim.Packet) []sim.Forward {
-	next := greedyNextHop(v, pkt.LocOf(pkt.Anchor))
-	if next == -1 {
-		return dropOnly(pkt)
-	}
-	return []sim.Forward{{To: next, Pkt: pkt}}
 }

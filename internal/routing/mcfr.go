@@ -1,11 +1,8 @@
 package routing
 
 import (
-	"sort"
-
 	"gmp/internal/planar"
 	"gmp/internal/sim"
-	"gmp/internal/steiner"
 	"gmp/internal/view"
 )
 
@@ -91,15 +88,8 @@ func (m *MCFR) Nack(v view.NodeView, to int, pkt *sim.Packet) []sim.Forward {
 // partition rebuilds the MST at a subtree root and launches one concurrent
 // senior/junior thread pair per child group, aimed at the group's anchor.
 func (m *MCFR) partition(v view.NodeView, pkt *sim.Packet) []sim.Forward {
-	tree := steiner.EuclideanMST(v.Pos(), headerDests(pkt))
 	var fwds []sim.Forward
-	for _, p := range tree.Pivots() {
-		group := make([]int, 0, len(pkt.Dests))
-		for _, id := range tree.SubtreeTerminals(p, 0) {
-			group = append(group, tree.Vertex(id).Label)
-		}
-		sort.Ints(group)
-		anchor := tree.Vertex(p).Label
+	mstGroups(v, pkt, func(anchor int, group []int) {
 		for _, junior := range []bool{false, true} {
 			cp := pkt.CloneFor(append([]int(nil), group...))
 			cp.Anchor = anchor
@@ -108,7 +98,7 @@ func (m *MCFR) partition(v view.NodeView, pkt *sim.Packet) []sim.Forward {
 			st.Junior = junior
 			fwds = append(fwds, m.advance(v, cp, st, true)...)
 		}
-	}
+	})
 	return fwds
 }
 

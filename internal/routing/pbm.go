@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"gmp/internal/geom"
-	"gmp/internal/planar"
 	"gmp/internal/sim"
 	"gmp/internal/view"
 )
@@ -55,15 +54,15 @@ func (p *PBM) Lambda() float64 { return p.lambda }
 
 // Start implements sim.Handler.
 func (p *PBM) Start(v view.NodeView, pkt *sim.Packet) []sim.Forward {
-	return p.process(v, pkt)
+	return greedyThenFace(v, pkt, p.greedy)
 }
 
 // Decide implements sim.Handler.
 func (p *PBM) Decide(v view.NodeView, pkt *sim.Packet) []sim.Forward {
 	if pkt.Perimeter {
-		return p.recoverPerimeter(v, pkt)
+		return recoverFace(v, pkt, p.greedy)
 	}
-	return p.process(v, pkt)
+	return greedyThenFace(v, pkt, p.greedy)
 }
 
 // splitVoids partitions dests into those with at least one strictly closer
@@ -79,17 +78,16 @@ func (p *PBM) splitVoids(v view.NodeView, loc map[int]geom.Point, dests []int) (
 	return routable, voids
 }
 
-func (p *PBM) process(v view.NodeView, pkt *sim.Packet) []sim.Forward {
+// greedy forwards the destinations that have a strictly closer neighbor
+// through the subset optimization and returns the rest as voids.
+func (p *PBM) greedy(v view.NodeView, pkt *sim.Packet) ([]sim.Forward, []int) {
 	loc := locIndex(pkt)
 	routable, voids := p.splitVoids(v, loc, pkt.Dests)
 	var fwds []sim.Forward
 	if len(routable) > 0 {
 		fwds = p.forwardSubset(v, loc, pkt, routable)
 	}
-	if len(voids) > 0 {
-		fwds = append(fwds, p.enterPerimeter(v, loc, pkt, voids)...)
-	}
-	return fwds
+	return fwds, voids
 }
 
 // forwardSubset runs the subset optimization and emits one copy per chosen
@@ -226,58 +224,4 @@ func (p *PBM) greedySubset(v view.NodeView, loc map[int]geom.Point, cands, dests
 	}
 	sort.Ints(subset)
 	return subset
-}
-
-// enterPerimeter puts all void destinations into one perimeter-mode copy
-// aimed at their average location, as in [21].
-func (p *PBM) enterPerimeter(v view.NodeView, loc map[int]geom.Point, pkt *sim.Packet, voids []int) []sim.Forward {
-	locs := make([]geom.Point, len(voids))
-	for i, d := range voids {
-		locs[i] = loc[d]
-	}
-	avg := geom.Centroid(locs)
-	st := view.PerimeterEnter(v, avg)
-	return p.stepPerimeter(v, pkt, voids, st)
-}
-
-// stepPerimeter advances the supervised face traversal one hop. A dead end
-// or a watchdog kill abandons only the void destinations — any routable
-// destinations already left in their own copies.
-func (p *PBM) stepPerimeter(v view.NodeView, pkt *sim.Packet, voids []int, st planar.State) []sim.Forward {
-	next, nst, verdict := view.PerimeterStep(v, st)
-	copyPkt := pkt.CloneFor(sortedCopy(voids))
-	switch verdict {
-	case view.StepDead:
-		return dropOnly(copyPkt)
-	case view.StepWatchdog:
-		return watchdogDrop(copyPkt)
-	}
-	copyPkt.Perimeter = true
-	copyPkt.Peri = nst
-	return []sim.Forward{{To: next, Pkt: copyPkt}}
-}
-
-// recoverPerimeter resumes greedy forwarding for destinations that now have
-// a closer neighbor; the rest keep traversing (same average if the void set
-// is unchanged, fresh round otherwise). As in GMP, recovery waits for the
-// GPSR exit condition — strictly closer to the perimeter target than the
-// entry point — to prevent ping-pong loops.
-func (p *PBM) recoverPerimeter(v view.NodeView, pkt *sim.Packet) []sim.Forward {
-	if v.Pos().Dist(pkt.Peri.Target) >= pkt.Peri.Entry.Dist(pkt.Peri.Target)-geom.Eps {
-		return p.stepPerimeter(v, pkt, pkt.Dests, pkt.Peri)
-	}
-	loc := locIndex(pkt)
-	routable, voids := p.splitVoids(v, loc, pkt.Dests)
-	var fwds []sim.Forward
-	if len(routable) > 0 {
-		fwds = p.forwardSubset(v, loc, pkt, routable)
-	}
-	switch {
-	case len(voids) == 0:
-		return fwds
-	case len(routable) == 0:
-		return append(fwds, p.stepPerimeter(v, pkt, voids, pkt.Peri)...)
-	default:
-		return append(fwds, p.enterPerimeter(v, loc, pkt, voids)...)
-	}
 }

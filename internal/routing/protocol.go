@@ -30,14 +30,9 @@ type Protocol interface {
 	Name() string
 }
 
-// headerDests converts the packet header into the steiner package's
-// destination records: the IDs with the locations the wire format carries.
-func headerDests(pkt *sim.Packet) []steiner.Dest {
-	return appendHeaderDests(make([]steiner.Dest, 0, len(pkt.Dests)), pkt)
-}
-
-// appendHeaderDests is the allocation-free variant of headerDests: it appends
-// the header's destination records to buf (pass buf[:0] of a scratch slice).
+// appendHeaderDests converts the packet header into the steiner package's
+// destination records — the IDs with the locations the wire format carries —
+// appending them to buf (pass buf[:0] of a scratch slice).
 func appendHeaderDests(buf []steiner.Dest, pkt *sim.Packet) []steiner.Dest {
 	for i, id := range pkt.Dests {
 		buf = append(buf, steiner.Dest{Pos: pkt.Locs[i], Label: id})

@@ -51,30 +51,42 @@ func ringBed(t *testing.T, wd view.WatchdogLimits, mutate func(tables [][]view.N
 // TestWatchdogTerminatesLoopingTraversal: with the target missing from every
 // neighbor table the perimeter walk circles the inner face forever; the armed
 // watchdog must detect the loop, burn its one alternate-planarizer restart,
-// and kill the copy as a watchdog drop — long before the hop budget.
+// and kill the copy as a watchdog drop — long before the hop budget. Every
+// decision core with a perimeter mode shares the face step, so each must
+// terminate the same way.
 func TestWatchdogTerminatesLoopingTraversal(t *testing.T) {
-	nw, views := ringBed(t, view.WatchdogLimits{MaxWalkHops: 30}, nil)
-	e := sim.NewEngine(nw, sim.DefaultRadioParams(), 1000)
-	e.SetViews(views)
-	m := e.RunTask(NewGRD(), 0, []int{6})
+	for _, p := range []Protocol{
+		NewGMP(),
+		NewGMPnr(),
+		NewPBM(0.3),
+		NewGRD(),
+		NewGeocast(geom.Pt(150, 150), 10),
+	} {
+		t.Run(p.Name(), func(t *testing.T) {
+			nw, views := ringBed(t, view.WatchdogLimits{MaxWalkHops: 30}, nil)
+			e := sim.NewEngine(nw, sim.DefaultRadioParams(), 1000)
+			e.SetViews(views)
+			m := e.RunTask(p, 0, []int{6})
 
-	if !m.Failed() {
-		t.Fatalf("unreachable-by-table target delivered: %+v", m.Delivered)
-	}
-	if m.DropsByReason[sim.ReasonWatchdog] != 1 {
-		t.Fatalf("watchdog drops = %d, want 1 (by reason: %v)",
-			m.DropsByReason[sim.ReasonWatchdog], m.DropsByReason)
-	}
-	if m.DropsByReason[sim.ReasonHopBudget] != 0 {
-		t.Fatalf("hop budget fired before the watchdog: %v", m.DropsByReason)
-	}
-	// The hexagon loop is 6 hops; with the restart the walk must die well
-	// under the armed bound plus one extra lap.
-	if m.Transmissions > 3*30 {
-		t.Fatalf("traversal ran %d transmissions before the watchdog fired", m.Transmissions)
-	}
-	if err := sim.AuditTask(&m, sim.AuditConfig{MaxHops: 1000}); err != nil {
-		t.Fatalf("audit: %v", err)
+			if !m.Failed() {
+				t.Fatalf("unreachable-by-table target delivered: %+v", m.Delivered)
+			}
+			if m.DropsByReason[sim.ReasonWatchdog] != 1 {
+				t.Fatalf("watchdog drops = %d, want 1 (by reason: %v)",
+					m.DropsByReason[sim.ReasonWatchdog], m.DropsByReason)
+			}
+			if m.DropsByReason[sim.ReasonHopBudget] != 0 {
+				t.Fatalf("hop budget fired before the watchdog: %v", m.DropsByReason)
+			}
+			// The hexagon loop is 6 hops; with the restart the walk must die
+			// well under the armed bound plus one extra lap.
+			if m.Transmissions > 3*30 {
+				t.Fatalf("traversal ran %d transmissions before the watchdog fired", m.Transmissions)
+			}
+			if err := sim.AuditTask(&m, sim.AuditConfig{MaxHops: 1000}); err != nil {
+				t.Fatalf("audit: %v", err)
+			}
+		})
 	}
 }
 

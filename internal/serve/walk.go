@@ -202,41 +202,35 @@ func (d *decider) walkRoute(protoName string, rb wire.RouteBody, emit func(hb wi
 		}
 		for i := range recs {
 			r := &recs[i]
-			switch r.To {
-			case sim.DropCopy:
+			hops := pkt.Hops + 1
+			if reason, ok := sim.SentinelReason(r.To); ok {
 				// Per-hop replies encode drop frames with the bumped hop
 				// count (recsToReplies bumps once for the whole list); the
 				// stream matches byte for byte.
-				bill(r.Dests, sim.ReasonProtocol)
-				if err := event(node, sim.DropCopy, pkt.Hops+1, r); err != nil {
-					return err
-				}
-			case sim.DropWatchdog:
-				bill(r.Dests, sim.ReasonWatchdog)
-				if err := event(node, sim.DropWatchdog, pkt.Hops+1, r); err != nil {
-					return err
-				}
-			default:
-				hops := pkt.Hops + 1
-				if reason, ok := sim.CheckSend(nw, node, r.To, hops, budget); !ok {
-					bill(r.Dests, reason)
-					continue // killed before the air
-				}
+				bill(r.Dests, reason)
 				if err := event(node, r.To, hops, r); err != nil {
 					return err
 				}
-				done.Hops++
-				q := sim.GetPacket()
-				q.Dests = append(q.Dests, r.Dests...)
-				q.Locs = append(q.Locs, r.Locs...)
-				q.Hops = hops
-				q.Perimeter = r.Perimeter
-				if r.Perimeter {
-					q.Peri = r.Peri
-				}
-				q.Anchor = r.Anchor
-				queue = append(queue, walkItem{node: r.To, pkt: q})
+				continue
 			}
+			if reason, ok := sim.CheckSend(nw, node, r.To, hops, budget); !ok {
+				bill(r.Dests, reason)
+				continue // killed before the air
+			}
+			if err := event(node, r.To, hops, r); err != nil {
+				return err
+			}
+			done.Hops++
+			q := sim.GetPacket()
+			q.Dests = append(q.Dests, r.Dests...)
+			q.Locs = append(q.Locs, r.Locs...)
+			q.Hops = hops
+			q.Perimeter = r.Perimeter
+			if r.Perimeter {
+				q.Peri = r.Peri
+			}
+			q.Anchor = r.Anchor
+			queue = append(queue, walkItem{node: r.To, pkt: q})
 		}
 		// A cache hit never showed pkt to a handler, and cached records
 		// alias nothing of it — a pooled copy can be recycled.

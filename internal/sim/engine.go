@@ -146,6 +146,19 @@ const DropCopy = -1
 // the packet's own session.
 const DropWatchdog = -2
 
+// SentinelReason maps a drop sentinel used as Forward.To (DropCopy,
+// DropWatchdog) onto the reason the copy is billed under; ok is false for a
+// next-hop node ID.
+func SentinelReason(to int) (reason DropReason, ok bool) {
+	switch to {
+	case DropCopy:
+		return ReasonProtocol, true
+	case DropWatchdog:
+		return ReasonWatchdog, true
+	}
+	return 0, false
+}
+
 // DropReason classifies why a packet copy died. Every copy the engine
 // originates either delivers all its destinations or is killed with exactly
 // one reason, so per-reason counts account for every loss.

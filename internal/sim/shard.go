@@ -599,12 +599,9 @@ func (r *kernel) billUncovered(ln *lane, pkt *Packet, fwds []Forward) {
 // concurrent scripts cannot be mis-billed.
 func (r *kernel) apply(ln *lane, from int, fwds []Forward) {
 	for _, f := range fwds {
-		switch f.To {
-		case DropCopy:
-			r.kill(ln, f.Pkt, ReasonProtocol)
-		case DropWatchdog:
-			r.kill(ln, f.Pkt, ReasonWatchdog)
-		default:
+		if reason, ok := SentinelReason(f.To); ok {
+			r.kill(ln, f.Pkt, reason)
+		} else {
 			r.send(ln, from, f.To, f.Pkt)
 		}
 	}

@@ -11,12 +11,12 @@ func PerimeterEnter(v NodeView, target geom.Point) planar.State {
 	return planar.EnterAt(v.PlanarSelfPos(), target)
 }
 
-// PerimeterNextHop advances the right-hand-rule traversal one step using
+// perimeterNextHop advances the right-hand-rule traversal one step using
 // v's local planar adjacency, with the bearings cached in v's scratch.
 // ok=false means v has no planar neighbors (traversal cannot proceed).
 // Protocol decision cores should use PerimeterStep, which adds the
 // watchdog supervision; this is the raw traversal core.
-func PerimeterNextHop(v NodeView, st planar.State) (next int, out planar.State, ok bool) {
+func perimeterNextHop(v NodeView, st planar.State) (next int, out planar.State, ok bool) {
 	return planar.NextHopLocal(v.Self(), v.PlanarSelfPos(), v.PlanarNeighbors(),
 		v.PlanarPos, PlanarBearings(v), st)
 }
@@ -50,7 +50,7 @@ const (
 // PerimeterStep advances a face traversal one step under watchdog
 // supervision. With the watchdog disarmed (a view without WatchdogCarrier,
 // or zero WatchdogLimits — every default provider) it is behaviorally
-// identical to PerimeterNextHop.
+// identical to perimeterNextHop.
 //
 // Armed, it additionally (a) detects closed loops — the walk re-taking its
 // first directed edge means a full face traversal found no exit, which under
@@ -74,7 +74,7 @@ func PerimeterStep(v NodeView, st planar.State) (next int, out planar.State, ver
 		limits = wc.PerimeterWatchdog()
 	}
 	if !limits.Armed() {
-		next, out, ok := PerimeterNextHop(v, st)
+		next, out, ok := perimeterNextHop(v, st)
 		if !ok {
 			return -1, st, StepDead
 		}
@@ -121,5 +121,5 @@ func perimeterAdvance(v NodeView, st planar.State) (int, planar.State, bool) {
 				av.AltPlanarNeighbors(), v.PlanarPos, nil, st)
 		}
 	}
-	return PerimeterNextHop(v, st)
+	return perimeterNextHop(v, st)
 }

@@ -26,13 +26,15 @@ type Scratch struct {
 	ColBuf []int
 
 	// Steiner is the node's tree-construction arena: GMP rebuilds an rrSTR
-	// (or ablation MST) tree here on every forwarding decision, reusing the
-	// vertex/edge/queue storage across decisions.
+	// (or ablation MST) tree here on every forwarding decision, and LGS and
+	// MCFR their partition MST, reusing the vertex/edge/queue storage across
+	// decisions.
 	Steiner steiner.Builder
 
 	// GMP grouping-walk buffers (see routing.forwardGroups): the header
 	// destination records, the pivot worklist, the current group's labels,
-	// the void accumulator, and the per-next-hop label batches.
+	// the void accumulator, and the per-next-hop label batches. The MST
+	// partition (routing.mstGroups) reuses the first three.
 	DestBuf     []steiner.Dest
 	Worklist    []int
 	GroupBuf    []int
