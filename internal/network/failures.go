@@ -26,6 +26,10 @@ func (nw *Network) WithFailures(failed []int) *Network {
 		cols:     nw.cols,
 		rows:     nw.rows,
 		cells:    nw.cells, // shared; filtered during adjacency rebuild
+		tileCols: nw.tileCols,
+		tileRows: nw.tileRows,
+		tiles:    nw.tiles, // shared: tiles depend on positions alone
+		nodeTile: nw.nodeTile,
 		down:     down,
 	}
 	clone.adj = make([][]int, len(nw.nodes))

@@ -2,6 +2,7 @@ package network
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"gmp/internal/geom"
@@ -117,6 +118,31 @@ func TestWithFailuresSymmetry(t *testing.T) {
 			if !found {
 				t.Fatalf("asymmetric degraded link (%d,%d)", u, v)
 			}
+		}
+	}
+}
+
+func TestWithFailuresKeepsTiles(t *testing.T) {
+	r := rand.New(rand.NewSource(41))
+	nw, err := New(DeployUniform(300, 1500, 1500, r), 1500, 1500, 150)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if nw.Tiles() < 2 {
+		t.Fatalf("want a multi-tile network, got %d tiles", nw.Tiles())
+	}
+	degraded := nw.WithFailures([]int{0, 5, 10})
+	if degraded.Tiles() != nw.Tiles() {
+		t.Fatalf("view has %d tiles, network %d", degraded.Tiles(), nw.Tiles())
+	}
+	for id := 0; id < nw.Len(); id++ {
+		if degraded.Tile(id) != nw.Tile(id) {
+			t.Fatalf("node %d: view tile %d, network tile %d", id, degraded.Tile(id), nw.Tile(id))
+		}
+	}
+	for ti := 0; ti < nw.Tiles(); ti++ {
+		if !reflect.DeepEqual(degraded.TileNodes(ti), nw.TileNodes(ti)) {
+			t.Fatalf("tile %d: view nodes %v, network %v", ti, degraded.TileNodes(ti), nw.TileNodes(ti))
 		}
 	}
 }

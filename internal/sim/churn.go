@@ -21,14 +21,15 @@ type Motion func(t float64) []geom.Point
 // Membership schedules one group-membership change inside a run: node joins
 // (or leaves) the destination set of the given session at virtual time At.
 //
-// Joins are spliced into the session's in-flight packet header at the first
-// hop arrival after At — the wire format already carries the destination
+// Changes take effect at the first window barrier at or after At (see
+// shard_churn.go). A join is spliced into the header of the session's
+// earliest queued copy — the wire format already carries the destination
 // list, so stateless cores re-plan around the newcomer with no extra
 // machinery. A join for a node that is already a destination (or that
 // previously left) is counted as missed, not spliced.
 //
-// Leaves retire the destination at the first arrival after At: it is
-// stripped from the header and billed as ReasonLeft, which keeps the
+// A leave retires the destination from every queued copy: it is stripped
+// from the header and billed as ReasonLeft, which keeps the
 // delivered+dropped conservation invariant exact. A node that left cannot
 // rejoin within the same session.
 type Membership struct {

@@ -470,8 +470,10 @@ type Engine struct {
 	arq    ARQConfig // normalized against radio when set
 	runSeq int64     // runs since SetFaults, for per-run fault seed derivation
 
-	// sharding, when non-zero, runs RunScript on the tiled kernel shape.
+	// sharding sizes the kernel's worker pool (zero = the default).
 	sharding ShardConfig
+	// lanes are the kernel's per-tile lanes, reset and reused by every run.
+	lanes []*lane
 	// now is the virtual time of the last event the latest run executed.
 	now float64
 }
@@ -537,7 +539,10 @@ func (e *Engine) MaxHops() int { return e.maxHops }
 func (e *Engine) Now() float64 { return e.now }
 
 // SetTracer installs (or clears, with nil) a transmission observer. Tracing
-// does not affect simulation behavior.
+// does not affect simulation behavior. Each tile buffers its events; the
+// tracer is called from the goroutine running RunScript, at window barriers
+// and before the run returns, in kernel (time, tile, seq) order — so a
+// trace is identical for every worker count.
 func (e *Engine) SetTracer(fn TraceFunc) { e.tracer = fn }
 
 // SetEnergyLedger toggles per-node energy accounting (TaskMetrics.

@@ -100,8 +100,8 @@ func TestRedundantDuplicateDeliveriesAudited(t *testing.T) {
 }
 
 func TestRedundantSettlementMatchesShardedKernel(t *testing.T) {
-	// The sharded kernel's lane-merged deferred settlement must reproduce the
-	// untiled engine's metrics exactly, for every redundant shape.
+	// The lane-merged deferred settlement must give the same metrics on the
+	// default engine and a 2-worker pool, for every redundant shape.
 	nw := chainNet(t, 6)
 	shapes := []redundantChain{
 		{deliver: true, copies: 1, drops: []int{DropCopy}},

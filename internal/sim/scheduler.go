@@ -9,21 +9,14 @@
 // forwarding decisions and neighborhoods, so an 802.11 contention model would
 // only add noise, not change the comparison (see DESIGN.md §3).
 //
-// One lane kernel (shard.go) applies every forwarding decision, in one of
-// two shapes. Untiled — the default — a single lane covers every node and
-// drains its queue to empty in strict (time, seq) order. Engine.SetSharding
-// tiles the network: one lane per spatial tile, advanced in conservative
-// time windows by a pool of workers, byte-identical for any shard count
-// (see DESIGN.md §2.4). Four behaviours follow from the shape, never from
-// an option:
-//
-//   - fault draws: one seed+run stream untiled, one strided stream per tile
-//     tiled;
-//   - ARQ give-up: at the failed arrival untiled, a sender-side event one
-//     timeout later tiled;
-//   - membership churn: applied at Start and at each arrival untiled, as
-//     barrier surgery on queued packets tiled;
-//   - tracing: allowed untiled, refused (panic) tiled.
+// One kernel (shard.go) applies every forwarding decision: one event lane
+// per spatial tile, advanced in conservative time windows by a pool of
+// workers (one by default, Engine.SetSharding for more). The output is
+// byte-identical for any worker count (see DESIGN.md §2.4): each tile draws
+// faults from its own stream, an exhausted ARQ link gives up in the
+// sender's tile one timeout after the last failure, membership churn is
+// applied to queued packets at window barriers, and trace events are
+// buffered per tile and handed to the tracer in kernel order.
 package sim
 
 // eventKind discriminates the kernel's typed events. Events are values the
@@ -38,9 +31,9 @@ const (
 	evReceive
 	// evRetransmit fires an ARQ retry at the sender.
 	evRetransmit
-	// evGiveUp fires the sender's final ARQ timeout (tiled shape only): ban
-	// the link, offer the copy to the NackHandler, kill it if no re-route
-	// salvages it.
+	// evGiveUp fires the sender's final ARQ timeout — the only path to an
+	// ARQ give-up: ban the link, offer the copy to the NackHandler, kill it
+	// if no re-route salvages it.
 	evGiveUp
 	// evCrash and evRecover flip a node's radio state.
 	evCrash
@@ -49,8 +42,7 @@ const (
 
 // event is one scheduled event. (time, tile, seq) is the kernel's strict
 // total order: tile and seq identify the originating lane and its sequence
-// counter at creation, both deterministic. The untiled shape has one lane,
-// so its order is (time, seq): FIFO among same-time events.
+// counter at creation, both deterministic.
 type event struct {
 	time float64
 	tile int32

@@ -13,28 +13,19 @@ import (
 )
 
 // This file is the simulation kernel: the only code that applies forwarding
-// decisions. It runs as lanes — event queues over disjoint node sets — in
-// one of two shapes (see the package comment for the four behaviours that
-// follow from the shape).
-//
-// Untiled, one lane covers every node and is drained until empty: a single
-// virtual clock, strictly (time, seq)-ordered. Events are scheduled in the
-// order crashes, session starts, run-time events, and scheduling in the past
-// clamps to the lane clock, so time never runs backwards.
-//
-// Tiled (Engine.SetSharding), one lane per spatial tile is advanced in
-// conservative time windows so one large network saturates many cores.
-// DESIGN.md §2.4 derives the window and the determinism argument; the short
-// version:
+// decisions. Every run has one lane — an event queue over the nodes of one
+// spatial tile — per tile, advanced in conservative time windows so one
+// large network can saturate many cores. DESIGN.md §2.4 derives the window
+// and the determinism argument; the short version:
 //
 //   - The network's coarse tile layer (network.Tiles) partitions nodes by
-//     geometry alone, never by shard count. Every event is keyed
+//     geometry alone, never by worker count. Every event is keyed
 //     (time, originating tile, originating sequence number) — a strict total
 //     order assigned deterministically, because each tile's execution is
 //     single-threaded and deterministic.
 //   - Shards are workers, not partitions: a round hands tiles to Shards
 //     goroutines exactly as the campaign runner hands cells to workers, so
-//     the shard count changes wall-clock time and nothing else.
+//     the worker count changes wall-clock time and nothing else.
 //   - Each round advances every tile from the global minimum next-event time
 //     T to the horizon T+Window. Any event one tile schedules on another —
 //     a frame crossing a tile border, an ARQ retry or give-up back at the
@@ -48,17 +39,19 @@ import (
 //     orders them by their keys, so arrival order — the only thing that
 //     varies with scheduling — is irrelevant.
 //   - All mutable state is tile-local (busy radios, crash flags, RNG
-//     streams, dead-link blacklists, metric partials) or
-//     coordinator-owned and touched only at barriers (churn). Partials merge
-//     in tile index order, so even float accumulation order is fixed.
+//     streams, dead-link blacklists, metric partials, trace buffers) or
+//     coordinator-owned and touched only at barriers (churn, the tracer).
+//     Partials merge in tile index order, so even float accumulation order
+//     is fixed, and buffered trace events reach the tracer in key order.
 
-// ShardConfig configures the tiled kernel on an Engine. The zero value
-// selects the untiled kernel; any non-zero configuration is validated
-// strictly — there are no silent fallbacks for out-of-range values.
+// ShardConfig sizes the kernel's worker pool on an Engine. The zero value —
+// the default — runs 1 worker with Window = Lookahead(radio, arq); any
+// non-zero configuration is validated strictly — there are no silent
+// fallbacks for out-of-range values. The output is byte-identical for every
+// configuration.
 type ShardConfig struct {
 	// Shards is the number of worker goroutines advancing tiles. Must be
-	// ≥ 1. The output is byte-identical for every value; only wall-clock
-	// time changes.
+	// ≥ 1. Only wall-clock time changes with it.
 	Shards int
 	// Window is the conservative synchronization window in virtual seconds:
 	// each round advances every tile at most Window past the global minimum
@@ -84,10 +77,10 @@ func Lookahead(radio RadioParams, arq ARQConfig) float64 {
 	return la
 }
 
-// SetSharding installs (or, with the zero config, removes) the tiled kernel
-// for subsequent runs. Non-positive shard counts and non-positive or
-// non-finite windows are rejected; a window exceeding the run's lookahead is
-// a programming error detected at run time.
+// SetSharding installs (or, with the zero config, restores the default)
+// worker pool for subsequent runs. Non-positive shard counts and
+// non-positive or non-finite windows are rejected; a window exceeding the
+// run's lookahead is a programming error detected at run time.
 func (e *Engine) SetSharding(c ShardConfig) error {
 	if c == (ShardConfig{}) {
 		e.sharding = c
@@ -103,16 +96,15 @@ func (e *Engine) SetSharding(c ShardConfig) error {
 	return nil
 }
 
-// Sharding returns the installed shard configuration (zero = untiled).
+// Sharding returns the installed shard configuration (zero = the default).
 func (e *Engine) Sharding() ShardConfig { return e.sharding }
 
 // laneSession is one lane's share of a session's mutable state: metric
 // partials, and the dead-link blacklist entries of the nodes the lane owns.
 type laneSession struct {
-	// m receives the lane's metric partials. Untiled it is the session's
-	// result itself; tiled it is merged into the result at the end of the
-	// run.
-	m *SessionMetrics
+	// m receives the lane's metric partials, merged into the session's
+	// result at the end of the run.
+	m SessionMetrics
 	// banned holds the session's dead-link blacklist: sender node → set of
 	// neighbors ARQ gave up on from there. All later decisions at that node
 	// (greedy, grouping, perimeter) exclude the dead neighbor via a masking
@@ -126,6 +118,22 @@ type laneSession struct {
 	// lane, with its lane time so merge can pick the globally-first one
 	// deterministically. Lazily allocated; nil for ordinary sessions.
 	pending map[int]pendingDrop
+}
+
+// reset empties the session state for a new run, keeping the maps'
+// storage.
+func (ls *laneSession) reset() {
+	m := &ls.m
+	clear(m.Delivered)
+	clear(m.DeliveredAt)
+	clear(m.EnergyByNode)
+	*m = SessionMetrics{
+		TaskMetrics: TaskMetrics{Delivered: m.Delivered, EnergyByNode: m.EnergyByNode},
+		DeliveredAt: m.DeliveredAt,
+	}
+	clear(ls.banned)
+	clear(ls.masks)
+	clear(ls.pending)
 }
 
 // ban adds (from → to) to the session's dead-link blacklist.
@@ -148,23 +156,59 @@ type pendingDrop struct {
 	at     float64
 }
 
-// lane is one event queue and the state of the nodes it owns. During a
-// tiled round a lane is advanced by exactly one worker goroutine; between
-// rounds only the coordinator touches it.
+// tracedEvent is one buffered trace event under the key of the event whose
+// dispatch emitted it.
+type tracedEvent struct {
+	key event
+	ev  TraceEvent
+}
+
+// lane is one tile's event queue and the state of the nodes it owns. During
+// a round a lane is advanced by exactly one worker goroutine; between rounds
+// only the coordinator touches it. The Engine owns its lanes and resets them
+// at the start of every run.
 type lane struct {
 	id  int
 	now float64
 	seq int64
 	q   eventHeap
+	// key is the (time, tile, seq) key of the event being dispatched.
+	key event
 
 	mu    sync.Mutex
 	inbox []event
 
-	rng  *rand.Rand
+	rng  *rand.Rand // the tile's fault stream; nil until a plan is active
 	sess []laneSession
 	cur  int // session whose handler is currently executing
 	// uncovered is billUncovered's scratch.
 	uncovered []int
+	// trace buffers the tile's trace events until the next barrier.
+	trace []tracedEvent
+}
+
+// reset prepares ln for a run of the given number of sessions. With an
+// active fault plan the tile's fault stream is re-seeded from seed.
+func (ln *lane) reset(sessions int, faults bool, seed int64) {
+	ln.now, ln.seq = 0, 0
+	ln.q = ln.q[:0]
+	ln.inbox = ln.inbox[:0]
+	ln.trace = ln.trace[:0]
+	if faults {
+		if ln.rng == nil {
+			ln.rng = rand.New(rand.NewSource(seed))
+		} else {
+			ln.rng.Seed(seed)
+		}
+	}
+	if cap(ln.sess) < sessions {
+		ln.sess = make([]laneSession, sessions)
+		return
+	}
+	ln.sess = ln.sess[:sessions]
+	for i := range ln.sess {
+		ln.sess[i].reset()
+	}
 }
 
 // schedule enqueues an event on ln's own queue, stamping the lane's
@@ -193,20 +237,16 @@ func (ln *lane) post(ev event) {
 // kernel is one RunScript execution.
 type kernel struct {
 	e         *Engine
-	tiled     bool
+	window    float64
+	workers   int
 	lanes     []*lane
 	busyUntil []float64
 	dead      []bool // nil when the plan schedules no crashes
 	sess      []kernelSession
 	// base holds each session's result: prologue deliveries at the source
-	// and churn counters. Untiled, the one lane writes into it directly;
-	// tiled, lane partials are merged into it, in lane order, at the end of
-	// the run.
+	// and churn counters; lane partials are merged into it, in lane order,
+	// at the end of the run.
 	base []SessionMetrics
-	// solo and soloLanes back the untiled shape's one lane, so an untiled
-	// run allocates no lane of its own.
-	solo      lane
-	soloLanes [1]*lane
 }
 
 // kernelSession is one session's run-wide state.
@@ -233,27 +273,25 @@ func (e *Engine) RunTask(h Handler, src int, dests []int) TaskMetrics {
 }
 
 // RunScript simulates overlapping multicast sessions on the shared medium
-// and returns per-session metrics in input order, on the untiled kernel or,
-// with SetSharding installed, the tiled one.
+// and returns per-session metrics in input order.
 func (e *Engine) RunScript(sessions []Session) []SessionMetrics {
+	la := Lookahead(e.radio, e.arq)
+	if la <= 0 {
+		panic(fmt.Sprintf("sim: non-positive lookahead %v (radio airtime must be positive)", la))
+	}
 	r := &kernel{
 		e:         e,
-		tiled:     e.sharding != (ShardConfig{}),
+		window:    la,
+		workers:   1,
 		busyUntil: make([]float64, e.net.Len()),
 		sess:      make([]kernelSession, len(sessions)),
 		base:      make([]SessionMetrics, len(sessions)),
 	}
-	if r.tiled {
-		if e.tracer != nil {
-			panic("sim: tracing is not supported by the sharded kernel (trace ordering across tiles is not deterministic)")
-		}
-		la := Lookahead(e.radio, e.arq)
-		if la <= 0 {
-			panic(fmt.Sprintf("sim: non-positive lookahead %v (radio airtime must be positive)", la))
-		}
+	if e.sharding != (ShardConfig{}) {
 		if e.sharding.Window > la {
 			panic(fmt.Sprintf("sim: ShardConfig.Window %v exceeds the run's lookahead %v", e.sharding.Window, la))
 		}
+		r.window, r.workers = e.sharding.Window, e.sharding.Shards
 	}
 	if e.views == nil {
 		e.views = view.NewOracle(e.net, nil)
@@ -263,33 +301,17 @@ func (e *Engine) RunScript(sessions []Session) []SessionMetrics {
 	// run after SetFaults draws from seed(plan)⊕f(N), so successive tasks
 	// in a batch see independent loss patterns while the whole batch stays
 	// a pure function of (network, plan, run order). Re-install the plan to
-	// rewind the stream. Tiled, each tile draws from its own strided stream.
-	r.soloLanes[0] = &r.solo
-	r.lanes = r.soloLanes[:]
-	if r.tiled {
-		r.lanes = make([]*lane, e.net.Tiles())
+	// rewind the stream. Each tile draws from its own strided stream.
+	if e.lanes == nil {
+		e.lanes = make([]*lane, e.net.Tiles())
+		for i := range e.lanes {
+			e.lanes[i] = &lane{id: i}
+		}
 	}
-	for i := range r.lanes {
-		ln := &r.solo
-		if r.tiled {
-			ln = &lane{id: i}
-		}
-		ln.sess = make([]laneSession, len(sessions))
-		if e.faults.Active() {
-			seed := e.faults.seed() + e.runSeq*6364136223846793005
-			if r.tiled {
-				seed += int64(i+1) * shardTileSeedStride
-			}
-			ln.rng = rand.New(rand.NewSource(seed))
-		}
-		partials := r.base
-		if r.tiled {
-			partials = make([]SessionMetrics, len(sessions))
-		}
-		for si := range ln.sess {
-			ln.sess[si].m = &partials[si]
-		}
-		r.lanes[i] = ln
+	r.lanes = e.lanes
+	for i, ln := range r.lanes {
+		seed := e.faults.seed() + e.runSeq*6364136223846793005 + int64(i+1)*shardTileSeedStride
+		ln.reset(len(sessions), e.faults.Active(), seed)
 	}
 	e.runSeq++
 
@@ -348,11 +370,7 @@ func (e *Engine) RunScript(sessions []Session) []SessionMetrics {
 		}
 	}
 
-	if r.tiled {
-		r.runWindows()
-	} else {
-		r.advance(r.lanes[0], math.Inf(1))
-	}
+	r.runWindows()
 	e.now = 0
 	for _, ln := range r.lanes {
 		e.now = math.Max(e.now, ln.now)
@@ -367,9 +385,6 @@ func (e *Engine) RunScript(sessions []Session) []SessionMetrics {
 
 // laneOf returns the lane owning node.
 func (r *kernel) laneOf(node int) *lane {
-	if !r.tiled {
-		return r.lanes[0]
-	}
 	return r.lanes[r.e.net.Tile(node)]
 }
 
@@ -388,14 +403,12 @@ func (r *kernel) enqueue(from *lane, node int, ev event) {
 	target.post(ev)
 }
 
-// runWindows is the tiled shape's conservative-window main loop.
+// runWindows is the kernel's conservative-window main loop.
 func (r *kernel) runWindows() {
-	workers := r.e.sharding.Shards
-	if workers > len(r.lanes) {
-		workers = len(r.lanes)
-	}
+	workers := min(r.workers, len(r.lanes))
 	for {
-		// Barrier phase: merge inboxes, find the global floor, apply churn.
+		// Barrier phase: merge inboxes, find the global floor, flush the
+		// trace, apply churn.
 		minTime := math.Inf(1)
 		for _, ln := range r.lanes {
 			// No lock needed: all workers have joined; this coordinator
@@ -408,13 +421,16 @@ func (r *kernel) runWindows() {
 				minTime = ln.q[0].time
 			}
 		}
+		if r.e.tracer != nil {
+			r.flushTrace()
+		}
 		if math.IsInf(minTime, 1) {
 			return
 		}
 		if r.e.churn.hasEvents() {
 			r.churnBarrier(minTime)
 		}
-		horizon := minTime + r.e.sharding.Window
+		horizon := minTime + r.window
 
 		// Parallel phase: workers pull tiles exactly as campaign workers
 		// pull cells; each lane advances to the horizon single-threaded.
@@ -443,6 +459,21 @@ func (r *kernel) runWindows() {
 	}
 }
 
+// flushTrace hands the lanes' buffered trace events to the tracer in the
+// kernel order of the events that emitted them. The sort is stable, so the
+// several transmissions of one event keep their emission order.
+func (r *kernel) flushTrace() {
+	var buf []tracedEvent
+	for _, ln := range r.lanes {
+		buf = append(buf, ln.trace...)
+		ln.trace = ln.trace[:0]
+	}
+	sort.SliceStable(buf, func(a, b int) bool { return buf[a].key.before(&buf[b].key) })
+	for _, t := range buf {
+		r.e.tracer(t.ev)
+	}
+}
+
 // advance executes ln's events strictly before horizon, in key order.
 func (r *kernel) advance(ln *lane, horizon float64) {
 	for len(ln.q) > 0 && ln.q[0].time < horizon {
@@ -450,6 +481,7 @@ func (r *kernel) advance(ln *lane, horizon float64) {
 		if ev.time > ln.now {
 			ln.now = ev.time
 		}
+		ln.key = event{time: ev.time, tile: ev.tile, seq: ev.seq}
 		r.dispatch(ln, ev)
 	}
 }
@@ -464,12 +496,9 @@ func (r *kernel) dispatch(ln *lane, ev event) {
 	case evStart:
 		ln.cur = ev.sess
 		pkt := ev.pkt
-		if r.arrivalChurn(ev.sess) {
-			r.applyChurn(ln, pkt, ev.from)
-		}
 		if len(pkt.Dests) == 0 {
-			// Every destination aboard left at or before the start; the
-			// retirements are already billed.
+			// A barrier leave retired every destination before the start;
+			// the retirements are already billed.
 			return
 		}
 		r.act(ln, ev.from, pkt, r.sess[ev.sess].handler.Start(r.viewAt(ln, ev.sess, ev.from), pkt))
@@ -487,12 +516,6 @@ func (r *kernel) dispatch(ln *lane, ev event) {
 			r.giveUp(ln, ev.from, ev.to, ev.pkt)
 		}
 	}
-}
-
-// arrivalChurn reports whether session si's churn is applied to the packet
-// in hand (untiled) rather than at barriers (tiled).
-func (r *kernel) arrivalChurn(si int) bool {
-	return !r.tiled && r.sess[si].churn != nil
 }
 
 // viewAt returns node's view for session sess. When the session's
@@ -639,21 +662,21 @@ func (r *kernel) transmit(ln *lane, from, to int, pkt *Packet, attempt int) {
 		freePacket(pkt) // kernel clone, still unexposed to any handler
 		return
 	}
-	m := ln.sess[pkt.Session].m
+	m := &ln.sess[pkt.Session].m
 	txStart, airtime := r.air(ln, m, from, e.frameBytes(pkt))
 	m.Transmissions++
 	if attempt > 0 {
 		m.Retransmissions++
 	}
 	if e.tracer != nil {
-		e.tracer(TraceEvent{
+		ln.trace = append(ln.trace, tracedEvent{key: ln.key, ev: TraceEvent{
 			Time:      txStart,
 			From:      from,
 			To:        to,
 			Hops:      pkt.Hops,
 			Dests:     append([]int(nil), pkt.Dests...),
 			Perimeter: pkt.Perimeter,
-		})
+		}})
 	}
 	// The frame's on-air fate is drawn at send time (deterministically, in
 	// kernel order); whether the receiver is alive is checked at arrival
@@ -707,18 +730,18 @@ func (r *kernel) air(ln *lane, m *SessionMetrics, node, bytes int) (start, airti
 func (r *kernel) isDead(node int) bool { return r.dead != nil && r.dead[node] }
 
 // receive resolves one frame's fate at its arrival time, in the receiver's
-// lane: deliver (plus ACK under ARQ), schedule a retransmission, or give up.
-// Untiled, the give-up runs right here; tiled, it is an event in the
-// *sender's* lane one backed-off timeout later — physically, the sender's
-// last timer expiring — because bans and re-route decisions are sender-tile
-// state the receiver's tile must not touch directly.
+// lane: deliver (plus ACK under ARQ), schedule a retransmission, or schedule
+// the give-up: an event in the *sender's* lane one backed-off timeout later
+// — physically, the sender's last timer expiring — because bans and
+// re-route decisions are sender-tile state the receiver's tile must not
+// touch directly.
 func (r *kernel) receive(ln *lane, ev event) {
 	e := r.e
 	pkt := ev.pkt
 	if !ev.lost && !r.isDead(ev.to) {
 		if e.arq.Enabled {
 			// ACKs are modeled loss-free (see ARQConfig).
-			r.air(ln, ln.sess[pkt.Session].m, ev.to, e.arq.AckBytes)
+			r.air(ln, &ln.sess[pkt.Session].m, ev.to, e.arq.AckBytes)
 			ln.sess[pkt.Session].m.Acks++
 		}
 		r.arrive(ln, ev.to, pkt)
@@ -735,20 +758,11 @@ func (r *kernel) receive(ln *lane, ev event) {
 		return
 	}
 	rto := e.arq.Timeout * math.Pow(e.arq.Backoff, float64(ev.attempt))
-	switch {
-	case ev.attempt < e.arq.MaxRetries:
-		r.enqueue(ln, ev.from, event{
-			time: ln.now + rto, kind: evRetransmit,
-			from: ev.from, to: ev.to, attempt: ev.attempt + 1, pkt: pkt,
-		})
-	case r.tiled:
-		r.enqueue(ln, ev.from, event{
-			time: ln.now + rto, kind: evGiveUp,
-			from: ev.from, to: ev.to, pkt: pkt,
-		})
-	default:
-		r.giveUp(ln, ev.from, ev.to, pkt)
+	next := event{time: ln.now + rto, kind: evGiveUp, from: ev.from, to: ev.to, pkt: pkt}
+	if ev.attempt < e.arq.MaxRetries {
+		next.kind, next.attempt = evRetransmit, ev.attempt+1
 	}
+	r.enqueue(ln, ev.from, next)
 }
 
 // giveUp executes ARQ exhaustion on the link from→to: count the link
@@ -783,17 +797,8 @@ func (r *kernel) giveUp(ln *lane, from, to int, pkt *Packet) {
 // lane, so the duplicate check needs only the lane partial.
 func (r *kernel) arrive(ln *lane, node int, pkt *Packet) {
 	ln.cur = pkt.Session
-	if r.arrivalChurn(pkt.Session) {
-		r.applyChurn(ln, pkt, node)
-		if len(pkt.Dests) == 0 {
-			// Every destination aboard left; the copy dissolves with the
-			// retirements already billed.
-			freePacket(pkt)
-			return
-		}
-	}
 	if n := pkt.StripAt(node); n > 0 {
-		m := ln.sess[pkt.Session].m
+		m := &ln.sess[pkt.Session].m
 		if m.Delivered == nil {
 			m.Delivered = make(map[int]int)
 			m.DeliveredAt = make(map[int]float64)
@@ -820,11 +825,8 @@ func (r *kernel) arrive(ln *lane, node int, pkt *Packet) {
 func (r *kernel) merge() []SessionMetrics {
 	for _, ln := range r.lanes {
 		for si := range ln.sess {
-			p := ln.sess[si].m
+			p := &ln.sess[si].m
 			o := &r.base[si]
-			if p == o {
-				continue // untiled: the lane wrote the result directly
-			}
 			o.Transmissions += p.Transmissions
 			o.EnergyJ += p.EnergyJ
 			o.DuplicateDeliveries += p.DuplicateDeliveries

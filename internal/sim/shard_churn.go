@@ -1,24 +1,20 @@
 package sim
 
-// Membership churn in both kernel shapes, built from sessionChurn's
-// per-packet rules (fire, retire, board, finish in churn.go).
+// Membership churn, built from sessionChurn's per-packet rules (fire,
+// retire, board, finish in churn.go).
 //
-// Untiled, churn is applied lazily to the packet in hand: at Start and at
-// every hop arrival, before delivery bookkeeping — so a leave beats a
-// delivery at the exact same instant.
-//
-// Tiled, an arrival in one tile must not reach into the coordinator's churn
-// bookkeeping mid-round, so churn fires at window barriers instead, when no
-// worker is running and a key invariant holds: every live packet copy of a
-// session is attached to exactly one queued event (a copy popped during a
-// round either dissolves, delivers, or reappears as clones on follow-up
-// events before the round ends). The barrier can therefore enumerate and
-// edit every in-flight header directly:
+// An arrival in one tile must not reach into the coordinator's churn
+// bookkeeping mid-round, so churn fires at window barriers, when no worker
+// is running and a key invariant holds: every live packet copy of a session
+// is attached to exactly one queued event (a copy popped during a round
+// either dissolves, delivers, or reappears as clones on follow-up events
+// before the round ends). The barrier can therefore enumerate and edit every
+// in-flight header directly:
 //
 //   - A fired leave strips the destination from every queued copy, billed as
 //     ReasonLeft once per destination. Copies cloned later inherit stripped
 //     parents, so one sweep per leave-firing barrier is complete. Emptied
-//     copies dissolve, unbilled, when their event fires.
+//     copies dissolve when their event fires.
 //   - A fired join is boarded onto the earliest queued copy of its session —
 //     earliest in kernel order, i.e. the first copy that would "pass by" —
 //     wherever in the region that copy is held, including a remote tile's
@@ -28,34 +24,13 @@ package sim
 //     holding the copy (the receiver for a queued arrival, the sender for a
 //     queued retry/give-up, the source for an unstarted session).
 //
-// The observable divergence from the untiled shape is bounded and
-// one-sided: a change scheduled at time t takes effect at the first barrier
-// whose floor T ≥ t, so it lands within one window (≤ lookahead) of where
-// hop-arrival application would put it — and identically so for every shard
-// count, since barriers depend only on event times, never on workers.
-
-// applyChurn advances the session's churn events to the lane clock and
-// applies them to pkt, held at node at: departed destinations are retired
-// (billed as ReasonLeft, one event per affected packet) and queued joins
-// board this copy. Untiled shape only.
-func (r *kernel) applyChurn(ln *lane, pkt *Packet, at int) {
-	sc := r.sess[pkt.Session].churn
-	m := &r.base[pkt.Session]
-	sc.fire(ln.now, m)
-	if len(sc.left) > 0 {
-		if n := sc.retire(pkt, at); n > 0 {
-			m.DropsByReason[ReasonLeft]++
-			m.DestDropsByReason[ReasonLeft] += n
-		}
-	}
-	if len(sc.ready) > 0 {
-		sc.board(pkt, m, ln.now, r.e.net)
-	}
-}
+// A change scheduled at time t takes effect at the first barrier whose
+// floor T ≥ t, so it lands within one window (≤ lookahead) of t — and
+// identically so for every worker count, since barriers depend only on
+// event times, never on workers.
 
 // churnBarrier fires all membership events with at ≤ T and applies them to
-// the queued in-flight packets. Tiled shape, coordinator-only: runs between
-// rounds.
+// the queued in-flight packets. Coordinator-only: runs between rounds.
 func (r *kernel) churnBarrier(T float64) {
 	for si := range r.sess {
 		sc := r.sess[si].churn
@@ -64,9 +39,8 @@ func (r *kernel) churnBarrier(T float64) {
 		}
 		m := &r.base[si]
 		if sc.fire(T, m) {
-			// One retirement event per barrier sweep (the untiled shape
-			// counts one per affected packet); the destination-level counts —
-			// the conservation invariant's side — are identical.
+			// One retirement event per barrier sweep; the destination-level
+			// count is the conservation invariant's side.
 			var n int
 			r.eachQueued(si, func(ev *event) { n += sc.retire(ev.pkt, holderOf(ev)) })
 			if n > 0 {

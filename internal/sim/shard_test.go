@@ -39,28 +39,23 @@ func shardedOver(t *testing.T, e *Engine, shards int) {
 	}
 }
 
-// TestShardedChainMatchesLegacy: on a fault-free, churn-free run the tiled
-// kernel shape must reproduce the untiled shape's results exactly — same
-// transmissions, deliveries, hop counts, delivery times, drops — with energy
-// equal up to float summation order (partials merge in tile order instead of
-// global time order).
+// TestShardedChainMatchesLegacy: every worker count must reproduce the
+// default engine's results exactly — same transmissions, deliveries, hop
+// counts, delivery times, drops and energy (partials merge in tile order
+// for every configuration, so even float summation order is shared).
 func TestShardedChainMatchesLegacy(t *testing.T) {
 	nw := chainNet(t, 12) // spans 2 tiles: cells of 150 m, tile side 600 m
 	if nw.Tiles() < 2 {
 		t.Fatalf("want a multi-tile network, got %d tiles", nw.Tiles())
 	}
-	untiled := NewEngine(nw, DefaultRadioParams(), 0).RunScript(
+	def := NewEngine(nw, DefaultRadioParams(), 0).RunScript(
 		[]Session{{Handler: chainHandler{}, Src: 0, Dests: []int{3, 7, 11}}})[0]
 	for _, shards := range []int{1, 4} {
 		e := NewEngine(nw, DefaultRadioParams(), 0)
 		shardedOver(t, e, shards)
 		got := e.RunScript([]Session{{Handler: chainHandler{}, Src: 0, Dests: []int{3, 7, 11}}})[0]
-		if math.Abs(got.EnergyJ-untiled.EnergyJ) > 1e-9*untiled.EnergyJ {
-			t.Fatalf("shards=%d: EnergyJ %v, untiled %v", shards, got.EnergyJ, untiled.EnergyJ)
-		}
-		got.EnergyJ = untiled.EnergyJ
-		if !reflect.DeepEqual(got, untiled) {
-			t.Fatalf("shards=%d:\n sharded %+v\n untiled %+v", shards, got, untiled)
+		if !reflect.DeepEqual(got, def) {
+			t.Fatalf("shards=%d:\n sharded %+v\n default %+v", shards, got, def)
 		}
 	}
 }
@@ -108,55 +103,67 @@ func TestShardsDeterminismKernel(t *testing.T) {
 		}
 	}
 
-	// The untiled engine on the same scenario, with everything the tiled
-	// kernel refuses or no experiment reaches switched on as well: the
-	// energy ledger, dynamic frames, a tracer, a hop budget, an invalid
-	// send, a NackHandler re-route, a RedundantHandler session and a
-	// duplicated destination.
-	// Its full metrics and trace are pinned by a golden.
-	e := NewEngine(nw, DefaultRadioParams(), 30)
-	if err := e.SetFaults(FaultPlan{
-		LossRate: 0.15, Seed: 99,
-		Crashes: []Crash{
-			{Node: 20, At: 0.004, RecoverAt: 0.02},
-			{Node: 17, At: 0.001, RecoverAt: 0.03},
-		},
-	}); err != nil {
-		t.Fatal(err)
+	// The same scenario with everything no experiment reaches switched on
+	// as well: the energy ledger, dynamic frames, a tracer, a hop budget, an
+	// invalid send, a NackHandler re-route, a RedundantHandler session and a
+	// duplicated destination. Metrics and trace must be identical for the
+	// default engine and every worker count; the transcript is pinned by a
+	// golden.
+	instrumented := func(shards int) string {
+		e := NewEngine(nw, DefaultRadioParams(), 30)
+		if err := e.SetFaults(FaultPlan{
+			LossRate: 0.15, Seed: 99,
+			Crashes: []Crash{
+				{Node: 20, At: 0.004, RecoverAt: 0.02},
+				{Node: 17, At: 0.001, RecoverAt: 0.03},
+			},
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.SetARQ(ARQConfig{Enabled: true, MaxRetries: 2, AckBytes: 16}); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.SetChurn(ChurnPlan{
+			Joins: []Membership{
+				{Session: 0, Node: 25, At: 0.003},
+				{Session: 3, Node: 2, At: 0.004},
+				{Session: 4, Node: 36, At: 0.004},
+			},
+			Leaves: []Membership{
+				{Session: 1, Node: 30, At: 0.010},
+				{Session: 3, Node: 7, At: 0.002},
+			},
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if shards > 0 {
+			shardedOver(t, e, shards)
+		}
+		e.SetEnergyLedger(true)
+		e.SetDynamicFrames(true)
+		var b strings.Builder
+		e.SetTracer(func(ev TraceEvent) { fmt.Fprintf(&b, "trace %+v\n", ev) })
+		script := []Session{
+			{Start: 0, Handler: chainHandler{}, Src: 0, Dests: []int{15, 39}},
+			{Start: 0.002, Handler: chainHandler{}, Src: 5, Dests: []int{30, 35}},
+			{Start: 0.001, Handler: backstepChain{}, Src: 12, Dests: []int{19, 24}},
+			{Start: 0.0015, Handler: redundantChain{deliver: true, copies: 2, drops: []int{DropCopy, DropWatchdog, 38}}, Src: 2, Dests: []int{7, 9}},
+			{Start: 0.003, Handler: chainHandler{}, Src: 30, Dests: []int{33, 30, 33, 36}},
+		}
+		for run := 0; run < 2; run++ {
+			for i, m := range e.RunScript(script) {
+				fmt.Fprintf(&b, "run %d session %d %+v\n", run, i, m)
+			}
+		}
+		return b.String()
 	}
-	if err := e.SetARQ(ARQConfig{Enabled: true, MaxRetries: 2, AckBytes: 16}); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.SetChurn(ChurnPlan{
-		Joins: []Membership{
-			{Session: 0, Node: 25, At: 0.003},
-			{Session: 3, Node: 2, At: 0.004},
-			{Session: 4, Node: 36, At: 0.004},
-		},
-		Leaves: []Membership{
-			{Session: 1, Node: 30, At: 0.010},
-			{Session: 3, Node: 7, At: 0.002},
-		},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	e.SetEnergyLedger(true)
-	e.SetDynamicFrames(true)
-	var b strings.Builder
-	e.SetTracer(func(ev TraceEvent) { fmt.Fprintf(&b, "trace %+v\n", ev) })
-	script := []Session{
-		{Start: 0, Handler: chainHandler{}, Src: 0, Dests: []int{15, 39}},
-		{Start: 0.002, Handler: chainHandler{}, Src: 5, Dests: []int{30, 35}},
-		{Start: 0.001, Handler: backstepChain{}, Src: 12, Dests: []int{19, 24}},
-		{Start: 0.0015, Handler: redundantChain{deliver: true, copies: 2, drops: []int{DropCopy, DropWatchdog, 38}}, Src: 2, Dests: []int{7, 9}},
-		{Start: 0.003, Handler: chainHandler{}, Src: 30, Dests: []int{33, 30, 33, 36}},
-	}
-	for run := 0; run < 2; run++ {
-		for i, m := range e.RunScript(script) {
-			fmt.Fprintf(&b, "run %d session %d %+v\n", run, i, m)
+	transcript := instrumented(0)
+	for _, shards := range []int{1, 2, 3, 8} {
+		if got := instrumented(shards); got != transcript {
+			t.Fatalf("shards=%d: instrumented transcript diverged from the default engine's", shards)
 		}
 	}
-	testutil.Golden(t, filepath.Join("testdata", "untiled_kernel.golden"), b.String(), *update)
+	testutil.Golden(t, filepath.Join("testdata", "kernel.golden"), transcript, *update)
 }
 
 // TestShardedCrossTileBorder pins the sim-level border case: node 6 sits at
@@ -237,8 +244,8 @@ func TestShardedJoinSplicesIntoRemoteInbox(t *testing.T) {
 }
 
 // TestSetShardingValidation: out-of-range shard configurations are rejected
-// with errors, never silently clamped; the zero config is the explicit
-// off-switch; a window exceeding the run's lookahead is a panic at run time.
+// with errors, never silently clamped; the zero config restores the default
+// pool; a window exceeding the run's lookahead is a panic at run time.
 func TestSetShardingValidation(t *testing.T) {
 	nw := chainNet(t, 4)
 	e := NewEngine(nw, DefaultRadioParams(), 0)
@@ -262,7 +269,7 @@ func TestSetShardingValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	if e.Sharding() != (ShardConfig{}) {
-		t.Fatal("zero config did not clear sharding")
+		t.Fatal("zero config did not restore the default")
 	}
 
 	// Window beyond the lookahead would let one tile outrun another's
@@ -282,20 +289,4 @@ func TestSetShardingValidation(t *testing.T) {
 		}()
 		e.RunTask(chainHandler{}, 0, []int{3})
 	}()
-}
-
-// TestShardedTracerPanics: trace ordering across concurrent tiles is not
-// deterministic, so combining a tracer with the sharded kernel is refused
-// loudly rather than producing shuffled traces.
-func TestShardedTracerPanics(t *testing.T) {
-	nw := chainNet(t, 4)
-	e := NewEngine(nw, DefaultRadioParams(), 0)
-	shardedOver(t, e, 2)
-	e.SetTracer(func(TraceEvent) {})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("tracer under sharding did not panic")
-		}
-	}()
-	e.RunTask(chainHandler{}, 0, []int{3})
 }
