@@ -31,6 +31,7 @@ func (nw *Network) WithFailures(failed []int) *Network {
 		tiles:    nw.tiles, // shared: tiles depend on positions alone
 		nodeTile: nw.nodeTile,
 		down:     down,
+		tables:   new(viewTables),
 	}
 	clone.adj = make([][]int, len(nw.nodes))
 	for id, nbrs := range nw.adj {

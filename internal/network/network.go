@@ -59,6 +59,64 @@ type Network struct {
 	// reported, when non-nil, overlays the positions nodes *believe* they
 	// are at (WithPositionNoise); physics keeps using true positions.
 	reported []geom.Point
+
+	// tables is set by every constructor, New and each view, to a fresh
+	// value: never inherited, because a view's links and Dist can differ
+	// from its parent's.
+	tables *viewTables
+}
+
+// viewTables are a network view's tables, built once on first use: edge
+// lengths parallel to adj and connected-component labels.
+type viewTables struct {
+	once sync.Once
+	w    [][]float64 // w[v][i] = Dist(v, adj[v][i])
+	comp []int32     // node ID -> component label
+}
+
+// derived returns nw's tables, building them on first use.
+func (nw *Network) derived() *viewTables {
+	t := nw.tables
+	t.once.Do(func() {
+		total := 0
+		for _, nbrs := range nw.adj {
+			total += len(nbrs)
+		}
+		flat := make([]float64, 0, total)
+		t.w = make([][]float64, len(nw.adj))
+		for v, nbrs := range nw.adj {
+			start := len(flat)
+			for _, n := range nbrs {
+				flat = append(flat, nw.Dist(v, n))
+			}
+			t.w[v] = flat[start:len(flat):len(flat)]
+		}
+		t.comp = make([]int32, len(nw.nodes))
+		for i := range t.comp {
+			t.comp[i] = -1
+		}
+		var queue []int
+		label := int32(0)
+		for src := range t.comp {
+			if t.comp[src] >= 0 {
+				continue
+			}
+			t.comp[src] = label
+			queue = append(queue[:0], src)
+			for len(queue) > 0 {
+				v := queue[0]
+				queue = queue[1:]
+				for _, n := range nw.adj[v] {
+					if t.comp[n] < 0 {
+						t.comp[n] = label
+						queue = append(queue, n)
+					}
+				}
+			}
+			label++
+		}
+	})
+	return t
 }
 
 // Validation errors returned by New.
@@ -105,6 +163,7 @@ func New(nodes []Node, width, height, radioRange float64) (*Network, error) {
 	}
 	nw.buildTiles()
 	nw.buildAdjacency()
+	nw.tables = new(viewTables)
 	return nw, nil
 }
 
@@ -375,10 +434,16 @@ func (nw *Network) NodesInDisk(p geom.Point, radius float64) []int {
 }
 
 // Graph returns the unit-disk connectivity graph in the representation
-// expected by the steiner package's KMB heuristic.
+// expected by the steiner package's KMB heuristic, with Dist as its edge
+// lengths. The lengths are computed once per view and shared.
 func (nw *Network) Graph() steiner.Graph {
-	return steiner.Graph{N: len(nw.nodes), Adj: nw.adj}
+	return steiner.Graph{N: len(nw.nodes), Adj: nw.adj, W: nw.derived().w}
 }
+
+// Component returns the label of node id's connected component: two nodes
+// can reach each other over radio links exactly when their labels are
+// equal. Labels are computed once per view.
+func (nw *Network) Component(id int) int { return int(nw.derived().comp[id]) }
 
 // Connected reports whether the unit-disk graph is connected.
 func (nw *Network) Connected() bool {

@@ -2,10 +2,14 @@ package network
 
 import (
 	"errors"
+	"math"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 
 	"gmp/internal/geom"
+	"gmp/internal/steiner"
 )
 
 func mustNetwork(t *testing.T, nodes []Node, w, h, rng float64) *Network {
@@ -218,5 +222,80 @@ func TestGraphExport(t *testing.T) {
 	}
 	if len(g.Adj[1]) != 2 {
 		t.Fatalf("middle node adjacency = %v", g.Adj[1])
+	}
+}
+
+// TestViewTablesFollowEveryView builds the parent's edge lengths and
+// component labels first, then checks that each view kind carries its own:
+// lengths equal to the view's Dist bit for bit, and labels that agree with
+// the view's BFS reachability. A view sharing its parent's tables would
+// give a noisy or stale view the true-position lengths, and a failure view
+// the intact graph's components.
+func TestViewTablesFollowEveryView(t *testing.T) {
+	r := rand.New(rand.NewSource(61))
+	nw := mustNetwork(t, DeployUniform(300, 1000, 1000, r), 1000, 1000, 120)
+	nw.Graph()
+	stale := map[int]geom.Point{}
+	for id := 0; id < nw.Len(); id += 7 {
+		stale[id] = geom.Pt(r.Float64()*1000, r.Float64()*1000)
+	}
+	failed := make([]int, 0, 60)
+	for id := 0; id < nw.Len(); id += 5 {
+		failed = append(failed, id)
+	}
+	views := map[string]*Network{
+		"parent":   nw,
+		"noise":    nw.WithPositionNoise(25, rand.New(rand.NewSource(2))),
+		"reported": nw.WithReportedPositions(stale),
+		"failures": nw.WithFailures(failed),
+	}
+	for name, v := range views {
+		g := v.Graph()
+		for id := 0; id < v.Len(); id++ {
+			if len(g.W[id]) != len(g.Adj[id]) {
+				t.Fatalf("%s: node %d has %d lengths for %d links", name, id, len(g.W[id]), len(g.Adj[id]))
+			}
+			for i, n := range g.Adj[id] {
+				if math.Float64bits(g.W[id][i]) != math.Float64bits(v.Dist(id, n)) {
+					t.Fatalf("%s: W[%d][%d] = %v, Dist = %v", name, id, i, g.W[id][i], v.Dist(id, n))
+				}
+			}
+		}
+		for _, src := range []int{0, 1, 2, 3, 150} {
+			hop := v.HopDistances(src)
+			for id, h := range hop {
+				if same := v.Component(id) == v.Component(src); same != (h >= 0) {
+					t.Fatalf("%s: Component(%d) == Component(%d) is %v, hop distance %d", name, id, src, same, h)
+				}
+			}
+		}
+	}
+}
+
+// TestViewTablesConcurrentFirstUse has several goroutines make the first
+// Graph and Component calls on one network at once: each must see the
+// same, complete tables (run under -race).
+func TestViewTablesConcurrentFirstUse(t *testing.T) {
+	nw := mustNetwork(t, DeployUniform(400, 1000, 1000, rand.New(rand.NewSource(62))), 1000, 1000, 120)
+	const workers = 4
+	var wg sync.WaitGroup
+	graphs := make([]steiner.Graph, workers)
+	comps := make([][]int, workers)
+	for i := 0; i < workers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			comps[i] = make([]int, nw.Len())
+			for id := range comps[i] {
+				comps[i][id] = nw.Component(id)
+			}
+			graphs[i] = nw.Graph()
+		}(i)
+	}
+	wg.Wait()
+	for i := 1; i < workers; i++ {
+		if !slices.Equal(comps[i], comps[0]) || &graphs[i].W[0] != &graphs[0].W[0] {
+			t.Fatalf("goroutine %d saw different tables", i)
+		}
 	}
 }

@@ -23,6 +23,7 @@ func (nw *Network) WithPositionNoise(sigma float64, r *rand.Rand) *Network {
 	}
 	clone := *nw
 	clone.reported = reported
+	clone.tables = new(viewTables)
 	return &clone
 }
 
@@ -46,5 +47,6 @@ func (nw *Network) WithReportedPositions(overrides map[int]geom.Point) *Network 
 	}
 	clone := *nw
 	clone.reported = reported
+	clone.tables = new(viewTables)
 	return &clone
 }

@@ -43,11 +43,11 @@ func (s *SMT) Start(v view.NodeView, pkt *sim.Packet) []sim.Forward {
 	// Destinations unreachable in the connectivity graph can never be
 	// served; compute the tree over the reachable ones so the rest of the
 	// task still completes.
-	hop := s.nw.HopDistances(src)
+	comp := s.nw.Component(src)
 	reachable := make([]int, 0, len(pkt.Dests))
 	var unreachable []int
 	for _, d := range pkt.Dests {
-		if hop[d] >= 0 {
+		if s.nw.Component(d) == comp {
 			reachable = append(reachable, d)
 		} else {
 			unreachable = append(unreachable, d)
@@ -69,7 +69,7 @@ func (s *SMT) Start(v view.NodeView, pkt *sim.Packet) []sim.Forward {
 	// cheap in meters yet each still costs one transmission, which is why
 	// the distributed GMP can beat this centralized baseline on hop count
 	// (§5.1) — see DESIGN.md §3.
-	edges, err := steiner.KMBWeighted(s.nw.Graph(), terminals, s.nw.Dist)
+	edges, err := steiner.KMBWeighted(s.nw.Graph(), terminals)
 	if err != nil {
 		// Cannot happen for reachable terminals; fail the task loudly by
 		// dropping rather than panicking.

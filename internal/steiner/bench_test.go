@@ -100,3 +100,40 @@ func BenchmarkKMBGrid(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkKMBWeighted measures one Euclidean-length KMB, the SMT
+// baseline's tree, on a Table 1 unit-disk graph (1000 nodes on 1000×1000 m,
+// 150 m range) at K terminals, against the eager reference twin.
+func BenchmarkKMBWeighted(b *testing.B) {
+	r := rand.New(rand.NewSource(1))
+	pts := make([]geom.Point, 1000)
+	for i := range pts {
+		pts[i] = geom.Pt(r.Float64()*1000, r.Float64()*1000)
+	}
+	g := unitDiskGraph(pts, 150)
+	dist := func(a, b int) float64 { return pts[a].Dist(pts[b]) }
+	for _, k := range []int{4, 12, 25} {
+		sets := make([][]int, 64)
+		for i := range sets {
+			sets[i] = r.Perm(len(pts))[:k]
+		}
+		for _, c := range []struct {
+			name string
+			kmb  func([]int) ([][2]int, error)
+		}{
+			{"fast", func(terms []int) ([][2]int, error) { return KMBWeighted(g, terms) }},
+			{"reference", func(terms []int) ([][2]int, error) {
+				return referenceKMBWeighted(Graph{N: g.N, Adj: g.Adj}, terms, dist)
+			}},
+		} {
+			b.Run(fmt.Sprintf("k=%d/%s", k, c.name), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := c.kmb(sets[i%len(sets)]); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}

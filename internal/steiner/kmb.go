@@ -1,11 +1,10 @@
 package steiner
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Graph is an undirected graph over vertex indices 0..N-1, given as
@@ -14,6 +13,18 @@ import (
 type Graph struct {
 	N   int
 	Adj [][]int
+	// W holds edge lengths parallel to Adj: W[v][i] is the length of the
+	// edge between v and Adj[v][i], the same from either end. nil means
+	// unit lengths.
+	W [][]float64
+}
+
+// edgeLen returns the length of the edge from a to its neighbor b.
+func (g Graph) edgeLen(a, b int) float64 {
+	if g.W == nil {
+		return 1
+	}
+	return g.W[a][slices.Index(g.Adj[a], b)]
 }
 
 // ErrUnreachableTerminal is returned by KMB when some terminal cannot be
@@ -22,24 +33,30 @@ var ErrUnreachableTerminal = errors.New("steiner: terminal unreachable")
 
 // KMB computes a graph Steiner tree over the given terminals using the
 // Kou–Markowsky–Berman heuristic (paper ref [16]) under unit (hop-count)
-// edge weights. It returns the tree's edge set.
+// edge weights, whatever g.W holds. It returns the tree's edge set.
 func KMB(g Graph, terminals []int) ([][2]int, error) {
-	return KMBWeighted(g, terminals, nil)
+	g.W = nil
+	return KMBWeighted(g, terminals)
 }
 
-// KMBWeighted is KMB with arbitrary non-negative edge weights. A nil weight
-// function means unit weights. The paper's SMT baseline uses Euclidean
-// distances as weights: the source knows all node positions and computes a
-// close-to-optimal Steiner tree in the geometric sense, which is exactly
-// what makes its *hop count* beatable by GMP (short graph edges are cheap in
-// meters but each one still costs a transmission).
+// KMBWeighted is KMB under the edge lengths g.W. The paper's SMT baseline
+// uses Euclidean distances as lengths: the source knows all node positions
+// and computes a close-to-optimal Steiner tree in the geometric sense, which
+// is exactly what makes its *hop count* beatable by GMP (short graph edges
+// are cheap in meters but each one still costs a transmission).
 //
 // The classical 2(1-1/ℓ)-approximation guarantee applies with respect to the
-// supplied weights.
-func KMBWeighted(g Graph, terminals []int, weight func(a, b int) float64) ([][2]int, error) {
-	if weight == nil {
-		weight = func(a, b int) float64 { return 1 }
-	}
+// supplied lengths. The returned edges are normalized (a < b) and sorted.
+//
+// Lengths must be non-negative. Shortest paths are computed lazily: a
+// terminal's Dijkstra row runs only when the metric-closure Prim adds that
+// terminal to its tree, and stops once no terminal outside the tree can get
+// closer to the tree through it — each is settled, or at least as far from
+// the row's source as from the tree already. Settled distances and parents
+// are final, a settled vertex's parent chain is settled too, and Prim takes
+// a row's distance only when it is strictly shorter, so the tree is the one
+// full rows from every terminal would give.
+func KMBWeighted(g Graph, terminals []int) ([][2]int, error) {
 	if len(terminals) == 0 {
 		return nil, nil
 	}
@@ -53,41 +70,55 @@ func KMBWeighted(g Graph, terminals []int, weight func(a, b int) float64) ([][2]
 	}
 
 	// Deduplicate terminals while preserving order.
-	seen := make(map[int]bool, len(terminals))
+	isTerm := make([]bool, g.N)
 	terms := make([]int, 0, len(terminals))
 	for _, t := range terminals {
-		if !seen[t] {
-			seen[t] = true
+		if !isTerm[t] {
+			isTerm[t] = true
 			terms = append(terms, t)
 		}
 	}
-
-	// Step 1: shortest paths from every terminal.
-	dist := make(map[int][]float64, len(terms))
-	parent := make(map[int][]int, len(terms))
-	for _, t := range terms {
-		d, p := dijkstra(g, t, weight)
-		dist[t] = d
-		parent[t] = p
+	k := len(terms)
+	if k == 1 {
+		return [][2]int{}, nil
 	}
 
-	// Steps 2+3: Prim MST over the terminal metric closure.
-	k := len(terms)
+	// Steps 1-3: Prim MST over the terminal metric closure. Each terminal's
+	// row of the closure is computed when the terminal joins the tree, and
+	// the last to join needs none.
 	inTree := make([]bool, k)
 	bestCost := make([]float64, k)
-	bestFrom := make([]int, k)
-	for i := range bestCost {
-		bestCost[i] = math.Inf(1)
-		bestFrom[i] = -1
+	bestFrom := make([]int, k) // index into terms
+	rowOf := make([]int, k)    // terms[i]'s row in s
+	s := newRowSearch(g, k-1, isTerm)
+	targets := make([]int, 0, k-1)
+	limits := make([]float64, 0, k-1)
+	row := func(i, r int) {
+		targets, limits = targets[:0], limits[:0]
+		for j := 0; j < k; j++ {
+			if !inTree[j] {
+				targets = append(targets, terms[j])
+				limits = append(limits, bestCost[j])
+			}
+		}
+		rowOf[i] = r
+		s.run(terms[i], r, targets, limits)
+		for j := 0; j < k; j++ {
+			if d := s.dist[terms[j]]; !inTree[j] && d < bestCost[j] {
+				bestCost[j] = d
+				bestFrom[j] = i
+			}
+		}
 	}
 	inTree[0] = true
 	for i := 1; i < k; i++ {
-		d := dist[terms[0]][terms[i]]
-		if math.IsInf(d, 1) {
+		bestCost[i] = math.Inf(1)
+	}
+	row(0, 0)
+	for i := 1; i < k; i++ {
+		if math.IsInf(bestCost[i], 1) {
 			return nil, fmt.Errorf("%w: %d from %d", ErrUnreachableTerminal, terms[i], terms[0])
 		}
-		bestCost[i] = d
-		bestFrom[i] = 0
 	}
 	type metricEdge struct{ a, b int } // indices into terms
 	mst := make([]metricEdge, 0, k-1)
@@ -98,108 +129,240 @@ func KMBWeighted(g Graph, terminals []int, weight func(a, b int) float64) ([][2]
 				pick = i
 			}
 		}
-		if bestFrom[pick] == -1 || math.IsInf(bestCost[pick], 1) {
-			return nil, fmt.Errorf("%w: %d", ErrUnreachableTerminal, terms[pick])
-		}
 		inTree[pick] = true
 		mst = append(mst, metricEdge{bestFrom[pick], pick})
-		for i := 0; i < k; i++ {
-			if inTree[i] {
-				continue
-			}
-			if d := dist[terms[pick]][terms[i]]; d < bestCost[i] {
-				bestCost[i] = d
-				bestFrom[i] = pick
-			}
+		if added < k-1 {
+			row(pick, added)
 		}
 	}
 
 	// Step 4: expand metric edges into actual shortest paths; union edges.
-	edgeSet := make(map[[2]int]bool)
+	var union [][2]int
 	for _, me := range mst {
 		from, to := terms[me.a], terms[me.b]
-		p := parent[from]
-		for v := to; v != from; v = p[v] {
-			edgeSet[normEdge(v, p[v])] = true
+		p := s.parents(rowOf[me.a])
+		for v := to; v != from; v = int(p[v]) {
+			union = append(union, normEdge(v, int(p[v])))
 		}
 	}
 
-	// Step 5: minimum spanning tree of the union subgraph under the same
-	// weights (Prim from the first terminal).
-	subAdj := make(map[int][]int)
-	for e := range edgeSet {
-		subAdj[e[0]] = append(subAdj[e[0]], e[1])
-		subAdj[e[1]] = append(subAdj[e[1]], e[0])
-	}
-	for v := range subAdj {
-		sort.Ints(subAdj[v]) // determinism
-	}
-	treeEdges := subgraphMST(subAdj, terms[0], weight)
-
-	// Step 6: prune non-terminal leaves repeatedly.
-	degree := make(map[int]int)
-	for e := range treeEdges {
-		degree[e[0]]++
-		degree[e[1]]++
-	}
-	for {
-		removed := false
-		for e := range treeEdges {
-			for _, v := range []int{e[0], e[1]} {
-				if degree[v] == 1 && !seen[v] {
-					delete(treeEdges, e)
-					degree[e[0]]--
-					degree[e[1]]--
-					removed = true
-					break
-				}
-			}
-			if removed {
-				break
-			}
-		}
-		if !removed {
-			break
-		}
-	}
-
-	out := make([][2]int, 0, len(treeEdges))
-	for e := range treeEdges {
-		out = append(out, e)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i][0] != out[j][0] {
-			return out[i][0] < out[j][0]
-		}
-		return out[i][1] < out[j][1]
-	})
-	return out, nil
+	return unionTree(g, union, terms[0], isTerm), nil
 }
 
-// subgraphMST runs Prim over the subgraph adjacency starting at root and
-// returns the chosen edge set.
-func subgraphMST(adj map[int][]int, root int, weight func(a, b int) float64) map[[2]int]bool {
-	edges := make(map[[2]int]bool)
-	inTree := map[int]bool{root: true}
-	pq := &candQueue{}
-	push := func(v int) {
-		for _, n := range adj[v] {
-			if !inTree[n] {
-				heap.Push(pq, primCand{w: weight(v, n), a: v, b: n})
+// unionTree runs KMB steps 5 and 6 on union, an edge list (repeats
+// allowed) whose graph is connected and holds the terminal root: the
+// minimum spanning tree of the union subgraph under g's lengths (Prim from
+// root), pruned of non-terminal leaves. It returns the kept edges
+// normalized and sorted.
+func unionTree(g Graph, union [][2]int, root int, isTerm []bool) [][2]int {
+	// Step 5: Prim over the union subgraph. arcs holds every union edge in
+	// both directions, grouped by tail.
+	arcs := make([][2]int, 0, 2*len(union))
+	for _, e := range union {
+		arcs = append(arcs, e, [2]int{e[1], e[0]})
+	}
+	slices.SortFunc(arcs, cmpEdge)
+	joined := make([]bool, g.N)
+	var pq candQueue
+	var tree []primCand // in joining order
+	grow := func(a int) {
+		joined[a] = true
+		i, _ := slices.BinarySearchFunc(arcs, a, func(e [2]int, v int) int { return e[0] - v })
+		for ; i < len(arcs) && arcs[i][0] == a; i++ {
+			if b := arcs[i][1]; !joined[b] {
+				pq.push(primCand{w: g.edgeLen(a, b), a: a, b: b})
 			}
 		}
 	}
-	push(root)
-	for pq.Len() > 0 {
-		c := heap.Pop(pq).(primCand)
-		if inTree[c.b] {
-			continue
+	grow(root)
+	for len(pq) > 0 {
+		if c := pq.pop(); !joined[c.b] {
+			tree = append(tree, c)
+			grow(c.b)
 		}
-		inTree[c.b] = true
-		edges[normEdge(c.a, c.b)] = true
-		push(c.b)
 	}
-	return edges
+
+	// Step 6: prune non-terminal leaves repeatedly. Rooted at root, an
+	// edge survives exactly when the subtree below it holds a terminal;
+	// reverse joining order visits every subtree before its parent edge.
+	hasTerm := slices.Clone(isTerm)
+	out := make([][2]int, 0, len(tree))
+	for j := len(tree) - 1; j >= 0; j-- {
+		if c := tree[j]; hasTerm[c.b] {
+			hasTerm[c.a] = true
+			out = append(out, normEdge(c.a, c.b))
+		}
+	}
+	slices.SortFunc(out, cmpEdge)
+	return out
+}
+
+// rowSearch runs the Dijkstra rows of one KMBWeighted call. Rows share the
+// distance and heap arrays, reset through the touched list, but each keeps
+// its own parent array for the path expansion of step 4.
+type rowSearch struct {
+	g       Graph
+	dist    []float64 // current row; +Inf where untouched
+	pos     []int32   // heap index, or unreached / settled
+	heap    []int32   // vertices ordered by (dist, ID)
+	touched []int32
+	isTerm  []bool  // the bound is recomputed when a terminal settles
+	parent  []int32 // row r's parents at [r·N, (r+1)·N)
+}
+
+const (
+	unreached = -1
+	settled   = -2
+)
+
+func newRowSearch(g Graph, rows int, isTerm []bool) *rowSearch {
+	s := &rowSearch{
+		g:      g,
+		dist:   make([]float64, g.N),
+		pos:    make([]int32, g.N),
+		isTerm: isTerm,
+		parent: make([]int32, rows*g.N),
+	}
+	for v := range s.dist {
+		s.dist[v] = math.Inf(1)
+		s.pos[v] = unreached
+	}
+	return s
+}
+
+// parents returns row r's parent array.
+func (s *rowSearch) parents(r int) []int32 { return s.parent[r*s.g.N : (r+1)*s.g.N] }
+
+// run computes row r: shortest distances from src, settling vertices in
+// (distance, ID) order and keeping the lowest-ID parent among equal-length
+// paths. It stops before settling a vertex no nearer than limits[j] for
+// every unsettled targets[j]: no target can then come out nearer than its
+// limit.
+func (s *rowSearch) run(src, r int, targets []int, limits []float64) {
+	for _, v := range s.touched {
+		s.dist[v] = math.Inf(1)
+		s.pos[v] = unreached
+	}
+	s.touched = s.touched[:0]
+	s.heap = s.heap[:0]
+	parent := s.parents(r)
+	s.dist[src] = 0
+	parent[src] = -1
+	s.reach(int32(src))
+	bound := s.bound(targets, limits)
+	for len(s.heap) > 0 && s.dist[s.heap[0]] < bound {
+		v := s.pop()
+		if s.isTerm[v] {
+			bound = s.bound(targets, limits)
+		}
+		d := s.dist[v]
+		var w []float64
+		if s.g.W != nil {
+			w = s.g.W[v]
+		}
+		for i, n := range s.g.Adj[v] {
+			if s.pos[n] == settled {
+				continue
+			}
+			nd := d + 1
+			if w != nil {
+				nd = d + w[i]
+			}
+			switch {
+			case nd < s.dist[n]:
+				s.dist[n] = nd
+				parent[n] = v
+				if s.pos[n] == unreached {
+					s.reach(int32(n))
+				} else {
+					s.up(int(s.pos[n]))
+				}
+			case nd == s.dist[n] && v < parent[n]:
+				// Equal lengths keep the lowest-ID parent. An unreached n
+				// (nd = dist = +Inf) still holds the row's zeroed parent,
+				// which no v beats.
+				parent[n] = v
+			}
+		}
+	}
+}
+
+// bound returns the largest limit among the unsettled targets, or -Inf when
+// every target is settled.
+func (s *rowSearch) bound(targets []int, limits []float64) float64 {
+	b := math.Inf(-1)
+	for j, t := range targets {
+		if s.pos[t] != settled && limits[j] > b {
+			b = limits[j]
+		}
+	}
+	return b
+}
+
+// reach adds v, whose distance is set, to the row's heap.
+func (s *rowSearch) reach(v int32) {
+	s.touched = append(s.touched, v)
+	s.pos[v] = int32(len(s.heap))
+	s.heap = append(s.heap, v)
+	s.up(len(s.heap) - 1)
+}
+
+// pop settles and returns the heap's first vertex.
+func (s *rowSearch) pop() int32 {
+	h := s.heap
+	v := h[0]
+	n := len(h) - 1
+	h[0] = h[n]
+	s.pos[h[0]] = 0
+	s.heap = h[:n]
+	s.down(0)
+	s.pos[v] = settled
+	return v
+}
+
+func (s *rowSearch) before(i, j int) bool {
+	a, b := s.heap[i], s.heap[j]
+	if da, db := s.dist[a], s.dist[b]; da != db {
+		return da < db
+	}
+	return a < b
+}
+
+func (s *rowSearch) swap(i, j int) {
+	h := s.heap
+	h[i], h[j] = h[j], h[i]
+	s.pos[h[i]] = int32(i)
+	s.pos[h[j]] = int32(j)
+}
+
+func (s *rowSearch) up(j int) {
+	for j > 0 {
+		i := (j - 1) / 2
+		if !s.before(j, i) {
+			break
+		}
+		s.swap(i, j)
+		j = i
+	}
+}
+
+func (s *rowSearch) down(i int) {
+	n := len(s.heap)
+	for {
+		l := 2*i + 1
+		if l >= n {
+			break
+		}
+		j := l
+		if r := l + 1; r < n && s.before(r, l) {
+			j = r
+		}
+		if !s.before(j, i) {
+			break
+		}
+		s.swap(i, j)
+		i = j
+	}
 }
 
 // primCand is a frontier edge of the subgraph Prim pass: a is inside the
@@ -209,10 +372,10 @@ type primCand struct {
 	a, b int
 }
 
+// candQueue is a binary min-heap of frontier edges in (w, a, b) order.
 type candQueue []primCand
 
-func (q candQueue) Len() int { return len(q) }
-func (q candQueue) Less(i, j int) bool {
+func (q candQueue) before(i, j int) bool {
 	if q[i].w != q[j].w {
 		return q[i].w < q[j].w
 	}
@@ -221,74 +384,43 @@ func (q candQueue) Less(i, j int) bool {
 	}
 	return q[i].b < q[j].b
 }
-func (q candQueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *candQueue) Push(x interface{}) { *q = append(*q, x.(primCand)) }
-func (q *candQueue) Pop() interface{} {
-	old := *q
-	n := len(old)
-	it := old[n-1]
-	*q = old[:n-1]
-	return it
-}
 
-// dijkstra returns shortest-path distances and parents from src under the
-// weight function; unreachable vertices get +Inf distance and parent -1.
-func dijkstra(g Graph, src int, weight func(a, b int) float64) ([]float64, []int) {
-	dist := make([]float64, g.N)
-	parent := make([]int, g.N)
-	done := make([]bool, g.N)
-	for i := range dist {
-		dist[i] = math.Inf(1)
-		parent[i] = -1
-	}
-	dist[src] = 0
-
-	pq := &distQueue{}
-	heap.Push(pq, distItem{0, src})
-	for pq.Len() > 0 {
-		it := heap.Pop(pq).(distItem)
-		if done[it.v] {
-			continue
+func (q *candQueue) push(c primCand) {
+	*q = append(*q, c)
+	h := *q
+	for j := len(h) - 1; j > 0; {
+		i := (j - 1) / 2
+		if !h.before(j, i) {
+			break
 		}
-		done[it.v] = true
-		for _, n := range g.Adj[it.v] {
-			if done[n] {
-				continue
-			}
-			nd := it.d + weight(it.v, n)
-			if nd < dist[n] || (nd == dist[n] && it.v < parent[n]) {
-				dist[n] = nd
-				parent[n] = it.v
-				heap.Push(pq, distItem{nd, n})
-			}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+}
+
+func (q *candQueue) pop() primCand {
+	h := *q
+	n := len(h) - 1
+	h[0], h[n] = h[n], h[0]
+	c := h[n]
+	h = h[:n]
+	for i := 0; ; {
+		l := 2*i + 1
+		if l >= n {
+			break
 		}
+		j := l
+		if r := l + 1; r < n && h.before(r, l) {
+			j = r
+		}
+		if !h.before(j, i) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
 	}
-	return dist, parent
-}
-
-// distItem is a Dijkstra frontier entry.
-type distItem struct {
-	d float64
-	v int
-}
-
-type distQueue []distItem
-
-func (q distQueue) Len() int { return len(q) }
-func (q distQueue) Less(i, j int) bool {
-	if q[i].d != q[j].d {
-		return q[i].d < q[j].d
-	}
-	return q[i].v < q[j].v
-}
-func (q distQueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *distQueue) Push(x interface{}) { *q = append(*q, x.(distItem)) }
-func (q *distQueue) Pop() interface{} {
-	old := *q
-	n := len(old)
-	it := old[n-1]
-	*q = old[:n-1]
-	return it
+	*q = h
+	return c
 }
 
 func normEdge(a, b int) [2]int {
@@ -296,4 +428,12 @@ func normEdge(a, b int) [2]int {
 		a, b = b, a
 	}
 	return [2]int{a, b}
+}
+
+// cmpEdge orders edges by first then second endpoint.
+func cmpEdge(x, y [2]int) int {
+	if x[0] != y[0] {
+		return x[0] - y[0]
+	}
+	return x[1] - y[1]
 }

@@ -2,7 +2,13 @@ package steiner
 
 import (
 	"errors"
+	"fmt"
+	"math"
+	"math/rand"
+	"slices"
 	"testing"
+
+	"gmp/internal/geom"
 )
 
 // lineGraph returns the path graph 0-1-2-...-(n-1).
@@ -170,6 +176,243 @@ func TestKMBDeterministic(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("nondeterministic edge %d: %v vs %v", i, a[i], b[i])
+		}
+	}
+}
+
+// kmbCase is one KMB input: a graph, the weight function the oracle reads
+// its lengths through (nil for unit lengths), and a terminal list.
+type kmbCase struct {
+	g      Graph
+	weight func(a, b int) float64
+	terms  []int
+}
+
+// unitDiskGraph links every pair of points within radius and gives each
+// edge its Euclidean length, computed in both directions.
+func unitDiskGraph(pts []geom.Point, radius float64) Graph {
+	g := Graph{N: len(pts), Adj: make([][]int, len(pts)), W: make([][]float64, len(pts))}
+	for v, p := range pts {
+		for n, q := range pts {
+			if n != v && p.Dist2(q) <= radius*radius {
+				g.Adj[v] = append(g.Adj[v], n)
+				g.W[v] = append(g.W[v], p.Dist(q))
+			}
+		}
+	}
+	return g
+}
+
+// genKMBCase draws a KMB input of one of five shapes: a unit-disk graph on
+// a half-meter lattice, a unit-length grid with W nil, a grid with W all
+// ones and holes cut into it, two far-apart unit-disk clusters of the even
+// and the odd vertices, and up to 150 points on an 8×8 lattice of 10 m
+// spacing. Coincident points give zero-length edges, and on the coarse
+// lattice they make the shortest-path union cyclic now and then, so that
+// step 5 has edges to drop. Terminals repeat often; sparse disks, holes and
+// the clusters leave some unreachable, and one case in 25 has a terminal out
+// of range.
+func genKMBCase(r *rand.Rand, shape, size, k int) kmbCase {
+	var c kmbCase
+	stride := 1 // terminal index step: 2 keeps them in the even cluster
+	switch shape % 5 {
+	case 0, 3, 4:
+		n := 2 + size%150
+		pts := make([]geom.Point, n)
+		for i := range pts {
+			x, y := float64(r.Intn(400))/2, float64(r.Intn(400))/2
+			switch {
+			case shape%5 == 4:
+				x, y = float64(r.Intn(8))*10, float64(r.Intn(8))*10
+			case shape%5 == 3 && i%2 == 1:
+				x += 1000
+			}
+			pts[i] = geom.Pt(x, y)
+		}
+		radius := 25 + r.Float64()*60
+		switch {
+		case shape%5 == 4:
+			radius = 10
+		case shape%5 == 3 && r.Intn(2) == 0:
+			stride = 2
+		}
+		c.g = unitDiskGraph(pts, radius)
+		c.weight = func(a, b int) float64 { return pts[a].Dist(pts[b]) }
+	case 1, 2:
+		w, h := 2+size%12, 2+(size/12)%12
+		c.g = gridGraph(w, h)
+		if shape%5 == 2 {
+			for holes := r.Intn(1 + w*h/10); holes > 0; holes-- {
+				v := r.Intn(w * h)
+				for _, n := range c.g.Adj[v] {
+					c.g.Adj[n] = slices.DeleteFunc(c.g.Adj[n], func(x int) bool { return x == v })
+				}
+				c.g.Adj[v] = nil
+			}
+			c.g.W = make([][]float64, c.g.N)
+			for v, nbrs := range c.g.Adj {
+				for range nbrs {
+					c.g.W[v] = append(c.g.W[v], 1)
+				}
+			}
+			c.weight = func(a, b int) float64 { return 1 }
+		}
+	}
+	for i := 0; i < k%16; i++ {
+		if i > 0 && r.Intn(4) == 0 {
+			c.terms = append(c.terms, c.terms[r.Intn(i)])
+		} else {
+			c.terms = append(c.terms, r.Intn((c.g.N+stride-1)/stride)*stride)
+		}
+	}
+	if len(c.terms) > 0 && r.Intn(25) == 0 {
+		c.terms[r.Intn(len(c.terms))] = []int{-1, c.g.N}[r.Intn(2)]
+	}
+	return c
+}
+
+// sameKMB reports the first difference between KMBWeighted and the oracle
+// on c: error text, then nil-ness, then the edges in order.
+func sameKMB(c kmbCase) error {
+	got, gotErr := KMBWeighted(c.g, c.terms)
+	want, wantErr := referenceKMBWeighted(Graph{N: c.g.N, Adj: c.g.Adj}, c.terms, c.weight)
+	if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+		return fmt.Errorf("error %v, reference %v", gotErr, wantErr)
+	}
+	if (got == nil) != (want == nil) || !slices.Equal(got, want) {
+		return fmt.Errorf("edges %v, reference %v", got, want)
+	}
+	return nil
+}
+
+// TestKMBMatchesReference is the equivalence oracle of the lazy KMBWeighted:
+// on 1000 random inputs of every generator shape it must return the eager
+// reference's exact edge slice and error.
+func TestKMBMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(16))
+	for trial := 0; trial < 1000; trial++ {
+		c := genKMBCase(r, trial, r.Intn(300), 2+r.Intn(14))
+		if err := sameKMB(c); err != nil {
+			t.Fatalf("trial %d (shape %d, N=%d, terminals %v): %v", trial, trial%5, c.g.N, c.terms, err)
+		}
+	}
+}
+
+// TestKMBIgnoresLengths pins KMB to hop counts even on a graph that carries
+// Euclidean lengths.
+func TestKMBIgnoresLengths(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 50; trial++ {
+		c := genKMBCase(r, 0, r.Intn(300), 2+r.Intn(20))
+		got, gotErr := KMB(c.g, c.terms)
+		want, wantErr := referenceKMBWeighted(Graph{N: c.g.N, Adj: c.g.Adj}, c.terms, nil)
+		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || !slices.Equal(got, want) {
+			t.Fatalf("trial %d: KMB = %v, %v; reference %v, %v", trial, got, gotErr, want, wantErr)
+		}
+	}
+}
+
+// TestUnionTreeMatchesReference checks steps 5 and 6 alone against the
+// oracle's, on cyclic edge unions that KMB's own unions rarely are: random
+// connected edge sets grown from a root over tie-heavy graphs, with few
+// terminals so that pruning has work to do.
+func TestUnionTreeMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(6))
+	for trial := 0; trial < 300; trial++ {
+		c := genKMBCase(r, []int{0, 2, 4}[trial%3], r.Intn(300), 0)
+		root := r.Intn(c.g.N)
+		if len(c.g.Adj[root]) == 0 {
+			continue
+		}
+		isTerm := make([]bool, c.g.N)
+		seen := map[int]bool{root: true}
+		isTerm[root] = true
+		reached := []int{root}
+		edgeSet := map[[2]int]bool{}
+		for steps := 1 + r.Intn(3*c.g.N); steps > 0; steps-- {
+			v := reached[r.Intn(len(reached))]
+			if len(c.g.Adj[v]) == 0 {
+				continue
+			}
+			n := c.g.Adj[v][r.Intn(len(c.g.Adj[v]))]
+			if !slices.Contains(reached, n) {
+				reached = append(reached, n)
+				if r.Intn(4) == 0 {
+					isTerm[n], seen[n] = true, true
+				}
+			}
+			edgeSet[normEdge(v, n)] = true
+		}
+		var union [][2]int
+		for e := range edgeSet {
+			union = append(union, e)
+		}
+		got := unionTree(c.g, union, root, isTerm)
+		want := refUnionTree(edgeSet, root, seen, c.weight)
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d: union %v, root %d: %v, reference %v", trial, union, root, got, want)
+		}
+	}
+}
+
+// FuzzKMBMatchesReference compares KMBWeighted with the eager oracle on
+// fuzzer-chosen generator seeds, shapes, sizes and terminal counts.
+func FuzzKMBMatchesReference(f *testing.F) {
+	f.Add(int64(1), uint8(0), uint8(40), uint8(6))
+	f.Add(int64(2), uint8(1), uint8(30), uint8(9))
+	f.Add(int64(3), uint8(2), uint8(143), uint8(15))
+	f.Add(int64(4), uint8(3), uint8(90), uint8(12))
+	f.Fuzz(func(t *testing.T, seed int64, shape, size, k uint8) {
+		c := genKMBCase(rand.New(rand.NewSource(seed)), int(shape), int(size), int(k))
+		if err := sameKMB(c); err != nil {
+			t.Fatalf("N=%d, terminals %v: %v", c.g.N, c.terms, err)
+		}
+	})
+}
+
+// TestRowSearchStopsExactly pins the early-stop contract KMBWeighted relies
+// on, against the oracle's full Dijkstra. For each target t with limit L: a
+// row distance below L must be t's true distance, reached along its true
+// parent chain; and a true distance below L must come out below L. Limits
+// sit near the true distances, so rows stop right at the boundary.
+func TestRowSearchStopsExactly(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 300; trial++ {
+		c := genKMBCase(r, trial, r.Intn(300), 0)
+		weight := c.weight
+		if weight == nil {
+			weight = func(a, b int) float64 { return 1 }
+		}
+		src := r.Intn(c.g.N)
+		dist, parent := refDijkstra(Graph{N: c.g.N, Adj: c.g.Adj}, src, weight)
+		isTerm := make([]bool, c.g.N)
+		var targets []int
+		var limits []float64
+		for i := r.Intn(12); i >= 0; i-- {
+			v := r.Intn(c.g.N)
+			if isTerm[v] || v == src {
+				continue
+			}
+			isTerm[v] = true
+			targets = append(targets, v)
+			limits = append(limits, []float64{math.Inf(1), dist[v], math.Nextafter(dist[v], math.Inf(1)), dist[v] * (0.9 + r.Float64()/5)}[r.Intn(4)])
+		}
+		s := newRowSearch(c.g, 1, isTerm)
+		s.run(src, 0, targets, limits)
+		p := s.parents(0)
+		for j, v := range targets {
+			if got := s.dist[v]; got < limits[j] {
+				if got != dist[v] {
+					t.Fatalf("trial %d: target %d at %v below limit %v, true distance %v", trial, v, got, limits[j], dist[v])
+				}
+				for u := v; u != src; u = parent[u] {
+					if int(p[u]) != parent[u] {
+						t.Fatalf("trial %d: target %d: parent of %d is %d, true parent %d", trial, v, u, p[u], parent[u])
+					}
+				}
+			} else if dist[v] < limits[j] {
+				t.Fatalf("trial %d: target %d at %v, true distance %v below limit %v", trial, v, got, dist[v], limits[j])
+			}
 		}
 	}
 }
