@@ -173,8 +173,12 @@ func (g *GMP) forwardGroups(v view.NodeView, pkt *sim.Packet) (fwds []sim.Forwar
 			last := tree.LastChild(p, 0)
 			if last == -1 {
 				// A lone terminal with no qualifying neighbor: a true void
-				// destination.
-				voidBuf = append(voidBuf, tree.Vertex(p).Label)
+				// destination. A virtual pivot that splitting emptied (a
+				// one-child Steiner point, as Steinerized MSTs leave) carries
+				// none.
+				if tree.Vertex(p).Kind != steiner.Virtual {
+					voidBuf = append(voidBuf, tree.Vertex(p).Label)
+				}
 				break
 			}
 			tree.RemoveEdge(p, last)

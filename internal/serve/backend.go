@@ -105,6 +105,10 @@ type decider struct {
 	// requests (see walk.go); stamped from the server config.
 	routeBudget   int
 	routeMaxSteps int
+	// engine runs ROUTE walks (fault-free, never sharded), rebuilt when a
+	// request's hop budget differs; walk is the handler it runs.
+	engine *sim.Engine
+	walk   routeHandler
 
 	frame    wire.Frame          // request frame decode target
 	reqPkt   sim.Packet          // reconstructed request packet
@@ -140,6 +144,7 @@ func newDecider(dep *Deployment, lambda float64, k int) *decider {
 	}
 	d.frame.Dests = make([]geom.Point, 0, sizeHint)
 	d.outFrame.Dests = make([]geom.Point, 0, sizeHint)
+	d.routeMaxSteps = DefaultRouteMaxSteps
 	return d
 }
 
@@ -246,6 +251,12 @@ func (d *decider) appendCacheKey(dst []byte, protoName string, op byte, node int
 	}
 	if st.AltPlanar {
 		b |= 2
+	}
+	if st.Reverse {
+		b |= 4
+	}
+	if st.Junior {
+		b |= 8
 	}
 	return append(dst, b)
 }

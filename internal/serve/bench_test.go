@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"gmp/internal/wire"
 )
 
 // The bench deployment is the paper's full-size field (not the small test
@@ -166,6 +168,35 @@ func BenchmarkDecideK120(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := d.decide("GMP", body); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkWalkRouteK120Cold is the walker layer alone: decider.walkRoute
+// on one fixed K=120 GMP start frame, with no memo cache so every decision
+// is recomputed, and every HOP encoded and discarded — no transport.
+// BENCH_PR10.json gates its allocs/op.
+func BenchmarkWalkRouteK120Cold(b *testing.B) {
+	dep := benchDeployment(b)
+	d := newDecider(dep, 0.5, 0)
+	d.routeBudget = DefaultRouteBudget
+	rng := rand.New(rand.NewSource(1))
+	rb := wire.RouteBody{Frame: randomRequest(LoadConfig{K: 120,
+		Width: dep.NW.Width(), Height: dep.NW.Height()}, rng).Frame}
+	var buf []byte
+	emit := func(hb wire.HopBody) bool {
+		buf = wire.AppendHop(buf[:0], hb)
+		return true
+	}
+	// One untimed walk warms the node-view scratch and the engine's lanes.
+	if _, err := d.walkRoute("GMP", rb, emit); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := d.walkRoute("GMP", rb, emit); err != nil {
 			b.Fatal(err)
 		}
 	}

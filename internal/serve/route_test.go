@@ -11,10 +11,13 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
+	"gmp/internal/geom"
+	"gmp/internal/planar"
 	"gmp/internal/routing"
 	"gmp/internal/sim"
 	"gmp/internal/view"
@@ -247,70 +250,58 @@ func routeFrame(t *testing.T, dep *Deployment, src int, dests []int) []byte {
 }
 
 // TestWalkMatchesEngineReplay is the fidelity oracle: for every servable
-// non-redundant protocol, the server-side walk of a task must agree with
-// the simulation engine running the same task — identical delivered sets
-// and hop counts, identical transmission totals, and identical
-// per-destination drop-reason counts. (MCFR's redundant copies settle by
-// arrival order, which differs between virtual time and BFS; its walks are
-// audited by the E-X14 conservation oracle instead.)
+// protocol — MCFR's redundant copies included — the server-side walk of a
+// task must agree with the simulation engine running the same task:
+// identical transmission totals, and for each destination the same fate —
+// delivered at the same hop count, or dropped for the same first reason.
 func TestWalkMatchesEngineReplay(t *testing.T) {
 	dep := testDeployment(t)
 	const budget = 100
 	for _, proto := range servableProtocols() {
-		if sp, _ := routing.Lookup(proto); sp.Flags&routing.FlagConcurrent != 0 {
-			continue
-		}
 		t.Run(proto, func(t *testing.T) {
 			d := newDecider(dep, 0.5, 0)
 			d.cache = newDecisionCache(0)
 			d.routeBudget = budget
-			for seed := int64(1); seed <= 5; seed++ {
-				rng := rand.New(rand.NewSource(seed))
-				src, dests := pickNodes(rng, dep.NW.Len(), 12)
+			en := sim.NewEngine(dep.NW, sim.DefaultRadioParams(), budget)
+			en.SetViews(view.NewOracle(dep.NW, dep.PG))
+			for _, k := range []int{12, 32, 52} {
+				for seed := int64(1); seed <= 40; seed++ {
+					rng := rand.New(rand.NewSource(seed))
+					src, dests := pickNodes(rng, dep.NW.Len(), k)
 
-				done, err := d.walkRoute(proto,
-					wire.RouteBody{Frame: routeFrame(t, dep, src, dests)}, nil)
-				if err != nil {
-					t.Fatalf("seed %d: walk: %v", seed, err)
-				}
-
-				en := sim.NewEngine(dep.NW, sim.DefaultRadioParams(), budget)
-				en.SetViews(view.NewOracle(dep.NW, dep.PG))
-				h, err := routing.Make(proto, routing.Ctx{Lambda: 0.5, LambdaSet: true})
-				if err != nil {
-					t.Fatal(err)
-				}
-				m := en.RunTask(h, src, dests)
-
-				if int(done.Hops) != m.Transmissions {
-					t.Fatalf("seed %d: walk hops %d != engine transmissions %d",
-						seed, done.Hops, m.Transmissions)
-				}
-				delivered := 0
-				var walkDrops [sim.NumDropReasons]int
-				for _, o := range done.Outcomes {
-					if o.Status == wire.RouteDelivered {
-						delivered++
-						want, ok := m.Delivered[int(o.Node)]
-						if !ok {
-							t.Fatalf("seed %d: walk delivered %d, engine did not", seed, o.Node)
-						}
-						if int(o.Hops) != want {
-							t.Fatalf("seed %d: dest %d delivered at %d hops, engine says %d",
-								seed, o.Node, o.Hops, want)
-						}
-						continue
+					done, err := d.walkRoute(proto,
+						wire.RouteBody{Frame: routeFrame(t, dep, src, dests)}, nil)
+					if err != nil {
+						t.Fatalf("k %d seed %d: walk: %v", k, seed, err)
 					}
-					walkDrops[statusReason(t, o.Status)]++
-				}
-				if delivered != len(m.Delivered) {
-					t.Fatalf("seed %d: walk delivered %d dests, engine %d",
-						seed, delivered, len(m.Delivered))
-				}
-				for r := 0; r < int(sim.NumDropReasons); r++ {
-					if walkDrops[r] != m.DestDropsByReason[r] {
-						t.Fatalf("seed %d: drop reason %d: walk %d, engine %d",
-							seed, r, walkDrops[r], m.DestDropsByReason[r])
+					h, err := routing.Make(proto, routing.Ctx{Lambda: 0.5, LambdaSet: true})
+					if err != nil {
+						t.Fatal(err)
+					}
+					m := en.RunTask(h, src, dests)
+
+					if int(done.Hops) != m.Transmissions {
+						t.Fatalf("k %d seed %d: walk hops %d != engine transmissions %d",
+							k, seed, done.Hops, m.Transmissions)
+					}
+					if len(done.Outcomes) != m.DestCount {
+						t.Fatalf("k %d seed %d: %d outcomes for %d destinations",
+							k, seed, len(done.Outcomes), m.DestCount)
+					}
+					for _, o := range done.Outcomes {
+						id := int(o.Node)
+						if o.Status == wire.RouteDelivered {
+							if want, ok := m.Delivered[id]; !ok || int(o.Hops) != want {
+								t.Fatalf("k %d seed %d: dest %d delivered at %d hops; engine delivered %v at %d",
+									k, seed, id, o.Hops, ok, want)
+							}
+							continue
+						}
+						r, ok := m.Dropped[id]
+						if !ok || o.Status != reasonStatus(r) {
+							t.Fatalf("k %d seed %d: dest %d status %d; engine dropped %v as %v",
+								k, seed, id, o.Status, ok, r)
+						}
 					}
 				}
 			}
@@ -318,23 +309,69 @@ func TestWalkMatchesEngineReplay(t *testing.T) {
 	}
 }
 
-// statusReason inverts reasonStatus for the replay comparison.
-func statusReason(t *testing.T, status byte) sim.DropReason {
-	t.Helper()
-	switch status {
-	case wire.RouteDropProtocol:
-		return sim.ReasonProtocol
-	case wire.RouteDropWatchdog:
-		return sim.ReasonWatchdog
-	case wire.RouteDropHopBudget:
-		return sim.ReasonHopBudget
-	case wire.RouteDropInvalid:
-		return sim.ReasonInvalidSend
-	case wire.RouteDropStranded:
-		return sim.ReasonStranded
+// TestCacheKeyCoversPerimeterState pins the memo cache's purity on the
+// perimeter state: setting any planar.State field must change the key. The
+// fields are enumerated by reflection, so a field added later fails here
+// until the key covers it (or the test learns its kind).
+func TestCacheKeyCoversPerimeterState(t *testing.T) {
+	d := newDecider(testDeployment(t), 0.5, 0)
+	pkt := &sim.Packet{Dests: []int{3}, Locs: []geom.Point{{X: 1, Y: 2}},
+		Anchor: -1, Perimeter: true}
+	base := string(d.appendCacheKey(nil, "MCFR", wire.OpDecide, 0, pkt))
+	st := reflect.TypeOf(planar.State{})
+	for i := 0; i < st.NumField(); i++ {
+		q := *pkt
+		f := reflect.ValueOf(&q.Peri).Elem().Field(i)
+		switch f.Kind() {
+		case reflect.Bool:
+			f.SetBool(true)
+		case reflect.Int:
+			f.SetInt(7)
+		case reflect.Float64:
+			f.SetFloat(1.5)
+		case reflect.Struct: // geom.Point
+			f.Set(reflect.ValueOf(geom.Point{X: 3, Y: 4}))
+		default:
+			t.Fatalf("planar.State.%s: unhandled kind %v", st.Field(i).Name, f.Kind())
+		}
+		if string(d.appendCacheKey(nil, "MCFR", wire.OpDecide, 0, &q)) == base {
+			t.Errorf("cache key ignores planar.State.%s", st.Field(i).Name)
+		}
 	}
-	t.Fatalf("unknown route status %d", status)
-	return 0
+}
+
+// TestRouteCacheInvisibleMCFR is the ROUTE-level memo regression: MCFR's
+// senior and junior copies meet the same node with otherwise identical
+// state, so a key missing their direction bits serves one copy the other's
+// decision. Summaries with the cache on and off must be byte-identical.
+func TestRouteCacheInvisibleMCFR(t *testing.T) {
+	dep := testDeployment(t)
+	on := newDecider(dep, 0.5, 0)
+	on.cache = newDecisionCache(0)
+	off := newDecider(dep, 0.5, 0)
+	hits := 0
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		src, dests := pickNodes(rng, dep.NW.Len(), 12)
+		rb := wire.RouteBody{Frame: routeFrame(t, dep, src, dests)}
+		a, err := on.walkRoute("MCFR", rb, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := off.walkRoute("MCFR", rb, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hits += int(a.CacheHits)
+		a.CacheHits = 0
+		if !bytes.Equal(wire.EncodeRouteDone(*a), wire.EncodeRouteDone(*b)) {
+			t.Errorf("seed %d: cached walk (%d hops) differs from uncached (%d hops)",
+				seed, a.Hops, b.Hops)
+		}
+	}
+	if hits == 0 {
+		t.Fatal("cache never hit; the regression is not exercised")
+	}
 }
 
 // pickNodes returns a source and k distinct destinations (none the source).
@@ -499,9 +536,57 @@ func TestRouteOverrun(t *testing.T) {
 	}
 }
 
+// TestRoutePanicIsolation pins that a walk's protocol runs on the worker
+// goroutine, inside the per-request recover: a panicking protocol costs one
+// ERROR CodePanic answer, and the same single worker — its decider and
+// engine reused — goes on to answer GMP walks.
+func TestRoutePanicIsolation(t *testing.T) {
+	srv, addr := startServer(t, Config{Workers: 1})
+	defer srv.Drain()
+	dep := testDeployment(t)
+	rng := rand.New(rand.NewSource(9))
+	src, dests := pickNodes(rng, dep.NW.Len(), 10)
+	rb := wire.RouteBody{Frame: routeFrame(t, dep, src, dests)}
+
+	pc, err := Dial(addr, "PANIC", 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pc.Close()
+	rep, err := pc.Route(rb, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Kind != wire.MsgError || rep.Err.Code != wire.CodePanic {
+		t.Fatalf("want ERROR CodePanic, got %s (%+v)", wire.MsgName(rep.Kind), rep.Err)
+	}
+	if got := srv.Stats().Panics; got != 1 {
+		t.Fatalf("panics = %d, want 1", got)
+	}
+
+	c, err := Dial(addr, "GMP", 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for i := 0; i < 2; i++ {
+		rep, err := c.Route(rb, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Kind != wire.MsgRouteDone || len(rep.Done.Outcomes) != len(dests) {
+			t.Fatalf("post-panic route %d: %s (%+v)", i, wire.MsgName(rep.Kind), rep.Err)
+		}
+	}
+	if err := srv.Stats().CheckConservation(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestRouteMalformed pins the admission rules for ROUTE bodies: a short
 // body is answered ERROR without admission; a ROUTE whose frame carries
-// start-illegal state (PERIMODE) is admitted and answered ERROR.
+// start-illegal state (PERIMODE, a non-zero hop count) is admitted and
+// answered ERROR.
 func TestRouteMalformed(t *testing.T) {
 	srv, addr := startServer(t, Config{Workers: 1})
 	defer srv.Drain()
@@ -516,18 +601,20 @@ func TestRouteMalformed(t *testing.T) {
 		t.Fatalf("malformed ROUTE admitted: %d", got)
 	}
 
-	f := &wire.Frame{Source: dep.NW.Pos(0), NextHop: dep.NW.Pos(0),
-		Flags: wire.FlagPerimeter}
-	f.Dests = append(f.Dests, dep.NW.Pos(1))
-	data, err := wire.Encode(f, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.write(wire.Msg{Type: wire.MsgRoute, ID: 3,
-		Body: wire.EncodeRoute(wire.RouteBody{Frame: data})})
-	m := r.read()
-	if m.Type != wire.MsgError {
-		t.Fatalf("PERIMODE start: got %s", wire.MsgName(m.Type))
+	for i, f := range []*wire.Frame{
+		{Source: dep.NW.Pos(0), NextHop: dep.NW.Pos(0), Flags: wire.FlagPerimeter},
+		{Source: dep.NW.Pos(0), NextHop: dep.NW.Pos(0), Hops: 3},
+	} {
+		f.Dests = append(f.Dests, dep.NW.Pos(1))
+		data, err := wire.Encode(f, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.write(wire.Msg{Type: wire.MsgRoute, ID: uint64(3 + i),
+			Body: wire.EncodeRoute(wire.RouteBody{Frame: data})})
+		if m := r.read(); m.Type != wire.MsgError {
+			t.Fatalf("start-illegal frame %d: got %s", i, wire.MsgName(m.Type))
+		}
 	}
 	if err := srv.Stats().CheckConservation(); err != nil {
 		t.Fatal(err)

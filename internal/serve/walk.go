@@ -1,36 +1,33 @@
 package serve
 
-// The server-side route walker behind the ROUTE op. A per-hop client plays
-// ping-pong with the daemon: decode a frame, make one decision, re-encode,
-// and pay a round trip per transmission. A ROUTE request hands the daemon
-// the start frame once; the walker then runs the whole multicast walk
-// in-process, applying each decision's forwards to in-flight packet copies
-// under the simulation kernel's send and arrival rules, and
-// streams each transmission back as a HOP message before summarizing every
-// destination's fate in ROUTE_DONE.
+// The server-side route walker behind the ROUTE op. A per-hop client pays a
+// round trip per transmission; a ROUTE hands the daemon the start frame
+// once, and the daemon runs the whole multicast walk in-process, streams
+// each copy event back as a HOP and summarizes every destination's fate in
+// ROUTE_DONE.
 //
-// The walk reuses one decider's scratch across every hop — one frame
-// decode, pooled packet copies, one encode arena — which is where the
-// streamed mode's throughput comes from (BenchmarkRouteK120 vs
-// BenchmarkPerHopRouteK120; E-X14 measures the same ratio end to end).
-//
-// Fidelity: the walker applies the simulation kernel's own forwarding
-// rules — sim.CheckSend (invalid-send and hop-budget kills before the air)
-// and (*sim.Packet).StripAt (strip-then-decide arrivals, first delivery
-// wins) — and bills stranded copies and drop sentinels as the kernel does.
-// It keeps full in-memory routing state between hops — perimeter watchdog
-// fields and the previous hop survive, which the per-hop wire format cannot
-// carry. Copies advance in FIFO order from a breadth-first queue, so
-// arrivals are processed in nondecreasing hop order and the first delivery
-// at a destination is a minimum-hop delivery, matching the engine for every
-// non-redundant protocol (the E-X14 replay oracle pins this).
+// The walker is a kernel client: a ROUTE is one RunTask on a fault-free
+// engine the decider owns (default radio, the request's hop budget, the
+// decider's oracle views), with routeHandler as the protocol. Send rules,
+// strip-on-arrive, drop billing and first-reason-wins settlement are the
+// kernel's own, so a ROUTE_DONE is by construction the engine's result for
+// the same task, for every servable protocol — MCFR included. HOPs come in
+// kernel dispatch order, and the walk keeps the perimeter watchdog state
+// and previous hop that the per-hop wire format cannot carry. The engine
+// is never sharded: it runs inline on the worker goroutine, so a panicking
+// protocol unwinds into the server's per-request recover and the HOP order
+// is deterministic. Reusing the decider's scratch and the engine's lanes
+// across walks is where the streamed mode's throughput comes from
+// (BenchmarkRouteK120 vs BenchmarkPerHopRouteK120).
 
 import (
 	"errors"
 	"fmt"
 	"sort"
 
+	"gmp/internal/routing"
 	"gmp/internal/sim"
+	"gmp/internal/view"
 	"gmp/internal/wire"
 )
 
@@ -50,12 +47,6 @@ const (
 // ErrWalkOverrun reports a route walk that exceeded the decision ceiling.
 var ErrWalkOverrun = errors.New("serve: route walk exceeded the step ceiling")
 
-// walkItem is one in-flight packet copy waiting to arrive at node.
-type walkItem struct {
-	node int
-	pkt  *sim.Packet
-}
-
 // reasonStatus maps an engine drop reason onto the wire's per-destination
 // route status byte.
 func reasonStatus(r sim.DropReason) byte {
@@ -74,21 +65,20 @@ func reasonStatus(r sim.DropReason) byte {
 }
 
 // walkRoute answers one ROUTE request: decode the start frame, resolve the
-// destination set, and run the full multicast walk at the deciding source,
-// streaming transmissions through emit and returning the summary.
+// destination set, run the task on the decider's engine, and summarize
+// each destination from the kernel's metrics.
 //
 // emit, when non-nil, is called once per copy event the decision plane
 // produced — a transmission (To ≥ 0, Frame carrying the outgoing frame
 // byte-identical to the per-hop DECIDE reply) or an explicit protocol drop
 // (To = DropCopy/DropWatchdog sentinels). Engine-imposed kills (hop budget,
-// invalid send, stranding) produce no HOP; they surface in the summary's
-// outcomes. emit must fully consume hb before returning — the frame bytes
-// alias the walker's arena. An emit returning false stops the stream (the
-// session is saturated or gone) but never the walk: the summary's
-// conservation over destinations stays exact regardless.
+// invalid send, stranding) produce no HOP; they surface in the outcomes.
+// emit must fully consume hb before returning — the frame bytes alias the
+// decider's arena. An emit returning false stops the stream but never the
+// walk.
 //
-// Errors are request-mapping errors (ErrBadFrame/ErrBadOp/ErrUnservable)
-// or ErrWalkOverrun; the caller maps them to wire error codes.
+// Errors are request-mapping errors (ErrBadFrame/ErrBadOp/ErrUnservable),
+// frame-encode errors, or ErrWalkOverrun.
 func (d *decider) walkRoute(protoName string, rb wire.RouteBody, emit func(hb wire.HopBody) bool) (*wire.RouteDoneBody, error) {
 	p, err := d.protocol(protoName)
 	if err != nil {
@@ -97,193 +87,137 @@ func (d *decider) walkRoute(protoName string, rb wire.RouteBody, emit func(hb wi
 	if err := wire.DecodeInto(&d.frame, rb.Frame); err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrBadFrame, err)
 	}
-	f := &d.frame
-	nw := d.dep.NW
-
-	// Resolve the full wanted set first — the summary reports every
-	// resolved destination, including those co-located with the source.
-	if d.seen == nil {
-		d.seen = make(map[int]bool, 64)
+	if d.frame.Hops != 0 {
+		return nil, fmt.Errorf("%w: hop count %d on a route request", ErrBadOp, d.frame.Hops)
 	}
-	clear(d.seen)
-	want := make([]int, 0, len(f.Dests))
-	for _, loc := range f.Dests {
-		id := nw.ClosestNode(loc)
-		if d.seen[id] {
-			continue // co-located subscribers merge (§2)
-		}
-		d.seen[id] = true
-		want = append(want, id)
-	}
-	sort.Ints(want)
-
-	// frameToPacket re-resolves under the engine's Start shape rules:
-	// no anchor, no PERIMODE, sorted destinations, restamped locations,
-	// source-co-located destinations stripped (delivered at hop 0).
-	src, pkt, err := d.frameToPacket(wire.OpStart, f)
+	// frameToPacket leaves the resolved destinations, minus the source,
+	// sorted in d.ids; d.seen[src] marks a destination at the source itself.
+	src, _, err := d.frameToPacket(wire.OpStart, &d.frame)
 	if err != nil {
 		return nil, err
 	}
-
+	dests := d.ids
+	if d.seen[src] {
+		dests = append(dests, src)
+		sort.Ints(dests)
+	}
 	budget := int(rb.Budget)
 	if budget == 0 {
 		budget = d.routeBudget
 	}
-	maxSteps := d.routeMaxSteps
-	if maxSteps <= 0 {
-		maxSteps = DefaultRouteMaxSteps
+	if d.engine == nil || d.engine.MaxHops() != budget {
+		d.engine = sim.NewEngine(d.dep.NW, sim.DefaultRadioParams(), budget)
+		d.engine.SetViews(d.views)
 	}
-
-	delivered := make(map[int]uint16, len(want))
-	pending := make(map[int]byte) // first drop reason wins; settled at the end
-	for _, id := range want {
-		if id == src {
-			delivered[id] = 0
-		}
+	h := &d.walk
+	*h = routeHandler{d: d, p: p, name: protoName, emit: emit, pkts: h.pkts, fwds: h.fwds}
+	m := d.engine.RunTask(h, src, dests)
+	if h.err != nil {
+		return nil, h.err
 	}
-
-	done := &wire.RouteDoneBody{}
-	var seq uint32
-	// bill defers a copy kill's per-destination charge into the pending
-	// map, exactly like the engine's redundant-session settlement: a later
-	// copy may still deliver, so delivered destinations shed their pending
-	// reason when the walk settles.
-	bill := func(dests []int, r sim.DropReason) {
-		status := reasonStatus(r)
-		for _, id := range dests {
-			if _, seen := pending[id]; !seen {
-				pending[id] = status
-			}
-		}
-	}
-	// event streams one copy event; a refused emit stops the stream but
-	// never the walk.
-	event := func(from, to int, hops int, r *fwdRec) error {
-		if emit == nil {
-			return nil
-		}
-		hb := byte(255)
-		if hops < 255 {
-			hb = byte(hops)
-		}
-		arena := d.arena[:0]
-		arena, err := d.appendForwardFrame(arena, f.Source, f.Payload, hb, from, r)
-		d.arena = arena
-		if err != nil {
-			return err
-		}
-		if !emit(wire.HopBody{Seq: seq, From: int32(from), To: int32(to), Frame: arena}) {
-			emit = nil
-		}
-		seq++
-		return nil
-	}
-
-	var queue []walkItem
-	head := 0
-	// step runs one decision at node on pkt and applies its forwards:
-	// explicit drop sentinels kill with their reasons; transmissions pass
-	// sim.CheckSend, then are enqueued as fresh pooled copies.
-	step := func(op byte, node int, pkt *sim.Packet, pooled bool) error {
-		if int(done.Decisions) >= maxSteps {
-			return ErrWalkOverrun
-		}
-		recs, hit := d.run(p, protoName, op, node, pkt)
-		done.Decisions++
-		if hit {
-			done.CacheHits++
-		}
-		if len(recs) == 0 {
-			bill(pkt.Dests, sim.ReasonStranded)
-			if pooled && hit {
-				sim.PutPacket(pkt)
-			}
-			return nil
-		}
-		for i := range recs {
-			r := &recs[i]
-			hops := pkt.Hops + 1
-			if reason, ok := sim.SentinelReason(r.To); ok {
-				// Per-hop replies encode drop frames with the bumped hop
-				// count (recsToReplies bumps once for the whole list); the
-				// stream matches byte for byte.
-				bill(r.Dests, reason)
-				if err := event(node, r.To, hops, r); err != nil {
-					return err
-				}
-				continue
-			}
-			if reason, ok := sim.CheckSend(nw, node, r.To, hops, budget); !ok {
-				bill(r.Dests, reason)
-				continue // killed before the air
-			}
-			if err := event(node, r.To, hops, r); err != nil {
-				return err
-			}
-			done.Hops++
-			q := sim.GetPacket()
-			q.Dests = append(q.Dests, r.Dests...)
-			q.Locs = append(q.Locs, r.Locs...)
-			q.Hops = hops
-			q.Perimeter = r.Perimeter
-			if r.Perimeter {
-				q.Peri = r.Peri
-			}
-			q.Anchor = r.Anchor
-			queue = append(queue, walkItem{node: r.To, pkt: q})
-		}
-		// A cache hit never showed pkt to a handler, and cached records
-		// alias nothing of it — a pooled copy can be recycled.
-		if pooled && hit {
-			sim.PutPacket(pkt)
-		}
-		return nil
-	}
-
-	if pkt != nil { // nil: every destination resolved to the source
-		// The start packet is decoder scratch, never pooled.
-		if err := step(wire.OpStart, src, pkt, false); err != nil {
-			return nil, err
-		}
-	}
-	for head < len(queue) {
-		it := queue[head]
-		queue[head] = walkItem{}
-		head++
-		// Arrive: strip the node (first delivery wins), then decide if work
-		// remains.
-		q := it.pkt
-		if q.StripAt(it.node) > 0 {
-			if _, dup := delivered[it.node]; !dup {
-				delivered[it.node] = uint16(min(q.Hops, 0xFFFF))
-			}
-		}
-		if len(q.Dests) == 0 {
-			// Fully delivered; this copy was never shown to a handler, so
-			// its storage goes back to the pool for the next hop's clone.
-			sim.PutPacket(q)
-			continue
-		}
-		if err := step(wire.OpDecide, it.node, q, true); err != nil {
-			return nil, err
-		}
-	}
-
-	// Settle: delivered wins over any pending drop reason (another copy's
-	// death never un-delivers a destination).
-	done.Outcomes = make([]wire.DestOutcome, 0, len(want))
-	for _, id := range want {
-		o := wire.DestOutcome{Node: int32(id), Loc: nw.Pos(id)}
-		if h, ok := delivered[id]; ok {
-			o.Status, o.Hops = wire.RouteDelivered, h
-		} else if status, ok := pending[id]; ok {
-			o.Status = status
+	done := h.done
+	done.Hops = uint32(m.Transmissions)
+	done.Outcomes = make([]wire.DestOutcome, 0, len(dests))
+	for _, id := range dests {
+		o := wire.DestOutcome{Node: int32(id), Loc: d.dep.NW.Pos(id)}
+		if hops, ok := m.Delivered[id]; ok {
+			o.Status, o.Hops = wire.RouteDelivered, uint16(min(hops, 0xFFFF))
+		} else if r, ok := m.Dropped[id]; ok {
+			o.Status = reasonStatus(r)
 		} else {
-			// Every copy either delivers or is billed when it dies; a
-			// destination with neither is a walker conservation bug.
 			return nil, fmt.Errorf("%w: destination %d neither delivered nor dropped", ErrFrameEncode, id)
 		}
 		done.Outcomes = append(done.Outcomes, o)
 	}
-	return done, nil
+	return &done, nil
+}
+
+// routeHandler is the sim.Handler a ROUTE walk runs: each decision is the
+// decider's memo-cached run, returned as forwards whose packets alias the
+// decision's records (the kernel clones each on send), and its copy events
+// stream out as HOPs. It lives on the decider, keeping its scratch.
+type routeHandler struct {
+	d    *decider
+	p    routing.Protocol
+	name string
+	emit func(wire.HopBody) bool
+	done wire.RouteDoneBody // Decisions and CacheHits
+	seq  uint32             // next HOP's sequence number
+	// err is the walk's first failure; from then on every decision strands
+	// its copy, so the kernel drains quickly.
+	err error
+	// recycle is the last cache-hit arrival: no protocol saw it and the
+	// kernel is done with it once its forwards are applied, so it returns
+	// to the packet pool at the next decision.
+	recycle *sim.Packet
+	pkts    []sim.Packet
+	fwds    []sim.Forward
+}
+
+// Start implements sim.Handler.
+func (h *routeHandler) Start(v view.NodeView, pkt *sim.Packet) []sim.Forward {
+	return h.decide(wire.OpStart, v.Self(), pkt)
+}
+
+// Decide implements sim.Handler.
+func (h *routeHandler) Decide(v view.NodeView, pkt *sim.Packet) []sim.Forward {
+	return h.decide(wire.OpDecide, v.Self(), pkt)
+}
+
+// RedundantCopies implements sim.RedundantHandler with the wrapped
+// protocol's answer.
+func (h *routeHandler) RedundantCopies() bool {
+	rh, ok := h.p.(sim.RedundantHandler)
+	return ok && rh.RedundantCopies()
+}
+
+// decide runs one decision at node and streams a HOP for each drop
+// sentinel and each send sim.CheckSend lets onto the air — exactly the
+// copy events the kernel makes of the returned forwards. A refused emit
+// stops the stream but never the walk.
+func (h *routeHandler) decide(op byte, node int, pkt *sim.Packet) []sim.Forward {
+	if h.recycle != nil {
+		sim.PutPacket(h.recycle)
+		h.recycle = nil
+	}
+	if h.err != nil {
+		return nil
+	}
+	if int(h.done.Decisions) >= h.d.routeMaxSteps {
+		h.err = ErrWalkOverrun
+		return nil
+	}
+	recs, hit := h.d.run(h.p, h.name, op, node, pkt)
+	h.done.Decisions++
+	if hit {
+		h.done.CacheHits++
+		if op == wire.OpDecide {
+			h.recycle = pkt // a kernel clone; the start packet is not pooled
+		}
+	}
+	hops := pkt.Hops + 1
+	h.pkts, h.fwds = h.pkts[:0], h.fwds[:0]
+	for i := range recs {
+		r := &recs[i]
+		_, dropped := sim.SentinelReason(r.To)
+		if _, ok := sim.CheckSend(h.d.dep.NW, node, r.To, hops, h.d.engine.MaxHops()); h.emit != nil && (dropped || ok) {
+			// Per-hop replies encode drop frames with the bumped hop count
+			// too; the stream matches them byte for byte.
+			h.d.arena, h.err = h.d.appendForwardFrame(h.d.arena[:0], h.d.frame.Source,
+				h.d.frame.Payload, byte(min(hops, 255)), node, r)
+			if h.err != nil {
+				return nil
+			}
+			if !h.emit(wire.HopBody{Seq: h.seq, From: int32(node), To: int32(r.To), Frame: h.d.arena}) {
+				h.emit = nil
+			}
+			h.seq++
+		}
+		h.pkts = append(h.pkts, sim.Packet{Dests: r.Dests, Locs: r.Locs, Hops: pkt.Hops,
+			Perimeter: r.Perimeter, Peri: r.Peri, Anchor: r.Anchor, Session: pkt.Session})
+	}
+	for i := range h.pkts {
+		h.fwds = append(h.fwds, sim.Forward{To: recs[i].To, Pkt: &h.pkts[i]})
+	}
+	return h.fwds
 }

@@ -32,6 +32,9 @@ type AuditConfig struct {
 //   - Conservation: every originated destination is either delivered or
 //     aboard exactly one dropped copy — DestCount == len(Delivered) +
 //     DroppedDests(), itemized per drop reason.
+//   - Per-destination conservation: no destination is both delivered and
+//     dropped, and for every reason but ReasonLeft the destinations whose
+//     first drop it was (Dropped) number exactly DestDropsByReason.
 //   - No duplicate deliveries.
 //   - Bounded hops: no delivery beyond the hop budget, and no negative hop
 //     count.
@@ -63,7 +66,18 @@ func AuditTask(m *TaskMetrics, cfg AuditConfig) error {
 				d, h, cfg.MaxHops)
 		}
 	}
+	var firstDrops [NumDropReasons]int
+	for d, r := range m.Dropped {
+		if _, ok := m.Delivered[d]; ok {
+			return fmt.Errorf("destination %d both delivered and dropped (%v)", d, r)
+		}
+		firstDrops[r]++
+	}
 	for r := DropReason(0); r < NumDropReasons; r++ {
+		if r != ReasonLeft && firstDrops[r] != m.DestDropsByReason[r] {
+			return fmt.Errorf("%d destinations first dropped as %v, %d billed",
+				firstDrops[r], r, m.DestDropsByReason[r])
+		}
 		if m.DropsByReason[r] < 0 || m.DestDropsByReason[r] < 0 {
 			return fmt.Errorf("negative drop counter for %v", r)
 		}

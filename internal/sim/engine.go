@@ -68,22 +68,12 @@ func freePacket(p *Packet) {
 	packetPool.Put(p)
 }
 
-// GetPacket hands a pooled packet to callers outside the engine (the
-// decision service's route walker shares the pool so streamed walks reuse
-// storage across hops). All fields are zero; Dests and Locs are length 0
-// with whatever capacity a previous life left them.
-func GetPacket() *Packet {
-	p := getPacket()
-	p.Dests = p.Dests[:0]
-	p.Locs = p.Locs[:0]
-	return p
-}
-
-// PutPacket recycles a packet obtained from GetPacket (or built by Clone/
-// CloneFor). The caller must hold the only live reference to p and to its
-// Dests/Locs backing arrays — the same contract the engine's own release
-// points obey; packets that were shown to a protocol handler must be left
-// to the garbage collector instead.
+// PutPacket recycles a packet built by Clone/CloneFor — for a handler
+// handed an arriving kernel clone that it never showed to a protocol (the
+// decision service's memo-cache hits). The caller must hold the only live
+// reference to p and to its Dests/Locs backing arrays — the same contract
+// the engine's own release points obey; packets that were shown to a
+// protocol must be left to the garbage collector instead.
 func PutPacket(p *Packet) { freePacket(p) }
 
 // Clone deep-copies the packet, so every transmitted copy owns its state.
@@ -282,6 +272,10 @@ type TaskMetrics struct {
 	// Delivered maps each reached destination to the hop count at which it
 	// was first reached (Figure 12 averages these).
 	Delivered map[int]int
+	// Dropped maps each destination no copy delivered to the reason of its
+	// first drop in kernel time, for every session. Destinations retired
+	// by churn are absent (they count under ReasonLeft only).
+	Dropped map[int]DropReason
 	// DropsByReason counts packet-copy deaths by cause.
 	DropsByReason [NumDropReasons]int
 	// DestDropsByReason counts, per cause, the destinations that were still

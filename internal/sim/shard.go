@@ -113,10 +113,10 @@ type laneSession struct {
 	// masks caches the masking views, one per banned-at node, invalidated
 	// whenever that node's ban set grows.
 	masks map[int]*view.Masked
-	// pending defers per-destination drop billing for redundant-copy
-	// sessions (RedundantHandler): destination → first drop observed in this
-	// lane, with its lane time so merge can pick the globally-first one
-	// deterministically. Lazily allocated; nil for ordinary sessions.
+	// pending records each destination's first drop observed in this lane,
+	// with its lane time so merge can settle the globally-first one
+	// deterministically (TaskMetrics.Dropped; the deferred per-destination
+	// billing of redundant-copy sessions). Lazily allocated.
 	pending map[int]pendingDrop
 }
 
@@ -548,16 +548,16 @@ func (r *kernel) kill(ln *lane, pkt *Packet, reason DropReason) {
 }
 
 // drop records one copy-level death in session si plus the destinations
-// still aboard, both indexed by reason. Ordinary sessions bill the
-// destinations immediately; redundant-copy sessions defer them, first reason
-// wins, stamped with the lane clock so merge can settle the globally-first
-// drop — another live copy may still deliver the destination.
+// still aboard, both indexed by reason. Each destination's first drop is
+// stamped with the lane clock so merge can settle the globally-first one.
+// Ordinary sessions also bill the destinations immediately; redundant-copy
+// sessions bill them only at settlement — another live copy may still
+// deliver the destination.
 func (r *kernel) drop(ln *lane, si int, dests []int, reason DropReason) {
 	ls := &ln.sess[si]
 	ls.m.DropsByReason[reason]++
 	if !r.sess[si].redundant {
 		ls.m.DestDropsByReason[reason] += len(dests)
-		return
 	}
 	if ls.pending == nil {
 		ls.pending = make(map[int]pendingDrop)
@@ -853,15 +853,13 @@ func (r *kernel) merge() []SessionMetrics {
 		}
 	}
 
-	// Settle deferred per-destination billing for redundant-copy sessions,
-	// against the now-complete delivered set. Each destination is charged its
-	// globally-first drop — earliest lane time, ties broken by lane order
-	// (the scan keeps the first lane's entry on equal times) — unless some
-	// copy delivered it or churn retired it (already billed as ReasonLeft).
+	// Settle each destination's globally-first drop — earliest lane time,
+	// ties broken by lane order (the scan keeps the first lane's entry on
+	// equal times) — against the now-complete delivered set: destinations
+	// some copy delivered, or churn retired (billed as ReasonLeft), keep no
+	// drop. Redundant-copy sessions bill their deferred per-destination
+	// drops here.
 	for si := range r.base {
-		if !r.sess[si].redundant {
-			continue
-		}
 		var best map[int]pendingDrop
 		for _, ln := range r.lanes {
 			for d, pd := range ln.sess[si].pending {
@@ -881,7 +879,13 @@ func (r *kernel) merge() []SessionMetrics {
 			if sc := r.sess[si].churn; sc != nil && sc.retired[d] {
 				continue
 			}
-			o.DestDropsByReason[pd.reason]++
+			if o.Dropped == nil {
+				o.Dropped = make(map[int]DropReason, len(best))
+			}
+			o.Dropped[d] = pd.reason
+			if r.sess[si].redundant {
+				o.DestDropsByReason[pd.reason]++
+			}
 		}
 	}
 	return r.base
