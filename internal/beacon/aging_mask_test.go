@@ -41,7 +41,7 @@ func TestMaskedOverAgedViews(t *testing.T) {
 		}
 		self := twoNodeWalkabout(at)
 		p := ViewsArmed(self, tk.Tables(), 150, planar.Gabriel, wd)
-		b := p.At(0)
+		b := p.At(0, new(view.Scratch))
 		return b, view.NewMasked(b, banned)
 	}
 
@@ -106,7 +106,7 @@ func TestMaskedOverAdversarialTables(t *testing.T) {
 		{{ID: 1, Pos: geom.Pt(100, 0), HeardAt: 1}},
 	}
 	p := ViewsArmed(self, ghost, 150, planar.Gabriel, view.WatchdogLimits{MaxWalkHops: 40})
-	masked := view.NewMasked(p.At(0), map[int]bool{1: true})
+	masked := view.NewMasked(p.At(0, new(view.Scratch)), map[int]bool{1: true})
 	if masked.Degree() != 0 || len(masked.PlanarNeighbors()) != 0 {
 		t.Fatal("mask leaked the ghost entry into an adjacency")
 	}
@@ -126,10 +126,10 @@ func TestMaskedOverAdversarialTables(t *testing.T) {
 		nil,
 	}
 	p = ViewsArmed(self, oneSided, 150, planar.Gabriel, view.WatchdogLimits{})
-	if _, ok := p.At(0).NbrPosOK(1); ok {
+	if _, ok := p.At(0, new(view.Scratch)).NbrPosOK(1); ok {
 		t.Fatal("node 0 should not know the one-sided sender")
 	}
-	masked = view.NewMasked(p.At(1), map[int]bool{0: true})
+	masked = view.NewMasked(p.At(1, new(view.Scratch)), map[int]bool{0: true})
 	if masked.Degree() != 0 || len(masked.PlanarNeighbors()) != 0 {
 		t.Fatal("mask left the one-sided link usable")
 	}

@@ -235,7 +235,7 @@ func TestWorkersDeterminism(t *testing.T) {
 
 // TestScratchSafetyMultiWorker extends TestWorkersDeterminism to the shared
 // mutable state PR 5 introduced: the global sync.Pool of packets and the
-// per-node decision arenas (view.Scratch, steiner.Builder). Eight workers run
+// per-lane decision arenas (view.Scratch, steiner.Builder). Eight workers run
 // the two campaigns that hit every pool release point — a loss sweep with ARQ
 // (link-loss drops, retransmission exhaustion, full delivery) and a chaos
 // campaign (crashes, perimeter recovery, the whole drop-reason taxonomy) —

@@ -264,12 +264,17 @@ func (nw *Network) buildAdjacency() {
 
 // buildAdjacencyRange fills adjacency rows for node IDs in [lo, hi). Rows are
 // disjoint across ranges, so concurrent calls on disjoint ranges are safe.
+// The range's rows are packed into one exactly sized backing array and
+// handed out as capped sub-slices, so an append to a row can never
+// overwrite the next; an isolated node keeps a nil row.
 func (nw *Network) buildAdjacencyRange(lo, hi int) {
 	r2 := nw.rng * nw.rng
-	for _, n := range nw.nodes[lo:hi] {
+	var flat []int
+	ends := make([]int, hi-lo) // ends[i] is the end of row lo+i in flat
+	for i, n := range nw.nodes[lo:hi] {
 		cx := clampInt(int(n.Pos.X/nw.cellSize), 0, nw.cols-1)
 		cy := clampInt(int(n.Pos.Y/nw.cellSize), 0, nw.rows-1)
-		var nbrs []int
+		start := len(flat)
 		for dy := -1; dy <= 1; dy++ {
 			for dx := -1; dx <= 1; dx++ {
 				x, y := cx+dx, cy+dy
@@ -281,13 +286,22 @@ func (nw *Network) buildAdjacencyRange(lo, hi int) {
 						continue
 					}
 					if n.Pos.Dist2(nw.nodes[id].Pos) <= r2 {
-						nbrs = append(nbrs, id)
+						flat = append(flat, id)
 					}
 				}
 			}
 		}
-		sort.Ints(nbrs)
-		nw.adj[n.ID] = nbrs
+		sort.Ints(flat[start:])
+		ends[i] = len(flat)
+	}
+	packed := make([]int, len(flat))
+	copy(packed, flat)
+	start := 0
+	for i, end := range ends {
+		if end > start {
+			nw.adj[lo+i] = packed[start:end:end]
+		}
+		start = end
 	}
 }
 

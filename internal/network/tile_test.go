@@ -112,6 +112,9 @@ func TestTilingIndependentOfNodes(t *testing.T) {
 // TestParallelAdjacencyMatchesSerial is the satellite equivalence test:
 // the chunked parallel adjacency build must produce exactly the rows of the
 // serial build, on networks both below and above the parallel threshold.
+// Every row must also be exactly sized (cap == len): rows are capped views
+// into a packed chunk array, so an append to one can never overwrite the
+// next.
 func TestParallelAdjacencyMatchesSerial(t *testing.T) {
 	r := rand.New(rand.NewSource(29))
 	for _, n := range []int{300, adjParallelThreshold + 500} {
@@ -129,6 +132,12 @@ func TestParallelAdjacencyMatchesSerial(t *testing.T) {
 					t.Fatalf("n=%d: adjacency row %d differs: parallel %v, serial %v",
 						n, i, nw.adj[i], serial[i])
 				}
+			}
+		}
+		for i, row := range nw.adj {
+			if cap(row) != len(row) || cap(serial[i]) != len(serial[i]) {
+				t.Fatalf("n=%d: row %d has len %d but cap %d (serial cap %d)",
+					n, i, len(row), cap(row), cap(serial[i]))
 			}
 		}
 	}

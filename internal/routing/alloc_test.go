@@ -14,7 +14,7 @@ import (
 
 // TestGMPDecisionAllocBudget pins the steady-state allocation budget of one
 // bare GMP decision (group split + next-hop selection for 12 destinations).
-// The per-node arenas in view.Scratch keep the decision core down to the
+// The decision arena in view.Scratch keeps the decision core down to the
 // forwards it must return fresh (purity: callers may retain them); the budget
 // is the ISSUE 5 acceptance ceiling, ≤ 30% of the PR 3 baseline of 230.
 // Regressions here mean a hot-path slice escaped its arena.
@@ -26,7 +26,7 @@ func TestGMPDecisionAllocBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	pg := planar.Planarize(nw, planar.Gabriel)
-	v := view.NewOracle(nw, pg).At(0)
+	v := view.NewOracle(nw, pg).At(0, new(view.Scratch))
 	gmp := NewGMP()
 	dests := []int{100, 250, 400, 550, 700, 850, 950, 50, 300, 600, 750, 900}
 	locs := make([]geom.Point, len(dests))

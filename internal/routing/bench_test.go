@@ -91,7 +91,7 @@ func BenchmarkSingleMCFRDecision(b *testing.B) {
 		b.Fatal(err)
 	}
 	pg := planar.Planarize(nw, planar.Gabriel)
-	v := view.NewOracle(nw, pg).At(0)
+	v := view.NewOracle(nw, pg).At(0, new(view.Scratch))
 	mcfr := NewMCFR()
 	dests := []int{100, 250, 400, 550, 700, 850, 950, 50, 300, 600, 750, 900}
 	locs := make([]geom.Point, len(dests))
@@ -113,7 +113,7 @@ func BenchmarkSingleMCFRDecision(b *testing.B) {
 // BenchmarkSingleGMPDecision measures one bare GMP decision core — group
 // split plus next-hop selection for 12 destinations — invoked directly on a
 // NodeView with no engine around it. Steady-state allocations exercise the
-// per-node scratch caches (DistMemo); BENCH_PR5.json gates its allocs/op and
+// decision arena's caches (DistMemo); BENCH_PR5.json gates its allocs/op and
 // keeps the earlier SingleGMPDecision numbers under pr3_reference.
 func BenchmarkSingleGMPDecision(b *testing.B) {
 	b.ReportAllocs()
@@ -123,7 +123,7 @@ func BenchmarkSingleGMPDecision(b *testing.B) {
 		b.Fatal(err)
 	}
 	pg := planar.Planarize(nw, planar.Gabriel)
-	v := view.NewOracle(nw, pg).At(0)
+	v := view.NewOracle(nw, pg).At(0, new(view.Scratch))
 	gmp := NewGMP()
 	dests := []int{100, 250, 400, 550, 700, 850, 950, 50, 300, 600, 750, 900}
 	locs := make([]geom.Point, len(dests))

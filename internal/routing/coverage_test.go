@@ -78,7 +78,7 @@ func TestPBMGreedySubsetLargeCandidateSet(t *testing.T) {
 	pbm := NewPBM(0.3)
 	// Verify the construction actually exceeds the exact-enumeration cap
 	// at the source (otherwise the test silently loses its purpose).
-	v := view.NewOracle(bed.nw, bed.pg).At(src)
+	v := view.NewOracle(bed.nw, bed.pg).At(src, new(view.Scratch))
 	loc := make(map[int]geom.Point, len(dests))
 	for _, d := range dests {
 		loc[d] = bed.nw.Pos(d)

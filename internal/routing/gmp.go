@@ -116,7 +116,7 @@ func (g *GMP) Decide(v view.NodeView, pkt *sim.Packet) []sim.Forward {
 // none exists. It returns the destinations that remain void after maximal
 // splitting (each is a single non-virtual destination by then).
 func (g *GMP) forwardGroups(v view.NodeView, pkt *sim.Packet) (fwds []sim.Forward, voids []int) {
-	// Everything transient below lives in the node's scratch arena: the tree,
+	// Everything transient below lives in the decision arena: the tree,
 	// the pivot worklist, the per-group label buffer, and the batches. All of
 	// it is clobbered by the next decision; only the CloneFor'd packets and
 	// the forward list itself are freshly allocated (the engine keeps them).

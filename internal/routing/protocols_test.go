@@ -371,7 +371,7 @@ func TestGRDMalformedPacketDropped(t *testing.T) {
 	grd := NewGRD()
 	// Direct decision call with a malformed multi-destination packet: GRD
 	// unicasts carry exactly one destination, so the copy must be dropped.
-	v := view.NewOracle(bed.nw, bed.pg).At(0)
+	v := view.NewOracle(bed.nw, bed.pg).At(0, new(view.Scratch))
 	pkt := &sim.Packet{
 		Dests: []int{1, 2},
 		Locs:  []geom.Point{bed.nw.Pos(1), bed.nw.Pos(2)},

@@ -65,7 +65,7 @@ func TestSMTTreeFollowsView(t *testing.T) {
 					reachable = append(reachable, d)
 				}
 			}
-			fwds := NewSMT(v).Start(oracle.At(src), &sim.Packet{Dests: dests, Locs: locs, Anchor: -1})
+			fwds := NewSMT(v).Start(oracle.At(src, new(view.Scratch)), &sim.Packet{Dests: dests, Locs: locs, Anchor: -1})
 			var got map[int][]int
 			served := 0
 			for _, f := range fwds {

@@ -81,9 +81,9 @@ var (
 )
 
 // decider is one worker's private decision backend: its own view provider
-// (NodeView scratch is not safe for concurrent use), its own protocol
-// instances, and its own request scratch. The deployment and the memo
-// cache are shared and safe for concurrent use.
+// (its per-node caches are not safe for concurrent use), its own decision
+// arena, its own protocol instances, and its own request scratch. The
+// deployment and the memo cache are shared and safe for concurrent use.
 //
 // The scratch fields are reused across this worker's sequential requests.
 // That is safe under the same contract the whole stateless service stands
@@ -92,11 +92,14 @@ var (
 // scratch. It is what takes the per-request allocation count down from the
 // build-everything-per-frame PR 9 path.
 type decider struct {
-	dep    *Deployment
-	views  view.Provider
-	protos map[string]routing.Protocol
-	lambda float64
-	k      int
+	dep   *Deployment
+	views view.Provider
+	// scratch is the decision arena lent to every node this worker decides
+	// at; the worker runs one decision at a time.
+	scratch view.Scratch
+	protos  map[string]routing.Protocol
+	lambda  float64
+	k       int
 
 	// cache, when non-nil, memoizes normalized decisions across all
 	// workers (see cache.go).
@@ -178,9 +181,9 @@ func (d *decider) run(p routing.Protocol, protoName string, op byte, node int, p
 	}
 	var fwds []sim.Forward
 	if op == wire.OpStart {
-		fwds = p.Start(d.views.At(node), pkt)
+		fwds = p.Start(d.views.At(node, &d.scratch), pkt)
 	} else {
-		fwds = p.Decide(d.views.At(node), pkt)
+		fwds = p.Decide(d.views.At(node, &d.scratch), pkt)
 	}
 	recs := d.recs[:0]
 	for _, f := range fwds {

@@ -178,13 +178,22 @@ type lane struct {
 	mu    sync.Mutex
 	inbox []event
 
-	rng  *rand.Rand // the tile's fault stream; nil until a plan is active
-	sess []laneSession
-	cur  int // session whose handler is currently executing
+	rng *rand.Rand // the tile's fault stream; nil until a plan is active
+	// sess holds the lane's share of each session, taken on the lane's
+	// first touch of the session (see session): most sessions of a large
+	// script never reach most tiles. spare keeps earlier runs' states, maps
+	// and all, for reuse.
+	sess  []*laneSession
+	spare []*laneSession
+	cur   int // session whose handler is currently executing
 	// uncovered is billUncovered's scratch.
 	uncovered []int
 	// trace buffers the tile's trace events until the next barrier.
 	trace []tracedEvent
+	// scratch is the decision arena lent to every node this lane decides
+	// at. The lane runs one decision at a time, and the lane is reused
+	// across runs, so the arena stays warm.
+	scratch view.Scratch
 }
 
 // reset prepares ln for a run of the given number of sessions. With an
@@ -201,14 +210,34 @@ func (ln *lane) reset(sessions int, faults bool, seed int64) {
 			ln.rng.Seed(seed)
 		}
 	}
+	for i, ls := range ln.sess {
+		if ls != nil {
+			ls.reset()
+			ln.spare = append(ln.spare, ls)
+			ln.sess[i] = nil
+		}
+	}
 	if cap(ln.sess) < sessions {
-		ln.sess = make([]laneSession, sessions)
-		return
+		ln.sess = make([]*laneSession, sessions)
+	} else {
+		ln.sess = ln.sess[:sessions]
 	}
-	ln.sess = ln.sess[:sessions]
-	for i := range ln.sess {
-		ln.sess[i].reset()
+}
+
+// session returns the lane's state for session si, taking a spare (or a
+// new) one on the lane's first touch of the session in this run.
+func (ln *lane) session(si int) *laneSession {
+	ls := ln.sess[si]
+	if ls == nil {
+		if n := len(ln.spare); n > 0 {
+			ls = ln.spare[n-1]
+			ln.spare = ln.spare[:n-1]
+		} else {
+			ls = new(laneSession)
+		}
+		ln.sess[si] = ls
 	}
+	return ls
 }
 
 // schedule enqueues an event on ln's own queue, stamping the lane's
@@ -523,10 +552,14 @@ func (r *kernel) dispatch(ln *lane, ev event) {
 // in a masking decorator so every decision — greedy, grouping, perimeter —
 // excludes them. Sessions without bans (every fault-free run) get the
 // unwrapped base view, keeping the zero-fault path a strict no-op. A node's
-// bans live in its own lane, so the decorator cache is lane-private.
+// bans live in its own lane, so the decorator cache is lane-private. Either
+// way the decision runs on the lane's arena.
 func (r *kernel) viewAt(ln *lane, sess, node int) view.NodeView {
-	base := r.e.views.At(node)
-	st := &ln.sess[sess]
+	base := r.e.views.At(node, &ln.scratch)
+	st := ln.sess[sess]
+	if st == nil {
+		return base
+	}
 	b := st.banned[node]
 	if len(b) == 0 {
 		return base
@@ -554,7 +587,7 @@ func (r *kernel) kill(ln *lane, pkt *Packet, reason DropReason) {
 // sessions bill them only at settlement — another live copy may still
 // deliver the destination.
 func (r *kernel) drop(ln *lane, si int, dests []int, reason DropReason) {
-	ls := &ln.sess[si]
+	ls := ln.session(si)
 	ls.m.DropsByReason[reason]++
 	if !r.sess[si].redundant {
 		ls.m.DestDropsByReason[reason] += len(dests)
@@ -638,7 +671,7 @@ func (r *kernel) apply(ln *lane, from int, fwds []Forward) {
 func (r *kernel) send(ln *lane, from, to int, pkt *Packet) {
 	if reason, ok := CheckSend(r.e.net, from, to, pkt.Hops+1, r.e.maxHops); !ok {
 		if reason == ReasonInvalidSend {
-			ln.sess[ln.cur].m.InvalidSends++
+			ln.session(ln.cur).m.InvalidSends++
 		}
 		r.drop(ln, ln.cur, pkt.Dests, reason)
 		return
@@ -662,7 +695,7 @@ func (r *kernel) transmit(ln *lane, from, to int, pkt *Packet, attempt int) {
 		freePacket(pkt) // kernel clone, still unexposed to any handler
 		return
 	}
-	m := &ln.sess[pkt.Session].m
+	m := &ln.session(pkt.Session).m
 	txStart, airtime := r.air(ln, m, from, e.frameBytes(pkt))
 	m.Transmissions++
 	if attempt > 0 {
@@ -741,8 +774,9 @@ func (r *kernel) receive(ln *lane, ev event) {
 	if !ev.lost && !r.isDead(ev.to) {
 		if e.arq.Enabled {
 			// ACKs are modeled loss-free (see ARQConfig).
-			r.air(ln, &ln.sess[pkt.Session].m, ev.to, e.arq.AckBytes)
-			ln.sess[pkt.Session].m.Acks++
+			m := &ln.session(pkt.Session).m
+			r.air(ln, m, ev.to, e.arq.AckBytes)
+			m.Acks++
 		}
 		r.arrive(ln, ev.to, pkt)
 		return
@@ -769,7 +803,7 @@ func (r *kernel) receive(ln *lane, ev event) {
 // failure, ban the link, offer the copy to the NackHandler — whose view
 // already masks the dead neighbor — and bill it if no re-route salvages it.
 func (r *kernel) giveUp(ln *lane, from, to int, pkt *Packet) {
-	st := &ln.sess[pkt.Session]
+	st := ln.session(pkt.Session)
 	st.m.LinkFailures++
 	st.ban(from, to)
 	nh, hasNack := r.sess[pkt.Session].handler.(NackHandler)
@@ -798,7 +832,7 @@ func (r *kernel) giveUp(ln *lane, from, to int, pkt *Packet) {
 func (r *kernel) arrive(ln *lane, node int, pkt *Packet) {
 	ln.cur = pkt.Session
 	if n := pkt.StripAt(node); n > 0 {
-		m := &ln.sess[pkt.Session].m
+		m := &ln.session(pkt.Session).m
 		if m.Delivered == nil {
 			m.Delivered = make(map[int]int)
 			m.DeliveredAt = make(map[int]float64)
@@ -824,8 +858,11 @@ func (r *kernel) arrive(ln *lane, node int, pkt *Packet) {
 // accumulation independent of the shard count — and settles deferred drops.
 func (r *kernel) merge() []SessionMetrics {
 	for _, ln := range r.lanes {
-		for si := range ln.sess {
-			p := &ln.sess[si].m
+		for si, ls := range ln.sess {
+			if ls == nil {
+				continue
+			}
+			p := &ls.m
 			o := &r.base[si]
 			o.Transmissions += p.Transmissions
 			o.EnergyJ += p.EnergyJ
@@ -862,7 +899,11 @@ func (r *kernel) merge() []SessionMetrics {
 	for si := range r.base {
 		var best map[int]pendingDrop
 		for _, ln := range r.lanes {
-			for d, pd := range ln.sess[si].pending {
+			ls := ln.sess[si]
+			if ls == nil {
+				continue
+			}
+			for d, pd := range ls.pending {
 				if best == nil {
 					best = make(map[int]pendingDrop)
 				}

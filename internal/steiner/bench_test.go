@@ -51,7 +51,7 @@ func benchmarkBuild(b *testing.B, k int, opts Options, build func(geom.Point, []
 }
 
 // BenchmarkRRSTRBuild times the lazy Builder.Build, reused across builds as
-// GMP's per-node arenas are, against its eager reference twin on the same
+// GMP's decision arenas are, against its eager reference twin on the same
 // sets. The lazy runs report exact Steiner-point evaluations per build
 // (evals/op) next to the pairs pushed (pairs/op), which is the number the
 // eager reference evaluates.

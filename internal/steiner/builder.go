@@ -15,8 +15,9 @@ import (
 // The zero value is ready to use. Each build method resets and returns the
 // builder's own tree: the result is valid only until the next call on the
 // same Builder, and callers that need to retain a tree must copy it. Builders
-// are not safe for concurrent use — hang one off each node's decision
-// scratch (view.Scratch), never share one across goroutines.
+// are not safe for concurrent use: one lives in each decision arena
+// (view.Scratch), owned by one kernel lane or service decider, which runs
+// one decision at a time; never share one across goroutines.
 type Builder struct {
 	tree    Tree
 	q       pairQueue

@@ -86,7 +86,7 @@ func equivPoints(r *rand.Rand, shape, k int, source geom.Point) []Dest {
 // TestBuildMatchesReference is the equivalence oracle of the lazy builder:
 // on 9,100 builds over K = 1..130, every shape of equivPoints and every
 // option set, Builder.Build must produce exactly referenceBuild's tree. The
-// builder is reused across builds, as GMP's per-node arenas are. Most builds
+// builder is reused across builds, as GMP's decision arenas are. Most builds
 // are small to keep the test fast; every 50th draws K from 41..130.
 func TestBuildMatchesReference(t *testing.T) {
 	const builds = 9100

@@ -66,8 +66,13 @@ func NewLive(selfPos []geom.Point, tables [][]Neighbor, cfg LiveConfig) *Live {
 	return l
 }
 
-// At implements Provider.
-func (l *Live) At(id int) NodeView { return &l.nodes[id] }
+// At implements Provider; the lent arena is stored per node under the same
+// one-lane-per-node rule as the lazily planarized adjacencies.
+func (l *Live) At(id int, s *Scratch) NodeView {
+	v := &l.nodes[id]
+	v.s = s
+	return v
+}
 
 // liveView is one node's table-backed view.
 type liveView struct {
@@ -79,9 +84,10 @@ type liveView struct {
 
 	planarOnce bool
 	planarAdj  []int
+	bearings   []float64 // parallel to planarAdj; nil = not yet computed
 	altOnce    bool
 	altAdj     []int
-	scratch    Scratch
+	s          *Scratch // lent by the last At
 }
 
 func (v *liveView) Self() int         { return v.id }
@@ -89,7 +95,7 @@ func (v *liveView) Pos() geom.Point   { return v.pos }
 func (v *liveView) Neighbors() []int  { return v.ids }
 func (v *liveView) Degree() int       { return len(v.ids) }
 func (v *liveView) Range() float64    { return v.cfg.RadioRange }
-func (v *liveView) Scratch() *Scratch { return &v.scratch }
+func (v *liveView) Scratch() *Scratch { return v.s }
 
 // NbrPos looks the ID up in the table (binary search — the table is sorted).
 // Self's own position is always known; IDs absent from the table are outside
@@ -140,4 +146,13 @@ func (v *liveView) PlanarNeighbors() []int {
 		v.planarOnce = true
 	}
 	return v.planarAdj
+}
+
+// PlanarBearings computes the bearings to the planar neighbors on first use
+// and caches them beside the adjacency.
+func (v *liveView) PlanarBearings() []float64 {
+	if v.bearings == nil {
+		v.bearings = planarBearings(v)
+	}
+	return v.bearings
 }

@@ -25,9 +25,9 @@ type Masked struct {
 	nbrs       []int
 	planarOnce bool
 	planarAdj  []int
+	bearings   []float64 // parallel to planarAdj; nil = not yet computed
 	altOnce    bool
 	altAdj     []int
-	scratch    Scratch
 }
 
 // NewMasked wraps base with the banned exclusion set. The map is referenced,
@@ -41,9 +41,9 @@ func (m *Masked) Self() int       { return m.base.Self() }
 func (m *Masked) Pos() geom.Point { return m.base.Pos() }
 func (m *Masked) Range() float64  { return m.base.Range() }
 
-// Scratch returns the mask's own scratch: cached bearings must be parallel
-// to the *filtered* planar adjacency, so the base view's caches do not apply.
-func (m *Masked) Scratch() *Scratch { return &m.scratch }
+// Scratch returns the arena lent to the base view: a decision at a masked
+// node runs on its decider's arena like any other.
+func (m *Masked) Scratch() *Scratch { return m.base.Scratch() }
 
 func (m *Masked) NbrPos(id int) geom.Point           { return m.base.NbrPos(id) }
 func (m *Masked) NbrPosOK(id int) (geom.Point, bool) { return m.base.NbrPosOK(id) }
@@ -80,6 +80,15 @@ func (m *Masked) PlanarNeighbors() []int {
 		m.planarOnce = true
 	}
 	return m.planarAdj
+}
+
+// PlanarBearings caches the mask's own bearings: they must be parallel to
+// the *filtered* planar adjacency, so the base view's cache does not apply.
+func (m *Masked) PlanarBearings() []float64 {
+	if m.bearings == nil {
+		m.bearings = planarBearings(m)
+	}
+	return m.bearings
 }
 
 // PerimeterWatchdog implements WatchdogCarrier by delegation; a base view

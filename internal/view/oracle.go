@@ -19,6 +19,9 @@ type Oracle struct {
 	// altAdj lazily caches per-node alternate-rule planar adjacencies for
 	// the watchdog's restart path (nil entries = not yet computed).
 	altAdj [][]int
+	// bearings lazily caches per-node planar bearings (nil entries = not
+	// yet computed).
+	bearings [][]float64
 }
 
 // NewOracle builds the ideal provider over nw, using pg as the perimeter
@@ -37,12 +40,19 @@ func NewOracle(nw *network.Network, pg *planar.Graph) *Oracle {
 		// kernel concurrent tiles only ever write disjoint per-node entries,
 		// never the slice header itself.
 		o.altAdj = make([][]int, nw.Len())
+		o.bearings = make([][]float64, nw.Len())
 	}
 	return o
 }
 
-// At implements Provider.
-func (o *Oracle) At(id int) NodeView { return &o.nodes[id] }
+// At implements Provider. Storing the lent arena is a per-node write, which
+// is safe for the reason the altAdj and bearings caches are: a node's view
+// is only touched by the lane that owns the node.
+func (o *Oracle) At(id int, s *Scratch) NodeView {
+	v := &o.nodes[id]
+	v.s = s
+	return v
+}
 
 // SetWatchdog arms (or, with the zero value, disarms) the perimeter
 // watchdog on every view this provider hands out.
@@ -68,9 +78,9 @@ func (o *Oracle) altNeighbors(id int) []int {
 
 // oracleView is one node's ideal view.
 type oracleView struct {
-	o       *Oracle
-	id      int
-	scratch Scratch
+	o  *Oracle
+	id int
+	s  *Scratch // lent by the last At
 }
 
 func (v *oracleView) Self() int         { return v.id }
@@ -78,7 +88,7 @@ func (v *oracleView) Pos() geom.Point   { return v.o.nw.Pos(v.id) }
 func (v *oracleView) Neighbors() []int  { return v.o.nw.Neighbors(v.id) }
 func (v *oracleView) Degree() int       { return v.o.nw.Degree(v.id) }
 func (v *oracleView) Range() float64    { return v.o.nw.Range() }
-func (v *oracleView) Scratch() *Scratch { return &v.scratch }
+func (v *oracleView) Scratch() *Scratch { return v.s }
 
 func (v *oracleView) NbrPos(id int) geom.Point { return v.o.nw.Pos(id) }
 
@@ -116,4 +126,16 @@ func (v *oracleView) PlanarPos(id int) geom.Point {
 		return v.o.nw.Pos(id)
 	}
 	return v.o.pg.Network().Pos(id)
+}
+
+func (v *oracleView) PlanarBearings() []float64 {
+	if v.o.pg == nil {
+		return nil
+	}
+	b := v.o.bearings[v.id]
+	if b == nil {
+		b = planarBearings(v)
+		v.o.bearings[v.id] = b
+	}
+	return b
 }

@@ -12,13 +12,13 @@ func PerimeterEnter(v NodeView, target geom.Point) planar.State {
 }
 
 // perimeterNextHop advances the right-hand-rule traversal one step using
-// v's local planar adjacency, with the bearings cached in v's scratch.
+// v's local planar adjacency and its cached bearings.
 // ok=false means v has no planar neighbors (traversal cannot proceed).
 // Protocol decision cores should use PerimeterStep, which adds the
 // watchdog supervision; this is the raw traversal core.
 func perimeterNextHop(v NodeView, st planar.State) (next int, out planar.State, ok bool) {
 	return planar.NextHopLocal(v.Self(), v.PlanarSelfPos(), v.PlanarNeighbors(),
-		v.PlanarPos, PlanarBearings(v), st)
+		v.PlanarPos, v.PlanarBearings(), st)
 }
 
 // FaceNextHop advances one face-routing step (planar.NextHopLocalFace2)
@@ -30,7 +30,7 @@ func perimeterNextHop(v NodeView, st planar.State) (next int, out planar.State, 
 // (MCFR).
 func FaceNextHop(v NodeView, st planar.State) (next int, out planar.State, ok bool) {
 	return planar.NextHopLocalFace2(v.Self(), v.PlanarSelfPos(), v.PlanarNeighbors(),
-		v.PlanarPos, PlanarBearings(v), st)
+		v.PlanarPos, v.PlanarBearings(), st)
 }
 
 // StepVerdict classifies one supervised perimeter step.

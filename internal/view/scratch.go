@@ -7,15 +7,21 @@ import (
 	"gmp/internal/steiner"
 )
 
-// Scratch is one node's reusable decision-time cache. It holds only
-// memoized pure computations (bearings to planar neighbors, distance terms
-// of the current decision) and arenas for value-identical recomputation
-// (tree construction, grouping worklists), so reusing or discarding it never
+// Scratch is a decision arena: the reusable buffers of one forwarding
+// decision. It holds only memoized pure computations (distance terms of the
+// current decision) and arenas for value-identical recomputation (tree
+// construction, grouping worklists), so reusing or discarding it never
 // changes a decision's outcome.
+//
+// Ownership: a Scratch belongs to whoever runs decisions — one per kernel
+// lane, one per service decider — and is lent to the deciding node's view by
+// Provider.At. One owner runs one decision at a time, so one arena serves
+// every node, degree and destination count it decides for, and the arenas
+// stay warm across decisions without growing with the node count.
 //
 // Buffer validity: every exported buffer below is valid for the duration of
 // one forwarding decision and is clobbered by the next decision on the same
-// node. Decisions must never return scratch-backed slices to the engine —
+// arena. Decisions must never return scratch-backed slices to the engine —
 // anything that outlives the decision (forward lists, packet destination
 // slices) must be freshly allocated or pooled via the sim layer.
 type Scratch struct {
@@ -25,7 +31,7 @@ type Scratch struct {
 	// ColBuf is a reusable column-index buffer for Memo lookups.
 	ColBuf []int
 
-	// Steiner is the node's tree-construction arena: GMP rebuilds an rrSTR
+	// Steiner is the tree-construction arena: GMP rebuilds an rrSTR
 	// (or ablation MST) tree here on every forwarding decision, and LGS and
 	// MCFR their partition MST, reusing the vertex/edge/queue storage across
 	// decisions.
@@ -43,28 +49,6 @@ type Scratch struct {
 	BatchLabels [][]int
 	// LocBuf backs the perimeter-entry centroid computation.
 	LocBuf []geom.Point
-
-	bearings     []float64
-	haveBearings bool
-}
-
-// PlanarBearings returns the bearings from v's substrate position to each of
-// its planar neighbors, parallel to v.PlanarNeighbors(). The slice is cached
-// in v's scratch after the first call — the planar adjacency of an immutable
-// substrate never changes, and perimeter mode re-derives these angles on
-// every hop otherwise.
-func PlanarBearings(v NodeView) []float64 {
-	s := v.Scratch()
-	if !s.haveBearings {
-		nbrs := v.PlanarNeighbors()
-		pos := v.PlanarSelfPos()
-		s.bearings = make([]float64, len(nbrs))
-		for i, n := range nbrs {
-			s.bearings[i] = geom.Bearing(pos, v.PlanarPos(n))
-		}
-		s.haveBearings = true
-	}
-	return s.bearings
 }
 
 // DistMemo memoizes the point-to-destination distance matrix of one

@@ -9,6 +9,11 @@
 // enforces the locality contract: a decision physically cannot look up the
 // position of an arbitrary node or inspect global topology.
 //
+// A view keeps only per-node facts true for the node's whole life (its
+// planar adjacency and bearings). The buffers of a decision live in a
+// Scratch arena owned by whoever runs the decision — a kernel lane, a
+// service decider — and lent to the deciding node's view by Provider.At.
+//
 // Two implementations are provided:
 //
 //   - Oracle: backed directly by network.Network and a globally planarized
@@ -66,23 +71,47 @@ type NodeView interface {
 	// PlanarPos returns the planar-substrate position of a planar neighbor
 	// (or of Self).
 	PlanarPos(id int) geom.Point
+	// PlanarBearings returns the bearings from PlanarSelfPos to each planar
+	// neighbor, parallel to PlanarNeighbors. They are a fact of the node's
+	// substrate for its whole life, so views compute them once and cache
+	// them. The slice is shared; callers must not mutate it.
+	PlanarBearings() []float64
 
-	// Scratch returns this node's reusable decision caches. Scratch state
-	// never changes decision outcomes — it only memoizes pure computations —
-	// so decisions stay referentially transparent.
+	// Scratch returns the decision arena lent to this view by At. Scratch
+	// state never changes decision outcomes — it only holds buffers of the
+	// decision in progress — so decisions stay referentially transparent.
 	Scratch() *Scratch
 }
 
 // Provider hands out per-node views. An engine holds one Provider per run
-// configuration; views from one provider share immutable substrate data but
-// each node has private scratch space.
+// configuration; views from one provider share immutable substrate data and
+// per-node caches of lifelong facts (planar adjacencies and bearings). The
+// decision arena is not per node: whoever runs the decision lends one.
 //
 // Providers are not safe for concurrent engines: parallel campaign cells
-// must construct one provider each (scratch caches are per provider).
+// must construct one provider each (the per-node caches are per provider).
+// Within one engine a node's view is only touched by the lane that owns the
+// node, so concurrent lanes never share a view.
 type Provider interface {
-	// At returns node id's view. The returned view is valid until the next
-	// topology change (providers over immutable networks never invalidate).
-	At(id int) NodeView
+	// At returns node id's view with s as its decision arena. The view is
+	// valid until the next topology change (providers over immutable
+	// networks never invalidate), and s until the next At for the same
+	// node. A lane or decider lends its one arena to every node it decides
+	// at, since it runs one decision at a time.
+	At(id int, s *Scratch) NodeView
+}
+
+// planarBearings computes the bearings from v's substrate position to each
+// of its planar neighbors. The result is never nil, so providers use nil to
+// mean "not yet computed".
+func planarBearings(v NodeView) []float64 {
+	pos := v.PlanarSelfPos()
+	nbrs := v.PlanarNeighbors()
+	b := make([]float64, len(nbrs))
+	for i, n := range nbrs {
+		b[i] = geom.Bearing(pos, v.PlanarPos(n))
+	}
+	return b
 }
 
 // WatchdogLimits bounds one perimeter walk. The zero value disarms the

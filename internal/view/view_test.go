@@ -36,7 +36,7 @@ func TestLiveNbrPosOKAtOrigin(t *testing.T) {
 		},
 		LiveConfig{RadioRange: 100, Planarizer: planar.Gabriel},
 	)
-	v := l.At(0)
+	v := l.At(0, new(Scratch))
 
 	if p, ok := v.NbrPosOK(1); !ok || p != geom.Pt(0, 0) {
 		t.Fatalf("neighbor at origin: pos=%v ok=%v, want (0,0)/true", p, ok)
@@ -60,7 +60,7 @@ func TestLiveNbrPosOKAtOrigin(t *testing.T) {
 func TestOracleNbrPosOK(t *testing.T) {
 	nw := lineNetwork(t, 3)
 	o := NewOracle(nw, nil)
-	v := o.At(0)
+	v := o.At(0, new(Scratch))
 	if _, ok := v.NbrPosOK(2); !ok {
 		t.Fatal("oracle must know every valid node")
 	}
@@ -89,7 +89,7 @@ func TestMaskedFiltersAllAdjacencies(t *testing.T) {
 			Watchdog:   WatchdogLimits{MaxWalkHops: 10},
 		},
 	)
-	base := l.At(0)
+	base := l.At(0, new(Scratch))
 	m := NewMasked(base, map[int]bool{1: true})
 
 	if got := m.Neighbors(); !reflect.DeepEqual(got, []int{2, 3}) {
@@ -133,5 +133,76 @@ func TestWatchdogLimitsArmed(t *testing.T) {
 	}
 	if !(WatchdogLimits{MaxWalkDist: 1}).Armed() {
 		t.Fatal("distance bound must arm")
+	}
+}
+
+// TestNoPerNodeArena pins the arena ownership rule: no provider's per-node
+// type holds a Scratch value, directly or in a nested struct, array, slice
+// or map. Views may only hold the *Scratch their decider lent them.
+func TestNoPerNodeArena(t *testing.T) {
+	arena := reflect.TypeOf(Scratch{})
+	var holds func(reflect.Type) bool
+	holds = func(typ reflect.Type) bool {
+		if typ == arena {
+			return true
+		}
+		switch typ.Kind() {
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				if holds(typ.Field(i).Type) {
+					return true
+				}
+			}
+		case reflect.Array, reflect.Slice, reflect.Map:
+			return holds(typ.Elem())
+		}
+		return false
+	}
+	for _, v := range []any{oracleView{}, liveView{}, Masked{}} {
+		if typ := reflect.TypeOf(v); holds(typ) {
+			t.Errorf("%v holds a Scratch value: decision arenas belong to the decider, not the node", typ)
+		}
+	}
+}
+
+// TestPlanarBearingsCached: every provider's bearings are parallel to the
+// planar adjacency, bit-identical to geom.Bearing from the substrate
+// position, and computed once per view.
+func TestPlanarBearingsCached(t *testing.T) {
+	nw := lineNetwork(t, 4)
+	pg := planar.Planarize(nw, planar.Gabriel)
+	live := NewLive(
+		[]geom.Point{nw.Pos(0), nw.Pos(1), nw.Pos(2), nw.Pos(3)},
+		[][]Neighbor{
+			{{ID: 1, Pos: nw.Pos(1)}},
+			{{ID: 0, Pos: nw.Pos(0)}, {ID: 2, Pos: nw.Pos(2)}},
+			{{ID: 1, Pos: nw.Pos(1)}, {ID: 3, Pos: nw.Pos(3)}},
+			{{ID: 2, Pos: nw.Pos(2)}},
+		},
+		LiveConfig{RadioRange: 150, Planarizer: planar.Gabriel},
+	)
+	s := new(Scratch)
+	views := map[string]NodeView{
+		"oracle": NewOracle(nw, pg).At(1, s),
+		"live":   live.At(1, s),
+		"masked": NewMasked(NewOracle(nw, pg).At(1, s), map[int]bool{0: true}),
+	}
+	for name, v := range views {
+		nbrs := v.PlanarNeighbors()
+		b := v.PlanarBearings()
+		if len(b) != len(nbrs) || len(nbrs) == 0 {
+			t.Fatalf("%s: %d bearings for planar neighbors %v", name, len(b), nbrs)
+		}
+		for i, n := range nbrs {
+			if want := geom.Bearing(v.PlanarSelfPos(), v.PlanarPos(n)); b[i] != want {
+				t.Fatalf("%s: bearing to %d = %v, want %v", name, n, b[i], want)
+			}
+		}
+		if &v.PlanarBearings()[0] != &b[0] {
+			t.Fatalf("%s: bearings recomputed on the second call", name)
+		}
+		if v.Scratch() != s {
+			t.Fatalf("%s: Scratch() is not the lent arena", name)
+		}
 	}
 }
