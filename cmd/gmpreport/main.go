@@ -1,11 +1,13 @@
 // Command gmpreport runs the full reproduction campaign and writes a
 // self-contained HTML report with charts of every figure: the shareable
-// artifact of a reproduction run.
+// artifact of a reproduction run. Every chart comes from an entry of the
+// experiment catalog (internal/experiment), run exactly as gmpsim runs it.
 //
 // Usage:
 //
-//	gmpreport -o report.html            # full Table 1 campaign (minutes)
-//	gmpreport -quick -o report.html     # scaled-down smoke campaign
+//	gmpreport -o report.html                 # full Table 1 campaign (minutes)
+//	gmpreport -quick -o report.html          # scaled-down smoke campaign
+//	gmpreport -quick -extensions -o r.html   # plus E-X1, E-X2, E-X3, E-X5, E-X6, E-X7
 package main
 
 import (
@@ -18,6 +20,49 @@ import (
 	"gmp/internal/experiment"
 	"gmp/internal/report"
 )
+
+// sections lists the catalog entries the report charts, in report order,
+// with one caption per table each entry prints. Extension sections run only
+// under -extensions. Each entry runs once: "all" carries Figures 11, 12, 14
+// and 15 from one main campaign.
+var sections = []struct {
+	entry     string
+	extension bool
+	captions  []string
+}{
+	{"all", false, []string{
+		"Paper claim: GMP lowest; reduction vs PBM and LGS up to 25%.",
+		"Paper claim: PBM ≈ GMP ≈ SMT close to GRD; LGS clearly worse.",
+		"Paper claim: energy mirrors total hops; GMP saves ~25% vs PBM/LGS.",
+		"Fraction of tasks that missed at least one destination (ideal MAC: near zero at Table 1 density).",
+		"Paper claim: failures rise as density falls; LGS worst, GMP best. " +
+			"Densities below the paper's 400-node floor exercise the geometric-void regime (ideal MAC).",
+	}},
+	{"lambda", false, []string{
+		"PBM's λ trade-off (§5.1): larger λ merges copies at the cost of per-destination progress.",
+	}},
+	{"robustness", true, []string{
+		"E-X1: random radio failures; stateless protocols degrade gracefully.",
+	}},
+	{"localization", true, []string{
+		"E-X2: GPS error on reported positions; physics truthful.",
+		"E-X2: detour cost of misjudged progress.",
+	}},
+	{"staleness", true, []string{
+		"E-X3: destination coordinates stale under random-waypoint mobility.",
+	}},
+	{"load", true, []string{
+		"E-X5: delivery latency under concurrent sessions (half-duplex senders).",
+	}},
+	{"beaconing", true, []string{
+		"E-X6: neighbor-table position error vs beacon period.",
+		"E-X6: neighbors missing from the table vs beacon period.",
+		"E-X6: the control-plane energy that buys it.",
+	}},
+	{"clustering", true, []string{
+		"E-X7: multicast's advantage grows as destinations cluster.",
+	}},
+}
 
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
@@ -32,135 +77,47 @@ func run(args []string, stdout io.Writer) error {
 		out        = fs.String("o", "report.html", "output HTML file (- for stdout)")
 		quick      = fs.Bool("quick", false, "scaled-down campaign")
 		seed       = fs.Int64("seed", 0, "override campaign seed")
-		extensions = fs.Bool("extensions", false, "include the E-X robustness/localization/staleness extensions (slower)")
+		extensions = fs.Bool("extensions", false, "include the E-X1, E-X2, E-X3, E-X5, E-X6 and E-X7 extensions (slower)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	cfg := experiment.Default()
-	if *quick {
-		cfg = experiment.Quick()
-	}
+	req := experiment.NewRequest(*quick)
 	if *seed != 0 {
-		cfg.Seed = *seed
+		req.Config.Seed = *seed
 	}
+	req.Seed = *seed
+	cfg := req.Config
 
 	rep := report.New(
 		"GMP reproduction report",
 		fmt.Sprintf("Wu & Candan, ICDCS 2006 — %d nodes, %d networks × %d tasks, seed %d",
 			cfg.Nodes, cfg.Networks, cfg.TasksPerNet, cfg.Seed),
 	)
-
-	res, err := experiment.RunMain(cfg, experiment.AllProtocols())
-	if err != nil {
-		return err
-	}
-	rep.Add(res.TotalHops, "Paper claim: GMP lowest; reduction vs PBM and LGS up to 25%.")
-	rep.Add(res.PerDestHops, "Paper claim: PBM ≈ GMP ≈ SMT close to GRD; LGS clearly worse.")
-	rep.Add(res.Energy, "Paper claim: energy mirrors total hops; GMP saves ~25% vs PBM/LGS.")
-
-	fc := experiment.DefaultFailureConfig()
-	if *quick {
-		fc = experiment.QuickFailureConfig()
-	}
-	fc.Base.Seed = cfg.Seed
-	ftbl, err := experiment.RunFailures(fc, []string{
-		experiment.ProtoPBM, experiment.ProtoLGS, experiment.ProtoGMP,
-	})
-	if err != nil {
-		return err
-	}
-	rep.Add(ftbl, "Paper claim: failures rise as density falls; LGS worst, GMP best. "+
-		"Densities below the paper's 400-node floor exercise the geometric-void regime (ideal MAC).")
-
-	ltbl, err := experiment.LambdaSweep(cfg, middleK(cfg))
-	if err != nil {
-		return err
-	}
-	rep.Add(ltbl, "PBM's λ trade-off (§5.1): larger λ merges copies at the cost of per-destination progress.")
-
-	if *extensions {
-		rc := experiment.DefaultRobustnessConfig()
-		if *quick {
-			rc = experiment.QuickRobustnessConfig()
+	for _, s := range sections {
+		if s.extension && !*extensions {
+			continue
 		}
-		rc.Base.Seed = cfg.Seed
-		rtbl, err := experiment.RunRobustness(rc, []string{
-			experiment.ProtoGMP, experiment.ProtoLGS, experiment.ProtoGRD,
-		})
+		e, ok := experiment.Lookup(s.entry)
+		if !ok {
+			return fmt.Errorf("no catalog experiment %q", s.entry)
+		}
+		res, err := e.Run(req)
 		if err != nil {
 			return err
 		}
-		rep.Add(rtbl, "E-X1: random radio failures; stateless protocols degrade gracefully.")
-
-		lc := experiment.DefaultLocalizationConfig()
-		if *quick {
-			lc = experiment.QuickLocalizationConfig()
+		if len(res.Tables) != len(s.captions) {
+			return fmt.Errorf("%s printed %d tables for %d captions", s.entry, len(res.Tables), len(s.captions))
 		}
-		lc.Base.Seed = cfg.Seed
-		lres, err := experiment.RunLocalization(lc, []string{
-			experiment.ProtoGMP, experiment.ProtoLGS, experiment.ProtoGRD,
-		})
-		if err != nil {
-			return err
+		for i, t := range res.Tables {
+			rep.Add(t, s.captions[i])
 		}
-		rep.Add(lres.Delivery, "E-X2: GPS error on reported positions; physics truthful.")
-		rep.Add(lres.TotalHops, "E-X2: detour cost of misjudged progress.")
-
-		sc := experiment.DefaultStalenessConfig()
-		if *quick {
-			sc = experiment.QuickStalenessConfig()
-		}
-		sc.Base.Seed = cfg.Seed
-		stbl, err := experiment.RunStaleness(sc, []string{
-			experiment.ProtoGMP, experiment.ProtoGRD,
-		})
-		if err != nil {
-			return err
-		}
-		rep.Add(stbl, "E-X3: destination coordinates stale under random-waypoint mobility.")
-
-		ld := experiment.DefaultLoadConfig()
-		if *quick {
-			ld = experiment.QuickLoadConfig()
-		}
-		ld.Base.Seed = cfg.Seed
-		ldtbl, err := experiment.RunLoad(ld, []string{experiment.ProtoGMP, experiment.ProtoGRD})
-		if err != nil {
-			return err
-		}
-		rep.Add(ldtbl, "E-X5: delivery latency under concurrent sessions (half-duplex senders).")
-
-		bcn := experiment.DefaultBeaconConfig()
-		if *quick {
-			bcn = experiment.QuickBeaconConfig()
-		}
-		bcn.Base.Seed = cfg.Seed
-		bres, err := experiment.RunBeaconing(bcn)
-		if err != nil {
-			return err
-		}
-		rep.Add(bres.PosError, "E-X6: neighbor-table position error vs beacon period.")
-		rep.Add(bres.EnergyPerHour, "E-X6: the control-plane energy that buys it.")
-
-		cl := experiment.DefaultClusteringConfig()
-		if *quick {
-			cl = experiment.QuickClusteringConfig()
-		}
-		cl.Base.Seed = cfg.Seed
-		cltbl, err := experiment.RunClustering(cl, []string{
-			experiment.ProtoGMP, experiment.ProtoGRD,
-		})
-		if err != nil {
-			return err
-		}
-		rep.Add(cltbl, "E-X7: multicast's advantage grows as destinations cluster.")
 	}
 
 	html := rep.HTML(time.Now())
 	if *out == "-" {
-		_, err = io.WriteString(stdout, html)
+		_, err := io.WriteString(stdout, html)
 		return err
 	}
 	if err := os.WriteFile(*out, []byte(html), 0o644); err != nil {
@@ -168,11 +125,4 @@ func run(args []string, stdout io.Writer) error {
 	}
 	fmt.Fprintf(stdout, "wrote %s (%d sections)\n", *out, rep.Len())
 	return nil
-}
-
-func middleK(cfg experiment.Config) int {
-	if len(cfg.Ks) == 0 {
-		return 12
-	}
-	return cfg.Ks[len(cfg.Ks)/2]
 }

@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"gmp/internal/experiment"
 )
 
 func TestReportQuickToFile(t *testing.T) {
@@ -57,5 +59,20 @@ func TestReportStdout(t *testing.T) {
 	}
 	if !strings.HasPrefix(b.String(), "<!DOCTYPE html>") {
 		t.Fatal("stdout should carry the document")
+	}
+}
+
+// TestSectionsRunEachEntryOnce: every report section names a distinct
+// catalog entry, so no experiment runs twice in one invocation.
+func TestSectionsRunEachEntryOnce(t *testing.T) {
+	seen := map[string]bool{}
+	for _, s := range sections {
+		if _, ok := experiment.Lookup(s.entry); !ok {
+			t.Errorf("section %q names no catalog experiment", s.entry)
+		}
+		if seen[s.entry] {
+			t.Errorf("section %q runs twice", s.entry)
+		}
+		seen[s.entry] = true
 	}
 }

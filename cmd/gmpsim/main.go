@@ -1,39 +1,3 @@
-// Command gmpsim regenerates the paper's evaluation figures (Wu & Candan,
-// "GMP: Distributed Geographic Multicast Routing in Wireless Sensor
-// Networks", ICDCS 2006) on the library's discrete-event simulator.
-//
-// Usage:
-//
-//	gmpsim -experiment totalhops            # Figure 11
-//	gmpsim -experiment perdest              # Figure 12
-//	gmpsim -experiment energy               # Figure 14
-//	gmpsim -experiment failures             # Figure 15
-//	gmpsim -experiment loss                 # Figure 15 under link loss, ± ARQ
-//	gmpsim -experiment lambda               # PBM λ ablation (A-3)
-//	gmpsim -experiment setup                # Table 1 parameters
-//	gmpsim -experiment scale -shards 4      # E-X10: 10⁴ → 10⁶ nodes, sharded kernel
-//	gmpsim -experiment delivery             # E-X12: delivery guarantee on adversarial topologies
-//	gmpsim -experiment serve                # E-X13: gmpd under overload and transport chaos
-//	gmpsim -experiment stream               # E-X14: streamed routes vs per-hop, memo cache on/off
-//	gmpsim -experiment all                  # everything
-//
-// The -quick flag runs a scaled-down campaign (seconds instead of minutes);
-// -csv switches output to CSV for plotting. The -loss, -edgeloss, -crash and
-// -arq flags inject faults (lossy links, node crashes, hop-by-hop ARQ) into
-// every engine any experiment builds; -experiment loss runs the dedicated
-// loss-rate sweep comparing all protocols with and without ARQ.
-//
-// Every experiment runs on the campaign runner's bounded worker pool;
-// -workers caps the pool (0 = one worker per CPU) and -progress renders a
-// live cells-completed counter on stderr. Output is byte-identical for any
-// worker count.
-//
-// Profiling: -cpuprofile, -memprofile and -trace write the standard pprof /
-// runtime-trace artifacts for the whole run; -pprof addr serves
-// net/http/pprof on addr for live inspection of long campaigns, e.g.
-//
-//	gmpsim -experiment all -pprof localhost:6060 &
-//	go tool pprof http://localhost:6060/debug/pprof/profile
 package main
 
 import (
@@ -65,7 +29,7 @@ func main() {
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("gmpsim", flag.ContinueOnError)
 	var (
-		exp      = fs.String("experiment", "all", "setup|totalhops|perdest|energy|failures|loss|lambda|compare|robustness|localization|staleness|lifetime|load|beaconing|clustering|chaos|churn|scale|delivery|serve|stream|all")
+		exp      = fs.String("experiment", "all", "experiment to run, one of:"+catalogLines("\n  %-13s %s"))
 		quick    = fs.Bool("quick", false, "scaled-down campaign for smoke runs")
 		csv      = fs.Bool("csv", false, "emit CSV instead of aligned tables")
 		jsonOut  = fs.Bool("json", false, "emit JSON instead of aligned tables")
@@ -74,14 +38,14 @@ func run(args []string, out io.Writer) error {
 		networks = fs.Int("networks", 0, "override number of deployments")
 		tasks    = fs.Int("tasks", 0, "override tasks per deployment")
 		ks       = fs.String("ks", "", "override destination-count sweep, e.g. 3,5,10")
-		protos   = fs.String("protocols", "", "comma-separated protocol subset (default: the paper's set; registered: "+
+		protos   = fs.String("protocols", "", "comma-separated protocol list replacing the experiment's default (registered: "+
 			strings.Join(experiment.RegisteredProtocols(), ",")+")")
 		confPath = fs.String("config", "", "JSON campaign config file (see -dumpconfig for the schema)")
 		dumpConf = fs.Bool("dumpconfig", false, "print the effective campaign config as JSON and exit")
 		pair     = fs.String("pair", "GMP,LGS", "for -experiment compare: the two protocols, A,B")
 		kFlag    = fs.Int("k", 12, "for -experiment compare: destination count")
 		outDir   = fs.String("outdir", "", "also write each table as <outdir>/<slug>.json and .csv")
-		loss     = fs.Float64("loss", 0, "inject uniform per-link loss with this probability into every engine")
+		loss     = fs.Float64("loss", 0, "inject uniform per-link loss with this probability (experiments that build engines from the campaign config)")
 		edgeLoss = fs.Float64("edgeloss", 0, "inject distance-dependent loss: this probability at full radio range, scaled (d/R)^2")
 		crash    = fs.Float64("crash", 0, "crash this fraction of nodes at random times early in each task")
 		arq      = fs.Bool("arq", false, "enable hop-by-hop ARQ (ACKs + retransmissions)")
@@ -111,22 +75,21 @@ func run(args []string, out io.Writer) error {
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
 
-	cfg := experiment.Default()
-	if *quick {
-		cfg = experiment.Quick()
-	}
+	req := experiment.NewRequest(*quick)
+	cfg := &req.Config
 	if *confPath != "" {
 		data, err := os.ReadFile(*confPath)
 		if err != nil {
 			return fmt.Errorf("-config: %w", err)
 		}
-		if err := json.Unmarshal(data, &cfg); err != nil {
+		if err := json.Unmarshal(data, cfg); err != nil {
 			return fmt.Errorf("-config %s: %w", *confPath, err)
 		}
 	}
 	if *seed != 0 {
 		cfg.Seed = *seed
 	}
+	req.Seed = *seed
 	if *nodes != 0 {
 		cfg.Nodes = *nodes
 	}
@@ -164,10 +127,10 @@ func run(args []string, out io.Writer) error {
 		cfg.Progress = progressPrinter(os.Stderr)
 	}
 	cfg.Ctx = ctx
-	protoList := experiment.AllProtocols()
 	if *protos != "" {
-		protoList = strings.Split(*protos, ",")
+		req.Protos = strings.Split(*protos, ",")
 	}
+	req.Shards, req.Pair, req.K = *shards, *pair, *kFlag
 	if *dumpConf {
 		data, err := json.MarshalIndent(cfg, "", "  ")
 		if err != nil {
@@ -177,19 +140,21 @@ func run(args []string, out io.Writer) error {
 		return nil
 	}
 
-	if *outDir != "" {
-		if err := os.MkdirAll(*outDir, 0o755); err != nil {
-			return fmt.Errorf("-outdir: %w", err)
-		}
+	e, ok := experiment.Lookup(*exp)
+	if !ok {
+		return fmt.Errorf("unknown experiment %q", *exp)
 	}
-	var emitErr error
-	emit := func(t *stats.Table) {
+	res, err := e.Run(req)
+	if err != nil {
+		return err
+	}
+	fmt.Fprint(out, res.Text)
+	for _, t := range res.Tables {
 		switch {
 		case *jsonOut:
 			data, err := json.Marshal(t)
 			if err != nil {
-				emitErr = err
-				return
+				return err
 			}
 			fmt.Fprintln(out, string(data))
 		case *csv:
@@ -198,328 +163,26 @@ func run(args []string, out io.Writer) error {
 			fmt.Fprintln(out, t.Render())
 		}
 		if *outDir != "" {
-			if err := writeArtifacts(*outDir, t); err != nil && emitErr == nil {
-				emitErr = err
+			if err := writeArtifacts(*outDir, t); err != nil {
+				return fmt.Errorf("-outdir: %w", err)
 			}
 		}
 	}
-	defer func() {
-		if emitErr != nil {
-			fmt.Fprintln(os.Stderr, "gmpsim: emit:", emitErr)
-		}
-	}()
-
-	switch *exp {
-	case "setup":
-		printSetup(out, cfg)
-	case "totalhops", "perdest", "energy":
-		res, err := experiment.RunMain(cfg, protoList)
-		if err != nil {
-			return err
-		}
-		switch *exp {
-		case "totalhops":
-			emit(res.TotalHops)
-		case "perdest":
-			emit(res.PerDestHops)
-		case "energy":
-			emit(res.Energy)
-		}
-	case "failures":
-		fc := experiment.DefaultFailureConfig()
-		if *quick {
-			fc = experiment.QuickFailureConfig()
-		}
-		inheritRun(&fc.Base, cfg)
-		tbl, err := experiment.RunFailures(fc, []string{
-			experiment.ProtoPBM, experiment.ProtoLGS, experiment.ProtoGMP,
-		})
-		if err != nil {
-			return err
-		}
-		emit(tbl)
-	case "loss":
-		lsc := experiment.DefaultLossConfig()
-		if *quick {
-			lsc = experiment.QuickLossConfig()
-		}
-		inheritRun(&lsc.Base, cfg)
-		if *arq {
-			lsc.ARQ = sim.DefaultARQ()
-		}
-		res, err := experiment.RunLoss(lsc, []string{
-			experiment.ProtoGMP, experiment.ProtoPBM, experiment.ProtoLGS,
-		})
-		if err != nil {
-			return err
-		}
-		emit(res.Failures)
-		emit(res.Transmissions)
-		emit(res.Energy)
-	case "robustness":
-		rc := experiment.DefaultRobustnessConfig()
-		if *quick {
-			rc = experiment.QuickRobustnessConfig()
-		}
-		inheritRun(&rc.Base, cfg)
-		tbl, err := experiment.RunRobustness(rc, []string{
-			experiment.ProtoGMP, experiment.ProtoPBM, experiment.ProtoLGS, experiment.ProtoGRD,
-		})
-		if err != nil {
-			return err
-		}
-		emit(tbl)
-	case "localization":
-		lc := experiment.DefaultLocalizationConfig()
-		if *quick {
-			lc = experiment.QuickLocalizationConfig()
-		}
-		inheritRun(&lc.Base, cfg)
-		res, err := experiment.RunLocalization(lc, []string{
-			experiment.ProtoGMP, experiment.ProtoPBM, experiment.ProtoLGS, experiment.ProtoGRD,
-		})
-		if err != nil {
-			return err
-		}
-		emit(res.Delivery)
-		emit(res.TotalHops)
-	case "staleness":
-		sc := experiment.DefaultStalenessConfig()
-		if *quick {
-			sc = experiment.QuickStalenessConfig()
-		}
-		inheritRun(&sc.Base, cfg)
-		tbl, err := experiment.RunStaleness(sc, []string{
-			experiment.ProtoGMP, experiment.ProtoPBM, experiment.ProtoLGS, experiment.ProtoGRD,
-		})
-		if err != nil {
-			return err
-		}
-		emit(tbl)
-	case "lifetime":
-		lt := experiment.DefaultLifetimeConfig()
-		if *quick {
-			lt = experiment.QuickLifetimeConfig()
-		}
-		inheritRun(&lt.Base, cfg)
-		res, err := experiment.RunLifetime(lt, []string{
-			experiment.ProtoGMP, experiment.ProtoPBM, experiment.ProtoLGS, experiment.ProtoGRD,
-		})
-		if err != nil {
-			return err
-		}
-		emit(res.FirstDeath)
-		emit(res.FirstFailure)
-	case "load":
-		ld := experiment.DefaultLoadConfig()
-		if *quick {
-			ld = experiment.QuickLoadConfig()
-		}
-		inheritRun(&ld.Base, cfg)
-		tbl, err := experiment.RunLoad(ld, []string{
-			experiment.ProtoGMP, experiment.ProtoPBM, experiment.ProtoGRD,
-		})
-		if err != nil {
-			return err
-		}
-		emit(tbl)
-	case "beaconing":
-		bcfg := experiment.DefaultBeaconConfig()
-		if *quick {
-			bcfg = experiment.QuickBeaconConfig()
-		}
-		inheritRun(&bcfg.Base, cfg)
-		res, err := experiment.RunBeaconing(bcfg)
-		if err != nil {
-			return err
-		}
-		emit(res.PosError)
-		emit(res.MissingFrac)
-		emit(res.EnergyPerHour)
-	case "clustering":
-		cc := experiment.DefaultClusteringConfig()
-		if *quick {
-			cc = experiment.QuickClusteringConfig()
-		}
-		inheritRun(&cc.Base, cfg)
-		tbl, err := experiment.RunClustering(cc, []string{
-			experiment.ProtoGMP, experiment.ProtoPBM, experiment.ProtoLGS, experiment.ProtoGRD,
-		})
-		if err != nil {
-			return err
-		}
-		emit(tbl)
-	case "chaos":
-		cc := experiment.DefaultChaosConfig()
-		if *quick {
-			cc = experiment.QuickChaosConfig()
-		}
-		inheritRun(&cc.Base, cfg)
-		if *protos != "" {
-			cc.Protos = protoList
-		}
-		rep, err := experiment.RunChaos(cc)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(out, rep.Render())
-		if len(rep.Violations) > 0 {
-			return fmt.Errorf("chaos: %d invariant violations", len(rep.Violations))
-		}
-	case "churn":
-		cc := experiment.DefaultChurnConfig()
-		if *quick {
-			cc = experiment.QuickChurnConfig()
-		}
-		inheritRun(&cc.Base, cfg)
-		if *protos != "" {
-			cc.Protos = protoList
-		}
-		rep, err := experiment.RunChurn(cc)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(out, rep.Render())
-		if len(rep.Violations) > 0 {
-			return fmt.Errorf("churn: %d invariant violations", len(rep.Violations))
-		}
-	case "scale":
-		sc := experiment.DefaultScaleConfig()
-		if *quick {
-			sc = experiment.QuickScaleConfig()
-		}
-		sc.Seed = cfg.Seed
-		sc.Progress = cfg.Progress
-		sc.Ctx = ctx
-		sc.Shards = *shards
-		if *protos != "" {
-			sc.Protos = protoList
-		}
-		rep, err := experiment.RunScale(sc)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(out, rep.Render())
-		var violations int
-		for _, a := range rep.Arms {
-			violations += len(a.Violations)
-		}
-		if violations > 0 {
-			return fmt.Errorf("scale: %d invariant violations", violations)
-		}
-	case "delivery":
-		dc := experiment.DefaultDeliveryConfig()
-		if *quick {
-			dc = experiment.QuickDeliveryConfig()
-		}
-		if *seed != 0 {
-			dc.Seed = *seed
-		}
-		dc.Progress = cfg.Progress
-		dc.Ctx = ctx
-		if *protos != "" {
-			dc.Protos = protoList
-		}
-		rep, err := experiment.RunDelivery(dc)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(out, rep.Render())
-		if v := rep.Violations(); len(v) > 0 {
-			return fmt.Errorf("delivery: %d invariant violations", len(v))
-		}
-	case "serve":
-		sc := experiment.DefaultServeConfig()
-		if *quick {
-			sc = experiment.QuickServeConfig()
-		}
-		if *seed != 0 {
-			sc.Seed = *seed
-		}
-		sc.Progress = cfg.Progress
-		sc.Ctx = ctx
-		rep, err := experiment.RunServe(sc)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(out, rep.Render())
-		if v := rep.Violations(); len(v) > 0 {
-			return fmt.Errorf("serve: %d invariant violations", len(v))
-		}
-	case "stream":
-		tc := experiment.DefaultStreamConfig()
-		if *quick {
-			tc = experiment.QuickStreamConfig()
-		}
-		if *seed != 0 {
-			tc.Seed = *seed
-		}
-		tc.Progress = cfg.Progress
-		tc.Ctx = ctx
-		rep, err := experiment.RunStream(tc)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(out, rep.Render())
-		if v := rep.Violations(); len(v) > 0 {
-			return fmt.Errorf("stream: %d invariant violations", len(v))
-		}
-	case "compare":
-		parts := strings.Split(*pair, ",")
-		if len(parts) != 2 {
-			return fmt.Errorf("-pair wants A,B; got %q", *pair)
-		}
-		res, err := experiment.CompareProtocols(cfg, strings.TrimSpace(parts[0]),
-			strings.TrimSpace(parts[1]), *kFlag)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(out, res.String())
-	case "lambda":
-		k := 12
-		if len(cfg.Ks) > 0 {
-			k = cfg.Ks[len(cfg.Ks)/2]
-		}
-		tbl, err := experiment.LambdaSweep(cfg, k)
-		if err != nil {
-			return err
-		}
-		emit(tbl)
-	case "all":
-		printSetup(out, cfg)
-		res, err := experiment.RunMain(cfg, protoList)
-		if err != nil {
-			return err
-		}
-		emit(res.TotalHops)
-		emit(res.PerDestHops)
-		emit(res.Energy)
-		emit(res.FailureRate)
-		fc := experiment.DefaultFailureConfig()
-		if *quick {
-			fc = experiment.QuickFailureConfig()
-		}
-		inheritRun(&fc.Base, cfg)
-		ftbl, err := experiment.RunFailures(fc, []string{
-			experiment.ProtoPBM, experiment.ProtoLGS, experiment.ProtoGMP,
-		})
-		if err != nil {
-			return err
-		}
-		emit(ftbl)
-	default:
-		return fmt.Errorf("unknown experiment %q", *exp)
+	if res.Violations > 0 {
+		return fmt.Errorf("%s: %d invariant violations", e.Name, res.Violations)
 	}
 	return nil
 }
 
-// inheritRun copies the run-level knobs — seed, worker cap and progress
-// sink — from the effective CLI config onto a sub-experiment's base config,
-// so every experiment honors -seed, -workers and -progress uniformly.
-func inheritRun(base *experiment.Config, cfg experiment.Config) {
-	base.Seed = cfg.Seed
-	base.Workers = cfg.Workers
-	base.Progress = cfg.Progress
+// catalogLines formats one line per catalog experiment from a format
+// taking its name and summary: the -experiment usage and the package
+// doc's usage block both list the catalog through it.
+func catalogLines(format string) string {
+	var b strings.Builder
+	for _, e := range experiment.Catalog() {
+		fmt.Fprintf(&b, format, e.Name, e.Summary)
+	}
+	return b.String()
 }
 
 // progressPrinter renders a live "done/total cells" counter on w, ending
@@ -533,25 +196,12 @@ func progressPrinter(w io.Writer) experiment.ProgressFunc {
 	}
 }
 
-func printSetup(out io.Writer, cfg experiment.Config) {
-	fmt.Fprintln(out, "Table 1: simulation setup")
-	fmt.Fprintf(out, "  Network size        %.0fm x %.0fm\n", cfg.Width, cfg.Height)
-	fmt.Fprintf(out, "  Number of nodes     %d\n", cfg.Nodes)
-	fmt.Fprintf(out, "  Channel data rate   %.0f Mbps\n", cfg.Radio.DataRateBps/1e6)
-	fmt.Fprintf(out, "  Transmission power  %.1f W\n", cfg.Radio.TxPowerW)
-	fmt.Fprintf(out, "  Receiving power     %.1f W\n", cfg.Radio.RxPowerW)
-	fmt.Fprintf(out, "  Message size        %d B\n", cfg.Radio.MessageBytes)
-	fmt.Fprintf(out, "  Radio range         %.0f m\n", cfg.RadioRange)
-	fmt.Fprintf(out, "  Networks x tasks    %d x %d\n", cfg.Networks, cfg.TasksPerNet)
-	fmt.Fprintf(out, "  Destination sweep   %v\n", cfg.Ks)
-	fmt.Fprintf(out, "  Hop budget          %d\n", cfg.MaxHops)
-	fmt.Fprintf(out, "  Seed                %d\n", cfg.Seed)
-	fmt.Fprintln(out)
-}
-
 // writeArtifacts saves a table as both JSON and CSV under dir, named by a
 // slug of its title.
 func writeArtifacts(dir string, t *stats.Table) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
 	slug := slugify(t.Title)
 	data, err := json.MarshalIndent(t, "", "  ")
 	if err != nil {

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"gmp/internal/experiment"
 	"gmp/internal/testutil"
 )
 
@@ -281,13 +282,13 @@ func TestScaleQuick(t *testing.T) {
 		var s string
 		for _, line := range strings.Split(out, "\n") {
 			f := strings.Fields(line)
-			if len(f) >= 11 && f[0] != "nodes" {
+			if len(f) == 10 && f[0] != "nodes" {
 				s += strings.Join(f[:6], " ") + "\n" // nodes proto tiles deliv/dests tx energy
 			}
 		}
 		return s
 	}
-	if d1, d4 := deterministic(one), deterministic(four); d1 != d4 {
+	if d1, d4 := deterministic(one), deterministic(four); d1 == "" || d1 != d4 {
 		t.Fatalf("deterministic columns diverged:\n-shards 1:\n%s\n-shards 4:\n%s", d1, d4)
 	}
 }
@@ -300,20 +301,85 @@ func TestNegativeShardsRejected(t *testing.T) {
 	}
 }
 
-// TestQuickExperimentGoldens pins every quick experiment whose output is a
-// pure function of its configuration: each run must match
-// testdata/<experiment>_quick.golden byte for byte. scale, stream and serve
-// print wall-clock columns and keep their own oracles instead. Regenerate
-// with `go test ./cmd/gmpsim -run TestQuickExperimentGoldens -update`.
+// TestQuickExperimentGoldens pins every catalog experiment whose output is
+// a pure function of its configuration: each run must match
+// testdata/<experiment>_quick.golden byte for byte, and a missing golden is
+// a failure. Entries marked WallClock (scale, serve, stream) print
+// wall-clock columns and keep their own oracles instead. Regenerate with
+// `go test ./cmd/gmpsim -run TestQuickExperimentGoldens -update`.
 func TestQuickExperimentGoldens(t *testing.T) {
-	for _, exp := range []string{
-		"setup", "totalhops", "failures", "loss", "robustness", "localization",
-		"staleness", "lifetime", "load", "beaconing", "clustering", "chaos",
-		"churn", "delivery", "compare", "lambda",
-	} {
-		t.Run(exp, func(t *testing.T) {
-			got := runCapture(t, "-experiment", exp, "-quick")
-			testutil.Golden(t, filepath.Join("testdata", exp+"_quick.golden"), got, *update)
+	for _, e := range experiment.Catalog() {
+		if e.WallClock {
+			continue
+		}
+		t.Run(e.Name, func(t *testing.T) {
+			got := runCapture(t, "-experiment", e.Name, "-quick")
+			testutil.Golden(t, filepath.Join("testdata", e.Name+"_quick.golden"), got, *update)
 		})
+	}
+}
+
+// TestPackageDocListsCatalog keeps the package doc's usage block generated
+// from the catalog: one line per entry, in catalog order. -update rewrites
+// the block in doc.go.
+func TestPackageDocListsCatalog(t *testing.T) {
+	const open, closing = "// Usage:\n//\n", "//\n// The -quick flag"
+	data, err := os.ReadFile("doc.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := string(data)
+	i, j := strings.Index(doc, open), strings.Index(doc, closing)
+	if i < 0 || j < i {
+		t.Fatalf("doc.go lost its usage block markers %q ... %q", open, closing)
+	}
+	i += len(open)
+	want := catalogLines("//\tgmpsim -experiment %-13s # %s\n")
+	if *update {
+		if err := os.WriteFile("doc.go", []byte(doc[:i]+want+doc[j:]), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	if got := doc[i:j]; got != want {
+		t.Fatalf("doc.go usage block is stale (rerun with -update):\ngot:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestRunFlagsActOrAreRefused: a fault or protocol flag either changes the
+// chosen experiment's output or is refused with an error naming the flag
+// and the experiment — never silently dropped.
+func TestRunFlagsActOrAreRefused(t *testing.T) {
+	for _, tc := range []struct {
+		args   []string
+		golden string
+		refuse string // flag named in the expected refusal; "" = must act
+	}{
+		{[]string{"-experiment", "failures", "-quick", "-loss", "0.3", "-arq"}, "failures", ""},
+		{[]string{"-experiment", "robustness", "-quick", "-protocols", "GMP"}, "robustness", ""},
+		{[]string{"-experiment", "robustness", "-quick", "-loss", "0.3"}, "robustness", "-loss"},
+		{[]string{"-experiment", "loss", "-quick", "-arq"}, "loss", "-arq"},
+		{[]string{"-experiment", "lambda", "-quick", "-protocols", "PBM"}, "lambda", "-protocols"},
+		{[]string{"-experiment", "delivery", "-quick", "-crash", "0.1"}, "delivery", "-crash"},
+	} {
+		var b strings.Builder
+		err := run(tc.args, &b)
+		if tc.refuse != "" {
+			if err == nil || !strings.Contains(err.Error(), tc.refuse) || !strings.Contains(err.Error(), tc.golden) {
+				t.Errorf("%v: err = %v, want a refusal naming %s and %s", tc.args, err, tc.refuse, tc.golden)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%v: %v", tc.args, err)
+			continue
+		}
+		want, err := os.ReadFile(filepath.Join("testdata", tc.golden+"_quick.golden"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b.String() == string(want) {
+			t.Errorf("%v reproduced %s_quick.golden: the flags were ignored", tc.args, tc.golden)
+		}
 	}
 }

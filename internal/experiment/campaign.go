@@ -3,6 +3,7 @@ package experiment
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"sync"
 	"sync/atomic"
 
@@ -133,6 +134,46 @@ func runNetworks[T any](c campaign, networks int, fn func(netIdx int) (T, error)
 		out[i] = grid[i][0]
 	}
 	return out, nil
+}
+
+// replayAudit is the oracle scaffolding shared by the chaos, churn and
+// delivery campaigns: it runs one arm twice from scratch, reports
+// "<label>: replay diverged" when the runs differ, and audits every task of
+// the first run, reporting "<label> <unit><i>: <error>" per failing task. The
+// caller keeps its own tallies over the returned metrics.
+func replayAudit(label, unit string, audit sim.AuditConfig, run func() ([]sim.TaskMetrics, error)) ([]sim.TaskMetrics, []string, error) {
+	metrics, err := run()
+	if err != nil {
+		return nil, nil, err
+	}
+	replay, err := run()
+	if err != nil {
+		return nil, nil, err
+	}
+	var violations []string
+	if !reflect.DeepEqual(metrics, replay) {
+		violations = append(violations, label+": replay diverged")
+	}
+	for ti := range metrics {
+		if err := sim.AuditTask(&metrics[ti], audit); err != nil {
+			violations = append(violations, fmt.Sprintf("%s %s%d: %v", label, unit, ti, err))
+		}
+	}
+	return metrics, violations, nil
+}
+
+// oracleVerdict renders a report's closing oracle line: label, then pass
+// when there are no violations, else "FAIL (n violations)" with every
+// violation listed beneath it.
+func oracleVerdict(label, pass string, violations []string) string {
+	if len(violations) == 0 {
+		return label + pass + "\n"
+	}
+	s := fmt.Sprintf("%sFAIL (%d violations)\n", label, len(violations))
+	for _, v := range violations {
+		s += "    " + v + "\n"
+	}
+	return s
 }
 
 // deployment is one network's immutable build products — placement,

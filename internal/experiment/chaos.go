@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"fmt"
-	"reflect"
 
 	"gmp/internal/geom"
 	"gmp/internal/sim"
@@ -96,15 +95,7 @@ func (r *ChaosReport) Render() string {
 			s += fmt.Sprintf("  drops[%-16s]           %d\n", reason, r.DropsByReason[reason])
 		}
 	}
-	if len(r.Violations) == 0 {
-		s += "  oracle                            PASS (0 violations)\n"
-		return s
-	}
-	s += fmt.Sprintf("  oracle                            FAIL (%d violations)\n", len(r.Violations))
-	for _, v := range r.Violations {
-		s += "    " + v + "\n"
-	}
-	return s
+	return s + oracleVerdict("  oracle                            ", "PASS (0 violations)", r.Violations)
 }
 
 // chaosPlan is one drawn fault schedule plus its table-corruption knobs.
@@ -284,19 +275,14 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 				// Concurrent protocols duplicate deliveries by design; the
 				// audit tolerates that for them and no one else.
 				audit.AllowDuplicates = concurrentProto(proto)
-				metrics, err := runChaosArm(cfg, d, plan, netIdx, pi, proto)
-				if err != nil {
-					return chaosCell{}, err
-				}
-				replay, err := runChaosArm(cfg, d, plan, netIdx, pi, proto)
+				metrics, violations, err := replayAudit(
+					fmt.Sprintf("net%d plan%d %s", netIdx, pi, proto), "task", audit,
+					func() ([]sim.TaskMetrics, error) { return runChaosArm(cfg, d, plan, netIdx, pi, proto) })
 				if err != nil {
 					return chaosCell{}, err
 				}
 				cell.arms++
-				if !reflect.DeepEqual(metrics, replay) {
-					cell.violations = append(cell.violations, fmt.Sprintf(
-						"net%d plan%d %s: replay diverged", netIdx, pi, proto))
-				}
+				cell.violations = append(cell.violations, violations...)
 				for ti := range metrics {
 					m := &metrics[ti]
 					cell.tasks++
@@ -305,10 +291,6 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 					}
 					for reason, cnt := range m.DropsByReason {
 						cell.drops[reason] += cnt
-					}
-					if err := sim.AuditTask(m, audit); err != nil {
-						cell.violations = append(cell.violations, fmt.Sprintf(
-							"net%d plan%d %s task%d: %v", netIdx, pi, proto, ti, err))
 					}
 				}
 			}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"reflect"
 
 	"gmp/internal/beacon"
 	"gmp/internal/geom"
@@ -161,15 +160,7 @@ func (r *ChurnReport) Render() string {
 		}
 		s += "\n"
 	}
-	if len(r.Violations) == 0 {
-		s += "  oracle                             PASS (0 violations)\n"
-		return s
-	}
-	s += fmt.Sprintf("  oracle                             FAIL (%d violations)\n", len(r.Violations))
-	for _, v := range r.Violations {
-		s += "    " + v + "\n"
-	}
-	return s
+	return s + oracleVerdict("  oracle                             ", "PASS (0 violations)", r.Violations)
 }
 
 // churnSession is one session's precomputed inputs: the ground-truth
@@ -449,19 +440,14 @@ func RunChurn(cfg ChurnConfig) (*ChurnReport, error) {
 				// Concurrent protocols duplicate deliveries by design; the
 				// audit tolerates that for them and no one else.
 				audit.AllowDuplicates = concurrentProto(proto)
-				metrics, err := runChurnArm(cfg, data, proto)
-				if err != nil {
-					return churnCell{}, err
-				}
-				replay, err := runChurnArm(cfg, data, proto)
+				metrics, violations, err := replayAudit(
+					fmt.Sprintf("net%d pt%d %s", netIdx, pi, proto), "session", audit,
+					func() ([]sim.TaskMetrics, error) { return runChurnArm(cfg, data, proto) })
 				if err != nil {
 					return churnCell{}, err
 				}
 				cell.arms++
-				if !reflect.DeepEqual(metrics, replay) {
-					cell.violations = append(cell.violations, fmt.Sprintf(
-						"net%d pt%d %s: replay diverged", netIdx, pi, proto))
-				}
+				cell.violations = append(cell.violations, violations...)
 				for si := range metrics {
 					m := &metrics[si]
 					cell.tasks++
@@ -474,10 +460,6 @@ func RunChurn(cfg ChurnConfig) (*ChurnReport, error) {
 					cell.missed += m.JoinsMissed
 					for reason, cnt := range m.DropsByReason {
 						cell.drops[reason] += cnt
-					}
-					if err := sim.AuditTask(m, audit); err != nil {
-						cell.violations = append(cell.violations, fmt.Sprintf(
-							"net%d pt%d %s session%d: %v", netIdx, pi, proto, si, err))
 					}
 				}
 			}

@@ -101,26 +101,13 @@ func RunClustering(cc ClusteringConfig, protos []string) (*stats.Table, error) {
 			xs[i] = spread
 		}
 	}
-	table := &stats.Table{
-		Title:  "E-X7: total hops vs destination cluster spread",
-		XLabel: "cluster spread (m)",
-		YLabel: "mean transmissions/task",
-		Xs:     xs,
-		Series: make([]stats.Series, 0, len(protos)),
-	}
-	for pi, proto := range protos {
-		ys := make([]float64, len(xs))
-		for si := range xs {
+	return protoTable("E-X7: total hops vs destination cluster spread",
+		"cluster spread (m)", "mean transmissions/task", xs, protos, func(pi, si int) float64 {
 			var c clusterCell
 			for netIdx := range grid {
 				c.hops += grid[netIdx][si][pi].hops
 				c.tasks += grid[netIdx][si][pi].tasks
 			}
-			if c.tasks > 0 {
-				ys[si] = c.hops / float64(c.tasks)
-			}
-		}
-		table.Series = append(table.Series, stats.Series{Label: proto, Y: ys})
-	}
-	return table, nil
+			return ratio(c.hops, float64(c.tasks))
+		}), nil
 }

@@ -52,6 +52,16 @@ func RegisteredProtocols() []string {
 	return out
 }
 
+// checkProtos rejects the first protocol the routing registry does not know.
+func checkProtos(protos []string) error {
+	for _, p := range protos {
+		if _, ok := routing.Lookup(p); !ok {
+			return fmt.Errorf("%w: %q", ErrBadProtocol, p)
+		}
+	}
+	return nil
+}
+
 // Config describes one experiment campaign. Default reproduces Table 1.
 type Config struct {
 	// Width and Height of the deployment region in meters.

@@ -3,7 +3,6 @@ package experiment
 import (
 	"context"
 	"fmt"
-	"reflect"
 
 	"gmp/internal/geom"
 	"gmp/internal/network"
@@ -68,6 +67,9 @@ type DeliveryConfig struct {
 	Watchdog view.WatchdogLimits
 	// Seed makes the campaign reproducible.
 	Seed int64
+	// Workers caps how many topology arms run at once (see Config.Workers);
+	// zero means one per CPU. The report is identical for any value.
+	Workers int
 	// Progress, when non-nil, observes per-arm completion.
 	Progress ProgressFunc
 	// Ctx, when non-nil, cancels the campaign between cells (see Config.Ctx).
@@ -120,6 +122,9 @@ func (cfg DeliveryConfig) Validate() error {
 		return fmt.Errorf("experiment: delivery needs at least one task and one destination, got tasks=%d k=%d",
 			cfg.TasksPerArm, cfg.K)
 	}
+	if cfg.Workers < 0 {
+		return fmt.Errorf("%w: %d", ErrBadWorkers, cfg.Workers)
+	}
 	if len(cfg.Topologies) == 0 {
 		return fmt.Errorf("experiment: delivery needs at least one topology arm")
 	}
@@ -132,16 +137,7 @@ func (cfg DeliveryConfig) Validate() error {
 	if len(cfg.Protos) == 0 {
 		return fmt.Errorf("experiment: delivery needs at least one protocol")
 	}
-	reg := make(map[string]bool)
-	for _, p := range RegisteredProtocols() {
-		reg[p] = true
-	}
-	for _, p := range cfg.Protos {
-		if !reg[p] {
-			return fmt.Errorf("%w: %q", ErrBadProtocol, p)
-		}
-	}
-	return nil
+	return checkProtos(cfg.Protos)
 }
 
 // DeliveryArm is one (topology × protocol) arm's outcome.
@@ -180,24 +176,12 @@ type DeliveryReport struct {
 func (r *DeliveryReport) Render() string {
 	s := "E-X12: delivery guarantee on adversarial topologies\n" +
 		fmt.Sprintf("  %-8s %-8s %10s %10s %10s\n", "topology", "proto", "delivered", "ratio", "wd-drops")
-	violations := 0
 	for _, a := range r.Arms {
 		s += fmt.Sprintf("  %-8s %-8s %5d/%-4d %9.1f%% %10d\n",
 			a.Topology, a.Proto, a.DeliveredDests, a.DestCount, 100*a.Ratio(),
 			a.DestDropsByReason[sim.ReasonWatchdog])
-		violations += len(a.Violations)
 	}
-	if violations == 0 {
-		s += "  oracle   PASS (0 violations)\n"
-		return s
-	}
-	s += fmt.Sprintf("  oracle   FAIL (%d violations)\n", violations)
-	for _, a := range r.Arms {
-		for _, v := range a.Violations {
-			s += "    " + v + "\n"
-		}
-	}
-	return s
+	return s + oracleVerdict("  oracle   ", "PASS (0 violations)", r.Violations())
 }
 
 // Violations collects every arm's violations, in arm order.
@@ -321,7 +305,7 @@ func RunDelivery(cfg DeliveryConfig) (*DeliveryReport, error) {
 		return nil, err
 	}
 	type deliveryCell struct{ arms []DeliveryArm }
-	runner := campaign{workers: Config{}.workerCount(), progress: cfg.Progress, ctx: cfg.Ctx}
+	runner := newCampaign(Config{Workers: cfg.Workers, Progress: cfg.Progress, Ctx: cfg.Ctx})
 	grid, err := runCells(runner, len(cfg.Topologies), 1,
 		func(ai, _ int) (deliveryCell, error) {
 			data, err := buildDeliveryCell(cfg, ai)
@@ -333,12 +317,10 @@ func RunDelivery(cfg DeliveryConfig) (*DeliveryReport, error) {
 				arm := DeliveryArm{Topology: cfg.Topologies[ai], Proto: proto}
 				audit := sim.AuditConfig{MaxHops: cfg.MaxHops,
 					AllowDuplicates: concurrentProto(proto)}
-				metrics := runDeliveryArm(cfg, data, proto)
-				replay := runDeliveryArm(cfg, data, proto)
-				if !reflect.DeepEqual(metrics, replay) {
-					arm.Violations = append(arm.Violations, fmt.Sprintf(
-						"%s %s: replay diverged", arm.Topology, proto))
-				}
+				// runDeliveryArm cannot fail, so neither can its audit.
+				metrics, violations, _ := replayAudit(arm.Topology+" "+proto, "task", audit,
+					func() ([]sim.TaskMetrics, error) { return runDeliveryArm(cfg, data, proto), nil })
+				arm.Violations = violations
 				for ti := range metrics {
 					m := &metrics[ti]
 					arm.Tasks++
@@ -349,10 +331,6 @@ func RunDelivery(cfg DeliveryConfig) (*DeliveryReport, error) {
 					arm.DestCount += m.DestCount
 					for reason, cnt := range m.DestDropsByReason {
 						arm.DestDropsByReason[reason] += cnt
-					}
-					if err := sim.AuditTask(m, audit); err != nil {
-						arm.Violations = append(arm.Violations, fmt.Sprintf(
-							"%s %s task%d: %v", arm.Topology, proto, ti, err))
 					}
 				}
 				cell.arms = append(cell.arms, arm)

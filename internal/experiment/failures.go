@@ -92,25 +92,14 @@ func RunFailures(fc FailureConfig, protos []string) (*stats.Table, error) {
 	for i, n := range fc.NodeCounts {
 		xs[i] = float64(n)
 	}
-	table := &stats.Table{
-		Title:  "Figure 15: number of failed tasks for different network densities",
-		XLabel: "nodes",
-		YLabel: "failed tasks",
-		Xs:     xs,
-		Series: make([]stats.Series, 0, len(protos)),
-	}
-	for pi, proto := range protos {
-		ys := make([]float64, len(fc.NodeCounts))
-		for di := range fc.NodeCounts {
+	return protoTable("Figure 15: number of failed tasks for different network densities",
+		"nodes", "failed tasks", xs, protos, func(pi, di int) float64 {
 			sum := 0
 			for netIdx := range grid {
 				sum += grid[netIdx][di][pi]
 			}
-			ys[di] = float64(sum)
-		}
-		table.Series = append(table.Series, stats.Series{Label: proto, Y: ys})
-	}
-	return table, nil
+			return float64(sum)
+		}), nil
 }
 
 // lambdaCell is one (network, λ) cell's raw samples.
@@ -154,10 +143,7 @@ func LambdaSweep(cfg Config, k int) (*stats.Table, error) {
 		return nil, err
 	}
 
-	xs := make([]float64, len(cfg.Lambdas))
-	for i, l := range cfg.Lambdas {
-		xs[i] = l
-	}
+	xs := append([]float64(nil), cfg.Lambdas...)
 	totalY := make([]float64, len(cfg.Lambdas))
 	pdY := make([]float64, len(cfg.Lambdas))
 	vals := make([]float64, 0, cfg.Networks*cfg.TasksPerNet)

@@ -89,25 +89,13 @@ func RunLifetime(lc LifetimeConfig, protos []string) (*LifetimeResult, error) {
 
 	xs := append([]float64(nil), lc.BatteriesJ...)
 	mk := func(title string, pick func(lifeCell) int) *stats.Table {
-		t := &stats.Table{
-			Title:  title,
-			XLabel: "battery (J)",
-			YLabel: "tasks",
-			Xs:     xs,
-			Series: make([]stats.Series, 0, len(protos)),
-		}
-		for pi, proto := range protos {
-			ys := make([]float64, len(xs))
-			for bi := range xs {
-				sum := 0
-				for netIdx := range grid {
-					sum += pick(grid[netIdx][bi*len(protos)+pi])
-				}
-				ys[bi] = float64(sum) / float64(lc.Base.Networks)
+		return protoTable(title, "battery (J)", "tasks", xs, protos, func(pi, bi int) float64 {
+			sum := 0
+			for netIdx := range grid {
+				sum += pick(grid[netIdx][bi*len(protos)+pi])
 			}
-			t.Series = append(t.Series, stats.Series{Label: proto, Y: ys})
-		}
-		return t
+			return float64(sum) / float64(lc.Base.Networks)
+		})
 	}
 	return &LifetimeResult{
 		FirstDeath: mk("E-X4: tasks until first node death",

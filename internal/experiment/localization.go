@@ -106,43 +106,27 @@ func RunLocalization(lc LocalizationConfig, protos []string) (*LocalizationResul
 		return nil, err
 	}
 
-	xs := make([]float64, len(lc.Sigmas))
-	copy(xs, lc.Sigmas)
-	delivery := &stats.Table{
-		Title:  "E-X2: delivery ratio under localization error",
-		XLabel: "sigma (m)",
-		YLabel: "delivered destinations fraction",
-		Xs:     xs,
-		Series: make([]stats.Series, 0, len(protos)),
-	}
-	hops := &stats.Table{
-		Title:  "E-X2: total hops under localization error",
-		XLabel: "sigma (m)",
-		YLabel: "mean transmissions/task",
-		Xs:     xs,
-		Series: make([]stats.Series, 0, len(protos)),
-	}
-	for pi, proto := range protos {
-		dy := make([]float64, len(lc.Sigmas))
-		hy := make([]float64, len(lc.Sigmas))
-		for si := range lc.Sigmas {
-			var c locCell
-			for netIdx := range grid {
-				g := grid[netIdx][si][pi]
-				c.delivered += g.delivered
-				c.total += g.total
-				c.hops += g.hops
-				c.tasks += g.tasks
-			}
-			if c.total > 0 {
-				dy[si] = float64(c.delivered) / float64(c.total)
-			}
-			if c.tasks > 0 {
-				hy[si] = float64(c.hops) / float64(c.tasks)
-			}
+	xs := append([]float64(nil), lc.Sigmas...)
+	sum := func(pi, si int) (c locCell) {
+		for netIdx := range grid {
+			g := grid[netIdx][si][pi]
+			c.delivered += g.delivered
+			c.total += g.total
+			c.hops += g.hops
+			c.tasks += g.tasks
 		}
-		delivery.Series = append(delivery.Series, stats.Series{Label: proto, Y: dy})
-		hops.Series = append(hops.Series, stats.Series{Label: proto, Y: hy})
+		return c
 	}
-	return &LocalizationResult{Delivery: delivery, TotalHops: hops}, nil
+	return &LocalizationResult{
+		Delivery: protoTable("E-X2: delivery ratio under localization error",
+			"sigma (m)", "delivered destinations fraction", xs, protos, func(pi, si int) float64 {
+				c := sum(pi, si)
+				return ratio(float64(c.delivered), float64(c.total))
+			}),
+		TotalHops: protoTable("E-X2: total hops under localization error",
+			"sigma (m)", "mean transmissions/task", xs, protos, func(pi, si int) float64 {
+				c := sum(pi, si)
+				return ratio(float64(c.hops), float64(c.tasks))
+			}),
+	}, nil
 }

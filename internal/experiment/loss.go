@@ -132,10 +132,7 @@ func RunLoss(lc LossConfig, protos []string) (*LossResults, error) {
 		return nil, err
 	}
 
-	xs := make([]float64, len(lc.LossRates))
-	for i, r := range lc.LossRates {
-		xs[i] = r
-	}
+	xs := append([]float64(nil), lc.LossRates...)
 	mkTable := func(title, ylabel string) *stats.Table {
 		return &stats.Table{Title: title, XLabel: "loss rate", YLabel: ylabel, Xs: xs,
 			Series: make([]stats.Series, 0, nSeries)}

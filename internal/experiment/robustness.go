@@ -96,32 +96,16 @@ func RunRobustness(rc RobustnessConfig, protos []string) (*stats.Table, error) {
 		return nil, err
 	}
 
-	xs := make([]float64, len(rc.FailFractions))
-	for i, f := range rc.FailFractions {
-		xs[i] = f
-	}
-	table := &stats.Table{
-		Title:  "E-X1: delivery ratio under random node failures",
-		XLabel: "failed fraction",
-		YLabel: "delivered destinations fraction",
-		Xs:     xs,
-		Series: make([]stats.Series, 0, len(protos)),
-	}
-	for pi, proto := range protos {
-		ys := make([]float64, len(rc.FailFractions))
-		for fi := range rc.FailFractions {
+	xs := append([]float64(nil), rc.FailFractions...)
+	return protoTable("E-X1: delivery ratio under random node failures",
+		"failed fraction", "delivered destinations fraction", xs, protos, func(pi, fi int) float64 {
 			var c robustCell
 			for netIdx := range grid {
 				c.delivered += grid[netIdx][fi][pi].delivered
 				c.total += grid[netIdx][fi][pi].total
 			}
-			if c.total > 0 {
-				ys[fi] = float64(c.delivered) / float64(c.total)
-			}
-		}
-		table.Series = append(table.Series, stats.Series{Label: proto, Y: ys})
-	}
-	return table, nil
+			return ratio(float64(c.delivered), float64(c.total))
+		}), nil
 }
 
 // pickFailures selects ⌊n·frac⌋ distinct node IDs to fail.

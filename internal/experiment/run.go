@@ -1,8 +1,6 @@
 package experiment
 
 import (
-	"fmt"
-
 	"gmp/internal/network"
 	"gmp/internal/planar"
 	"gmp/internal/sim"
@@ -79,22 +77,15 @@ func RunMain(cfg Config, protos []string) (*Results, error) {
 	}
 	vals := make([]float64, 0, cfg.Networks*cfg.TasksPerNet)
 	mk := func(title, ylabel string, pick func(taskMetrics) float64) *stats.Table {
-		t := &stats.Table{Title: title, XLabel: "k", YLabel: ylabel, Xs: xs,
-			Series: make([]stats.Series, 0, len(protos))}
-		for pi, proto := range protos {
-			ys := make([]float64, len(cfg.Ks))
-			for ki := range cfg.Ks {
-				vals = vals[:0]
-				for netIdx := range grid {
-					for _, tm := range grid[netIdx][ki][pi] {
-						vals = append(vals, pick(tm))
-					}
+		return protoTable(title, "k", ylabel, xs, protos, func(pi, ki int) float64 {
+			vals = vals[:0]
+			for netIdx := range grid {
+				for _, tm := range grid[netIdx][ki][pi] {
+					vals = append(vals, pick(tm))
 				}
-				ys[ki] = stats.Mean(vals)
 			}
-			t.Series = append(t.Series, stats.Series{Label: proto, Y: ys})
-		}
-		return t
+			return stats.Mean(vals)
+		})
 	}
 
 	return &Results{
@@ -114,6 +105,30 @@ func RunMain(cfg Config, protos []string) (*Results, error) {
 	}, nil
 }
 
+// protoTable builds a table with one series per protocol over the sweep
+// xs: y reduces one (protocol, sweep point) cell across every network.
+// Cells are visited protocol-major, sweep point minor.
+func protoTable(title, xlabel, ylabel string, xs []float64, protos []string, y func(pi, xi int) float64) *stats.Table {
+	t := &stats.Table{Title: title, XLabel: xlabel, YLabel: ylabel, Xs: xs,
+		Series: make([]stats.Series, 0, len(protos))}
+	for pi, proto := range protos {
+		ys := make([]float64, len(xs))
+		for xi := range ys {
+			ys[xi] = y(pi, xi)
+		}
+		t.Series = append(t.Series, stats.Series{Label: proto, Y: ys})
+	}
+	return t
+}
+
+// ratio is num/den, or 0 for an empty denominator.
+func ratio(num, den float64) float64 {
+	if den > 0 {
+		return num / den
+	}
+	return 0
+}
+
 // bench holds one deployed network with its engine and planar graph.
 type bench struct {
 	nw *network.Network
@@ -122,20 +137,9 @@ type bench struct {
 }
 
 // buildBench deploys network netIdx of the campaign with a private engine.
-// Drivers that run many cells per network should prefer benches, which
-// shares the deployment and builds only the engine per cell.
-func buildBench(cfg Config, netIdx int) (*bench, error) {
-	d, err := buildDeployment(cfg, netIdx)
-	if err != nil {
-		return nil, err
-	}
-	en := sim.NewEngine(d.nw, cfg.engineRadio(), cfg.MaxHops)
-	en.SetViews(cfg.views(d.nw, d.pg))
-	if err := applyFaults(cfg, netIdx, en); err != nil {
-		return nil, fmt.Errorf("network %d: %w", netIdx, err)
-	}
-	return &bench{nw: d.nw, pg: d.pg, en: en}, nil
-}
+// Drivers that run many cells per network should share one benches, which
+// deploys each network once and builds only the engine per cell.
+func buildBench(cfg Config, netIdx int) (*bench, error) { return newBenches(cfg).bench(netIdx) }
 
 // applyFaults installs the campaign's fault plan and ARQ configuration on a
 // freshly built engine. The plan's RNG seed and the generated crash

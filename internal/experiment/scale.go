@@ -144,16 +144,7 @@ func (cfg ScaleConfig) Validate() error {
 	if len(cfg.Protos) == 0 {
 		return fmt.Errorf("experiment: scale needs at least one protocol")
 	}
-	known := make(map[string]bool)
-	for _, p := range RegisteredProtocols() {
-		known[p] = true
-	}
-	for _, p := range cfg.Protos {
-		if !known[p] {
-			return fmt.Errorf("%w: %q", ErrBadProtocol, p)
-		}
-	}
-	return nil
+	return checkProtos(cfg.Protos)
 }
 
 // shards resolves the configured worker count.
@@ -238,7 +229,6 @@ func (r *ScaleReport) Fingerprint() string {
 func (r *ScaleReport) Render() string {
 	s := fmt.Sprintf("E-X10: scale sweep through the sharded kernel (%d shards)\n", r.Shards)
 	s += "    nodes    proto  tiles  deliv/dests     tx  energy(J)  build(s)    run(s)     hops/s  peakRSS\n"
-	var violations int
 	for _, a := range r.Arms {
 		name := a.Proto
 		if a.Faulted {
@@ -251,19 +241,17 @@ func (r *ScaleReport) Render() string {
 		s += fmt.Sprintf("  %7d %8s  %5d  %5d/%-5d %6d %10.4f %9.2f %9.3f %10.0f %8s\n",
 			a.Nodes, name, a.Tiles, a.DeliveredDests, a.DestCount, a.Transmissions,
 			a.EnergyJ, a.BuildSec, a.RunSec, a.HopsPerSec, rss)
-		violations += len(a.Violations)
 	}
-	if violations == 0 {
-		s += "  oracle  PASS (0 violations)\n"
-		return s
-	}
-	s += fmt.Sprintf("  oracle  FAIL (%d violations)\n", violations)
+	return s + oracleVerdict("  oracle  ", "PASS (0 violations)", r.Violations())
+}
+
+// Violations collects every arm's violations, in arm order.
+func (r *ScaleReport) Violations() []string {
+	var out []string
 	for _, a := range r.Arms {
-		for _, v := range a.Violations {
-			s += "    " + v + "\n"
-		}
+		out = append(out, a.Violations...)
 	}
-	return s
+	return out
 }
 
 // scaleBench is one node count's prebuilt inputs, shared by its arms: the

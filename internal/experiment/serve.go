@@ -202,16 +202,8 @@ func (r *ServeReport) Render() string {
 			a.Load.TransportErrors+a.Load.DialErrors, st.Evicted, a.Afflicted,
 			a.ProbeForwards, a.ProbeOffered, lat)
 	}
-	violations := r.Violations()
-	if len(violations) == 0 {
-		b.WriteString("  oracle    PASS (0 violations: every admitted request answered exactly once;\n")
-		b.WriteString("            post-chaos probes 100% FORWARDS)\n")
-		return b.String()
-	}
-	fmt.Fprintf(&b, "  oracle    FAIL (%d violations)\n", len(violations))
-	for _, v := range violations {
-		b.WriteString("    " + v + "\n")
-	}
+	b.WriteString(oracleVerdict("  oracle    ", "PASS (0 violations: every admitted request answered exactly once;\n"+
+		"            post-chaos probes 100% FORWARDS)", r.Violations()))
 	return b.String()
 }
 

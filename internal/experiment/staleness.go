@@ -77,28 +77,15 @@ func RunStaleness(sc StalenessConfig, protos []string) (*stats.Table, error) {
 	}
 
 	xs := append([]float64(nil), sc.StalenessSec...)
-	table := &stats.Table{
-		Title:  "E-X3: delivery ratio vs destination-coordinate staleness",
-		XLabel: "staleness (s)",
-		YLabel: "delivered destinations fraction",
-		Xs:     xs,
-		Series: make([]stats.Series, 0, len(protos)),
-	}
-	for pi, proto := range protos {
-		ys := make([]float64, len(xs))
-		for si := range xs {
+	return protoTable("E-X3: delivery ratio vs destination-coordinate staleness",
+		"staleness (s)", "delivered destinations fraction", xs, protos, func(pi, si int) float64 {
 			var c stalenessCell
 			for _, local := range nets {
 				c.delivered += local[pi][si].delivered
 				c.total += local[pi][si].total
 			}
-			if c.total > 0 {
-				ys[si] = float64(c.delivered) / float64(c.total)
-			}
-		}
-		table.Series = append(table.Series, stats.Series{Label: proto, Y: ys})
-	}
-	return table, nil
+			return ratio(float64(c.delivered), float64(c.total))
+		}), nil
 }
 
 // stalenessCell mirrors the accumulator layout: [proto][staleness].

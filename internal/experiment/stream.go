@@ -64,9 +64,10 @@ type StreamArmConfig struct {
 type StreamConfig struct {
 	// Deploy is the field every daemon serves.
 	Deploy serve.DeployConfig
-	// Protocol is the routing protocol every route uses. The cross-arm
-	// hop-equality oracle assumes a non-redundant protocol (the walk and
-	// the per-hop client then perform identical transmissions).
+	// Protocol is the routing protocol every route uses. Redundant
+	// (concurrent) protocols are refused: their copies carry the Reverse
+	// and Junior perimeter flags, which a per-hop DECIDE frame has no field
+	// for, so the per-hop arms could not walk their routes.
 	Protocol string
 	// Conns is the number of concurrent clients; Routes the per-connection
 	// route count; K the destination-group size per route.
@@ -217,16 +218,8 @@ func (r *StreamReport) Render() string {
 	}
 	fmt.Fprintf(&b, "  replay    %d routes streamed cold+memoized and engine-replayed (%d cached decisions)\n",
 		r.ReplayRoutes, r.ReplayCacheHits)
-	violations := r.Violations()
-	if len(violations) == 0 {
-		b.WriteString("  oracle    PASS (0 violations: conservation exact; cache on/off walks identical\n")
-		b.WriteString("            within each mode; streamed replays match the engine exactly)\n")
-		return b.String()
-	}
-	fmt.Fprintf(&b, "  oracle    FAIL (%d violations)\n", len(violations))
-	for _, v := range violations {
-		b.WriteString("    " + v + "\n")
-	}
+	b.WriteString(oracleVerdict("  oracle    ", "PASS (0 violations: conservation exact; cache on/off walks identical\n"+
+		"            within each mode; streamed replays match the engine exactly)", r.Violations()))
 	return b.String()
 }
 

@@ -49,34 +49,27 @@ func LocalAdjacency(upos geom.Point, nbrs []int, pos func(int) geom.Point, kind 
 	return kept
 }
 
-// NextHopLocal advances the right-hand-rule traversal one step using only
-// node-local data: the current node's ID and substrate position, its planar
-// adjacency in CCW order with a position oracle covering those neighbors
-// (and st.Prev, which is always a planar neighbor of cur), and optionally
-// the precomputed bearings to each planar neighbor (parallel to nbrs; pass
-// nil to compute them on the fly).
-//
-// This is the traversal core behind NextHop; see NextHop for the rule.
-func NextHopLocal(cur int, pos geom.Point, nbrs []int, nbrPos func(int) geom.Point, bearings []float64, st State) (next int, out State, ok bool) {
-	if len(nbrs) == 0 {
-		return -1, st, false
-	}
+// faceCand is one planar neighbor with its sweep angle from the reference
+// bearing.
+type faceCand struct {
+	id    int
+	delta float64
+}
 
+// faceCandidates orders a node's planar neighbors for one face step: counter-
+// clockwise starting just after the reference bearing (the incoming edge, or
+// the target on entry), clockwise under st.Reverse, ties broken by ID. The
+// incoming edge itself sorts last (delta 0 → 2π) so a dead end bounces the
+// packet back, as the right-hand rule requires. Both face-change sweeps
+// consume this order.
+func faceCandidates(pos geom.Point, nbrs []int, nbrPos func(int) geom.Point, bearings []float64, st State) []faceCand {
 	var ref float64
 	if st.Prev == -1 {
 		ref = geom.Bearing(pos, st.Target)
 	} else {
 		ref = geom.Bearing(pos, nbrPos(st.Prev))
 	}
-
-	// Order neighbors counter-clockwise starting just after ref. The
-	// incoming edge itself sorts last (delta 0 → 2π) so a dead end bounces
-	// the packet back, as the right-hand rule requires.
-	type cand struct {
-		id    int
-		delta float64
-	}
-	cands := make([]cand, 0, len(nbrs))
+	cands := make([]faceCand, 0, len(nbrs))
 	for i, n := range nbrs {
 		var b float64
 		if bearings != nil {
@@ -92,7 +85,7 @@ func NextHopLocal(cur int, pos geom.Point, nbrs []int, nbrPos func(int) geom.Poi
 		if n == st.Prev || d < 1e-12 {
 			d = 2 * 3.141592653589793
 		}
-		cands = append(cands, cand{n, d})
+		cands = append(cands, faceCand{n, d})
 	}
 	sort.Slice(cands, func(i, j int) bool {
 		if cands[i].delta != cands[j].delta {
@@ -100,6 +93,23 @@ func NextHopLocal(cur int, pos geom.Point, nbrs []int, nbrPos func(int) geom.Poi
 		}
 		return cands[i].id < cands[j].id
 	})
+	return cands
+}
+
+// NextHopLocal advances the right-hand-rule traversal one step using only
+// node-local data: the current node's ID and substrate position, its planar
+// adjacency in CCW order with a position oracle covering those neighbors
+// (and st.Prev, which is always a planar neighbor of cur), and optionally
+// the precomputed bearings to each planar neighbor (parallel to nbrs; pass
+// nil to compute them on the fly).
+//
+// This is the traversal core behind NextHop; see NextHop for the rule.
+func NextHopLocal(cur int, pos geom.Point, nbrs []int, nbrPos func(int) geom.Point, bearings []float64, st State) (next int, out State, ok bool) {
+	if len(nbrs) == 0 {
+		return -1, st, false
+	}
+
+	cands := faceCandidates(pos, nbrs, nbrPos, bearings, st)
 
 	// Face-change sweep.
 	idx := 0
@@ -145,41 +155,7 @@ func NextHopLocalFace2(cur int, pos geom.Point, nbrs []int, nbrPos func(int) geo
 		return -1, st, false
 	}
 
-	var ref float64
-	if st.Prev == -1 {
-		ref = geom.Bearing(pos, st.Target)
-	} else {
-		ref = geom.Bearing(pos, nbrPos(st.Prev))
-	}
-
-	type cand struct {
-		id    int
-		delta float64
-	}
-	cands := make([]cand, 0, len(nbrs))
-	for i, n := range nbrs {
-		var b float64
-		if bearings != nil {
-			b = bearings[i]
-		} else {
-			b = geom.Bearing(pos, nbrPos(n))
-		}
-		d := geom.CCWDelta(ref, b)
-		if st.Reverse {
-			// Left-hand rule: sweep clockwise from the reference instead.
-			d = geom.CCWDelta(b, ref)
-		}
-		if n == st.Prev || d < 1e-12 {
-			d = 2 * 3.141592653589793
-		}
-		cands = append(cands, cand{n, d})
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].delta != cands[j].delta {
-			return cands[i].delta < cands[j].delta
-		}
-		return cands[i].id < cands[j].id
-	})
+	cands := faceCandidates(pos, nbrs, nbrPos, bearings, st)
 
 	// Side-aware face-change sweep.
 	idx := 0
