@@ -346,9 +346,11 @@ func TestPackageDocListsCatalog(t *testing.T) {
 	}
 }
 
-// TestRunFlagsActOrAreRefused: a fault or protocol flag either changes the
-// chosen experiment's output or is refused with an error naming the flag
-// and the experiment — never silently dropped.
+// TestRunFlagsActOrAreRefused: a fault, protocol, size, sweep, shard or
+// compare flag either changes the chosen experiment's output or is refused
+// with an error naming the flag and the experiment — never silently
+// dropped. Each size, sweep and compare flag is refused by one entry that
+// ignores it and acts on one that reads it.
 func TestRunFlagsActOrAreRefused(t *testing.T) {
 	for _, tc := range []struct {
 		args   []string
@@ -361,6 +363,19 @@ func TestRunFlagsActOrAreRefused(t *testing.T) {
 		{[]string{"-experiment", "loss", "-quick", "-arq"}, "loss", "-arq"},
 		{[]string{"-experiment", "lambda", "-quick", "-protocols", "PBM"}, "lambda", "-protocols"},
 		{[]string{"-experiment", "delivery", "-quick", "-crash", "0.1"}, "delivery", "-crash"},
+		{[]string{"-experiment", "robustness", "-quick", "-nodes", "150"}, "robustness", "-nodes"},
+		{[]string{"-experiment", "setup", "-quick", "-nodes", "150"}, "setup", ""},
+		{[]string{"-experiment", "robustness", "-quick", "-networks", "1"}, "robustness", "-networks"},
+		{[]string{"-experiment", "totalhops", "-quick", "-networks", "1"}, "totalhops", ""},
+		{[]string{"-experiment", "delivery", "-quick", "-tasks", "1"}, "delivery", "-tasks"},
+		{[]string{"-experiment", "compare", "-quick", "-tasks", "2"}, "compare", ""},
+		{[]string{"-experiment", "compare", "-quick", "-ks", "3,5"}, "compare", "-ks"},
+		{[]string{"-experiment", "lambda", "-quick", "-ks", "4"}, "lambda", ""},
+		{[]string{"-experiment", "totalhops", "-quick", "-shards", "3"}, "totalhops", "-shards"},
+		{[]string{"-experiment", "totalhops", "-quick", "-pair", "GMP,GRD"}, "totalhops", "-pair"},
+		{[]string{"-experiment", "compare", "-quick", "-pair", "GMP,GRD"}, "compare", ""},
+		{[]string{"-experiment", "totalhops", "-quick", "-k", "5"}, "totalhops", "-k"},
+		{[]string{"-experiment", "compare", "-quick", "-k", "5"}, "compare", ""},
 	} {
 		var b strings.Builder
 		err := run(tc.args, &b)

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"gmp/internal/stats"
@@ -62,7 +63,14 @@ type runFlags uint8
 const (
 	readsFaults runFlags = 1 << iota // -loss, -edgeloss, -crash and -arq
 	readsProtos                      // -protocols
+	readsSize                        // -nodes, -networks and -tasks
+	readsKs                          // -ks
+	readsShards                      // -shards
+	readsPair                        // -pair and -k
 )
+
+// mainReads are the run flags of the entries that run the main campaign.
+const mainReads = readsFaults | readsProtos | readsSize | readsKs
 
 // Entry is one catalog experiment.
 type Entry struct {
@@ -79,9 +87,11 @@ type Entry struct {
 }
 
 // Run refuses a request that sets a run flag the entry does not read, then
-// runs the entry.
+// runs the entry. A size, sweep, shard or compare setting counts as set
+// when it differs from NewRequest's, whether a flag or a config file set
+// it.
 func (e Entry) Run(req Request) (*Output, error) {
-	c := req.Config
+	c, def := req.Config, NewRequest(req.Quick)
 	for _, f := range []struct {
 		name string
 		set  bool
@@ -92,6 +102,13 @@ func (e Entry) Run(req Request) (*Output, error) {
 		{"-crash", c.CrashFraction != 0, readsFaults},
 		{"-arq", c.ARQ.Enabled, readsFaults},
 		{"-protocols", req.Protos != nil, readsProtos},
+		{"-nodes", c.Nodes != def.Config.Nodes, readsSize},
+		{"-networks", c.Networks != def.Config.Networks, readsSize},
+		{"-tasks", c.TasksPerNet != def.Config.TasksPerNet, readsSize},
+		{"-ks", !slices.Equal(c.Ks, def.Config.Ks), readsKs},
+		{"-shards", req.Shards != def.Shards, readsShards},
+		{"-pair", req.Pair != def.Pair, readsPair},
+		{"-k", req.K != def.K, readsPair},
 	} {
 		if f.set && e.reads&f.need == 0 {
 			return nil, fmt.Errorf("%s does not apply to experiment %s", f.name, e.Name)
@@ -103,12 +120,12 @@ func (e Entry) Run(req Request) (*Output, error) {
 // Catalog returns every experiment in usage order.
 func Catalog() []Entry {
 	return []Entry{
-		{Name: "setup", Summary: "Table 1 parameters", run: runSetup},
-		{Name: "totalhops", Summary: "Figure 11: total hops vs k", reads: readsFaults | readsProtos,
+		{Name: "setup", Summary: "Table 1 parameters", reads: readsSize | readsKs, run: runSetup},
+		{Name: "totalhops", Summary: "Figure 11: total hops vs k", reads: mainReads,
 			run: mainTable(func(r *Results) *stats.Table { return r.TotalHops })},
-		{Name: "perdest", Summary: "Figure 12: per-destination hops vs k", reads: readsFaults | readsProtos,
+		{Name: "perdest", Summary: "Figure 12: per-destination hops vs k", reads: mainReads,
 			run: mainTable(func(r *Results) *stats.Table { return r.PerDestHops })},
-		{Name: "energy", Summary: "Figure 14: energy vs k", reads: readsFaults | readsProtos,
+		{Name: "energy", Summary: "Figure 14: energy vs k", reads: mainReads,
 			run: mainTable(func(r *Results) *stats.Table { return r.Energy })},
 		{Name: "failures", Summary: "Figure 15: failed tasks vs density", reads: readsFaults | readsProtos,
 			run: runFailuresEntry},
@@ -122,7 +139,7 @@ func Catalog() []Entry {
 				}
 				return tables(res.Failures, res.Transmissions, res.Energy), nil
 			}},
-		{Name: "lambda", Summary: "A-3: PBM λ ablation at the sweep's middle k", reads: readsFaults,
+		{Name: "lambda", Summary: "A-3: PBM λ ablation at the sweep's middle k", reads: readsFaults | readsSize | readsKs,
 			run: func(req Request) (*Output, error) {
 				k := 12
 				if ks := req.Config.Ks; len(ks) > 0 {
@@ -130,7 +147,7 @@ func Catalog() []Entry {
 				}
 				return table(LambdaSweep(req.Config, k))
 			}},
-		{Name: "compare", Summary: "paired comparison of two protocols (-pair A,B -k K)", reads: readsFaults,
+		{Name: "compare", Summary: "paired comparison of two protocols (-pair A,B -k K)", reads: readsFaults | readsSize | readsPair,
 			run: func(req Request) (*Output, error) {
 				parts := strings.Split(req.Pair, ",")
 				if len(parts) != 2 {
@@ -218,7 +235,7 @@ func Catalog() []Entry {
 				}
 				return &Output{Text: rep.Render(), Violations: len(rep.Violations)}, nil
 			}},
-		{Name: "scale", Summary: "E-X10: 10⁴ → 10⁶ nodes on the sharded kernel (-shards N)", WallClock: true, reads: readsProtos,
+		{Name: "scale", Summary: "E-X10: 10⁴ → 10⁶ nodes on the sharded kernel (-shards N)", WallClock: true, reads: readsProtos | readsShards,
 			run: func(req Request) (*Output, error) {
 				sc := pick(req.Quick, DefaultScaleConfig, QuickScaleConfig)
 				sc.Seed, sc.Progress, sc.Ctx = req.Config.Seed, req.Config.Progress, req.Config.Ctx
@@ -270,7 +287,7 @@ func Catalog() []Entry {
 				}
 				return &Output{Text: rep.Render(), Violations: len(rep.Violations())}, nil
 			}},
-		{Name: "all", Summary: "setup, Figures 11, 12 and 14 with the failure rate, and Figure 15", reads: readsFaults | readsProtos,
+		{Name: "all", Summary: "setup, Figures 11, 12 and 14 with the failure rate, and Figure 15", reads: mainReads,
 			run: func(req Request) (*Output, error) {
 				out, err := runSetup(req)
 				if err != nil {

@@ -1,11 +1,14 @@
 package routing
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"gmp/internal/geom"
 	"gmp/internal/network"
+	"gmp/internal/sim"
 	"gmp/internal/view"
 )
 
@@ -70,21 +73,30 @@ func TestPBMLambdaAccessor(t *testing.T) {
 
 func TestPBMGreedySubsetLargeCandidateSet(t *testing.T) {
 	// More than pbmExactLimit distinct per-destination closest neighbors
-	// forces the greedy subset path. Construct a dense hub with many
-	// destinations fanned out in distinct directions.
+	// forces the greedy subset path: a source at the centre of a dense
+	// field, with destinations fanned out in 24 directions.
 	bed := denseBed(t, 271, 1000)
-	r := rand.New(rand.NewSource(53))
-	src, dests := pickTask(r, bed.nw.Len(), 24)
+	centre := geom.Pt(500, 500)
+	src := bed.nw.ClosestNode(centre)
+	var dests []int
+	for i := 0; i < 24; i++ {
+		a := 2 * math.Pi * float64(i) / 24
+		d := bed.nw.ClosestNode(geom.Pt(500+450*math.Cos(a), 500+450*math.Sin(a)))
+		if d != src && !slices.Contains(dests, d) {
+			dests = append(dests, d)
+		}
+	}
 	pbm := NewPBM(0.3)
 	// Verify the construction actually exceeds the exact-enumeration cap
-	// at the source (otherwise the test silently loses its purpose).
-	v := view.NewOracle(bed.nw, bed.pg).At(src, new(view.Scratch))
-	loc := make(map[int]geom.Point, len(dests))
-	for _, d := range dests {
-		loc[d] = bed.nw.Pos(d)
+	// at the source (otherwise the test loses its purpose).
+	s := new(view.Scratch)
+	pkt := &sim.Packet{Dests: sortedCopy(dests), Anchor: -1}
+	for _, d := range pkt.Dests {
+		pkt.Locs = append(pkt.Locs, bed.nw.Pos(d))
 	}
-	if cands := pbm.candidates(v, loc, dests); len(cands) <= pbmExactLimit {
-		t.Skipf("only %d candidates; need > %d", len(cands), pbmExactLimit)
+	pbm.Start(view.NewOracle(bed.nw, bed.pg).At(src, s), pkt)
+	if cands := s.PBM.Cands; len(cands) <= pbmExactLimit {
+		t.Fatalf("only %d candidates; need > %d", len(cands), pbmExactLimit)
 	}
 	m := bed.en.RunTask(pbm, src, dests)
 	if m.InvalidSends != 0 {

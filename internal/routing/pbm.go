@@ -1,8 +1,11 @@
 package routing
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 	"sort"
 
 	"gmp/internal/geom"
@@ -65,163 +68,251 @@ func (p *PBM) Decide(v view.NodeView, pkt *sim.Packet) []sim.Forward {
 	return greedyThenFace(v, pkt, p.greedy)
 }
 
-// splitVoids partitions dests into those with at least one strictly closer
-// neighbor and those without (voids).
-func (p *PBM) splitVoids(v view.NodeView, loc map[int]geom.Point, dests []int) (routable, voids []int) {
-	for _, d := range dests {
-		if greedyNextHop(v, loc[d]) == -1 {
-			voids = append(voids, d)
-		} else {
-			routable = append(routable, d)
-		}
-	}
-	return routable, voids
-}
-
 // greedy forwards the destinations that have a strictly closer neighbor
-// through the subset optimization and returns the rest as voids.
+// through the subset optimization and returns the rest as voids, in header
+// order.
+//
+// One neighbor scan per destination gives both. It records the distance
+// from every neighbor and the first neighbor at the least distance. The
+// destination is routable when that neighbor is strictly nearer than v, and
+// that neighbor is then the one greedyNextHop would pick and a candidate
+// of the subset search: only per-destination closest neighbors can lower
+// the remaining-distance term of f.
 func (p *PBM) greedy(v view.NodeView, pkt *sim.Packet) ([]sim.Forward, []int) {
-	loc := locIndex(pkt)
-	routable, voids := p.splitVoids(v, loc, pkt.Dests)
-	var fwds []sim.Forward
-	if len(routable) > 0 {
-		fwds = p.forwardSubset(v, loc, pkt, routable)
-	}
-	return fwds, voids
-}
-
-// forwardSubset runs the subset optimization and emits one copy per chosen
-// neighbor with its assigned destinations.
-func (p *PBM) forwardSubset(v view.NodeView, loc map[int]geom.Point, pkt *sim.Packet, dests []int) []sim.Forward {
-	subset := p.chooseSubset(v, loc, dests)
-	if len(subset) == 0 {
-		// Cannot happen for routable destinations, but fail safe.
-		return dropOnly(pkt)
-	}
-	assign := make(map[int][]int, len(subset))
-	for _, d := range dests {
-		dp := loc[d]
-		best, bestD := subset[0], math.Inf(1)
-		for _, n := range subset {
-			if dd := v.NbrPos(n).Dist(dp); dd < bestD {
-				best, bestD = n, dd
-			}
-		}
-		assign[best] = append(assign[best], d)
-	}
-	members := make([]int, 0, len(assign))
-	for n := range assign {
-		members = append(members, n)
-	}
-	sort.Ints(members)
-	fwds := make([]sim.Forward, 0, len(members))
-	for _, n := range members {
-		copyPkt := pkt.CloneFor(sortedCopy(assign[n]))
-		copyPkt.Perimeter = false
-		fwds = append(fwds, sim.Forward{To: n, Pkt: copyPkt})
-	}
-	return fwds
-}
-
-// candidates returns the distinct per-destination closest neighbors: the
-// only neighbors that can lower the remaining-distance term of f.
-func (p *PBM) candidates(v view.NodeView, loc map[int]geom.Point, dests []int) []int {
-	set := make(map[int]bool)
-	for _, d := range dests {
-		dp := loc[d]
+	s := v.Scratch()
+	a := &s.PBM
+	nbrs := v.Neighbors()
+	deg := len(nbrs)
+	self := v.Pos()
+	nbrDist := resize(a.NbrDist, len(pkt.Dests)*deg)
+	routable, cands := a.Routable[:0], a.Cands[:0]
+	voids := s.VoidBuf[:0]
+	// curTotal is Σ_d d(v, d) over the routable destinations, in header
+	// order: f's denominator, the same for every subset.
+	var curTotal float64
+	for j, dp := range pkt.Locs {
+		row := nbrDist[j*deg : (j+1)*deg]
 		best, bestD := -1, math.Inf(1)
-		for _, n := range v.Neighbors() {
-			if dd := v.NbrPos(n).Dist(dp); dd < bestD {
-				best, bestD = n, dd
+		for i, n := range nbrs {
+			d := v.NbrPos(n).Dist(dp)
+			row[i] = d
+			if d < bestD {
+				best, bestD = i, d
 			}
 		}
-		if best != -1 {
-			set[best] = true
+		curD := self.Dist(dp)
+		if !(bestD < curD) {
+			voids = append(voids, pkt.Dests[j])
+			continue
 		}
+		routable = append(routable, j)
+		if !slices.Contains(cands, best) {
+			cands = append(cands, best)
+		}
+		curTotal += curD
 	}
-	out := make([]int, 0, len(set))
-	for n := range set {
-		out = append(out, n)
+	slices.SortFunc(cands, func(x, y int) int { return cmp.Compare(nbrs[x], nbrs[y]) })
+	a.NbrDist, a.Routable, a.Cands = nbrDist, routable, cands
+	s.VoidBuf = voids
+	if len(routable) == 0 {
+		return nil, voids
 	}
-	sort.Ints(out)
-	return out
-}
 
-// objective evaluates f(S) for the given subset.
-func (p *PBM) objective(v view.NodeView, loc map[int]geom.Point, subset, dests []int) float64 {
-	m := v.Degree()
-	if m == 0 || len(subset) == 0 {
-		return math.Inf(1)
-	}
-	var remaining float64
-	for _, d := range dests {
-		dp := loc[d]
-		best := math.Inf(1)
-		for _, n := range subset {
-			if dd := v.NbrPos(n).Dist(dp); dd < best {
-				best = dd
-			}
+	// The candidate × routable-destination table, read from the scan.
+	r := len(routable)
+	table := resize(a.Table, len(cands)*r)
+	for c, i := range cands {
+		for k, j := range routable {
+			table[c*r+k] = nbrDist[j*deg+i]
 		}
-		remaining += best
 	}
-	curTotal := sumDistTo(v.Pos(), dests, loc)
+	a.Table = table
 	if curTotal <= geom.Eps {
 		curTotal = geom.Eps
 	}
-	return p.lambda*float64(len(subset))/float64(m) + (1-p.lambda)*remaining/curTotal
-}
-
-// chooseSubset minimizes f over subsets of the candidate neighbors:
-// exhaustively when the candidate set is small, greedily otherwise.
-func (p *PBM) chooseSubset(v view.NodeView, loc map[int]geom.Point, dests []int) []int {
-	cands := p.candidates(v, loc, dests)
-	if len(cands) == 0 {
-		return nil
-	}
+	srch := pbmSearch{lambda: p.lambda, deg: v.Degree(), k: len(cands), r: r,
+		table: table, curTotal: curTotal}
+	var members []int
 	if len(cands) <= pbmExactLimit {
-		return p.exhaustiveSubset(v, loc, cands, dests)
+		members = srch.exhaustive(a)
+	} else {
+		members = srch.greedy(a)
 	}
-	return p.greedySubset(v, loc, cands, dests)
+	if len(members) == 0 {
+		// Only a subset whose f is not below +Inf leaves this empty.
+		return dropOnly(pkt), voids
+	}
+	return srch.forward(a, pkt, nbrs, members), voids
 }
 
-func (p *PBM) exhaustiveSubset(v view.NodeView, loc map[int]geom.Point, cands, dests []int) []int {
-	bestF := math.Inf(1)
-	var best []int
-	buf := make([]int, 0, len(cands))
-	for mask := 1; mask < 1<<len(cands); mask++ {
-		buf = buf[:0]
-		for i, c := range cands {
-			if mask&(1<<i) != 0 {
-				buf = append(buf, c)
+// pbmSearch minimizes
+//
+//	f(S) = λ·|S|/deg + (1-λ)·(Σ_d min_{c∈S} table[c][d]) / curTotal
+//
+// over subsets S of the k candidates, for r routable destinations. Its f is
+// bit-identical to evaluating every subset from positions: the table holds
+// the same distances, a minimum does not depend on the order it is taken
+// in, and the sum always runs over the destinations in header order.
+type pbmSearch struct {
+	lambda   float64
+	deg      int
+	k, r     int
+	table    []float64
+	curTotal float64
+}
+
+// f returns f(S) for a subset of the given size and remaining-distance sum.
+func (s *pbmSearch) f(size int, remaining float64) float64 {
+	return s.lambda*float64(size)/float64(s.deg) + (1-s.lambda)*remaining/s.curTotal
+}
+
+// exhaustive returns the candidates, ascending, of the first subset in
+// increasing mask order with the least f (a strict < keeps the earliest).
+//
+// Masks are walked in increasing order with a stack of running minima, one
+// level per set bit from the highest down: level l holds the per-destination
+// minimum over the mask's l highest candidates. Going from mask−1 to mask
+// clears the t trailing one bits, the top t levels, and sets bit t, one new
+// level below every remaining bit. So each mask costs one O(r) level and
+// one O(r) sum, not |S|·r distance evaluations.
+func (s *pbmSearch) exhaustive(a *view.PBMArena) []int {
+	r := s.r
+	mins := resize(a.Mins, (s.k+1)*r)
+	a.Mins = mins
+	for j := range r {
+		mins[j] = math.Inf(1)
+	}
+	bestF, bestMask := math.Inf(1), 0
+	depth := 0
+	for mask := 1; mask < 1<<s.k; mask++ {
+		b := bits.TrailingZeros(uint(mask))
+		depth -= b
+		prev := mins[depth*r : (depth+1)*r]
+		next := mins[(depth+1)*r : (depth+2)*r]
+		row := s.table[b*r : (b+1)*r]
+		var remaining float64
+		for j, m := range prev {
+			if d := row[j]; d < m {
+				m = d
 			}
+			next[j] = m
+			remaining += m
 		}
-		if f := p.objective(v, loc, buf, dests); f < bestF {
-			bestF = f
-			best = append([]int(nil), buf...)
+		depth++
+		if f := s.f(depth, remaining); f < bestF {
+			bestF, bestMask = f, mask
 		}
 	}
-	return best
+	members := a.Members[:0]
+	for c := range s.k {
+		if bestMask&(1<<c) != 0 {
+			members = append(members, c)
+		}
+	}
+	a.Members = members
+	return members
 }
 
-func (p *PBM) greedySubset(v view.NodeView, loc map[int]geom.Point, cands, dests []int) []int {
-	var subset []int
+// greedy is the forward selection used above pbmExactLimit candidates:
+// starting from the empty subset, repeatedly add the candidate, scanned in
+// ascending order, whose addition gives the least f strictly below the
+// current one. It returns the chosen candidates ascending.
+func (s *pbmSearch) greedy(a *view.PBMArena) []int {
+	r := s.r
+	cur := resize(a.Mins, r)
+	a.Mins = cur
+	for j := range cur {
+		cur[j] = math.Inf(1)
+	}
+	taken := resize(a.Taken, s.k)
+	a.Taken = taken
+	clear(taken)
+	members := a.Members[:0]
 	bestF := math.Inf(1)
-	remaining := append([]int(nil), cands...)
-	for len(remaining) > 0 {
+	for len(members) < s.k {
 		pick, pickF := -1, bestF
-		for i, c := range remaining {
-			f := p.objective(v, loc, append(subset, c), dests)
-			if f < pickF {
-				pick, pickF = i, f
+		for c := range s.k {
+			if taken[c] {
+				continue
+			}
+			row := s.table[c*r : (c+1)*r]
+			var remaining float64
+			for j, m := range cur {
+				if d := row[j]; d < m {
+					m = d
+				}
+				remaining += m
+			}
+			if f := s.f(len(members)+1, remaining); f < pickF {
+				pick, pickF = c, f
 			}
 		}
 		if pick == -1 {
 			break // no single addition improves f
 		}
-		subset = append(subset, remaining[pick])
+		row := s.table[pick*r : (pick+1)*r]
+		for j, d := range row {
+			if d < cur[j] {
+				cur[j] = d
+			}
+		}
+		taken[pick] = true
+		members = append(members, pick)
 		bestF = pickF
-		remaining = append(remaining[:pick], remaining[pick+1:]...)
 	}
-	sort.Ints(subset)
-	return subset
+	slices.Sort(members)
+	a.Members = members
+	return members
+}
+
+// forward assigns every routable destination to its closest member (the
+// lowest-ID one on a tie) and emits one copy per member that got any, in
+// ascending neighbor-ID order.
+func (s *pbmSearch) forward(a *view.PBMArena, pkt *sim.Packet, nbrs, members []int) []sim.Forward {
+	r := s.r
+	owner := resize(a.Owner, r)
+	a.Owner = owner
+	counts := resize(a.Counts, len(members))
+	a.Counts = counts
+	clear(counts)
+	used := 0
+	for j := range owner {
+		best, bestD := 0, math.Inf(1)
+		for i, c := range members {
+			if d := s.table[c*r+j]; d < bestD {
+				best, bestD = i, d
+			}
+		}
+		owner[j] = best
+		if counts[best] == 0 {
+			used++
+		}
+		counts[best]++
+	}
+	fwds := make([]sim.Forward, 0, used)
+	for i, c := range members {
+		if counts[i] == 0 {
+			continue
+		}
+		sub := make([]int, 0, counts[i])
+		for j, o := range owner {
+			if o == i {
+				sub = append(sub, pkt.Dests[a.Routable[j]])
+			}
+		}
+		sort.Ints(sub)
+		copyPkt := pkt.CloneFor(sub)
+		copyPkt.Perimeter = false
+		fwds = append(fwds, sim.Forward{To: nbrs[a.Cands[c]], Pkt: copyPkt})
+	}
+	return fwds
+}
+
+// resize returns buf resliced to n elements, reallocated when too short.
+// The contents are unspecified.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
 }

@@ -49,15 +49,6 @@ func locIndex(pkt *sim.Packet) map[int]geom.Point {
 	return m
 }
 
-// sumDistTo returns Σ_{d∈dests} dist(p, loc[d]), accumulated in dests order.
-func sumDistTo(p geom.Point, dests []int, loc map[int]geom.Point) float64 {
-	var total float64
-	for _, d := range dests {
-		total += p.Dist(loc[d])
-	}
-	return total
-}
-
 // groupNextHop implements GMP's next-hop selection (paper Figure 7 step 4):
 // among the deciding node's neighbors, pick the one closest to the pivot
 // location subject to the loop-freedom constraint that its total distance to

@@ -1,11 +1,12 @@
 package routing
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"gmp/internal/network"
 	"gmp/internal/sim"
-	"gmp/internal/steiner"
 	"gmp/internal/view"
 )
 
@@ -37,9 +38,10 @@ func NewSMT(nw *network.Network) *SMT { return &SMT{nw: nw} }
 func (s *SMT) Name() string { return "SMT" }
 
 // Start implements sim.Handler: build the KMB tree, root it at the source,
-// embed the children map in the packet, and forward per-subtree copies.
+// embed it in the packet, and forward per-subtree copies.
 func (s *SMT) Start(v view.NodeView, pkt *sim.Packet) []sim.Forward {
 	src := v.Self()
+	sc := v.Scratch()
 	// Destinations unreachable in the connectivity graph can never be
 	// served; compute the tree over the reachable ones so the rest of the
 	// task still completes.
@@ -63,13 +65,14 @@ func (s *SMT) Start(v view.NodeView, pkt *sim.Packet) []sim.Forward {
 	if len(reachable) == 0 {
 		return fwds
 	}
-	terminals := append([]int{src}, reachable...)
+	terminals := append(append(sc.Worklist[:0], src), reachable...)
+	sc.Worklist = terminals
 	// The paper's SMT computes a close-to-optimal Steiner tree over node
 	// *positions*: KMB under Euclidean edge weights. Short graph edges are
 	// cheap in meters yet each still costs one transmission, which is why
 	// the distributed GMP can beat this centralized baseline on hop count
 	// (§5.1) — see DESIGN.md §3.
-	edges, err := steiner.KMBWeighted(s.nw.Graph(), terminals)
+	edges, err := sc.KMB.KMBWeighted(s.nw.Graph(), terminals)
 	if err != nil {
 		// Cannot happen for reachable terminals; fail the task loudly by
 		// dropping rather than panicking.
@@ -77,7 +80,7 @@ func (s *SMT) Start(v view.NodeView, pkt *sim.Packet) []sim.Forward {
 	}
 	copyPkt := pkt.CloneFor(reachable)
 	copyPkt.Route = rootTree(edges, src)
-	return append(fwds, s.forwardChildren(src, copyPkt)...)
+	return append(fwds, forwardChildren(v, copyPkt)...)
 }
 
 // Decide implements sim.Handler.
@@ -85,63 +88,87 @@ func (s *SMT) Decide(v view.NodeView, pkt *sim.Packet) []sim.Forward {
 	if pkt.Route == nil {
 		return dropOnly(pkt)
 	}
-	return s.forwardChildren(v.Self(), pkt)
+	return forwardChildren(v, pkt)
 }
 
-// forwardChildren emits one copy per child whose subtree still contains
-// pending destinations.
-func (s *SMT) forwardChildren(node int, pkt *sim.Packet) []sim.Forward {
-	pending := make(map[int]bool, len(pkt.Dests))
-	for _, d := range pkt.Dests {
-		pending[d] = true
+// forwardChildren emits one copy per child of v in the packet's tree whose
+// subtree still holds destinations aboard, carrying those destinations in
+// ascending order. A destination is in a child's subtree when its preorder
+// index lies in the child's run; one spliced aboard after the source built
+// the tree counts wherever it sits in the tree, and nowhere if it is not in
+// it.
+func forwardChildren(v view.NodeView, pkt *sim.Packet) []sim.Forward {
+	rt := pkt.Route
+	i := rt.Find(v.Self())
+	if i < 0 {
+		return nil
 	}
+	sc := v.Scratch()
+	at := sc.GroupBuf[:0] // preorder index of each destination aboard
+	for _, d := range pkt.Dests {
+		at = append(at, rt.Find(d))
+	}
+	sc.GroupBuf = at
 	var fwds []sim.Forward
-	for _, child := range pkt.Route[node] {
-		var sub []int
-		collectSubtree(pkt.Route, child, pending, &sub)
-		if len(sub) == 0 {
+	for c := i + 1; c < rt.End[i]; c = rt.End[c] {
+		n := 0
+		for _, p := range at {
+			if p >= c && p < rt.End[c] {
+				n++
+			}
+		}
+		if n == 0 {
 			continue
 		}
+		sub := make([]int, 0, n)
+		for j, p := range at {
+			if p >= c && p < rt.End[c] {
+				sub = append(sub, pkt.Dests[j])
+			}
+		}
 		sort.Ints(sub)
-		fwds = append(fwds, sim.Forward{To: child, Pkt: pkt.CloneFor(sub)})
+		fwds = append(fwds, sim.Forward{To: rt.Node[c], Pkt: pkt.CloneFor(sub)})
 	}
 	return fwds
 }
 
-// rootTree orients an undirected edge list into a children map rooted at
-// root, with children sorted for determinism.
-func rootTree(edges [][2]int, root int) map[int][]int {
-	adj := make(map[int][]int)
+// rootTree orients a tree's edge list at root into a preorder Route, each
+// vertex's children in ascending ID order.
+func rootTree(edges [][2]int, root int) *sim.Route {
+	arcs := make([][2]int, 0, 2*len(edges))
 	for _, e := range edges {
-		adj[e[0]] = append(adj[e[0]], e[1])
-		adj[e[1]] = append(adj[e[1]], e[0])
+		arcs = append(arcs, e, [2]int{e[1], e[0]})
 	}
-	children := make(map[int][]int, len(adj))
-	visited := map[int]bool{root: true}
-	queue := []int{root}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		kids := adj[v]
-		sort.Ints(kids)
-		for _, w := range kids {
-			if !visited[w] {
-				visited[w] = true
-				children[v] = append(children[v], w)
-				queue = append(queue, w)
+	slices.SortFunc(arcs, func(x, y [2]int) int { return cmp.Or(cmp.Compare(x[0], y[0]), cmp.Compare(x[1], y[1])) })
+	firstArc := func(v int) int {
+		i, _ := slices.BinarySearchFunc(arcs, v, func(e [2]int, v int) int { return cmp.Compare(e[0], v) })
+		return i
+	}
+	n := len(edges) + 1
+	rt := &sim.Route{Node: make([]int, 1, n), End: make([]int, n)}
+	rt.Node[0] = root
+	// Depth-first walk: each frame is a vertex, its preorder index, its
+	// parent and its next arc.
+	type frame struct{ v, at, parent, arc int }
+	stack := []frame{{v: root, at: 0, parent: -1, arc: firstArc(root)}}
+	for len(stack) > 0 {
+		f := &stack[len(stack)-1]
+		if f.arc < len(arcs) && arcs[f.arc][0] == f.v {
+			w := arcs[f.arc][1]
+			f.arc++
+			if w != f.parent {
+				stack = append(stack, frame{v: w, at: len(rt.Node), parent: f.v, arc: firstArc(w)})
+				rt.Node = append(rt.Node, w)
 			}
+			continue
 		}
+		rt.End[f.at] = len(rt.Node)
+		stack = stack[:len(stack)-1]
 	}
-	return children
-}
-
-// collectSubtree appends to out the pending destinations in the subtree
-// rooted at v of the children map.
-func collectSubtree(children map[int][]int, v int, pending map[int]bool, out *[]int) {
-	if pending[v] {
-		*out = append(*out, v)
+	rt.ByID = make([]int, len(rt.Node))
+	for i := range rt.ByID {
+		rt.ByID[i] = i
 	}
-	for _, c := range children[v] {
-		collectSubtree(children, c, pending, out)
-	}
+	slices.SortFunc(rt.ByID, func(a, b int) int { return cmp.Compare(rt.Node[a], rt.Node[b]) })
+	return rt
 }

@@ -66,7 +66,7 @@ func TestSMTTreeFollowsView(t *testing.T) {
 				}
 			}
 			fwds := NewSMT(v).Start(oracle.At(src, new(view.Scratch)), &sim.Packet{Dests: dests, Locs: locs, Anchor: -1})
-			var got map[int][]int
+			var got *sim.Route
 			served := 0
 			for _, f := range fwds {
 				if f.To != sim.DropCopy {
@@ -89,4 +89,94 @@ func TestSMTTreeFollowsView(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestSMTForwardsMatchSubtreeWalk checks SMT's relay rule against the map
+// walk it replaced: at a tree vertex, one copy per child, in ascending
+// child order, carrying exactly the aboard destinations found by walking
+// that child's subtree, sorted. Headers mix tree terminals, relays (as a
+// join spliced aboard mid-route can be) and vertices outside the tree.
+func TestSMTForwardsMatchSubtreeWalk(t *testing.T) {
+	bed := denseBed(t, 31, 400)
+	o := view.NewOracle(bed.nw, bed.pg)
+	r := rand.New(rand.NewSource(32))
+	for trial := 0; trial < 200; trial++ {
+		src, dests := pickTask(r, bed.nw.Len(), 2+r.Intn(20))
+		edges, err := steiner.KMBWeighted(bed.nw.Graph(), append([]int{src}, dests...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		children := mapTree(edges, src)
+		rt := rootTree(edges, src)
+		nodes := rt.Node
+		at := nodes[r.Intn(len(nodes))]
+		var aboard []int
+		for _, v := range append(slices.Clone(nodes), r.Intn(bed.nw.Len()), r.Intn(bed.nw.Len())) {
+			if v != at && r.Intn(2) == 0 && !slices.Contains(aboard, v) {
+				aboard = append(aboard, v)
+			}
+		}
+		if len(aboard) == 0 {
+			continue
+		}
+		pkt := &sim.Packet{Dests: aboard, Route: rt, Anchor: -1}
+		for _, d := range aboard {
+			pkt.Locs = append(pkt.Locs, bed.nw.Pos(d))
+		}
+		got := forwardChildren(o.At(at, new(view.Scratch)), pkt)
+		var want [][]int
+		var wantTo []int
+		for _, c := range children[at] {
+			var sub []int
+			var walk func(v int)
+			walk = func(v int) {
+				if slices.Contains(aboard, v) {
+					sub = append(sub, v)
+				}
+				for _, w := range children[v] {
+					walk(w)
+				}
+			}
+			walk(c)
+			if len(sub) > 0 {
+				slices.Sort(sub)
+				want, wantTo = append(want, sub), append(wantTo, c)
+			}
+		}
+		if len(got) != len(want) {
+			t.Fatalf("trial %d at %d: %d forwards, want %d (%v to %v)", trial, at, len(got), len(want), want, wantTo)
+		}
+		for i, f := range got {
+			if f.To != wantTo[i] || !slices.Equal(f.Pkt.Dests, want[i]) {
+				t.Fatalf("trial %d at %d: forward %d is %v to %d, want %v to %d", trial, at, i, f.Pkt.Dests, f.To, want[i], wantTo[i])
+			}
+		}
+	}
+}
+
+// mapTree is the children map SMT's packets carried before the preorder
+// Route: a breadth-first orientation of the edges at root, children sorted.
+func mapTree(edges [][2]int, root int) map[int][]int {
+	adj := make(map[int][]int)
+	for _, e := range edges {
+		adj[e[0]] = append(adj[e[0]], e[1])
+		adj[e[1]] = append(adj[e[1]], e[0])
+	}
+	children := make(map[int][]int, len(adj))
+	visited := map[int]bool{root: true}
+	queue := []int{root}
+	for len(queue) > 0 {
+		v := queue[0]
+		queue = queue[1:]
+		kids := adj[v]
+		slices.Sort(kids)
+		for _, w := range kids {
+			if !visited[w] {
+				visited[w] = true
+				children[v] = append(children[v], w)
+				queue = append(queue, w)
+			}
+		}
+	}
+	return children
 }

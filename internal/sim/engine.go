@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"gmp/internal/geom"
@@ -31,9 +32,9 @@ type Packet struct {
 	Perimeter bool
 	// Peri is the face-traversal state, valid while Perimeter is set.
 	Peri planar.State
-	// Route, when non-nil, is a children adjacency (node → children) of a
-	// source-computed routing tree, used by SMT source routing.
-	Route map[int][]int
+	// Route, when non-nil, is the source-computed routing tree of SMT
+	// source routing.
+	Route *Route
 	// Anchor is the node ID this copy is steered toward before the next
 	// re-partitioning, or -1 when unused. LGT protocols (LGS/LGK) only
 	// re-partition at subtree roots; relays in between forward greedily
@@ -42,6 +43,29 @@ type Packet struct {
 	// Session indexes the concurrent session this copy belongs to (always
 	// 0 in single-task runs).
 	Session int
+}
+
+// Route is a routing tree computed at the source and carried in the packet
+// header. Its vertices are listed in preorder from the root, each vertex's
+// children in ascending ID order, so every subtree is one contiguous run
+// of the list. A Route is immutable once built; copies share it.
+type Route struct {
+	// Node lists the tree's vertices in preorder.
+	Node []int
+	// End[i] is one past the preorder index of the last vertex in the
+	// subtree of Node[i].
+	End []int
+	// ByID lists the preorder indices in ascending vertex-ID order.
+	ByID []int
+}
+
+// Find returns id's preorder index, or -1 when id is not in the tree.
+func (r *Route) Find(id int) int {
+	i, ok := slices.BinarySearchFunc(r.ByID, id, func(p, id int) int { return r.Node[p] - id })
+	if !ok {
+		return -1
+	}
+	return r.ByID[i]
 }
 
 // packetPool recycles Packet structs together with their Dests/Locs backing
@@ -468,6 +492,9 @@ type Engine struct {
 	sharding ShardConfig
 	// lanes are the kernel's per-tile lanes, reset and reused by every run.
 	lanes []*lane
+	// busyUntil is each node's radio-free time, cleared and reused by every
+	// run.
+	busyUntil []float64
 	// now is the virtual time of the last event the latest run executed.
 	now float64
 }

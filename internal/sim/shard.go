@@ -308,11 +308,16 @@ func (e *Engine) RunScript(sessions []Session) []SessionMetrics {
 	if la <= 0 {
 		panic(fmt.Sprintf("sim: non-positive lookahead %v (radio airtime must be positive)", la))
 	}
+	if len(e.busyUntil) == e.net.Len() {
+		clear(e.busyUntil)
+	} else {
+		e.busyUntil = make([]float64, e.net.Len())
+	}
 	r := &kernel{
 		e:         e,
 		window:    la,
 		workers:   1,
-		busyUntil: make([]float64, e.net.Len()),
+		busyUntil: e.busyUntil,
 		sess:      make([]kernelSession, len(sessions)),
 		base:      make([]SessionMetrics, len(sessions)),
 	}

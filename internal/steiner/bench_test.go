@@ -95,7 +95,7 @@ func BenchmarkKMBGrid(b *testing.B) {
 	terms := []int{0, 29, 870, 899, 450, 435}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := KMB(g, terms); err != nil {
+		if _, err := kmbHops(g, terms); err != nil {
 			b.Fatal(err)
 		}
 	}

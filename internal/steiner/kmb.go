@@ -14,39 +14,66 @@ type Graph struct {
 	N   int
 	Adj [][]int
 	// W holds edge lengths parallel to Adj: W[v][i] is the length of the
-	// edge between v and Adj[v][i], the same from either end. nil means
-	// unit lengths.
+	// edge between v and Adj[v][i], the same from either end.
 	W [][]float64
 }
 
 // edgeLen returns the length of the edge from a to its neighbor b.
 func (g Graph) edgeLen(a, b int) float64 {
-	if g.W == nil {
-		return 1
-	}
 	return g.W[a][slices.Index(g.Adj[a], b)]
 }
 
-// ErrUnreachableTerminal is returned by KMB when some terminal cannot be
-// reached from the others in the graph.
+// ErrUnreachableTerminal is returned by KMBWeighted when some terminal
+// cannot be reached from the others in the graph.
 var ErrUnreachableTerminal = errors.New("steiner: terminal unreachable")
 
-// KMB computes a graph Steiner tree over the given terminals using the
-// Kou–Markowsky–Berman heuristic (paper ref [16]) under unit (hop-count)
-// edge weights, whatever g.W holds. It returns the tree's edge set.
-func KMB(g Graph, terminals []int) ([][2]int, error) {
-	g.W = nil
-	return KMBWeighted(g, terminals)
-}
-
-// KMBWeighted is KMB under the edge lengths g.W. The paper's SMT baseline
-// uses Euclidean distances as lengths: the source knows all node positions
-// and computes a close-to-optimal Steiner tree in the geometric sense, which
-// is exactly what makes its *hop count* beatable by GMP (short graph edges
-// are cheap in meters but each one still costs a transmission).
+// KMBWeighted computes a graph Steiner tree over the given terminals with
+// the Kou–Markowsky–Berman heuristic (paper ref [16]) under the edge lengths
+// g.W. The paper's SMT baseline uses Euclidean distances as lengths: the
+// source knows all node positions and computes a close-to-optimal Steiner
+// tree in the geometric sense, which is exactly what makes its *hop count*
+// beatable by GMP (short graph edges are cheap in meters but each one still
+// costs a transmission).
 //
 // The classical 2(1-1/ℓ)-approximation guarantee applies with respect to the
 // supplied lengths. The returned edges are normalized (a < b) and sorted.
+// KMBWeighted runs in a fresh arena; callers that build many trees keep a
+// KMBArena instead.
+func KMBWeighted(g Graph, terminals []int) ([][2]int, error) {
+	return new(KMBArena).KMBWeighted(g, terminals)
+}
+
+// KMBArena holds the working storage of KMB runs — the terminal tables,
+// the Dijkstra rows and the union-subgraph Prim pass — so that a caller
+// building one tree after another allocates it once. The zero value is
+// ready to use. Like Builder, an arena is not safe for concurrent use: one
+// lives in each decision arena (view.Scratch), owned by one kernel lane or
+// service decider.
+type KMBArena struct {
+	s        rowSearch
+	terms    []int
+	inTree   []bool
+	bestCost []float64
+	bestFrom []int // index into terms
+	// path[j] holds the edges of the shortest path from terms[j] to
+	// terms[bestFrom[j]], read off that terminal's row when it set
+	// bestCost[j].
+	path    [][][2]int
+	targets []int
+	limits  []float64
+	union   [][2]int
+	// unionTree's storage; joined and hasTerm are N long and all false
+	// between calls.
+	arcs    [][2]int
+	joined  []bool
+	hasTerm []bool
+	pq      candQueue
+	tree    []primCand
+	out     [][2]int
+}
+
+// KMBWeighted is the package KMBWeighted in the arena's storage. The
+// returned edges are valid only until the next call on the same arena.
 //
 // Lengths must be non-negative. Shortest paths are computed lazily: a
 // terminal's Dijkstra row runs only when the metric-closure Prim adds that
@@ -56,7 +83,11 @@ func KMB(g Graph, terminals []int) ([][2]int, error) {
 // are final, a settled vertex's parent chain is settled too, and Prim takes
 // a row's distance only when it is strictly shorter, so the tree is the one
 // full rows from every terminal would give.
-func KMBWeighted(g Graph, terminals []int) ([][2]int, error) {
+//
+// Rows share one parent array. A row's parents do not change once it has
+// run, so the path a metric-closure edge expands to in step 4 is read off
+// the row as soon as the row offers that edge, not after the last row.
+func (a *KMBArena) KMBWeighted(g Graph, terminals []int) ([][2]int, error) {
 	if len(terminals) == 0 {
 		return nil, nil
 	}
@@ -68,16 +99,25 @@ func KMBWeighted(g Graph, terminals []int) ([][2]int, error) {
 	if len(terminals) == 1 {
 		return nil, nil
 	}
+	s := &a.s
+	s.begin(g)
+	// isTerm marks exactly the terms; it is cleared on the way out.
+	isTerm := s.isTerm
+	defer func() {
+		for _, t := range a.terms {
+			isTerm[t] = false
+		}
+	}()
 
 	// Deduplicate terminals while preserving order.
-	isTerm := make([]bool, g.N)
-	terms := make([]int, 0, len(terminals))
+	terms := a.terms[:0]
 	for _, t := range terminals {
 		if !isTerm[t] {
 			isTerm[t] = true
 			terms = append(terms, t)
 		}
 	}
+	a.terms = terms
 	k := len(terms)
 	if k == 1 {
 		return [][2]int{}, nil
@@ -86,27 +126,36 @@ func KMBWeighted(g Graph, terminals []int) ([][2]int, error) {
 	// Steps 1-3: Prim MST over the terminal metric closure. Each terminal's
 	// row of the closure is computed when the terminal joins the tree, and
 	// the last to join needs none.
-	inTree := make([]bool, k)
-	bestCost := make([]float64, k)
-	bestFrom := make([]int, k) // index into terms
-	rowOf := make([]int, k)    // terms[i]'s row in s
-	s := newRowSearch(g, k-1, isTerm)
-	targets := make([]int, 0, k-1)
-	limits := make([]float64, 0, k-1)
-	row := func(i, r int) {
-		targets, limits = targets[:0], limits[:0]
+	inTree := resize(a.inTree, k)
+	bestCost := resize(a.bestCost, k)
+	bestFrom := resize(a.bestFrom, k)
+	a.inTree, a.bestCost, a.bestFrom = inTree, bestCost, bestFrom
+	clear(inTree)
+	clear(bestFrom)
+	for len(a.path) < k {
+		a.path = append(a.path, nil)
+	}
+	path := a.path
+	row := func(i int) {
+		targets, limits := a.targets[:0], a.limits[:0]
 		for j := 0; j < k; j++ {
 			if !inTree[j] {
 				targets = append(targets, terms[j])
 				limits = append(limits, bestCost[j])
 			}
 		}
-		rowOf[i] = r
-		s.run(terms[i], r, targets, limits)
+		a.targets, a.limits = targets, limits
+		src := terms[i]
+		s.run(src, targets, limits)
 		for j := 0; j < k; j++ {
 			if d := s.dist[terms[j]]; !inTree[j] && d < bestCost[j] {
 				bestCost[j] = d
 				bestFrom[j] = i
+				p := path[j][:0]
+				for v := terms[j]; v != src; v = int(s.parent[v]) {
+					p = append(p, normEdge(v, int(s.parent[v])))
+				}
+				path[j] = p
 			}
 		}
 	}
@@ -114,14 +163,16 @@ func KMBWeighted(g Graph, terminals []int) ([][2]int, error) {
 	for i := 1; i < k; i++ {
 		bestCost[i] = math.Inf(1)
 	}
-	row(0, 0)
+	row(0)
 	for i := 1; i < k; i++ {
 		if math.IsInf(bestCost[i], 1) {
 			return nil, fmt.Errorf("%w: %d from %d", ErrUnreachableTerminal, terms[i], terms[0])
 		}
 	}
-	type metricEdge struct{ a, b int } // indices into terms
-	mst := make([]metricEdge, 0, k-1)
+	// Step 4 rides along: each metric-closure edge (bestFrom[pick], pick)
+	// the Prim adds is expanded into its shortest path as it is added, and
+	// the path edges are united in that order.
+	union := a.union[:0]
 	for added := 1; added < k; added++ {
 		pick := -1
 		for i := 0; i < k; i++ {
@@ -130,47 +181,51 @@ func KMBWeighted(g Graph, terminals []int) ([][2]int, error) {
 			}
 		}
 		inTree[pick] = true
-		mst = append(mst, metricEdge{bestFrom[pick], pick})
+		union = append(union, path[pick]...)
 		if added < k-1 {
-			row(pick, added)
+			row(pick)
 		}
 	}
+	a.union = union
 
-	// Step 4: expand metric edges into actual shortest paths; union edges.
-	var union [][2]int
-	for _, me := range mst {
-		from, to := terms[me.a], terms[me.b]
-		p := s.parents(rowOf[me.a])
-		for v := to; v != from; v = int(p[v]) {
-			union = append(union, normEdge(v, int(p[v])))
-		}
+	return a.unionTree(g, union, terms[0], isTerm), nil
+}
+
+// resize returns buf resliced to n elements, reallocated when too short.
+// The contents are unspecified.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
 	}
-
-	return unionTree(g, union, terms[0], isTerm), nil
+	return buf[:n]
 }
 
 // unionTree runs KMB steps 5 and 6 on union, an edge list (repeats
 // allowed) whose graph is connected and holds the terminal root: the
 // minimum spanning tree of the union subgraph under g's lengths (Prim from
 // root), pruned of non-terminal leaves. It returns the kept edges
-// normalized and sorted.
-func unionTree(g Graph, union [][2]int, root int, isTerm []bool) [][2]int {
+// normalized and sorted, in the arena's storage.
+func (a *KMBArena) unionTree(g Graph, union [][2]int, root int, isTerm []bool) [][2]int {
 	// Step 5: Prim over the union subgraph. arcs holds every union edge in
 	// both directions, grouped by tail.
-	arcs := make([][2]int, 0, 2*len(union))
+	arcs := a.arcs[:0]
 	for _, e := range union {
 		arcs = append(arcs, e, [2]int{e[1], e[0]})
 	}
+	a.arcs = arcs
 	slices.SortFunc(arcs, cmpEdge)
-	joined := make([]bool, g.N)
-	var pq candQueue
-	var tree []primCand // in joining order
-	grow := func(a int) {
-		joined[a] = true
-		i, _ := slices.BinarySearchFunc(arcs, a, func(e [2]int, v int) int { return e[0] - v })
-		for ; i < len(arcs) && arcs[i][0] == a; i++ {
+	if len(a.joined) != g.N {
+		a.joined, a.hasTerm = make([]bool, g.N), make([]bool, g.N)
+	}
+	joined, hasTerm := a.joined, a.hasTerm
+	pq := a.pq[:0]
+	tree := a.tree[:0] // in joining order
+	grow := func(v int) {
+		joined[v] = true
+		i, _ := slices.BinarySearchFunc(arcs, v, func(e [2]int, v int) int { return e[0] - v })
+		for ; i < len(arcs) && arcs[i][0] == v; i++ {
 			if b := arcs[i][1]; !joined[b] {
-				pq.push(primCand{w: g.edgeLen(a, b), a: a, b: b})
+				pq.push(primCand{w: g.edgeLen(v, b), a: v, b: b})
 			}
 		}
 	}
@@ -181,33 +236,43 @@ func unionTree(g Graph, union [][2]int, root int, isTerm []bool) [][2]int {
 			grow(c.b)
 		}
 	}
+	a.pq, a.tree = pq, tree
 
 	// Step 6: prune non-terminal leaves repeatedly. Rooted at root, an
 	// edge survives exactly when the subtree below it holds a terminal;
 	// reverse joining order visits every subtree before its parent edge.
-	hasTerm := slices.Clone(isTerm)
-	out := make([][2]int, 0, len(tree))
+	out := a.out[:0]
+	if out == nil {
+		out = make([][2]int, 0, len(tree))
+	}
 	for j := len(tree) - 1; j >= 0; j-- {
-		if c := tree[j]; hasTerm[c.b] {
+		if c := tree[j]; isTerm[c.b] || hasTerm[c.b] {
 			hasTerm[c.a] = true
 			out = append(out, normEdge(c.a, c.b))
 		}
 	}
+	a.out = out
 	slices.SortFunc(out, cmpEdge)
+	joined[root] = false
+	for _, c := range tree {
+		joined[c.b], hasTerm[c.a] = false, false
+	}
 	return out
 }
 
 // rowSearch runs the Dijkstra rows of one KMBWeighted call. Rows share the
-// distance and heap arrays, reset through the touched list, but each keeps
-// its own parent array for the path expansion of step 4.
+// distance, heap and parent arrays, reset through the touched list. The
+// arrays outlive the call in their KMBArena: dist and pos are reset lazily
+// through touched, isTerm is cleared by the caller, and a parent entry is
+// read only for a vertex the current row reached.
 type rowSearch struct {
 	g       Graph
 	dist    []float64 // current row; +Inf where untouched
 	pos     []int32   // heap index, or unreached / settled
 	heap    []int32   // vertices ordered by (dist, ID)
 	touched []int32
-	isTerm  []bool  // the bound is recomputed when a terminal settles
-	parent  []int32 // row r's parents at [r·N, (r+1)·N)
+	isTerm  []bool // the bound is recomputed when a terminal settles
+	parent  []int32
 }
 
 const (
@@ -215,37 +280,44 @@ const (
 	settled   = -2
 )
 
-func newRowSearch(g Graph, rows int, isTerm []bool) *rowSearch {
-	s := &rowSearch{
-		g:      g,
-		dist:   make([]float64, g.N),
-		pos:    make([]int32, g.N),
-		isTerm: isTerm,
-		parent: make([]int32, rows*g.N),
+// begin prepares the search for one call on g, reallocating the per-vertex
+// arrays when the vertex count changed.
+func (s *rowSearch) begin(g Graph) {
+	s.g = g
+	if len(s.dist) == g.N {
+		return
 	}
+	s.dist = make([]float64, g.N)
+	s.pos = make([]int32, g.N)
+	s.parent = make([]int32, g.N)
+	s.isTerm = make([]bool, g.N)
+	s.touched = s.touched[:0]
 	for v := range s.dist {
 		s.dist[v] = math.Inf(1)
 		s.pos[v] = unreached
 	}
-	return s
 }
 
-// parents returns row r's parent array.
-func (s *rowSearch) parents(r int) []int32 { return s.parent[r*s.g.N : (r+1)*s.g.N] }
-
-// run computes row r: shortest distances from src, settling vertices in
-// (distance, ID) order and keeping the lowest-ID parent among equal-length
-// paths. It stops before settling a vertex no nearer than limits[j] for
-// every unsettled targets[j]: no target can then come out nearer than its
-// limit.
-func (s *rowSearch) run(src, r int, targets []int, limits []float64) {
+// run computes the row of src: shortest distances from src, settling
+// vertices in (distance, ID) order and keeping the lowest-ID parent among
+// equal-length paths. It stops before settling a vertex no nearer than
+// limits[j] for every unsettled targets[j]: no target can then come out
+// nearer than its limit.
+//
+// The relaxation loop tests for settled neighbors only on a tie. Lengths are
+// non-negative and IEEE addition is monotone, so for the vertex v being
+// settled at distance d, nd = d + w ≥ d ≥ dist[n] for every settled n:
+// nd < dist[n] never holds for one, and only the equal-length branch could
+// touch a settled vertex's parent. That branch also skips unreached
+// vertices, whose tie can only be +Inf = +Inf.
+func (s *rowSearch) run(src int, targets []int, limits []float64) {
 	for _, v := range s.touched {
 		s.dist[v] = math.Inf(1)
 		s.pos[v] = unreached
 	}
 	s.touched = s.touched[:0]
 	s.heap = s.heap[:0]
-	parent := s.parents(r)
+	parent := s.parent
 	s.dist[src] = 0
 	parent[src] = -1
 	s.reach(int32(src))
@@ -256,31 +328,21 @@ func (s *rowSearch) run(src, r int, targets []int, limits []float64) {
 			bound = s.bound(targets, limits)
 		}
 		d := s.dist[v]
-		var w []float64
-		if s.g.W != nil {
-			w = s.g.W[v]
-		}
+		w := s.g.W[v]
 		for i, n := range s.g.Adj[v] {
-			if s.pos[n] == settled {
-				continue
-			}
-			nd := d + 1
-			if w != nil {
-				nd = d + w[i]
-			}
-			switch {
-			case nd < s.dist[n]:
+			nd := d + w[i]
+			switch dn := s.dist[n]; {
+			case nd < dn:
 				s.dist[n] = nd
 				parent[n] = v
-				if s.pos[n] == unreached {
+				if p := s.pos[n]; p == unreached {
 					s.reach(int32(n))
 				} else {
-					s.up(int(s.pos[n]))
+					s.up(int(p))
 				}
-			case nd == s.dist[n] && v < parent[n]:
-				// Equal lengths keep the lowest-ID parent. An unreached n
-				// (nd = dist = +Inf) still holds the row's zeroed parent,
-				// which no v beats.
+			case nd == dn && s.pos[n] >= 0 && v < parent[n]:
+				// Equal lengths keep the lowest-ID parent of a vertex
+				// still on the heap.
 				parent[n] = v
 			}
 		}

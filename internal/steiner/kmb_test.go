@@ -11,6 +11,24 @@ import (
 	"gmp/internal/geom"
 )
 
+// kmbHops is KMB under unit (hop-count) lengths, whatever g.W holds: the
+// unit-weight heuristic as ref [16] states it.
+func kmbHops(g Graph, terminals []int) ([][2]int, error) {
+	return KMBWeighted(unitLengths(g), terminals)
+}
+
+// unitLengths returns g with every edge length 1.
+func unitLengths(g Graph) Graph {
+	g.W = make([][]float64, len(g.Adj))
+	for v, nbrs := range g.Adj {
+		g.W[v] = make([]float64, len(nbrs))
+		for i := range nbrs {
+			g.W[v][i] = 1
+		}
+	}
+	return g
+}
+
 // lineGraph returns the path graph 0-1-2-...-(n-1).
 func lineGraph(n int) Graph {
 	adj := make([][]int, n)
@@ -79,20 +97,20 @@ func treeStats(t *testing.T, edges [][2]int, terminals []int) (numEdges int) {
 
 func TestKMBTrivialCases(t *testing.T) {
 	g := lineGraph(5)
-	if edges, err := KMB(g, nil); err != nil || edges != nil {
+	if edges, err := kmbHops(g, nil); err != nil || edges != nil {
 		t.Fatalf("no terminals: %v %v", edges, err)
 	}
-	if edges, err := KMB(g, []int{2}); err != nil || edges != nil {
+	if edges, err := kmbHops(g, []int{2}); err != nil || edges != nil {
 		t.Fatalf("one terminal: %v %v", edges, err)
 	}
-	if _, err := KMB(g, []int{0, 99}); err == nil {
+	if _, err := kmbHops(g, []int{0, 99}); err == nil {
 		t.Fatal("out-of-range terminal should error")
 	}
 }
 
 func TestKMBLine(t *testing.T) {
 	g := lineGraph(10)
-	edges, err := KMB(g, []int{0, 9})
+	edges, err := kmbHops(g, []int{0, 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +121,7 @@ func TestKMBLine(t *testing.T) {
 
 func TestKMBDuplicateTerminals(t *testing.T) {
 	g := lineGraph(6)
-	edges, err := KMB(g, []int{0, 5, 0, 5, 3})
+	edges, err := kmbHops(g, []int{0, 5, 0, 5, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +134,7 @@ func TestKMBGridSteinerPointUsage(t *testing.T) {
 	// two independent shortest paths would be at worst.
 	g := gridGraph(5, 5)
 	terms := []int{0, 4, 20} // corners (0,0), (4,0), (0,4)
-	edges, err := KMB(g, terms)
+	edges, err := kmbHops(g, terms)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +152,7 @@ func TestKMBGridSteinerPointUsage(t *testing.T) {
 func TestKMBPrunesNonTerminalLeaves(t *testing.T) {
 	g := gridGraph(4, 4)
 	terms := []int{0, 3}
-	edges, err := KMB(g, terms)
+	edges, err := kmbHops(g, terms)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +172,7 @@ func TestKMBPrunesNonTerminalLeaves(t *testing.T) {
 func TestKMBUnreachable(t *testing.T) {
 	// Two disconnected line segments.
 	g := Graph{N: 4, Adj: [][]int{{1}, {0}, {3}, {2}}}
-	if _, err := KMB(g, []int{0, 3}); !errors.Is(err, ErrUnreachableTerminal) {
+	if _, err := kmbHops(g, []int{0, 3}); !errors.Is(err, ErrUnreachableTerminal) {
 		t.Fatalf("err = %v, want ErrUnreachableTerminal", err)
 	}
 }
@@ -162,11 +180,11 @@ func TestKMBUnreachable(t *testing.T) {
 func TestKMBDeterministic(t *testing.T) {
 	g := gridGraph(6, 6)
 	terms := []int{0, 5, 30, 35, 14}
-	a, err := KMB(g, terms)
+	a, err := kmbHops(g, terms)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := KMB(g, terms)
+	b, err := kmbHops(g, terms)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,10 +222,10 @@ func unitDiskGraph(pts []geom.Point, radius float64) Graph {
 }
 
 // genKMBCase draws a KMB input of one of five shapes: a unit-disk graph on
-// a half-meter lattice, a unit-length grid with W nil, a grid with W all
-// ones and holes cut into it, two far-apart unit-disk clusters of the even
-// and the odd vertices, and up to 150 points on an 8×8 lattice of 10 m
-// spacing. Coincident points give zero-length edges, and on the coarse
+// a half-meter lattice, a unit-length grid (the oracle given no weight
+// function), a unit-length grid with holes cut into it, two far-apart
+// unit-disk clusters of the even and the odd vertices, and up to 150 points
+// on an 8×8 lattice of 10 m spacing. Coincident points give zero-length edges, and on the coarse
 // lattice they make the shortest-path union cyclic now and then, so that
 // step 5 has edges to drop. Terminals repeat often; sparse disks, holes and
 // the clusters leave some unreachable, and one case in 25 has a terminal out
@@ -249,14 +267,9 @@ func genKMBCase(r *rand.Rand, shape, size, k int) kmbCase {
 				}
 				c.g.Adj[v] = nil
 			}
-			c.g.W = make([][]float64, c.g.N)
-			for v, nbrs := range c.g.Adj {
-				for range nbrs {
-					c.g.W[v] = append(c.g.W[v], 1)
-				}
-			}
 			c.weight = func(a, b int) float64 { return 1 }
 		}
+		c.g = unitLengths(c.g)
 	}
 	for i := 0; i < k%16; i++ {
 		if i > 0 && r.Intn(4) == 0 {
@@ -271,10 +284,11 @@ func genKMBCase(r *rand.Rand, shape, size, k int) kmbCase {
 	return c
 }
 
-// sameKMB reports the first difference between KMBWeighted and the oracle
-// on c: error text, then nil-ness, then the edges in order.
-func sameKMB(c kmbCase) error {
-	got, gotErr := KMBWeighted(c.g, c.terms)
+// sameKMB reports the first difference between KMBWeighted, run in arena
+// a, and the oracle on c: error text, then nil-ness, then the edges in
+// order.
+func sameKMB(a *KMBArena, c kmbCase) error {
+	got, gotErr := a.KMBWeighted(c.g, c.terms)
 	want, wantErr := referenceKMBWeighted(Graph{N: c.g.N, Adj: c.g.Adj}, c.terms, c.weight)
 	if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
 		return fmt.Errorf("error %v, reference %v", gotErr, wantErr)
@@ -287,24 +301,34 @@ func sameKMB(c kmbCase) error {
 
 // TestKMBMatchesReference is the equivalence oracle of the lazy KMBWeighted:
 // on 1000 random inputs of every generator shape it must return the eager
-// reference's exact edge slice and error.
+// reference's exact edge slice and error. One arena serves every call, and
+// each graph is asked twice, so the arena's reuse on the same and on a
+// different vertex count is under test too.
 func TestKMBMatchesReference(t *testing.T) {
 	r := rand.New(rand.NewSource(16))
+	var a KMBArena
 	for trial := 0; trial < 1000; trial++ {
 		c := genKMBCase(r, trial, r.Intn(300), 2+r.Intn(14))
-		if err := sameKMB(c); err != nil {
+		if err := sameKMB(&a, c); err != nil {
 			t.Fatalf("trial %d (shape %d, N=%d, terminals %v): %v", trial, trial%5, c.g.N, c.terms, err)
+		}
+		c.terms = nil
+		for i := 2 + r.Intn(14); i > 0; i-- {
+			c.terms = append(c.terms, r.Intn(c.g.N))
+		}
+		if err := sameKMB(&a, c); err != nil {
+			t.Fatalf("trial %d, second terminal set %v: %v", trial, c.terms, err)
 		}
 	}
 }
 
-// TestKMBIgnoresLengths pins KMB to hop counts even on a graph that carries
-// Euclidean lengths.
+// TestKMBIgnoresLengths pins kmbHops to hop counts even on a graph that
+// carries Euclidean lengths.
 func TestKMBIgnoresLengths(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 50; trial++ {
 		c := genKMBCase(r, 0, r.Intn(300), 2+r.Intn(20))
-		got, gotErr := KMB(c.g, c.terms)
+		got, gotErr := kmbHops(c.g, c.terms)
 		want, wantErr := referenceKMBWeighted(Graph{N: c.g.N, Adj: c.g.Adj}, c.terms, nil)
 		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || !slices.Equal(got, want) {
 			t.Fatalf("trial %d: KMB = %v, %v; reference %v, %v", trial, got, gotErr, want, wantErr)
@@ -347,7 +371,7 @@ func TestUnionTreeMatchesReference(t *testing.T) {
 		for e := range edgeSet {
 			union = append(union, e)
 		}
-		got := unionTree(c.g, union, root, isTerm)
+		got := new(KMBArena).unionTree(c.g, union, root, isTerm)
 		want := refUnionTree(edgeSet, root, seen, c.weight)
 		if !slices.Equal(got, want) {
 			t.Fatalf("trial %d: union %v, root %d: %v, reference %v", trial, union, root, got, want)
@@ -364,7 +388,7 @@ func FuzzKMBMatchesReference(f *testing.F) {
 	f.Add(int64(4), uint8(3), uint8(90), uint8(12))
 	f.Fuzz(func(t *testing.T, seed int64, shape, size, k uint8) {
 		c := genKMBCase(rand.New(rand.NewSource(seed)), int(shape), int(size), int(k))
-		if err := sameKMB(c); err != nil {
+		if err := sameKMB(new(KMBArena), c); err != nil {
 			t.Fatalf("N=%d, terminals %v: %v", c.g.N, c.terms, err)
 		}
 	})
@@ -397,9 +421,11 @@ func TestRowSearchStopsExactly(t *testing.T) {
 			targets = append(targets, v)
 			limits = append(limits, []float64{math.Inf(1), dist[v], math.Nextafter(dist[v], math.Inf(1)), dist[v] * (0.9 + r.Float64()/5)}[r.Intn(4)])
 		}
-		s := newRowSearch(c.g, 1, isTerm)
-		s.run(src, 0, targets, limits)
-		p := s.parents(0)
+		var s rowSearch
+		s.begin(c.g)
+		copy(s.isTerm, isTerm)
+		s.run(src, targets, limits)
+		p := s.parent
 		for j, v := range targets {
 			if got := s.dist[v]; got < limits[j] {
 				if got != dist[v] {

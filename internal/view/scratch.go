@@ -36,11 +36,18 @@ type Scratch struct {
 	// MCFR their partition MST, reusing the vertex/edge/queue storage across
 	// decisions.
 	Steiner steiner.Builder
+	// KMB is SMT's source-tree arena: the Dijkstra rows and working sets of
+	// the Kou–Markowsky–Berman tree the source builds for every task.
+	KMB steiner.KMBArena
+	// PBM holds PBM's subset-search tables.
+	PBM PBMArena
 
 	// GMP grouping-walk buffers (see routing.forwardGroups): the header
 	// destination records, the pivot worklist, the current group's labels,
 	// the void accumulator, and the per-next-hop label batches. The MST
-	// partition (routing.mstGroups) reuses the first three.
+	// partition (routing.mstGroups) reuses the first three; SMT borrows
+	// Worklist for its terminal list and GroupBuf for the tree positions of
+	// a header's destinations, and PBM VoidBuf for its voids.
 	DestBuf     []steiner.Dest
 	Worklist    []int
 	GroupBuf    []int
@@ -49,6 +56,29 @@ type Scratch struct {
 	BatchLabels [][]int
 	// LocBuf backs the perimeter-entry centroid computation.
 	LocBuf []geom.Point
+}
+
+// PBMArena backs one PBM decision (see routing.PBM): the distance of every
+// neighbor to every header destination, found by the one neighbor scan per
+// destination, and the candidate × routable-destination table the subset
+// search reads, with its running minima and index lists.
+type PBMArena struct {
+	// NbrDist is destination-major: NbrDist[j·deg+i] is the distance from
+	// neighbor i to header destination j.
+	NbrDist []float64
+	// Table is candidate-major: Table[c·R+r] is the distance from candidate
+	// c to routable destination r.
+	Table []float64
+	// Mins holds the subset search's running minima, one row of R per
+	// search level.
+	Mins []float64
+	// Routable lists the routable destinations' header indices, Cands the
+	// candidates' neighbor indices, Members the chosen candidates, Owner
+	// each routable destination's assigned member (an index into Members),
+	// and Counts how many destinations each member got.
+	Routable, Cands, Members, Owner, Counts []int
+	// Taken marks the candidates the greedy forward selection has chosen.
+	Taken []bool
 }
 
 // DistMemo memoizes the point-to-destination distance matrix of one
