@@ -1,7 +1,7 @@
 // Command benchgate is the performance-regression gate. It parses `go test
 // -bench` output (stdin or a file argument), takes the median of each metric
-// across -count repeats, and compares against the baselines recorded in a
-// BENCH_*.json file. Two kinds of gates:
+// across -count repeats, and compares against the baselines recorded in the
+// repository's BENCH.json. Two kinds of gates:
 //
 //   - Allocation gates: any benchmark whose measured allocs/op exceeds its
 //     microbenchmark baseline beyond the configured slack fails. Benchmarks
@@ -21,8 +21,8 @@
 //
 // Usage:
 //
-//	go test -run '^$' -bench 'Single' -benchtime=200x -count=3 ./... | benchgate -baseline BENCH_PR5.json
-//	go test -run '^$' -bench 'ScaleShards' -benchtime=1x -count=3 -cpu 4 ./internal/experiment/ | benchgate -baseline BENCH_PR7.json
+//	go test -run '^$' -bench 'Single' -benchtime=200x -count=3 ./... | benchgate
+//	go test -run '^$' -bench 'ScaleShards' -benchtime=1x -count=3 -cpu 4 ./internal/experiment/ | benchgate -baseline BENCH.json
 package main
 
 import (
@@ -38,8 +38,8 @@ import (
 	"strings"
 )
 
-// baselineFile mirrors the schema of the repo's BENCH_*.json records; only
-// the microbenchmark metrics matter to the gate.
+// baselineFile mirrors the schema of the repo's BENCH.json; only the
+// microbenchmark metrics and the speedup gates matter to the gate.
 type baselineFile struct {
 	Description     string               `json:"description"`
 	Microbenchmarks map[string]benchLine `json:"microbenchmarks"`
@@ -82,15 +82,12 @@ func main() {
 func run(args []string, stdin io.Reader, out io.Writer) error {
 	fs := flag.NewFlagSet("benchgate", flag.ContinueOnError)
 	var (
-		basePath = fs.String("baseline", "", "baseline BENCH_*.json file (required)")
+		basePath = fs.String("baseline", "BENCH.json", "baseline file")
 		slack    = fs.Float64("slack", 0.10, "fractional headroom over baseline allocs/op before failing")
 		absSlack = fs.Float64("abs", 2, "absolute allocs/op headroom, for near-zero baselines")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *basePath == "" {
-		return fmt.Errorf("-baseline is required")
 	}
 	data, err := os.ReadFile(*basePath)
 	if err != nil {

@@ -15,6 +15,7 @@ import (
 
 	"gmp/internal/experiment"
 	"gmp/internal/profiling"
+	"gmp/internal/routing"
 	"gmp/internal/sim"
 	"gmp/internal/stats"
 )
@@ -39,7 +40,7 @@ func run(args []string, out io.Writer) error {
 		tasks    = fs.Int("tasks", 0, "override tasks per deployment")
 		ks       = fs.String("ks", "", "override destination-count sweep, e.g. 3,5,10")
 		protos   = fs.String("protocols", "", "comma-separated protocol list replacing the experiment's default (registered: "+
-			strings.Join(experiment.RegisteredProtocols(), ",")+")")
+			strings.Join(routing.Names(), ",")+")")
 		confPath = fs.String("config", "", "JSON campaign config file (see -dumpconfig for the schema)")
 		dumpConf = fs.Bool("dumpconfig", false, "print the effective campaign config as JSON and exit")
 		pair     = fs.String("pair", "GMP,LGS", "for -experiment compare: the two protocols, A,B")

@@ -3,10 +3,14 @@ package main
 import (
 	"strings"
 	"testing"
+
+	"gmp/internal/routing"
 )
 
+// TestTraceAllProtocols traces every registered protocol, MCFR and the
+// GMP ablations included: gmptrace has no per-protocol wiring of its own.
 func TestTraceAllProtocols(t *testing.T) {
-	for _, proto := range []string{"GMP", "GMPnr", "LGS", "LGK", "PBM", "GRD", "SMT"} {
+	for _, proto := range routing.Names() {
 		proto := proto
 		t.Run(proto, func(t *testing.T) {
 			var b strings.Builder

@@ -40,18 +40,6 @@ const (
 // derived from the routing registry (the Spec PaperRank ordering).
 func AllProtocols() []string { return routing.PaperSet() }
 
-// RegisteredProtocols lists every protocol the routing registry knows —
-// the paper's set first, then extras (ablations, post-paper families) in
-// name order. This is the full set campaign -protocols flags accept.
-func RegisteredProtocols() []string {
-	specs := routing.Specs()
-	out := make([]string, len(specs))
-	for i, sp := range specs {
-		out[i] = sp.Name
-	}
-	return out
-}
-
 // checkProtos rejects the first protocol the routing registry does not know.
 func checkProtos(protos []string) error {
 	for _, p := range protos {

@@ -29,16 +29,12 @@ import (
 //   - Ledger oracles per arm: conservation of answers on the daemon side,
 //     every offered route completed on the client side, and the memo cache
 //     counters proving the cache arm actually exercised (and the no-cache
-//     arm actually bypassed) memoization. Memoization must be invisible:
-//     within each mode, the cache-on and cache-off arms must perform
-//     identical walks — byte-identical streamed summaries once the
-//     cache-hit counter is masked, identical decision and transmission
-//     totals per hop. (The two modes are NOT held to identical totals:
-//     the per-hop wire format cannot carry the perimeter watchdog state
-//     the streamed walker keeps in memory — see internal/serve/walk.go —
-//     so per-hop walks may lawfully spend a few extra transmissions in
-//     perimeter episodes. The engine, not the per-hop client, is the
-//     streamed mode's fidelity referee.)
+//     arm actually bypassed) memoization. Across arms: a per-hop DECIDE
+//     walk is the engine's walk, so all four arms must perform one
+//     transmission total, each per-hop arm must issue exactly one DECIDE
+//     per route start and per hop, and memoization must be invisible —
+//     byte-identical streamed summaries once the cache-hit counter is
+//     masked.
 //   - A wire-level replay audit: fresh routes between known node
 //     positions are streamed twice (cold, then memoized) against a live
 //     daemon and replayed offline on the simulation engine. The summaries
@@ -64,10 +60,9 @@ type StreamArmConfig struct {
 type StreamConfig struct {
 	// Deploy is the field every daemon serves.
 	Deploy serve.DeployConfig
-	// Protocol is the routing protocol every route uses. Redundant
-	// (concurrent) protocols are refused: their copies carry the Reverse
-	// and Junior perimeter flags, which a per-hop DECIDE frame has no field
-	// for, so the per-hop arms could not walk their routes.
+	// Protocol is the routing protocol every route uses. It must pass
+	// serve.CheckPerHop: a redundant protocol walks only by ROUTE, so the
+	// per-hop arms could not walk its routes.
 	Protocol string
 	// Conns is the number of concurrent clients; Routes the per-connection
 	// route count; K the destination-group size per route.
@@ -126,11 +121,8 @@ func QuickStreamConfig() StreamConfig {
 
 // Validate checks the campaign parameters.
 func (cfg StreamConfig) Validate() error {
-	if err := serve.CheckServable(cfg.Protocol); err != nil {
+	if err := serve.CheckPerHop(cfg.Protocol); err != nil {
 		return fmt.Errorf("%w: %v", ErrBadProtocol, err)
-	}
-	if sp, _ := routing.Lookup(cfg.Protocol); sp.Flags&routing.FlagConcurrent != 0 {
-		return fmt.Errorf("experiment: stream campaign needs a non-redundant protocol (got %s)", cfg.Protocol)
 	}
 	if cfg.Conns < 1 || cfg.Routes < 1 || cfg.K < 1 {
 		return fmt.Errorf("experiment: stream needs conns, routes and k >= 1")
@@ -201,16 +193,16 @@ func (r *StreamReport) Speedup() float64 {
 func (r *StreamReport) Render() string {
 	var b strings.Builder
 	b.WriteString("E-X14: streamed route continuation vs per-hop decisions\n")
-	fmt.Fprintf(&b, "  %-15s %8s %9s %8s %8s %8s %8s  %s\n",
-		"arm", "routes", "routes/s", "hops/s", "decides", "hits", "miss", "lat ms p50/p95/p99")
+	fmt.Fprintf(&b, "  %-15s %8s %9s %8s %8s %8s %8s %8s  %s\n",
+		"arm", "routes", "routes/s", "tx", "hops/s", "decides", "hits", "miss", "lat ms p50/p95/p99")
 	for _, a := range r.Arms {
 		lat := "-"
 		if len(a.Load.LatencyMs) > 0 {
 			lat = fmt.Sprintf("%.1f/%.1f/%.1f", a.Load.Percentile(0.50),
 				a.Load.Percentile(0.95), a.Load.Percentile(0.99))
 		}
-		fmt.Fprintf(&b, "  %-15s %8d %9.0f %8.0f %8d %8d %8d  %s\n",
-			a.Name, a.Load.Routes, a.Load.RoutesPerSec(), a.Load.RouteHopsPerSec(),
+		fmt.Fprintf(&b, "  %-15s %8d %9.0f %8d %8.0f %8d %8d %8d  %s\n",
+			a.Name, a.Load.Routes, a.Load.RoutesPerSec(), a.Load.RouteHops, a.Load.RouteHopsPerSec(),
 			a.Load.Sent, a.Stats.CacheHits, a.Stats.CacheMisses, lat)
 	}
 	if s := r.Speedup(); s > 0 {
@@ -218,8 +210,9 @@ func (r *StreamReport) Render() string {
 	}
 	fmt.Fprintf(&b, "  replay    %d routes streamed cold+memoized and engine-replayed (%d cached decisions)\n",
 		r.ReplayRoutes, r.ReplayCacheHits)
-	b.WriteString(oracleVerdict("  oracle    ", "PASS (0 violations: conservation exact; cache on/off walks identical\n"+
-		"            within each mode; streamed replays match the engine exactly)", r.Violations()))
+	b.WriteString(oracleVerdict("  oracle    ", "PASS (0 violations: conservation exact; one transmission total across\n"+
+		"            arms; one DECIDE per route start and per hop; cache on/off summaries\n"+
+		"            identical; streamed replays match the engine exactly)", r.Violations()))
 	return b.String()
 }
 
@@ -250,7 +243,7 @@ func RunStream(cfg StreamConfig) (*StreamReport, error) {
 			cfg.Progress(ai+1, phases)
 		}
 	}
-	auditStreamArms(cfg, rep)
+	auditStreamArms(rep)
 	if err := runStreamReplay(cfg, dep, s, rep); err != nil {
 		return nil, fmt.Errorf("stream replay audit: %w", err)
 	}
@@ -325,20 +318,28 @@ func runStreamArm(cfg StreamConfig, dep *serve.Deployment, s seeds, ac StreamArm
 	return arm, nil
 }
 
-// auditStreamArms runs the cross-arm identity oracles: cache on/off
-// streamed walks must be identical, and per-hop arms must perform exactly
-// the transmissions the streamed summaries reported.
-func auditStreamArms(cfg StreamConfig, rep *StreamReport) {
-	byName := map[string]*StreamArm{}
-	for i := range rep.Arms {
-		byName[rep.Arms[i].Name] = &rep.Arms[i]
-	}
-	stream, nocache := byName["stream"], byName["stream-nocache"]
+// auditStreamArms runs the cross-arm identity oracles: one transmission
+// total across all four arms, exactly one DECIDE per route start and per
+// hop in each per-hop arm, and identical streamed summaries with the cache
+// on and off.
+func auditStreamArms(rep *StreamReport) {
 	bad := func(format string, args ...any) {
 		rep.ReplayViolations = append(rep.ReplayViolations,
 			"cross-arm: "+fmt.Sprintf(format, args...))
 	}
-	if stream != nil && nocache != nil {
+	byName := map[string]*StreamArm{}
+	for i := range rep.Arms {
+		a := &rep.Arms[i]
+		byName[a.Name] = a
+		if ref := &rep.Arms[0]; a.Load.RouteHops != ref.Load.RouteHops {
+			bad("%s performed %d transmissions, %s %d", a.Name, a.Load.RouteHops, ref.Name, ref.Load.RouteHops)
+		}
+		if !a.Stream && a.Load.Sent != a.Load.Routes+a.Load.RouteHops {
+			bad("%s issued %d DECIDEs for %d route starts and %d hops",
+				a.Name, a.Load.Sent, a.Load.Routes, a.Load.RouteHops)
+		}
+	}
+	if stream, nocache := byName["stream"], byName["stream-nocache"]; stream != nil && nocache != nil {
 		a, b := canonicalSummaries(stream.Load.RouteDones), canonicalSummaries(nocache.Load.RouteDones)
 		if len(a) != len(b) {
 			bad("cache on/off summary counts differ: %d vs %d", len(a), len(b))
@@ -349,24 +350,6 @@ func auditStreamArms(cfg StreamConfig, rep *StreamReport) {
 					break
 				}
 			}
-		}
-	}
-	// Within each mode, memoization must not change the walk: identical
-	// transmission totals, and (per-hop) identical decision counts. The two
-	// modes are not compared — the per-hop wire format drops watchdog state
-	// the streamed walker keeps, so cross-mode totals may lawfully differ.
-	if stream != nil && nocache != nil {
-		if got, want := nocache.Load.RouteHops, stream.Load.RouteHops; got != want {
-			bad("stream cache off performed %d transmissions, cache on %d", got, want)
-		}
-	}
-	perhop, phNocache := byName["perhop"], byName["perhop-nocache"]
-	if perhop != nil && phNocache != nil {
-		if got, want := phNocache.Load.RouteHops, perhop.Load.RouteHops; got != want {
-			bad("perhop cache off performed %d transmissions, cache on %d", got, want)
-		}
-		if got, want := phNocache.Load.Sent, perhop.Load.Sent; got != want {
-			bad("perhop cache off issued %d decisions, cache on %d", got, want)
 		}
 	}
 }

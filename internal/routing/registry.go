@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 
 	"gmp/internal/network"
 )
@@ -98,6 +99,26 @@ func MustRegister(sp Spec) {
 func Lookup(name string) (Spec, bool) {
 	sp, ok := registry[name]
 	return sp, ok
+}
+
+// LookupFold is Lookup ignoring case, for command-line flags.
+func LookupFold(name string) (Spec, bool) {
+	for _, sp := range registry {
+		if strings.EqualFold(sp.Name, name) {
+			return sp, true
+		}
+	}
+	return Spec{}, false
+}
+
+// Names returns every registered protocol name in Specs order: the paper's
+// set first, then extras. It is the set -protocol flags accept.
+func Names() []string {
+	var out []string
+	for _, sp := range Specs() {
+		out = append(out, sp.Name)
+	}
+	return out
 }
 
 // Specs returns every registered Spec: the paper's ranked set first (by

@@ -8,7 +8,8 @@
 // locations, PERIMODE state. A decision is therefore a pure function of
 // (deployment, frame), which is exactly what the routing package's decision
 // cores compute. gmpd holds the deployment (network + planar substrate) and
-// turns frames into decisions for any distributed protocol in the registry.
+// turns frames into decisions for any distributed protocol in the registry;
+// redundant ones (MCFR) it walks only whole, by ROUTE (CheckPerHop).
 //
 // Hardening is the point, not an afterthought: bounded admission with typed
 // SHED answers (never a silent drop), per-request deadlines, per-session
@@ -24,6 +25,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"gmp/internal/geom"
@@ -279,6 +281,20 @@ func CheckServable(name string) error {
 	return nil
 }
 
+// CheckPerHop validates that the named protocol is servable and walkable
+// by per-hop DECIDEs. Redundant protocols (MCFR) walk only by ROUTE: no
+// frame field holds their face direction, and their exact node-position
+// targets do not survive float32 coordinates.
+func CheckPerHop(name string) error {
+	if err := CheckServable(name); err != nil {
+		return err
+	}
+	if sp, _ := routing.Lookup(name); sp.Flags&routing.FlagConcurrent != 0 {
+		return fmt.Errorf("%w: %q is redundant and walks only by ROUTE", ErrUnservable, name)
+	}
+	return nil
+}
+
 // protocol returns the worker's instance of the named protocol, building it
 // on first use.
 func (d *decider) protocol(name string) (routing.Protocol, error) {
@@ -306,6 +322,9 @@ func (d *decider) protocol(name string) (routing.Protocol, error) {
 // this decider's next request and must be fully serialized before then
 // (the worker loop does exactly that).
 func (d *decider) decide(protoName string, req wire.DecideBody) ([]wire.ForwardReply, error) {
+	if err := CheckPerHop(protoName); err != nil {
+		return nil, err
+	}
 	p, err := d.protocol(protoName)
 	if err != nil {
 		return nil, err
@@ -331,24 +350,22 @@ func (d *decider) decide(protoName string, req wire.DecideBody) ([]wire.ForwardR
 //   - the deciding node is the one closest to the marked next-hop location
 //     (§2: "the corresponding node picks up the packet");
 //   - destination locations resolve to node IDs the same way; locations
-//     that resolve to the same node merge into one destination (keeping the
-//     first carried location) — under location-as-address, co-located
-//     subscribers *are* the same destination;
+//     that resolve to the same node merge into one destination — under
+//     location-as-address, co-located subscribers *are* the same
+//     destination;
+//   - header locations are restamped from the static deployment's
+//     positions, exactly the engine's header locations (float32 coordinates
+//     would break the distance ties decision cores resolve by node ID);
+//   - OpStart sorts destinations ascending (the engine's Start path);
+//     OpDecide keeps the header order;
 //   - destinations equal to the deciding node are delivered here and
 //     stripped by (*sim.Packet).StripAt;
-//   - OpStart sorts destinations ascending and restamps header locations
-//     from the network's advertised positions (the engine's Start path);
-//     OpDecide keeps the header locations as carried — staleness in the
-//     header is part of the model.
+//   - the previous hop resolves to a node ID like the rest. The perimeter
+//     watchdog fields stay at their entry values: the daemon's oracle views
+//     never arm the watchdog, so no decision reads them.
 //
 // A nil packet with nil error means every destination was the deciding node:
 // fully delivered, the answer is an empty FORWARDS.
-//
-// Fidelity note: the wire format does not carry the perimeter watchdog
-// fields or the previous hop, so a reconstructed perimeter state re-enters
-// with Prev = -1 and a fresh (disarmed) watchdog — the documented cost of
-// statelessness, identical to what a node would know after a neighbor
-// table flush.
 func (d *decider) frameToPacket(op byte, f *wire.Frame) (int, *sim.Packet, error) {
 	nw := d.dep.NW
 	node := nw.ClosestNode(f.NextHop)
@@ -367,63 +384,58 @@ func (d *decider) frameToPacket(op byte, f *wire.Frame) (int, *sim.Packet, error
 		if f.Perimeter() {
 			return 0, nil, fmt.Errorf("%w: PERIMODE on a start request", ErrBadOp)
 		}
-		ids := d.ids[:0]
-		seen := d.seen
-		for _, loc := range f.Dests {
-			id := nw.ClosestNode(loc)
-			if seen[id] {
-				continue // co-located subscribers merge
-			}
-			seen[id] = true
-			ids = append(ids, id)
-		}
-		sort.Ints(ids)
-		locs := d.locs[:0]
-		for _, id := range ids {
-			locs = append(locs, nw.Pos(id))
-		}
-		pkt.Dests, pkt.Locs = ids, locs
-
 	case wire.OpDecide:
-		ids := d.ids[:0]
-		locs := d.locs[:0]
-		seen := d.seen
-		anchor := -1
-		for _, loc := range f.Dests {
-			id := nw.ClosestNode(loc)
-			if f.HasAnchor() && loc == f.Anchor && anchor < 0 {
-				anchor = id
-			}
-			if seen[id] {
-				continue // co-located subscribers merge
-			}
-			seen[id] = true
-			ids = append(ids, id)
-			locs = append(locs, loc)
-		}
-		if f.HasAnchor() && anchor < 0 {
-			return 0, nil, ErrBadAnchor
-		}
-		// An anchor that resolved to the deciding node stays set even though
-		// the destination itself is stripped below: that is exactly the
-		// engine's state at a subtree root, and the anchor protocols detect
-		// re-partitioning by Anchor == Self (LGS/LGK/MCFR). Mapping it to -1
-		// would send them down the relay path with no anchor to aim at.
-		pkt.Dests, pkt.Locs, pkt.Anchor = ids, locs, anchor
-		if f.Perimeter() {
-			pkt.Perimeter = true
-			pkt.Peri = planar.State{
-				Target:    f.PeriTarget,
-				Entry:     f.PeriEntry,
-				FaceEntry: f.PeriFaceEntry,
-				Prev:      -1,
-				FirstFrom: -1,
-				FirstTo:   -1,
-			}
-		}
-
 	default:
 		return 0, nil, fmt.Errorf("%w: op %d", ErrBadOp, op)
+	}
+	ids := d.ids[:0]
+	seen := d.seen
+	anchor := -1
+	for _, loc := range f.Dests {
+		id := nw.ClosestNode(loc)
+		if f.HasAnchor() && loc == f.Anchor && anchor < 0 {
+			anchor = id
+		}
+		if seen[id] {
+			continue // co-located subscribers merge
+		}
+		seen[id] = true
+		ids = append(ids, id)
+	}
+	if op == wire.OpStart {
+		sort.Ints(ids)
+	}
+	locs := d.locs[:0]
+	for _, id := range ids {
+		locs = append(locs, nw.Pos(id))
+	}
+	if f.HasAnchor() && anchor < 0 {
+		// A copy at its own anchor no longer lists that destination (it was
+		// delivered and stripped here); any other miss is a lie.
+		if nw.ClosestNode(f.Anchor) != node {
+			return 0, nil, ErrBadAnchor
+		}
+		anchor = node
+	}
+	// An anchor that resolved to the deciding node stays set even though the
+	// destination itself is stripped below: that is exactly the engine's
+	// state at a subtree root, and the anchor protocols detect
+	// re-partitioning by Anchor == Self (LGS/LGK/MCFR). Mapping it to -1
+	// would send them down the relay path with no anchor to aim at.
+	pkt.Dests, pkt.Locs, pkt.Anchor = ids, locs, anchor
+	if f.Perimeter() {
+		pkt.Perimeter = true
+		pkt.Peri = planar.State{
+			Target:    f.PeriTarget,
+			Entry:     f.PeriEntry,
+			FaceEntry: f.PeriFaceEntry,
+			Prev:      -1,
+			FirstFrom: -1,
+			FirstTo:   -1,
+		}
+		if f.HasPrevHop() {
+			pkt.Peri.Prev = nw.ClosestNode(f.PeriPrev)
+		}
 	}
 	// Destinations at the deciding node are delivered here (on a start
 	// request at hop 0), by the kernel's arrival rule.
@@ -491,30 +503,24 @@ func (d *decider) appendForwardFrame(arena []byte, source geom.Point, payload []
 		of.PeriTarget = r.Peri.Target
 		of.PeriEntry = r.Peri.Entry
 		of.PeriFaceEntry = r.Peri.FaceEntry
+		if r.Peri.Prev >= 0 {
+			of.Flags |= wire.FlagPrevHop
+			of.PeriPrev = nw.Pos(r.Peri.Prev)
+		}
 	}
 	if r.Anchor >= 0 {
-		loc, ok := recLocOf(r, r.Anchor)
-		if !ok {
+		// The anchor is one of the copy's destinations, or the deciding node
+		// (an MCFR junior thread dropped at its delivered anchor); either way
+		// its location is its position, as every header location is.
+		if r.Anchor != node && !slices.Contains(r.Dests, r.Anchor) {
 			return arena, fmt.Errorf("%w: anchor %d not in forward's header", ErrFrameEncode, r.Anchor)
 		}
 		of.Flags |= wire.FlagAnchor
-		of.Anchor = loc
+		of.Anchor = nw.Pos(r.Anchor)
 	}
 	arena, err := wire.AppendFrame(arena, of, 0)
 	if err != nil {
 		return arena, fmt.Errorf("%w: %w", ErrFrameEncode, err)
 	}
 	return arena, nil
-}
-
-// recLocOf is Packet.LocOf without the panic: the service reports a missing
-// anchor as a typed error instead of trusting protocol invariants with the
-// daemon's life.
-func recLocOf(r *fwdRec, id int) (geom.Point, bool) {
-	for i, d := range r.Dests {
-		if d == id {
-			return r.Locs[i], true
-		}
-	}
-	return geom.Point{}, false
 }

@@ -20,7 +20,7 @@ var (
 	benchDepErr  error
 )
 
-func benchDeployment(b *testing.B) *Deployment {
+func benchDeployment(b testing.TB) *Deployment {
 	benchDepOnce.Do(func() {
 		benchDep, benchDepErr = NewDeployment(DefaultDeploy())
 	})
@@ -30,7 +30,7 @@ func benchDeployment(b *testing.B) *Deployment {
 	return benchDep
 }
 
-// The serve benchmarks drive the BENCH_PR10.json decisions/sec gate: the
+// The serve benchmarks drive the BENCH.json decisions/sec gate: the
 // same daemon, same deployment, same offered load at 1 and 4 decision
 // workers. cmd/benchgate ratios the two medians and fails CI when the
 // 4-worker daemon does not clear the required speedup over the 1-worker
@@ -81,7 +81,7 @@ func BenchmarkServeWorkers4(b *testing.B) { benchServeWorkers(b, 4) }
 // The route benchmarks share one daemon — and therefore one decision
 // cache — across iterations and -count repeats, and walk the same fixed
 // seed every iteration, so both modes run against a warm cache and the
-// BENCH_PR10.json speedup gate measures exactly the protocol difference:
+// BENCH.json speedup gate measures exactly the protocol difference:
 // one ROUTE with a server-side walk and a one-way HOP stream, versus one
 // DECIDE round trip (frame decode, K ClosestNode resolutions, re-encode)
 // per decision. The cache is pre-warmed in setup so the first measured
@@ -144,13 +144,13 @@ func benchRoutes(b *testing.B, mode string) {
 // BenchmarkRouteK120 streams whole 120-destination multicast walks (one
 // ROUTE, server-side continuation, HOP stream); BenchmarkPerHopRouteK120
 // walks the identical routes paying one DECIDE round trip per decision.
-// cmd/benchgate gates their routes/s ratio (BENCH_PR10.json).
+// cmd/benchgate gates their routes/s ratio (BENCH.json).
 func BenchmarkRouteK120(b *testing.B)       { benchRoutes(b, "stream") }
 func BenchmarkPerHopRouteK120(b *testing.B) { benchRoutes(b, "perhop") }
 
 // BenchmarkDecideK120 is the allocation-gated microbenchmark of the service
 // backend alone — frame decode, packet reconstruction, GMP decision,
-// forward re-encode — without transport. BENCH_PR10.json gates its
+// forward re-encode — without transport. BENCH.json gates its
 // allocs/op: the request path must stay flat-allocation no matter how
 // large the destination group.
 func BenchmarkDecideK120(b *testing.B) {
@@ -176,7 +176,7 @@ func BenchmarkDecideK120(b *testing.B) {
 // BenchmarkWalkRouteK120Cold is the walker layer alone: decider.walkRoute
 // on one fixed K=120 GMP start frame, with no memo cache so every decision
 // is recomputed, and every HOP encoded and discarded — no transport.
-// BENCH_PR10.json gates its allocs/op.
+// BENCH.json gates its allocs/op.
 func BenchmarkWalkRouteK120Cold(b *testing.B) {
 	dep := benchDeployment(b)
 	d := newDecider(dep, 0.5, 0)

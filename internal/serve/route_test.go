@@ -65,9 +65,10 @@ func repliesEqual(a, b []wire.ForwardReply) bool {
 // TestCacheHitMatchesColdRecompute walks the reachable request tree of a
 // start request for every servable protocol with three deciders — cache-on
 // first touch (cold, fills the cache), cache-on second touch (hit), and
-// cache-off (the PR 9 path) — and requires all three byte-identical at
-// every node of the tree. This is the purity contract the cache stands on,
-// checked where it matters: on the wire.
+// cache-off — and requires all three byte-identical at every node of the
+// tree. This is the purity contract the cache stands on, checked where it
+// matters: on the wire. A redundant protocol walks only by ROUTE, so its
+// tree is compared as the three deciders' HOP streams.
 func TestCacheHitMatchesColdRecompute(t *testing.T) {
 	dep := testDeployment(t)
 	for _, proto := range servableProtocols() {
@@ -80,6 +81,20 @@ func TestCacheHitMatchesColdRecompute(t *testing.T) {
 			rng := rand.New(rand.NewSource(7))
 			req := randomRequest(LoadConfig{K: 12,
 				Width: dep.NW.Width(), Height: dep.NW.Height()}, rng)
+			if CheckPerHop(proto) != nil {
+				cold, hit, ref := hopStream(t, dc, proto, req.Frame),
+					hopStream(t, dc, proto, req.Frame), hopStream(t, dn, proto, req.Frame)
+				if len(cold) < 2 {
+					t.Fatalf("walk too short to exercise the cache (%d HOPs)", len(cold))
+				}
+				if !reflect.DeepEqual(cold, hit) || !reflect.DeepEqual(cold, ref) {
+					t.Fatal("cache hits or the uncached decider stream different HOPs")
+				}
+				if hits, misses, _ := cache.counters(); hits == 0 || misses == 0 {
+					t.Fatalf("cache never exercised: hits %d misses %d", hits, misses)
+				}
+				return
+			}
 
 			type item struct{ body wire.DecideBody }
 			queue := []item{{body: req}}
@@ -123,6 +138,20 @@ func TestCacheHitMatchesColdRecompute(t *testing.T) {
 			}
 		})
 	}
+}
+
+// hopStream walks a ROUTE on d and returns its HOPs, frames copied out.
+func hopStream(t *testing.T, d *decider, proto string, start []byte) []wire.HopBody {
+	t.Helper()
+	var hops []wire.HopBody
+	if _, err := d.walkRoute(proto, wire.RouteBody{Frame: start}, func(hb wire.HopBody) bool {
+		hb.Frame = append([]byte(nil), hb.Frame...)
+		hops = append(hops, hb)
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return hops
 }
 
 // TestCacheEvictionDeterministic pins the eviction policy: strictly LRU,
@@ -254,6 +283,8 @@ func routeFrame(t *testing.T, dep *Deployment, src int, dests []int) []byte {
 // task must agree with the simulation engine running the same task:
 // identical transmission totals, and for each destination the same fate —
 // delivered at the same hop count, or dropped for the same first reason.
+// Every walk streams its HOPs, so each copy's frame is encoded (and must
+// decode), and the streamed transmissions must add up to the summary.
 func TestWalkMatchesEngineReplay(t *testing.T) {
 	dep := testDeployment(t)
 	const budget = 100
@@ -269,10 +300,22 @@ func TestWalkMatchesEngineReplay(t *testing.T) {
 					rng := rand.New(rand.NewSource(seed))
 					src, dests := pickNodes(rng, dep.NW.Len(), k)
 
+					streamed := 0
 					done, err := d.walkRoute(proto,
-						wire.RouteBody{Frame: routeFrame(t, dep, src, dests)}, nil)
+						wire.RouteBody{Frame: routeFrame(t, dep, src, dests)}, func(hb wire.HopBody) bool {
+							if _, err := wire.Decode(hb.Frame); err != nil {
+								t.Fatalf("k %d seed %d: HOP %d does not decode: %v", k, seed, hb.Seq, err)
+							}
+							if hb.To >= 0 {
+								streamed++
+							}
+							return true
+						})
 					if err != nil {
 						t.Fatalf("k %d seed %d: walk: %v", k, seed, err)
+					}
+					if streamed != int(done.Hops) {
+						t.Fatalf("k %d seed %d: %d HOPs streamed for %d transmissions", k, seed, streamed, done.Hops)
 					}
 					h, err := routing.Make(proto, routing.Ctx{Lambda: 0.5, LambdaSet: true})
 					if err != nil {

@@ -248,6 +248,22 @@ func TestHelloRejections(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Close()
+	// A redundant protocol opens a session and streams ROUTEs, but a
+	// per-hop DECIDE is refused with a typed answer.
+	mc, err := Dial(addr, "MCFR", 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mc.Close()
+	rep, err := mc.Do(startRequest(t, 3))
+	if err != nil || rep.Kind != wire.MsgError || rep.Err.Code != wire.CodeBadProtocol {
+		t.Fatalf("MCFR DECIDE: err %v, answer %s %+v", err, wire.MsgName(rep.Kind), rep.Err)
+	}
+	hops := 0
+	rep, err = mc.Route(wire.RouteBody{Frame: startRequest(t, 3).Frame}, func(wire.HopBody) { hops++ })
+	if err != nil || rep.Kind != wire.MsgRouteDone || hops == 0 {
+		t.Fatalf("MCFR ROUTE: err %v, answer %s after %d HOPs", err, wire.MsgName(rep.Kind), hops)
+	}
 }
 
 // TestMalformedAndHostileRequests: corrupt frames and panicking decisions

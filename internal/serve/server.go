@@ -428,6 +428,9 @@ func (s *Server) process(d *decider, req *request) (res processResult) {
 	fwds, err := d.decide(req.sess.protocol, req.body)
 	if err != nil {
 		code := wire.CodeBadRequest
+		if errors.Is(err, ErrUnservable) {
+			code = wire.CodeBadProtocol
+		}
 		return processResult{err: &wire.ErrorBody{Code: code, Msg: err.Error()}}
 	}
 	return processResult{fwds: fwds}

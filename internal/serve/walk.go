@@ -12,8 +12,9 @@ package serve
 // strip-on-arrive, drop billing and first-reason-wins settlement are the
 // kernel's own, so a ROUTE_DONE is by construction the engine's result for
 // the same task, for every servable protocol — MCFR included. HOPs come in
-// kernel dispatch order, and the walk keeps the perimeter watchdog state
-// and previous hop that the per-hop wire format cannot carry. The engine
+// kernel dispatch order. A per-hop DECIDE walk of a non-redundant protocol
+// is the same walk (its frames carry the previous hop, and oracle views
+// never arm the watchdog); redundant protocols walk only here. The engine
 // is never sharded: it runs inline on the worker goroutine, so a panicking
 // protocol unwinds into the server's per-request recover and the HOP order
 // is deterministic. Reusing the decider's scratch and the engine's lanes

@@ -110,9 +110,6 @@ func (e *Engine) SetChurn(p ChurnPlan) error {
 	return nil
 }
 
-// Churn returns the installed churn plan.
-func (e *Engine) Churn() ChurnPlan { return e.churn }
-
 // churnEvent is one membership change in a session's merged, time-ordered
 // event stream.
 type churnEvent struct {

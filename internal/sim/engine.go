@@ -539,10 +539,6 @@ func (e *Engine) SetARQ(a ARQConfig) error {
 // ARQ returns the installed (normalized) ARQ configuration.
 func (e *Engine) ARQ() ARQConfig { return e.arq }
 
-// Net returns the underlying network (the engine's global physics; handlers
-// never see it — they get per-node views).
-func (e *Engine) Net() *network.Network { return e.net }
-
 // SetViews installs the per-node view provider handed to forwarding
 // decisions. Unset, the engine defaults to the ideal oracle over its own
 // network without a perimeter substrate — enough for protocols that never

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -19,6 +20,7 @@ func FuzzDecode(f *testing.F) {
 		sampleFrame(true, 0, 0),
 		withAnchor(sampleFrame(false, 4, 4)),
 		withAnchor(sampleFrame(true, 2, 0)),
+		withPrevHop(withAnchor(sampleFrame(true, 3, 2))),
 	} {
 		data, err := Encode(fr, 0)
 		if err != nil {
@@ -49,27 +51,30 @@ func FuzzDecode(f *testing.F) {
 		// re-encode bit-for-bit in every header field — scalar flags and hop
 		// count, source/next-hop/anchor coordinates, the perimeter state, and
 		// every destination location. Coordinates on the wire are float32, so
-		// a decoded frame's points are float32-exact and == is the right
-		// comparison.
+		// a decoded frame's points are float32-exact; they are compared bit
+		// for bit, so a NaN coordinate the fuzzer writes must equal itself.
 		if back.Flags != fr.Flags || back.Hops != fr.Hops {
 			t.Fatalf("flags/hops mismatch: %+v vs %+v", back, fr)
 		}
-		if back.Source != fr.Source || back.NextHop != fr.NextHop {
+		if !samePoint(back.Source, fr.Source) || !samePoint(back.NextHop, fr.NextHop) {
 			t.Fatalf("source/next-hop mismatch: %+v vs %+v", back, fr)
 		}
 		if len(back.Dests) != len(fr.Dests) {
 			t.Fatalf("dest count %d != %d", len(back.Dests), len(fr.Dests))
 		}
 		for i := range fr.Dests {
-			if back.Dests[i] != fr.Dests[i] {
+			if !samePoint(back.Dests[i], fr.Dests[i]) {
 				t.Fatalf("dest %d: %v != %v", i, back.Dests[i], fr.Dests[i])
 			}
 		}
-		if fr.Perimeter() && (back.PeriTarget != fr.PeriTarget ||
-			back.PeriEntry != fr.PeriEntry || back.PeriFaceEntry != fr.PeriFaceEntry) {
+		if fr.Perimeter() && (!samePoint(back.PeriTarget, fr.PeriTarget) ||
+			!samePoint(back.PeriEntry, fr.PeriEntry) || !samePoint(back.PeriFaceEntry, fr.PeriFaceEntry)) {
 			t.Fatal("perimeter state mismatch")
 		}
-		if fr.HasAnchor() && back.Anchor != fr.Anchor {
+		if fr.HasPrevHop() && !samePoint(back.PeriPrev, fr.PeriPrev) {
+			t.Fatalf("previous hop mismatch: %v != %v", back.PeriPrev, fr.PeriPrev)
+		}
+		if fr.HasAnchor() && !samePoint(back.Anchor, fr.Anchor) {
 			t.Fatalf("anchor mismatch: %v != %v", back.Anchor, fr.Anchor)
 		}
 		if !bytes.Equal(back.Payload, fr.Payload) {
@@ -78,8 +83,16 @@ func FuzzDecode(f *testing.F) {
 	})
 }
 
+// samePoint is bitwise point equality: unlike ==, it holds for a NaN
+// coordinate and tells -0 from +0.
+func samePoint(a, b geom.Point) bool {
+	return math.Float64bits(a.X) == math.Float64bits(b.X) &&
+		math.Float64bits(a.Y) == math.Float64bits(b.Y)
+}
+
 // FuzzEncodeDecodeRoundTrip drives the encoder from arbitrary header fields —
-// destination count, PERIMODE state, payload length — and asserts an exact
+// destination count, PERIMODE state, previous hop, anchor, payload length —
+// and asserts an exact
 // field-for-field roundtrip through Decode, plus the capacity arithmetic at
 // the paper's 128-byte message budget.
 func FuzzEncodeDecodeRoundTrip(f *testing.F) {
@@ -90,6 +103,8 @@ func FuzzEncodeDecodeRoundTrip(f *testing.F) {
 	f.Add(uint8(0), uint8(100), uint8(255), uint16(512), int64(5))
 	f.Add(uint8(FlagAnchor), uint8(3), uint8(6), uint16(4), int64(6))
 	f.Add(uint8(FlagPerimeter|FlagAnchor), uint8(9), uint8(2), uint16(0), int64(7))
+	f.Add(uint8(FlagPerimeter|FlagPrevHop), uint8(4), uint8(5), uint16(3), int64(8))
+	f.Add(uint8(FlagPerimeter|FlagPrevHop|FlagAnchor), uint8(11), uint8(1), uint16(0), int64(9))
 
 	f.Fuzz(func(t *testing.T, flags, hops, ndests uint8, payloadLen uint16, seed int64) {
 		r := rand.New(rand.NewSource(seed))
@@ -104,6 +119,9 @@ func FuzzEncodeDecodeRoundTrip(f *testing.F) {
 		}
 		if fr.Perimeter() {
 			fr.PeriTarget, fr.PeriEntry, fr.PeriFaceEntry = pt(), pt(), pt()
+		}
+		if fr.HasPrevHop() {
+			fr.PeriPrev = pt()
 		}
 		if fr.HasAnchor() {
 			fr.Anchor = pt()
@@ -140,6 +158,9 @@ func FuzzEncodeDecodeRoundTrip(f *testing.F) {
 			got.PeriEntry != fr.PeriEntry || got.PeriFaceEntry != fr.PeriFaceEntry) {
 			t.Fatal("perimeter state mismatch")
 		}
+		if fr.HasPrevHop() && got.PeriPrev != fr.PeriPrev {
+			t.Fatalf("previous hop mismatch: %v != %v", got.PeriPrev, fr.PeriPrev)
+		}
 		if fr.HasAnchor() && got.Anchor != fr.Anchor {
 			t.Fatalf("anchor mismatch: %v != %v", got.Anchor, fr.Anchor)
 		}
@@ -157,9 +178,10 @@ func FuzzEncodeDecodeRoundTrip(f *testing.F) {
 		if (err == nil) != fits {
 			t.Fatalf("budgeted encode err=%v but size %d vs budget %d", err, fr.EncodedSize(), budget)
 		}
-		// Capacity models the paper's Table 1 header (no anchor extension),
-		// so the agreement check only applies to anchor-free frames.
-		if !fr.HasAnchor() && HeaderSize(0, fr.Perimeter())+len(fr.Payload) <= budget {
+		// Capacity models the paper's Table 1 header (no anchor or
+		// previous-hop extension), so the agreement check only applies to
+		// frames without them.
+		if !fr.HasAnchor() && !fr.HasPrevHop() && HeaderSize(0, fr.Perimeter())+len(fr.Payload) <= budget {
 			if fits != (len(fr.Dests) <= Capacity(budget, len(fr.Payload), fr.Perimeter())) {
 				t.Fatalf("Capacity disagrees with encoder: %d dests, capacity %d, fits %v",
 					len(fr.Dests), Capacity(budget, len(fr.Payload), fr.Perimeter()), fits)

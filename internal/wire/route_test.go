@@ -157,7 +157,7 @@ func TestRouteEnvelope(t *testing.T) {
 // perimeter/anchor fields from a previous decode never leak into a later
 // frame, and the destination/payload backing arrays are actually reused.
 func TestDecodeIntoReuse(t *testing.T) {
-	rich := withAnchor(sampleFrame(true, 6, 32))
+	rich := withPrevHop(withAnchor(sampleFrame(true, 6, 32)))
 	richBytes, err := Encode(rich, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -176,10 +176,10 @@ func TestDecodeIntoReuse(t *testing.T) {
 	if err := DecodeInto(&f, plainBytes); err != nil {
 		t.Fatal(err)
 	}
-	if f.Perimeter() || f.HasAnchor() {
+	if f.Perimeter() || f.HasAnchor() || f.HasPrevHop() {
 		t.Fatalf("stale flags survived: %#x", f.Flags)
 	}
-	if (f.PeriTarget != geom.Point{}) || (f.Anchor != geom.Point{}) {
+	if (f.PeriTarget != geom.Point{}) || (f.PeriPrev != geom.Point{}) || (f.Anchor != geom.Point{}) {
 		t.Fatalf("stale perimeter/anchor state survived: %+v", f)
 	}
 	if &f.Dests[0] != backing {

@@ -276,7 +276,9 @@ const (
 	// CodeBadRequest: the request could not be parsed or referenced
 	// locations outside the deployment.
 	CodeBadRequest = uint16(iota + 1)
-	// CodeBadProtocol: HELLO named an unknown or unservable protocol.
+	// CodeBadProtocol: HELLO named an unknown or unservable protocol, or a
+	// DECIDE asked a per-hop decision of a protocol that walks only by
+	// ROUTE (a redundant one such as MCFR).
 	CodeBadProtocol
 	// CodePanic: the decision panicked; the session survives, the request
 	// is answered with this.

@@ -9,6 +9,19 @@
 // The format makes the paper's 128-byte message size concrete: Capacity
 // answers how many destinations fit a given message budget, and the encoder
 // refuses to overflow it.
+//
+// Frame layout (version 2; big-endian, a point is two float32 coordinates):
+//
+//	magic(1) version(1) flags(1) hops(1) source(8) next-hop(8)
+//	dest-count(1) payload-len(2) dests(8 each)
+//	[FlagPerimeter] target(8) entry(8) face-entry(8)
+//	[FlagPrevHop]   previous hop(8)
+//	[FlagAnchor]    anchor(8)
+//	payload
+//
+// Version 2 added the previous hop, so a stateless decision service resumes
+// a face traversal on exactly the edge the walk arrived by. A version-1
+// frame is refused with ErrBadVersion.
 package wire
 
 import (
@@ -25,16 +38,20 @@ const (
 	// Magic identifies GMP frames.
 	Magic = 0x47 // 'G'
 	// Version of the wire format.
-	Version = 1
+	Version = 2
 
 	// FlagPerimeter marks the paper's PERIMODE.
 	FlagPerimeter = 1 << 0
 	// FlagAnchor marks a frame carrying an anchor location: the point an
 	// LGT-family copy (LGS/LGK/MCFR) is steered toward between
-	// re-partitionings. The anchor is always one of the frame's destination
-	// locations, carried explicitly so a stateless decision service can
-	// reconstruct the in-flight routing state from the header alone.
+	// re-partitionings. The anchor is one of the frame's destination
+	// locations, or the next hop's own once that destination was delivered,
+	// carried explicitly so a stateless decision service can reconstruct the
+	// in-flight routing state from the header alone.
 	FlagAnchor = 1 << 1
+	// FlagPrevHop marks a frame carrying the location of the node a face
+	// traversal arrived from (planar.State.Prev): the next step's reference.
+	FlagPrevHop = 1 << 2
 
 	pointSize  = 8                                                                                                                             // two float32 coordinates
 	fixedSize  = 1 /*magic*/ + 1 /*version*/ + 1 /*flags*/ + 1 /*hops*/ + pointSize /*source*/ + pointSize /*next hop*/ + 1 /*dest count*/ + 2 /*payload len*/
@@ -60,8 +77,11 @@ type Frame struct {
 	PeriTarget    geom.Point
 	PeriEntry     geom.Point
 	PeriFaceEntry geom.Point
+	// PeriPrev is the previous hop's location; meaningful only when
+	// FlagPrevHop is set.
+	PeriPrev geom.Point
 	// Anchor is the LGT-family steering location; meaningful only when
-	// FlagAnchor is set. It always equals one of Dests.
+	// FlagAnchor is set. It equals one of Dests or NextHop.
 	Anchor geom.Point
 	// Payload is the application data.
 	Payload []byte
@@ -73,11 +93,17 @@ func (f *Frame) Perimeter() bool { return f.Flags&FlagPerimeter != 0 }
 // HasAnchor reports whether the anchor-location flag is set.
 func (f *Frame) HasAnchor() bool { return f.Flags&FlagAnchor != 0 }
 
+// HasPrevHop reports whether the previous-hop flag is set.
+func (f *Frame) HasPrevHop() bool { return f.Flags&FlagPrevHop != 0 }
+
 // EncodedSize returns the exact on-air size of the frame in bytes.
 func (f *Frame) EncodedSize() int {
 	n := fixedSize + len(f.Dests)*pointSize + len(f.Payload)
 	if f.Perimeter() {
 		n += periSize
+	}
+	if f.HasPrevHop() {
+		n += pointSize
 	}
 	if f.HasAnchor() {
 		n += pointSize
@@ -89,9 +115,9 @@ func (f *Frame) EncodedSize() int {
 // ndests destination locations (and the perimeter state when perimeter is
 // set), excluding the application payload. The simulator's dynamic-frame
 // mode adds this to the payload size when computing airtime and energy.
-// The optional anchor extension (FlagAnchor) is not counted: it exists for
-// the decision service, and the sim's accounting predates it (frozen for
-// byte-identity).
+// The optional anchor and previous-hop extensions (FlagAnchor, FlagPrevHop)
+// are not counted: they exist for the decision service, and the sim's
+// accounting predates them (frozen for byte-identity).
 func HeaderSize(ndests int, perimeter bool) int {
 	n := fixedSize + ndests*pointSize
 	if perimeter {
@@ -170,6 +196,9 @@ func AppendFrame(dst []byte, f *Frame, budget int) ([]byte, error) {
 		out = appendPoint(out, f.PeriEntry)
 		out = appendPoint(out, f.PeriFaceEntry)
 	}
+	if f.HasPrevHop() {
+		out = appendPoint(out, f.PeriPrev)
+	}
 	if f.HasAnchor() {
 		out = appendPoint(out, f.Anchor)
 	}
@@ -201,7 +230,7 @@ func DecodeInto(f *Frame, data []byte) error {
 	if data[1] != Version {
 		return fmt.Errorf("%w: %d", ErrBadVersion, data[1])
 	}
-	f.Flags, f.Hops = data[2], data[3]
+	*f = Frame{Flags: data[2], Hops: data[3], Dests: f.Dests, Payload: f.Payload}
 	off := 4
 	f.Source, off = readPoint(data, off)
 	f.NextHop, off = readPoint(data, off)
@@ -215,6 +244,9 @@ func DecodeInto(f *Frame, data []byte) error {
 	need := destCnt * pointSize
 	if f.Flags&FlagPerimeter != 0 {
 		need += periSize
+	}
+	if f.Flags&FlagPrevHop != 0 {
+		need += pointSize
 	}
 	if f.Flags&FlagAnchor != 0 {
 		need += pointSize
@@ -235,12 +267,13 @@ func DecodeInto(f *Frame, data []byte) error {
 	for i := range f.Dests {
 		f.Dests[i], off = readPoint(data, off)
 	}
-	f.PeriTarget, f.PeriEntry, f.PeriFaceEntry = geom.Point{}, geom.Point{}, geom.Point{}
-	f.Anchor = geom.Point{}
 	if f.Perimeter() {
 		f.PeriTarget, off = readPoint(data, off)
 		f.PeriEntry, off = readPoint(data, off)
 		f.PeriFaceEntry, off = readPoint(data, off)
+	}
+	if f.HasPrevHop() {
+		f.PeriPrev, off = readPoint(data, off)
 	}
 	if f.HasAnchor() {
 		f.Anchor, off = readPoint(data, off)

@@ -43,6 +43,13 @@ func withAnchor(f *Frame) *Frame {
 	return f
 }
 
+// withPrevHop sets the previous-hop extension on f.
+func withPrevHop(f *Frame) *Frame {
+	f.Flags |= FlagPrevHop
+	f.PeriPrev = geom.Pt(77.5, 301.75)
+	return f
+}
+
 func framesEqual(t *testing.T, a, b *Frame) {
 	t.Helper()
 	if a.Flags != b.Flags || a.Hops != b.Hops {
@@ -67,6 +74,9 @@ func framesEqual(t *testing.T, a, b *Frame) {
 		pts(a.PeriTarget, b.PeriTarget)
 		pts(a.PeriEntry, b.PeriEntry)
 		pts(a.PeriFaceEntry, b.PeriFaceEntry)
+	}
+	if a.HasPrevHop() {
+		pts(a.PeriPrev, b.PeriPrev)
 	}
 	if a.HasAnchor() {
 		pts(a.Anchor, b.Anchor)
@@ -211,6 +221,12 @@ func TestDecodeErrors(t *testing.T) {
 	if _, err := Decode(bad); !errors.Is(err, ErrBadVersion) {
 		t.Errorf("version: %v", err)
 	}
+	// A version-1 frame has no previous-hop field; its flag bits would be
+	// read under the wrong layout, so it is refused, not reinterpreted.
+	bad[1] = 1
+	if _, err := Decode(bad); !errors.Is(err, ErrBadVersion) {
+		t.Errorf("version 1: %v", err)
+	}
 	if _, err := Decode(data[:len(data)-3]); !errors.Is(err, ErrShortFrame) {
 		t.Errorf("truncated: %v", err)
 	}
@@ -219,6 +235,9 @@ func TestDecodeErrors(t *testing.T) {
 func TestRoundTripAnchor(t *testing.T) {
 	for _, perimeter := range []bool{false, true} {
 		f := withAnchor(sampleFrame(perimeter, 4, 8))
+		if perimeter {
+			withPrevHop(f)
+		}
 		data, err := Encode(f, 0)
 		if err != nil {
 			t.Fatal(err)
