@@ -15,8 +15,12 @@
 // -route switches to whole-route workloads: each "request" is one complete
 // multicast walk, and latency percentiles are per route. "stream" issues a
 // single ROUTE and reads the server's HOP stream (-quiet suppresses it);
-// "perhop" walks the identical routes client-side, one DECIDE round trip
-// per decision — the baseline the streamed mode is measured against.
+// "perhop" walks the identical routes with serve.Client.RoutePerHop, one
+// DECIDE round trip per decision — the baseline the streamed mode is
+// measured against, and the same walker the execution-mode oracle
+// (TestExecutionModesAgree) checks against the engine. Both modes answer
+// alike: a walk the daemon refuses counts under errors or sheds, not as a
+// route.
 //
 // Usage:
 //

@@ -34,11 +34,10 @@ type ServeArmConfig struct {
 	// ChaosFraction is the fraction of connections afflicted.
 	Chaos         serve.ChaosMode
 	ChaosFraction float64
-	// Conns/Requests/K/Rate/Burst shape the offered load (serve.LoadConfig).
+	// Conns/Requests/K/Burst shape the offered load (serve.LoadConfig).
 	Conns    int
 	Requests int
 	K        int
-	Rate     float64
 	Burst    int
 	// Server is the daemon's hardening envelope for this arm. Overload arms
 	// shrink Workers/QueueDepth/RequestTimeout to force shedding.
@@ -253,7 +252,7 @@ func runServeArm(cfg ServeConfig, dep *serve.Deployment, s seeds, ai int, ac Ser
 	// Phase 1: the adversity load.
 	arm.Load = serve.RunLoad(serve.LoadConfig{
 		Addr: addr, Protocol: cfg.Protocol,
-		Conns: ac.Conns, Requests: ac.Requests, K: ac.K, Rate: ac.Rate,
+		Conns: ac.Conns, Requests: ac.Requests, K: ac.K,
 		Burst: ac.Burst,
 		Width: cfg.Deploy.Width, Height: cfg.Deploy.Height,
 		Seed:  s.serveLoad(ai),

@@ -356,12 +356,15 @@ func auditStreamArms(rep *StreamReport) {
 
 // canonicalSummaries encodes route summaries with the cache-hit counter
 // masked (the only field memoization may legitimately change), sorted so
-// connection-completion order cannot alias a real divergence.
+// connection-completion order cannot alias a real divergence. The
+// summaries were decoded off the wire, so their locations are finite and
+// they always encode.
 func canonicalSummaries(dones []wire.RouteDoneBody) [][]byte {
 	out := make([][]byte, 0, len(dones))
 	for _, d := range dones {
 		d.CacheHits = 0
-		out = append(out, wire.EncodeRouteDone(d))
+		b, _ := wire.EncodeRouteDone(d)
+		out = append(out, b)
 	}
 	sort.Slice(out, func(i, j int) bool { return bytes.Compare(out[i], out[j]) < 0 })
 	return out
@@ -431,9 +434,7 @@ func runStreamReplay(cfg StreamConfig, dep *serve.Deployment, s seeds, rep *Stre
 
 		// Memoization must be invisible on the wire: identical summary
 		// (cache-hit counter aside) and byte-identical HOP frames.
-		mcold, mwarm := cold, warm
-		mcold.CacheHits, mwarm.CacheHits = 0, 0
-		if !bytes.Equal(wire.EncodeRouteDone(mcold), wire.EncodeRouteDone(mwarm)) {
+		if s := canonicalSummaries([]wire.RouteDoneBody{cold, warm}); !bytes.Equal(s[0], s[1]) {
 			bad("route %d: memoized summary differs from cold", i)
 		}
 		if warm.CacheHits != warm.Decisions {

@@ -1,10 +1,10 @@
 package serve
 
 // Client side of the session protocol: a synchronous one-request-at-a-time
-// client (gmpload and the E-X13 campaign open many of them), plus the
-// retry policy that turns SHED answers into jittered exponential backoff
-// under a hard attempt/time budget — the cooperative half of the server's
-// load-shedding contract.
+// client (gmpload and the E-X13 campaign open many of them) with its
+// per-hop route walker, plus the retry policy that turns SHED answers into
+// jittered exponential backoff under a hard attempt/time budget — the
+// cooperative half of the server's load-shedding contract.
 
 import (
 	"bufio"
@@ -75,14 +75,12 @@ func Dial(addr, protocol string, timeout time.Duration) (*Client, error) {
 }
 
 func (c *Client) hello() error {
-	c.nextID++
-	m := wire.Msg{Type: wire.MsgHello, ID: c.nextID, Body: wire.EncodeHello(wire.HelloBody{
-		Version: wire.SessionVersion, Protocol: c.protocol})}
-	c.conn.SetDeadline(time.Now().Add(c.Timeout))
-	if _, err := c.conn.Write(wire.AppendMsg(nil, m)); err != nil {
+	id, err := c.write(wire.MsgHello, wire.EncodeHello(wire.HelloBody{
+		Version: wire.SessionVersion, Protocol: c.protocol}))
+	if err != nil {
 		return fmt.Errorf("%w: %w", ErrHandshake, err)
 	}
-	rm, err := c.readMatching(c.nextID)
+	rm, err := c.read(id)
 	if err != nil {
 		return fmt.Errorf("%w: %w", ErrHandshake, err)
 	}
@@ -108,9 +106,25 @@ func (c *Client) Nodes() int { return int(c.nodes) }
 // Close closes the underlying connection.
 func (c *Client) Close() error { return c.conn.Close() }
 
-// readMatching reads envelopes until one matches the request ID, absorbing
-// server-initiated DRAIN broadcasts (ID 0) along the way.
-func (c *Client) readMatching(id uint64) (wire.Msg, error) {
+// write sends one request under the next request ID and returns the ID. The
+// ID is spent only when the write succeeds, so nextID counts the requests
+// put on the wire.
+func (c *Client) write(typ byte, body []byte) (uint64, error) {
+	id := c.nextID + 1
+	c.conn.SetWriteDeadline(time.Now().Add(c.Timeout))
+	if _, err := c.conn.Write(wire.AppendMsg(nil, wire.Msg{Type: typ, ID: id, Body: body})); err != nil {
+		return 0, err
+	}
+	c.nextID = id
+	return id, nil
+}
+
+// read returns the next message for request id (any request when id is 0),
+// absorbing server-initiated DRAIN broadcasts along the way. The read
+// deadline is re-armed per message, so Timeout bounds the gap between
+// messages, not a whole streamed walk.
+func (c *Client) read(id uint64) (wire.Msg, error) {
+	c.conn.SetReadDeadline(time.Now().Add(c.Timeout))
 	for {
 		m, err := wire.ReadMsg(c.br)
 		if err != nil {
@@ -120,7 +134,7 @@ func (c *Client) readMatching(id uint64) (wire.Msg, error) {
 			c.Drained = true
 			continue
 		}
-		if m.ID != id {
+		if id != 0 && m.ID != id {
 			return wire.Msg{}, fmt.Errorf("%w: reply ID %d for request %d", ErrBadReply, m.ID, id)
 		}
 		return m, nil
@@ -135,7 +149,7 @@ func (c *Client) Do(body wire.DecideBody) (Reply, error) {
 	if err != nil {
 		return Reply{}, err
 	}
-	rm, err := c.readMatching(id)
+	rm, err := c.read(id)
 	if err != nil {
 		return Reply{}, err
 	}
@@ -145,45 +159,85 @@ func (c *Client) Do(body wire.DecideBody) (Reply, error) {
 // Route issues one ROUTE and reads the streamed walk: every HOP message is
 // handed to hopFn (when non-nil) as it arrives, and the terminal answer —
 // ROUTE_DONE, ERROR, or SHED — is returned as the Reply. One request, one
-// round of framing, the whole multicast walk; the per-RTT alternative is a
-// Do loop over every FORWARDS frame. Pass wire.RouteQuiet in rb.Flags to
-// suppress the HOP stream server-side when only the summary matters.
-//
-// The read deadline is re-armed per message, so a long walk streams as many
-// HOPs as it needs — Timeout bounds inter-message gaps, not the walk.
+// round of framing, the whole multicast walk; RoutePerHop is the per-RTT
+// alternative. Pass wire.RouteQuiet in rb.Flags to suppress the HOP stream
+// server-side when only the summary matters.
 func (c *Client) Route(rb wire.RouteBody, hopFn func(wire.HopBody)) (Reply, error) {
-	c.nextID++
-	id := c.nextID
-	m := wire.Msg{Type: wire.MsgRoute, ID: id, Body: wire.EncodeRoute(rb)}
-	c.conn.SetDeadline(time.Now().Add(c.Timeout))
-	if _, err := c.conn.Write(wire.AppendMsg(nil, m)); err != nil {
+	id, err := c.write(wire.MsgRoute, wire.EncodeRoute(rb))
+	if err != nil {
 		return Reply{}, err
 	}
 	for {
-		c.conn.SetReadDeadline(time.Now().Add(c.Timeout))
-		rm, err := wire.ReadMsg(c.br)
+		rm, err := c.read(id)
 		if err != nil {
 			return Reply{}, err
 		}
-		if rm.Type == wire.MsgDrain {
-			c.Drained = true
-			continue
+		if rm.Type != wire.MsgHop {
+			return parseReply(rm)
 		}
-		if rm.ID != id {
-			return Reply{}, fmt.Errorf("%w: reply ID %d for request %d", ErrBadReply, rm.ID, id)
+		hb, err := wire.DecodeHop(rm.Body)
+		if err != nil {
+			return Reply{}, fmt.Errorf("%w: %w", ErrBadReply, err)
 		}
-		if rm.Type == wire.MsgHop {
-			hb, err := wire.DecodeHop(rm.Body)
-			if err != nil {
-				return Reply{}, fmt.Errorf("%w: %w", ErrBadReply, err)
+		if hopFn != nil {
+			hopFn(hb)
+		}
+	}
+}
+
+// RoutePerHop walks the route Route would, one DECIDE round trip per
+// decision, with Route's answer shape: HOPs to hopFn, then
+// ROUTE_DONE{Hops, Decisions}, or the first ERROR or SHED that refused a
+// DECIDE. The walk is breadth-first, and each copy's hop count is tracked
+// client-side (child = parent+1, the engine's rule) against rb.Budget, 0
+// meaning DefaultRouteBudget. hopFn sees every drop sentinel and every send
+// within budget, as the streamed walk emits them; a HOP's From is −1 at the
+// source, whose ID no FORWARDS answer names. rb.Flags is unused.
+func (c *Client) RoutePerHop(rb wire.RouteBody, hopFn func(wire.HopBody)) (Reply, error) {
+	return walkPerHop(rb, hopFn, c.Do)
+}
+
+// walkPerHop is RoutePerHop over any DECIDE transport. The execution-mode
+// oracle runs it over a decider, so it checks the walk clients run.
+func walkPerHop(rb wire.RouteBody, hopFn func(wire.HopBody), do func(wire.DecideBody) (Reply, error)) (Reply, error) {
+	budget := int(rb.Budget)
+	if budget == 0 {
+		budget = DefaultRouteBudget
+	}
+	type inflight struct {
+		at    int32
+		hops  int
+		frame []byte
+	}
+	queue := []inflight{{at: -1, frame: rb.Frame}}
+	var done wire.RouteDoneBody
+	var seq uint32
+	op := wire.OpStart
+	for head := 0; head < len(queue); head++ {
+		cur := queue[head]
+		queue[head] = inflight{}
+		rep, err := do(wire.DecideBody{Op: op, Frame: cur.frame})
+		if err != nil || rep.Kind != wire.MsgForwards {
+			return rep, err
+		}
+		op = wire.OpDecide
+		done.Decisions++
+		for _, fwd := range rep.Forwards {
+			send := fwd.To >= 0
+			if send && cur.hops+1 > budget {
+				continue // killed by the hop budget before the air
 			}
 			if hopFn != nil {
-				hopFn(hb)
+				hopFn(wire.HopBody{Seq: seq, From: cur.at, To: fwd.To, Frame: fwd.Frame})
 			}
-			continue
+			seq++
+			if send {
+				done.Hops++
+				queue = append(queue, inflight{at: fwd.To, hops: cur.hops + 1, frame: fwd.Frame})
+			}
 		}
-		return parseReply(rm)
 	}
+	return Reply{Kind: wire.MsgRouteDone, Done: done}, nil
 }
 
 // Send issues a DECIDE without waiting for its answer — the pipelined half
@@ -191,32 +245,18 @@ func (c *Client) Route(rb wire.RouteBody, hopFn func(wire.HopBody)) (Reply, erro
 // several requests in flight. Collect answers with Recv; request IDs
 // correlate them.
 func (c *Client) Send(body wire.DecideBody) (uint64, error) {
-	c.nextID++
-	id := c.nextID
-	m := wire.Msg{Type: wire.MsgDecide, ID: id, Body: wire.EncodeDecide(body)}
-	c.conn.SetDeadline(time.Now().Add(c.Timeout))
-	if _, err := c.conn.Write(wire.AppendMsg(nil, m)); err != nil {
-		return 0, err
-	}
-	return id, nil
+	return c.write(wire.MsgDecide, wire.EncodeDecide(body))
 }
 
 // Recv reads the next answer for any outstanding pipelined request,
 // absorbing DRAIN broadcasts along the way.
 func (c *Client) Recv() (uint64, Reply, error) {
-	c.conn.SetReadDeadline(time.Now().Add(c.Timeout))
-	for {
-		m, err := wire.ReadMsg(c.br)
-		if err != nil {
-			return 0, Reply{}, err
-		}
-		if m.Type == wire.MsgDrain {
-			c.Drained = true
-			continue
-		}
-		rep, err := parseReply(m)
-		return m.ID, rep, err
+	m, err := c.read(0)
+	if err != nil {
+		return 0, Reply{}, err
 	}
+	rep, err := parseReply(m)
+	return m.ID, rep, err
 }
 
 // parseReply decodes one answer envelope into a Reply.

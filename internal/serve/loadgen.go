@@ -55,8 +55,9 @@ type LoadConfig struct {
 	Payload int
 	// RouteMode selects whole-route workloads instead of single decisions:
 	// "stream" issues one ROUTE per route and reads the HOP stream;
-	// "perhop" walks the same route client-side, one DECIDE round trip per
-	// decision — the baseline the streamed mode is measured against.
+	// "perhop" walks the same route with Client.RoutePerHop, one DECIDE
+	// round trip per decision — the baseline the streamed mode is measured
+	// against.
 	// Empty keeps the classic single-DECIDE workload. Requests then counts
 	// routes per connection, and LatencyMs records per-route latency.
 	RouteMode string
@@ -95,7 +96,8 @@ func (c LoadConfig) withDefaults() LoadConfig {
 
 // LoadReport is a load run's client-side accounting.
 type LoadReport struct {
-	// Sent counts DECIDEs put on the wire (retries included).
+	// Sent counts requests put on the wire: DECIDEs (retries and per-hop
+	// walk steps included) and ROUTEs.
 	Sent int64
 	// Forwards/Errors/Sheds count final answers by kind. Sheds here are
 	// *final* sheds (retry budget exhausted or draining); sheds that a
@@ -114,9 +116,9 @@ type LoadReport struct {
 	DialErrors int64
 	// Drains counts DRAIN broadcasts observed.
 	Drains int64
-	// Routes counts completed whole-route walks (ROUTE_DONE answers in
-	// "stream" mode, exhausted client-side walks in "perhop" mode);
-	// RouteHops the transmissions they performed.
+	// Routes counts completed whole-route walks (ROUTE_DONE answers, from
+	// Client.Route or Client.RoutePerHop); RouteHops the transmissions they
+	// performed. A walk refused by an ERROR or SHED counts there instead.
 	Routes    int64
 	RouteHops int64
 	// RouteDones holds every ROUTE_DONE summary when RecordRoutes is set.
@@ -212,14 +214,51 @@ func runConn(cfg LoadConfig, ci int) *LoadReport {
 	}
 	defer c.Close()
 
-	if cfg.RouteMode != "" {
+	helloID := c.nextID
+	switch {
+	case cfg.RouteMode != "":
 		runRoutes(cfg, c, rng, local)
-		return local
-	}
-	if cfg.Burst > 1 {
+	case cfg.Burst > 1:
 		runBurst(cfg, c, rng, local)
-		return local
+	default:
+		runDecides(cfg, c, rng, local)
 	}
+	// The client spends one request ID per request it puts on the wire, and
+	// the server broadcasts DRAIN once per session.
+	local.Sent = int64(c.nextID - helloID)
+	if c.Drained {
+		local.Drains++
+	}
+	return local
+}
+
+// tally books one final answer by kind. A non-zero t0 records the answer's
+// latency when it is a FORWARDS or a ROUTE_DONE.
+func (r *LoadReport) tally(rep Reply, t0 time.Time, record bool) {
+	switch rep.Kind {
+	case wire.MsgForwards:
+		r.Forwards++
+	case wire.MsgRouteDone:
+		r.Routes++
+		r.RouteHops += int64(rep.Done.Hops)
+		if record {
+			r.RouteDones = append(r.RouteDones, rep.Done)
+		}
+	case wire.MsgError:
+		r.Errors++
+		return
+	case wire.MsgShed:
+		r.Sheds++
+		return
+	}
+	if !t0.IsZero() {
+		r.LatencyMs = append(r.LatencyMs, float64(time.Since(t0))/float64(time.Millisecond))
+	}
+}
+
+// runDecides is the single-decision schedule: one DECIDE at a time, SHEDs
+// retried under cfg.Retry, paced by cfg.Rate when it is positive.
+func runDecides(cfg LoadConfig, c *Client, rng *rand.Rand, local *LoadReport) {
 	var tick *time.Ticker
 	if cfg.Rate > 0 {
 		tick = time.NewTicker(time.Duration(float64(time.Second) / cfg.Rate))
@@ -232,29 +271,15 @@ func runConn(cfg LoadConfig, ci int) *LoadReport {
 		body := randomRequest(cfg, rng)
 		t0 := time.Now()
 		reply, retries, err := c.DoRetry(body, cfg.Retry, rng)
-		local.Sent += int64(1 + retries)
 		local.Retries += int64(retries)
-		if c.Drained {
-			local.Drains++
-			c.Drained = false
-		}
 		if err != nil && err != ErrRetryBudget && err != ErrDrained {
+			// The session is gone; the rest of this connection's schedule
+			// is never offered.
 			local.TransportErrors++
-			return local // the session is gone; the rest of this
-			// connection's schedule is never offered
+			return
 		}
-		switch reply.Kind {
-		case wire.MsgForwards:
-			local.Forwards++
-			local.LatencyMs = append(local.LatencyMs,
-				float64(time.Since(t0))/float64(time.Millisecond))
-		case wire.MsgError:
-			local.Errors++
-		case wire.MsgShed:
-			local.Sheds++
-		}
+		local.tally(reply, t0, false)
 	}
-	return local
 }
 
 // runBurst is the pipelined schedule: windows of Burst requests on the wire
@@ -268,136 +293,48 @@ func runBurst(cfg LoadConfig, c *Client, rng *rand.Rand, local *LoadReport) {
 		if window > cfg.Requests-done {
 			window = cfg.Requests - done
 		}
-		issued := 0
 		for j := 0; j < window; j++ {
 			if _, err := c.Send(randomRequest(cfg, rng)); err != nil {
 				local.TransportErrors++
 				return
 			}
-			local.Sent++
-			issued++
 		}
-		for j := 0; j < issued; j++ {
+		for j := 0; j < window; j++ {
 			_, rep, err := c.Recv()
-			if c.Drained {
-				local.Drains++
-				c.Drained = false
-			}
 			if err != nil {
-				local.TransportErrors += int64(issued - j)
+				local.TransportErrors += int64(window - j)
 				return
 			}
-			switch rep.Kind {
-			case wire.MsgForwards:
-				local.Forwards++
-			case wire.MsgError:
-				local.Errors++
-			case wire.MsgShed:
-				local.Sheds++
-			}
+			local.tally(rep, time.Time{}, false)
 		}
-		done += issued
+		done += window
 	}
 }
 
 // runRoutes is the whole-route schedule: Requests routes per connection,
 // each either one streamed ROUTE ("stream") or a client-driven walk paying
 // one DECIDE round trip per decision ("perhop"). Both walk the same routes
-// from the same PRNG stream, so a stream-vs-perhop pair measures exactly
-// the protocol difference (cmd/gmpload -route; E-X14 end to end).
+// from the same PRNG stream and answer alike, so a stream-vs-perhop pair
+// measures exactly the protocol difference (cmd/gmpload -route; E-X14 end
+// to end).
 func runRoutes(cfg LoadConfig, c *Client, rng *rand.Rand, local *LoadReport) {
+	route := c.Route
+	if cfg.RouteMode == "perhop" {
+		route = c.RoutePerHop
+	}
 	for i := 0; i < cfg.Requests; i++ {
-		frame := randomRequest(cfg, rng).Frame
-		t0 := time.Now()
-		if cfg.RouteMode == "perhop" {
-			sent, hops, err := walkPerHop(cfg, c, frame)
-			if c.Drained {
-				local.Drains++
-				c.Drained = false
-			}
-			local.Sent += sent
-			local.RouteHops += hops
-			if err != nil {
-				local.TransportErrors++
-				return
-			}
-			local.Routes++
-			local.LatencyMs = append(local.LatencyMs,
-				float64(time.Since(t0))/float64(time.Millisecond))
-			continue
-		}
-		rb := wire.RouteBody{Budget: uint16(cfg.HopBudget), Frame: frame}
+		rb := wire.RouteBody{Budget: uint16(cfg.HopBudget), Frame: randomRequest(cfg, rng).Frame}
 		if cfg.Quiet {
 			rb.Flags |= wire.RouteQuiet
 		}
-		local.Sent++
-		rep, err := c.Route(rb, nil)
-		if c.Drained {
-			local.Drains++
-			c.Drained = false
-		}
+		t0 := time.Now()
+		rep, err := route(rb, nil)
 		if err != nil {
 			local.TransportErrors++
 			return
 		}
-		switch rep.Kind {
-		case wire.MsgRouteDone:
-			local.Routes++
-			local.RouteHops += int64(rep.Done.Hops)
-			if cfg.RecordRoutes {
-				local.RouteDones = append(local.RouteDones, rep.Done)
-			}
-			local.LatencyMs = append(local.LatencyMs,
-				float64(time.Since(t0))/float64(time.Millisecond))
-		case wire.MsgError:
-			local.Errors++
-		case wire.MsgShed:
-			local.Sheds++
-		}
+		local.tally(rep, t0, cfg.RecordRoutes)
 	}
-}
-
-// walkPerHop drives one full multicast walk over the per-hop protocol: the
-// client holds the frontier of in-flight frames, pays one DECIDE round trip
-// per decision, and tracks each copy's hop count itself (child = parent+1,
-// the engine's rule) to enforce the budget the streamed server enforces
-// server-side. Returns the DECIDEs issued and the transmissions performed.
-func walkPerHop(cfg LoadConfig, c *Client, frame []byte) (int64, int64, error) {
-	budget := cfg.HopBudget
-	if budget <= 0 {
-		budget = DefaultRouteBudget
-	}
-	type inflight struct {
-		frame []byte
-		hops  int
-	}
-	queue := []inflight{{frame: frame}}
-	var sent, hops int64
-	op := wire.OpStart
-	for head := 0; head < len(queue); head++ {
-		cur := queue[head]
-		queue[head] = inflight{}
-		sent++
-		rep, err := c.Do(wire.DecideBody{Op: op, Frame: cur.frame})
-		op = wire.OpDecide
-		if err != nil {
-			return sent, hops, err
-		}
-		if rep.Kind != wire.MsgForwards {
-			// ERROR or SHED kills the walk's copy; the route is abandoned
-			// (the streamed mode's whole-route answer has no analogue here —
-			// another per-hop weakness, not worth simulating retries for).
-			continue
-		}
-		for _, fwd := range rep.Forwards {
-			if fwd.To < 0 || cur.hops+1 > budget {
-				continue // dropped copy, or killed by the client's budget
-			}
-			hops++
-			queue = append(queue, inflight{frame: fwd.Frame, hops: cur.hops + 1})
-		}
-	}
-	return sent, hops, nil
 }
 
 // randomRequest builds one OpStart decision request: a random source and K

@@ -2,13 +2,13 @@ package serve
 
 // The differential oracle across execution modes. One task set is walked
 // five ways — the simulation kernel at 1, 2 and 4 workers, the daemon's
-// streamed ROUTE walker, and a per-hop client replaying DECIDE answers frame
-// by frame — and every way must agree on the transmission total and on each
-// destination's delivered hop count. The per-hop replay is what holds the
-// wire format to the engine: a frame that drops any state a decision reads
-// (the perimeter walk's previous hop, say) shows up here as a divergent
-// walk. Redundant protocols walk only by ROUTE, so for them the replay
-// asserts the typed per-hop refusal instead.
+// streamed ROUTE walker, and the per-hop walker Client.RoutePerHop runs,
+// answered DECIDE by DECIDE — and every way must agree on the transmission
+// total and on each destination's delivered hop count. The per-hop walk is
+// what holds the wire format to the engine: a frame that drops any state a
+// decision reads (the perimeter walk's previous hop, say) shows up here as
+// a divergent walk. Redundant protocols walk only by ROUTE, so for them the
+// per-hop walk must end in the typed refusal instead.
 
 import (
 	"errors"
@@ -44,49 +44,46 @@ func (a walkResult) diff(b walkResult) string {
 	return ""
 }
 
-// replayPerHop walks a task the way a per-hop client does: it holds the
-// frontier of in-flight frames, asks d for one DECIDE per arrival, and
-// applies the kernel's send rule to every forward in each answer. A
-// destination is delivered when a frame listing it arrives at it.
-func replayPerHop(t *testing.T, d *decider, proto string, start []byte, budget int) walkResult {
-	t.Helper()
+// perHop walks a task with the per-hop walker Client.RoutePerHop runs,
+// answering its DECIDEs from d directly, and reads the result from the HOP
+// stream: every HOP to a node is a transmission, and a destination is
+// delivered when a frame listing it arrives at it.
+func perHop(d *decider, proto string, start []byte, budget int) (walkResult, error) {
 	nw := d.dep.NW
 	res := walkResult{delivered: map[int]int{}}
-	type inflight struct {
-		op    byte
-		frame []byte
-	}
-	queue := []inflight{{op: wire.OpStart, frame: start}}
-	for head := 0; head < len(queue); head++ {
-		cur := queue[head]
-		in, err := wire.Decode(cur.frame)
-		if err != nil {
-			t.Fatal(err)
+	var bad error
+	hop := func(hb wire.HopBody) {
+		if hb.To < 0 {
+			return // a drop sentinel
 		}
-		node := nw.ClosestNode(in.NextHop)
-		reps, err := d.decide(proto, wire.DecideBody{Op: cur.op, Frame: cur.frame})
+		out, err := wire.Decode(hb.Frame)
 		if err != nil {
-			t.Fatalf("decide at node %d: %v", node, err)
+			bad = err
+			return
 		}
-		for _, r := range cloneReplies(reps) {
-			out, err := wire.Decode(r.Frame)
-			if err != nil {
-				t.Fatal(err)
+		res.tx++
+		to := int(hb.To)
+		for _, loc := range out.Dests {
+			if _, done := res.delivered[to]; !done && nw.ClosestNode(loc) == to {
+				res.delivered[to] = int(out.Hops)
 			}
-			if _, ok := sim.CheckSend(nw, node, int(r.To), int(out.Hops), budget); !ok {
-				continue // a drop sentinel, or a send the kernel would kill
-			}
-			res.tx++
-			to := int(r.To)
-			for _, loc := range out.Dests {
-				if _, done := res.delivered[to]; !done && nw.ClosestNode(loc) == to {
-					res.delivered[to] = int(out.Hops)
-				}
-			}
-			queue = append(queue, inflight{op: wire.OpDecide, frame: r.Frame})
 		}
 	}
-	return res
+	do := func(body wire.DecideBody) (Reply, error) {
+		reps, err := d.decide(proto, body)
+		return Reply{Kind: wire.MsgForwards, Forwards: cloneReplies(reps)}, err
+	}
+	rep, err := walkPerHop(wire.RouteBody{Budget: uint16(budget), Frame: start}, hop, do)
+	switch {
+	case err != nil:
+		return res, err
+	case bad != nil:
+		return res, bad
+	case rep.Kind != wire.MsgRouteDone || int(rep.Done.Hops) != res.tx:
+		return res, fmt.Errorf("walk answered %s with %d hops for %d HOPs to nodes",
+			wire.MsgName(rep.Kind), rep.Done.Hops, res.tx)
+	}
+	return res, nil
 }
 
 func TestExecutionModesAgree(t *testing.T) {
@@ -118,7 +115,7 @@ func TestExecutionModesAgree(t *testing.T) {
 				}
 				d := newDecider(dep, 0.5, 0)
 				d.routeBudget = budget
-				perHop := CheckPerHop(proto) == nil
+				servable := CheckPerHop(proto) == nil
 				for _, k := range []int{12, 32} {
 					for seed := int64(1); seed <= 40; seed++ {
 						src, dests := pickNodes(rand.New(rand.NewSource(seed)), dep.NW.Len(), k)
@@ -152,14 +149,18 @@ func TestExecutionModesAgree(t *testing.T) {
 							fail("the streamed walk", diff)
 						}
 
-						if perHop {
-							if diff := want.diff(replayPerHop(t, d, proto, start, budget)); diff != "" {
-								fail("the per-hop DECIDE replay", diff)
+						got, err := perHop(d, proto, start, budget)
+						if !servable {
+							if !errors.Is(err, ErrUnservable) {
+								t.Fatalf("k %d seed %d: per-hop walk of a redundant protocol answered %v, want ErrUnservable", k, seed, err)
 							}
 							continue
 						}
-						if _, err := d.decide(proto, wire.DecideBody{Op: wire.OpStart, Frame: start}); !errors.Is(err, ErrUnservable) {
-							t.Fatalf("k %d seed %d: per-hop DECIDE of a redundant protocol answered %v, want ErrUnservable", k, seed, err)
+						if err != nil {
+							t.Fatalf("k %d seed %d: per-hop walk: %v", k, seed, err)
+						}
+						if diff := want.diff(got); diff != "" {
+							fail("the per-hop walk", diff)
 						}
 					}
 				}

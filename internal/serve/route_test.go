@@ -407,7 +407,7 @@ func TestRouteCacheInvisibleMCFR(t *testing.T) {
 		}
 		hits += int(a.CacheHits)
 		a.CacheHits = 0
-		if !bytes.Equal(wire.EncodeRouteDone(*a), wire.EncodeRouteDone(*b)) {
+		if !reflect.DeepEqual(*a, *b) {
 			t.Errorf("seed %d: cached walk (%d hops) differs from uncached (%d hops)",
 				seed, a.Hops, b.Hops)
 		}

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"encoding/binary"
 	"net"
 	"sync"
 	"testing"
@@ -287,6 +288,17 @@ func TestMalformedAndHostileRequests(t *testing.T) {
 	// The session survives a bad request.
 	if rep, err = c.Do(startRequest(t, 3)); err != nil || rep.Kind != wire.MsgForwards {
 		t.Fatalf("after corrupt frame: %v %s", err, wire.MsgName(rep.Kind))
+	}
+	// A coordinate that names no location is a bad request, per hop and
+	// streamed: the first of three destinations (no payload) gets a
+	// signaling-NaN X.
+	nan := startRequest(t, 3)
+	binary.BigEndian.PutUint32(nan.Frame[len(nan.Frame)-3*8:], 0xffb23030)
+	if rep, err = c.Do(nan); err != nil || rep.Kind != wire.MsgError || rep.Err.Code != wire.CodeBadRequest {
+		t.Fatalf("NaN DECIDE: %v %s code %d", err, wire.MsgName(rep.Kind), rep.Err.Code)
+	}
+	if rep, err = c.Route(wire.RouteBody{Frame: nan.Frame}, nil); err != nil || rep.Kind != wire.MsgError || rep.Err.Code != wire.CodeBadRequest {
+		t.Fatalf("NaN ROUTE: %v %s code %d", err, wire.MsgName(rep.Kind), rep.Err.Code)
 	}
 
 	pc, err := Dial(addr, "PANIC", 2*time.Second)

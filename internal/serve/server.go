@@ -439,6 +439,13 @@ func (s *Server) process(d *decider, req *request) (res processResult) {
 // answer delivers a produced FORWARDS/ERROR answer, counting production
 // unconditionally and delivery best-effort.
 func (s *Server) answer(req *request, res processResult) {
+	var body []byte
+	if res.done != nil {
+		var err error
+		if body, err = wire.EncodeRouteDone(*res.done); err != nil {
+			res = processResult{err: &wire.ErrorBody{Code: wire.CodeBadRequest, Msg: err.Error()}}
+		}
+	}
 	var m wire.Msg
 	switch {
 	case res.err != nil:
@@ -447,7 +454,7 @@ func (s *Server) answer(req *request, res processResult) {
 	case res.done != nil:
 		s.answeredRoutes.Add(1)
 		s.routeHops.Add(int64(res.done.Hops))
-		m = wire.Msg{Type: wire.MsgRouteDone, ID: req.id, Body: wire.EncodeRouteDone(*res.done)}
+		m = wire.Msg{Type: wire.MsgRouteDone, ID: req.id, Body: body}
 		if !req.deadline.IsZero() {
 			// The walk's HOP burst keeps the outbound queue near-full by
 			// design; the terminal answer waits for space (bounded by the

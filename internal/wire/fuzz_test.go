@@ -51,8 +51,8 @@ func FuzzDecode(f *testing.F) {
 		// re-encode bit-for-bit in every header field — scalar flags and hop
 		// count, source/next-hop/anchor coordinates, the perimeter state, and
 		// every destination location. Coordinates on the wire are float32, so
-		// a decoded frame's points are float32-exact; they are compared bit
-		// for bit, so a NaN coordinate the fuzzer writes must equal itself.
+		// a decoded frame's points are float32-exact and finite (the decoder
+		// refuses NaN and ±Inf); they are compared bit for bit.
 		if back.Flags != fr.Flags || back.Hops != fr.Hops {
 			t.Fatalf("flags/hops mismatch: %+v vs %+v", back, fr)
 		}

@@ -9,6 +9,16 @@ import (
 	"gmp/internal/geom"
 )
 
+// routeDone encodes d, failing tb if it is refused.
+func routeDone(tb testing.TB, d RouteDoneBody) []byte {
+	tb.Helper()
+	b, err := EncodeRouteDone(d)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return b
+}
+
 func TestRouteRoundTrip(t *testing.T) {
 	r := RouteBody{Budget: 64, Flags: RouteQuiet, Frame: []byte{1, 2, 3, 4}}
 	got, err := DecodeRoute(EncodeRoute(r))
@@ -72,7 +82,7 @@ func TestRouteDoneRoundTrip(t *testing.T) {
 			{Node: -1, Loc: pt(-4, -8.5), Status: RouteDropHopBudget},
 		},
 	}
-	got, err := DecodeRouteDone(EncodeRouteDone(d))
+	got, err := DecodeRouteDone(routeDone(t, d))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +99,7 @@ func TestRouteDoneRoundTrip(t *testing.T) {
 	}
 	// A walk with every destination co-located at the source has no hops and
 	// still terminates with a well-formed summary.
-	if got, err := DecodeRouteDone(EncodeRouteDone(RouteDoneBody{})); err != nil || len(got.Outcomes) != 0 {
+	if got, err := DecodeRouteDone(routeDone(t, RouteDoneBody{})); err != nil || len(got.Outcomes) != 0 {
 		t.Fatalf("empty route-done: %+v, %v", got, err)
 	}
 }
@@ -97,7 +107,7 @@ func TestRouteDoneRoundTrip(t *testing.T) {
 // TestRouteDoneBounds verifies the attacker-controlled outcome count cannot
 // size an allocation past the body it arrived in.
 func TestRouteDoneBounds(t *testing.T) {
-	body := EncodeRouteDone(RouteDoneBody{Outcomes: []DestOutcome{{Node: 1}}})
+	body := routeDone(t, RouteDoneBody{Outcomes: []DestOutcome{{Node: 1}}})
 	bad := append([]byte(nil), body...)
 	binary.BigEndian.PutUint16(bad[12:], 0xFFFF) // claim 65535 outcomes with one present
 	if _, err := DecodeRouteDone(bad); !errors.Is(err, ErrShortBody) {
@@ -116,7 +126,7 @@ func TestRouteEnvelope(t *testing.T) {
 	msgs := []Msg{
 		{Type: MsgRoute, ID: 21, Body: EncodeRoute(RouteBody{Budget: 32, Frame: []byte{5}})},
 		{Type: MsgHop, ID: 21, Body: EncodeHop(HopBody{Seq: 0, From: 1, To: 2})},
-		{Type: MsgRouteDone, ID: 21, Body: EncodeRouteDone(RouteDoneBody{Hops: 1})},
+		{Type: MsgRouteDone, ID: 21, Body: routeDone(t, RouteDoneBody{Hops: 1})},
 	}
 	var stream []byte
 	for _, m := range msgs {
@@ -202,10 +212,14 @@ func FuzzDecodeRoute(f *testing.F) {
 	f.Add([]byte(nil), []byte(nil), []byte(nil))
 	f.Add(EncodeRoute(RouteBody{Budget: 9, Flags: RouteQuiet, Frame: []byte{1, 2}}),
 		EncodeHop(HopBody{Seq: 5, From: 1, To: -1, Frame: []byte{3}}),
-		EncodeRouteDone(RouteDoneBody{Hops: 3, Decisions: 2, Outcomes: []DestOutcome{{Node: 4, Status: RouteDelivered, Hops: 2}}}))
-	bad := EncodeRouteDone(RouteDoneBody{Outcomes: make([]DestOutcome, 3)})
+		routeDone(f, RouteDoneBody{Hops: 3, Decisions: 2, Outcomes: []DestOutcome{{Node: 4, Status: RouteDelivered, Hops: 2}}}))
+	bad := routeDone(f, RouteDoneBody{Outcomes: make([]DestOutcome, 3)})
 	binary.BigEndian.PutUint16(bad[12:], 0x7FFF)
 	f.Add([]byte{0, 0}, make([]byte, 11), bad)
+	// A signaling-NaN outcome location: refused, since widening would quiet it.
+	snan := routeDone(f, RouteDoneBody{Outcomes: []DestOutcome{{Node: 4, Loc: geom.Pt(1, 2)}}})
+	binary.BigEndian.PutUint32(snan[14+4:], 0xffb23030)
+	f.Add([]byte(nil), []byte(nil), snan)
 
 	f.Fuzz(func(t *testing.T, routeBody, hopBody, doneBody []byte) {
 		if r, err := DecodeRoute(routeBody); err == nil {
@@ -219,7 +233,10 @@ func FuzzDecodeRoute(f *testing.F) {
 			}
 		}
 		if d, err := DecodeRouteDone(doneBody); err == nil {
-			re := EncodeRouteDone(d)
+			re, err := EncodeRouteDone(d)
+			if err != nil {
+				t.Fatalf("decoded route-done does not re-encode: %v", err)
+			}
 			// Trailing garbage after the last outcome is legal for a lenient
 			// reader; the re-encode covers exactly the decoded prefix.
 			if !bytes.Equal(re, doneBody[:len(re)]) {

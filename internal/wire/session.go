@@ -529,8 +529,14 @@ type RouteDoneBody struct {
 	Outcomes []DestOutcome
 }
 
-// EncodeRouteDone serializes a ROUTE_DONE body.
-func EncodeRouteDone(d RouteDoneBody) []byte {
+// EncodeRouteDone serializes a ROUTE_DONE body. An outcome location that is
+// not finite is refused with ErrNonFinite.
+func EncodeRouteDone(d RouteDoneBody) ([]byte, error) {
+	for _, o := range d.Outcomes {
+		if !finite(o.Loc) {
+			return nil, fmt.Errorf("%w: destination %d", ErrNonFinite, o.Node)
+		}
+	}
 	out := make([]byte, 0, 14+len(d.Outcomes)*destOutcomeSize)
 	out = binary.BigEndian.AppendUint32(out, d.Hops)
 	out = binary.BigEndian.AppendUint32(out, d.Decisions)
@@ -542,7 +548,7 @@ func EncodeRouteDone(d RouteDoneBody) []byte {
 		out = append(out, o.Status)
 		out = binary.BigEndian.AppendUint16(out, o.Hops)
 	}
-	return out
+	return out, nil
 }
 
 // DecodeRouteDone parses a ROUTE_DONE body, bounds-checking the
@@ -568,6 +574,9 @@ func DecodeRouteDone(body []byte) (RouteDoneBody, error) {
 		o := &d.Outcomes[i]
 		o.Node = int32(binary.BigEndian.Uint32(body[off:]))
 		o.Loc, off = readPoint(body, off+4)
+		if !finite(o.Loc) {
+			return RouteDoneBody{}, fmt.Errorf("%w: destination %d", ErrNonFinite, o.Node)
+		}
 		o.Status = body[off]
 		o.Hops = binary.BigEndian.Uint16(body[off+1:])
 		off += 3

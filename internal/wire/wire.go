@@ -22,6 +22,10 @@
 // Version 2 added the previous hop, so a stateless decision service resumes
 // a face traversal on exactly the edge the walk arrived by. A version-1
 // frame is refused with ErrBadVersion.
+//
+// Every point is finite: a NaN or infinite coordinate names no location,
+// and widening a signaling-NaN float32 quiets it, so it would not survive a
+// round trip. Both directions refuse one with ErrNonFinite.
 package wire
 
 import (
@@ -154,6 +158,7 @@ var (
 	ErrShortFrame   = errors.New("wire: truncated frame")
 	ErrBadMagic     = errors.New("wire: bad magic")
 	ErrBadVersion   = errors.New("wire: unsupported version")
+	ErrNonFinite    = errors.New("wire: non-finite coordinate")
 	// ErrTruncatedDests: the destination count (plus any perimeter/anchor
 	// state the flags promise) claims more bytes than the frame carries.
 	ErrTruncatedDests = fmt.Errorf("%w: destination list", ErrShortFrame)
@@ -174,6 +179,9 @@ func Encode(f *Frame, budget int) ([]byte, error) {
 func AppendFrame(dst []byte, f *Frame, budget int) ([]byte, error) {
 	if len(f.Dests) > maxDestCnt {
 		return dst, fmt.Errorf("%w: %d", ErrTooManyDests, len(f.Dests))
+	}
+	if !f.finite() {
+		return dst, ErrNonFinite
 	}
 	size := f.EncodedSize()
 	if budget > 0 && size > budget {
@@ -279,7 +287,35 @@ func DecodeInto(f *Frame, data []byte) error {
 		f.Anchor, off = readPoint(data, off)
 	}
 	f.Payload = append(f.Payload[:0], data[off:off+payloadLen]...)
+	if !f.finite() {
+		return ErrNonFinite
+	}
 	return nil
+}
+
+// finite reports whether every point the frame carries is finite.
+func (f *Frame) finite() bool {
+	ok := finite(f.Source) && finite(f.NextHop)
+	for _, d := range f.Dests {
+		ok = ok && finite(d)
+	}
+	if f.Perimeter() {
+		ok = ok && finite(f.PeriTarget) && finite(f.PeriEntry) && finite(f.PeriFaceEntry)
+	}
+	if f.HasPrevHop() {
+		ok = ok && finite(f.PeriPrev)
+	}
+	if f.HasAnchor() {
+		ok = ok && finite(f.Anchor)
+	}
+	return ok
+}
+
+// finite reports whether both coordinates are finite at float32, the
+// precision they travel at, so a float64 beyond float32's range fails too.
+func finite(p geom.Point) bool {
+	x, y := float32(p.X), float32(p.Y)
+	return x-x == 0 && y-y == 0 // NaN and ±Inf give NaN
 }
 
 func appendPoint(b []byte, p geom.Point) []byte {

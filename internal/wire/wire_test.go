@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"encoding/binary"
 	"errors"
 	"math"
 	"math/rand"
@@ -315,5 +316,61 @@ func TestTooManyDests(t *testing.T) {
 	f.Dests = make([]geom.Point, 300)
 	if _, err := Encode(f, 0); !errors.Is(err, ErrTooManyDests) {
 		t.Fatalf("err = %v", err)
+	}
+}
+
+// TestNonFiniteRefused checks both directions refuse a coordinate that is
+// not finite at float32: the encoder for every point a frame or a route
+// summary carries, the decoder for every coordinate slot on the wire. The
+// signaling NaN 0xffb23030 is the case that used to slip through, decoding
+// and then re-encoding as the quiet 0xfff23030.
+func TestNonFiniteRefused(t *testing.T) {
+	full := func() *Frame { return withPrevHop(withAnchor(sampleFrame(true, 3, 2))) }
+	points := func(f *Frame) []*geom.Point {
+		ps := []*geom.Point{&f.Source, &f.NextHop}
+		for i := range f.Dests {
+			ps = append(ps, &f.Dests[i])
+		}
+		return append(ps, &f.PeriTarget, &f.PeriEntry, &f.PeriFaceEntry, &f.PeriPrev, &f.Anchor)
+	}
+	sNaN := float64(math.Float32frombits(0xffb23030))
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 1e39, sNaN} {
+		for i := range points(full()) {
+			f := full()
+			points(f)[i].Y = bad
+			if _, err := Encode(f, 0); !errors.Is(err, ErrNonFinite) {
+				t.Errorf("encode with point %d Y = %v: %v, want ErrNonFinite", i, bad, err)
+			}
+		}
+		d := RouteDoneBody{Outcomes: []DestOutcome{{Node: 3, Loc: geom.Pt(bad, 1)}}}
+		if _, err := EncodeRouteDone(d); !errors.Is(err, ErrNonFinite) {
+			t.Errorf("route-done with location X = %v: %v, want ErrNonFinite", bad, err)
+		}
+	}
+
+	good, err := Encode(full(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Source and next hop, then the destinations and the perimeter,
+	// previous-hop and anchor points after the count and payload length.
+	slots := []int{4, 12}
+	for j := 0; j < len(points(full()))-2; j++ {
+		slots = append(slots, fixedSize+j*pointSize)
+	}
+	var f Frame
+	for _, off := range slots {
+		for _, coord := range []int{off, off + 4} {
+			data := append([]byte(nil), good...)
+			binary.BigEndian.PutUint32(data[coord:], 0xffb23030)
+			if err := DecodeInto(&f, data); !errors.Is(err, ErrNonFinite) {
+				t.Errorf("decode with a signaling NaN at byte %d: %v, want ErrNonFinite", coord, err)
+			}
+		}
+	}
+	body := routeDone(t, RouteDoneBody{Outcomes: []DestOutcome{{Node: 3, Loc: geom.Pt(1, 2)}}})
+	binary.BigEndian.PutUint32(body[14+4:], 0xffb23030) // the outcome's X
+	if _, err := DecodeRouteDone(body); !errors.Is(err, ErrNonFinite) {
+		t.Errorf("route-done decode with a signaling NaN: %v, want ErrNonFinite", err)
 	}
 }
