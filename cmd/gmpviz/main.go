@@ -18,13 +18,10 @@ import (
 	"strconv"
 	"strings"
 
+	"gmp"
 	"gmp/internal/geom"
-	"gmp/internal/network"
-	"gmp/internal/planar"
 	"gmp/internal/routing"
-	"gmp/internal/sim"
 	"gmp/internal/steiner"
-	"gmp/internal/view"
 	"gmp/internal/viz"
 	"gmp/internal/workload"
 )
@@ -79,14 +76,12 @@ func run(args []string, stdout io.Writer) error {
 
 func renderSim(protoName string, nodes, k int, seed int64, lambda float64) (string, error) {
 	r := rand.New(rand.NewSource(seed))
-	deployed := network.DeployUniform(nodes, 1000, 1000, r)
-	nw, err := network.New(deployed, 1000, 1000, 150)
+	deployed := gmp.DeployUniform(nodes, 1000, 1000, r)
+	nw, err := gmp.NewNetwork(deployed, 1000, 1000, 150)
 	if err != nil {
 		return "", err
 	}
-	pg := planar.Planarize(nw, planar.Gabriel)
-	en := sim.NewEngine(nw, sim.DefaultRadioParams(), 100)
-	en.SetViews(view.NewOracle(nw, pg))
+	sys := gmp.NewSystem(nw)
 
 	// Case-insensitive lookup against the protocol registry: gmpviz renders
 	// whatever is registered, with no per-protocol wiring of its own.
@@ -104,11 +99,8 @@ func renderSim(protoName string, nodes, k int, seed int64, lambda float64) (stri
 	if err != nil {
 		return "", err
 	}
-	var events []sim.TraceEvent
-	en.SetTracer(func(ev sim.TraceEvent) { events = append(events, ev) })
-	en.RunTask(proto, task.Source, task.Dests)
-	en.SetTracer(nil)
-	return viz.RenderTask(nw, pg, events, task.Source, task.Dests), nil
+	_, events := sys.Trace(proto, task.Source, task.Dests)
+	return sys.RenderSVG(events, task.Source, task.Dests), nil
 }
 
 func renderTree(srcFlag, destFlag string, rr float64) (string, error) {

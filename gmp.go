@@ -38,7 +38,8 @@ type (
 	SteinerDest = steiner.Dest
 	// Protocol is a runnable multicast routing protocol.
 	Protocol = routing.Protocol
-	// Result carries one task's measured metrics.
+	// Result carries one task's measured metrics. Its Failed reports a
+	// missed eligible destination: one that left mid-session is not a miss.
 	Result = sim.TaskMetrics
 	// RadioParams is the physical-layer model (Table 1 defaults).
 	RadioParams = sim.RadioParams
@@ -215,7 +216,6 @@ func NewSystem(nw *Network, opts ...SystemOption) *System {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	cfg.radio.RangeM = nw.Range()
 	en := sim.NewEngine(nw, cfg.radio, cfg.maxHops)
 	if err := en.SetFaults(cfg.faults); err != nil {
 		panic("gmp: WithFaults: " + err.Error())

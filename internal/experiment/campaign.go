@@ -231,7 +231,7 @@ func (bs *benches) bench(netIdx int) (*bench, error) {
 	if err != nil {
 		return nil, err
 	}
-	en := sim.NewEngine(d.nw, bs.cfg.engineRadio(), bs.cfg.MaxHops)
+	en := sim.NewEngine(d.nw, bs.cfg.Radio, bs.cfg.MaxHops)
 	en.SetViews(bs.cfg.views(d.nw, d.pg))
 	if err := applyFaults(bs.cfg, netIdx, en); err != nil {
 		return nil, fmt.Errorf("network %d: %w", netIdx, err)

@@ -68,15 +68,10 @@ func QuickChaosConfig() ChaosConfig {
 type ChaosReport struct {
 	// Arms is the number of (network × plan × protocol) cells run.
 	Arms int
-	// Tasks is the number of audited task runs (each arm's batch, counted
-	// once — the replay re-run is not double-counted).
-	Tasks int
-	// FailedTasks counts tasks that missed at least one destination; under
-	// injected faults failures are expected, and every one must still pass
-	// the audit.
-	FailedTasks int
-	// DropsByReason aggregates the per-reason copy drops over all arms.
-	DropsByReason [sim.NumDropReasons]int
+	// Tally sums every audited task run (each arm's batch, counted once —
+	// the replay re-run is not double-counted). Under injected faults
+	// failed tasks are expected, and every one must still pass the audit.
+	Tally
 	// Violations lists every oracle violation and replay divergence, in
 	// deterministic (network, plan, protocol, task) order. Empty means the
 	// campaign passed.
@@ -221,7 +216,7 @@ func chaosViews(cfg ChaosConfig, d *deployment, p chaosPlan, netIdx, pi int) vie
 // batch executed in order. It is a pure function of (cfg, netIdx, pi, proto)
 // — the replay check calls it twice.
 func runChaosArm(cfg ChaosConfig, d *deployment, p chaosPlan, netIdx, pi int, proto string) ([]sim.TaskMetrics, error) {
-	en := sim.NewEngine(d.nw, cfg.Base.engineRadio(), cfg.Base.MaxHops)
+	en := sim.NewEngine(d.nw, cfg.Base.Radio, cfg.Base.MaxHops)
 	en.SetViews(chaosViews(cfg, d, p, netIdx, pi))
 	if err := en.SetFaults(p.faults); err != nil {
 		return nil, err
@@ -240,9 +235,8 @@ func runChaosArm(cfg ChaosConfig, d *deployment, p chaosPlan, netIdx, pi int, pr
 
 // chaosCell is one (network, plan) cell's outcome across all protocols.
 type chaosCell struct {
-	arms, tasks, failed int
-	drops               [sim.NumDropReasons]int
-	violations          []string
+	tally      Tally
+	violations []string
 }
 
 // RunChaos executes the chaos campaign: (network × plan) cells fan out on
@@ -281,17 +275,9 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 				if err != nil {
 					return chaosCell{}, err
 				}
-				cell.arms++
 				cell.violations = append(cell.violations, violations...)
 				for ti := range metrics {
-					m := &metrics[ti]
-					cell.tasks++
-					if m.Failed() {
-						cell.failed++
-					}
-					for reason, cnt := range m.DropsByReason {
-						cell.drops[reason] += cnt
-					}
+					cell.tally.add(&metrics[ti])
 				}
 			}
 			return cell, nil
@@ -300,15 +286,10 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 		return nil, err
 	}
 
-	rep := &ChaosReport{}
+	rep := &ChaosReport{Arms: cfg.Base.Networks * cfg.Plans * len(cfg.Protos)}
 	for netIdx := range grid {
 		for _, cell := range grid[netIdx] {
-			rep.Arms += cell.arms
-			rep.Tasks += cell.tasks
-			rep.FailedTasks += cell.failed
-			for reasonIdx, cnt := range cell.drops {
-				rep.DropsByReason[reasonIdx] += cnt
-			}
+			rep.merge(cell.tally)
 			rep.Violations = append(rep.Violations, cell.violations...)
 		}
 	}

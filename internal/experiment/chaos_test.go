@@ -103,7 +103,7 @@ func TestChaosOracleCatchesBrokenHandler(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	en := sim.NewEngine(d.nw, cfg.Base.engineRadio(), cfg.Base.MaxHops)
+	en := sim.NewEngine(d.nw, cfg.Base.Radio, cfg.Base.MaxHops)
 	en.SetViews(cfg.Base.views(d.nw, d.pg))
 	caught := false
 	for _, task := range tasks {

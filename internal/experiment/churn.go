@@ -99,26 +99,18 @@ func QuickChurnConfig() ChurnConfig {
 type ChurnReport struct {
 	// Arms is the number of (network × sweep-point × protocol) cells run.
 	Arms int
-	// Tasks is the number of audited session runs (the replay re-run is not
-	// double-counted).
-	Tasks int
-	// FailedTasks counts sessions that missed at least one destination that
-	// was still a member at the end (left destinations are not failures).
-	FailedTasks int
-	// DropsByReason aggregates the per-reason copy drops over all arms.
-	DropsByReason [sim.NumDropReasons]int
-	// JoinsSpliced and JoinsMissed aggregate the engine's mid-session join
-	// accounting over all arms.
-	JoinsSpliced, JoinsMissed int
+	// Tally sums every audited session run over all arms (the replay re-run
+	// is not double-counted); left destinations are not failures.
+	Tally
 	// Control is the membership service's control-plane cost, counted once
 	// per cell (membership traffic is protocol-independent).
 	Control groups.Metrics
 	// Rates, SpeedsMps and Protos echo the sweep axes.
 	Rates, SpeedsMps []float64
 	Protos           []string
-	// Delivered and Eligible count destinations per [sweep-point][protocol],
-	// where eligible excludes destinations retired by a leave.
-	Delivered, Eligible [][]int
+	// Points sums each [sweep-point][protocol] arm over networks; its
+	// delivery ratio excludes destinations retired by a leave.
+	Points [][]Tally
 	// Violations lists every oracle violation and replay divergence, in
 	// deterministic (network, point, protocol, session) order. Empty means
 	// the campaign passed.
@@ -146,14 +138,13 @@ func (r *ChurnReport) Render() string {
 		s += fmt.Sprintf(" %7s", p)
 	}
 	s += "\n"
-	for pt := range r.Delivered {
+	for pt, arms := range r.Points {
 		rate := r.Rates[pt/len(r.SpeedsMps)]
 		speed := r.SpeedsMps[pt%len(r.SpeedsMps)]
 		s += fmt.Sprintf("    %4.2f %5.1f", rate, speed)
-		for pi := range r.Protos {
-			if r.Eligible[pt][pi] > 0 {
-				s += fmt.Sprintf("   %5.3f",
-					float64(r.Delivered[pt][pi])/float64(r.Eligible[pt][pi]))
+		for _, a := range arms {
+			if a.EligibleDests > 0 {
+				s += fmt.Sprintf("   %5.3f", a.DeliveryRatio())
 			} else {
 				s += "       -"
 			}
@@ -344,7 +335,7 @@ func buildChurnCell(cfg ChurnConfig, d *deployment, netIdx, pi int) (*churnCellD
 func runChurnArm(cfg ChurnConfig, data *churnCellData, proto string) ([]sim.TaskMetrics, error) {
 	out := make([]sim.TaskMetrics, len(data.sessions))
 	for i, cs := range data.sessions {
-		en := sim.NewEngine(cs.nw, cfg.Base.engineRadio(), cfg.Base.MaxHops)
+		en := sim.NewEngine(cs.nw, cfg.Base.Radio, cfg.Base.MaxHops)
 		en.SetViews(beacon.ViewsArmed(cs.self, cs.tables, cfg.Base.RadioRange,
 			cfg.Base.Planarizer, cfg.Watchdog))
 		if err := en.SetARQ(data.arq); err != nil {
@@ -363,12 +354,9 @@ func runChurnArm(cfg ChurnConfig, data *churnCellData, proto string) ([]sim.Task
 // churnCell is one (network, sweep-point) cell's outcome across all
 // protocols.
 type churnCell struct {
-	arms, tasks, failed int
-	drops               [sim.NumDropReasons]int
-	spliced, missed     int
-	ctrl                groups.Metrics
-	delivered, eligible []int // per protocol
-	violations          []string
+	tallies    []Tally // per protocol
+	ctrl       groups.Metrics
+	violations []string
 }
 
 // Validate checks the sweep parameters (Base and Beacon validate
@@ -427,11 +415,7 @@ func RunChurn(cfg ChurnConfig) (*ChurnReport, error) {
 			if err != nil {
 				return churnCell{}, err
 			}
-			cell := churnCell{
-				ctrl:      data.ctrl,
-				delivered: make([]int, len(cfg.Protos)),
-				eligible:  make([]int, len(cfg.Protos)),
-			}
+			cell := churnCell{ctrl: data.ctrl, tallies: make([]Tally, len(cfg.Protos))}
 			// Motion makes aged tables address nodes that have drifted out of
 			// range; those invalid sends are the phenomenon under test, not a
 			// bug, so the audit tolerates them on mobile points only.
@@ -446,21 +430,9 @@ func RunChurn(cfg ChurnConfig) (*ChurnReport, error) {
 				if err != nil {
 					return churnCell{}, err
 				}
-				cell.arms++
 				cell.violations = append(cell.violations, violations...)
 				for si := range metrics {
-					m := &metrics[si]
-					cell.tasks++
-					if len(m.Delivered) < m.EligibleDests() {
-						cell.failed++
-					}
-					cell.delivered[protoIdx] += len(m.Delivered)
-					cell.eligible[protoIdx] += m.EligibleDests()
-					cell.spliced += m.JoinsSpliced
-					cell.missed += m.JoinsMissed
-					for reason, cnt := range m.DropsByReason {
-						cell.drops[reason] += cnt
-					}
+					cell.tallies[protoIdx].add(&metrics[si])
 				}
 			}
 			return cell, nil
@@ -470,34 +442,26 @@ func RunChurn(cfg ChurnConfig) (*ChurnReport, error) {
 	}
 
 	rep := &ChurnReport{
+		Arms:      cfg.Base.Networks * points * len(cfg.Protos),
 		Rates:     append([]float64(nil), cfg.Rates...),
 		SpeedsMps: append([]float64(nil), cfg.SpeedsMps...),
 		Protos:    append([]string(nil), cfg.Protos...),
-		Delivered: make([][]int, points),
-		Eligible:  make([][]int, points),
 	}
-	for pt := range rep.Delivered {
-		rep.Delivered[pt] = make([]int, len(cfg.Protos))
-		rep.Eligible[pt] = make([]int, len(cfg.Protos))
-	}
+	tallies := make([][][]Tally, len(grid))
 	for netIdx := range grid {
+		tallies[netIdx] = make([][]Tally, points)
 		for pt, cell := range grid[netIdx] {
-			rep.Arms += cell.arms
-			rep.Tasks += cell.tasks
-			rep.FailedTasks += cell.failed
-			rep.JoinsSpliced += cell.spliced
-			rep.JoinsMissed += cell.missed
+			tallies[netIdx][pt] = cell.tallies
 			rep.Control.Messages += cell.ctrl.Messages
 			rep.Control.Operations += cell.ctrl.Operations
 			rep.Control.Expirations += cell.ctrl.Expirations
-			for reasonIdx, cnt := range cell.drops {
-				rep.DropsByReason[reasonIdx] += cnt
-			}
-			for pi := range cfg.Protos {
-				rep.Delivered[pt][pi] += cell.delivered[pi]
-				rep.Eligible[pt][pi] += cell.eligible[pi]
-			}
 			rep.Violations = append(rep.Violations, cell.violations...)
+		}
+	}
+	rep.Points = mergeNetworks(tallies)
+	for _, arms := range rep.Points {
+		for _, a := range arms {
+			rep.merge(a)
 		}
 	}
 	return rep, nil

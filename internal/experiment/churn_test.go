@@ -58,9 +58,9 @@ func TestChurnCampaignQuick(t *testing.T) {
 		t.Errorf("control plane unused: %+v", rep.Control)
 	}
 	// Every sweep point must have routed traffic for every protocol.
-	for pt := range rep.Eligible {
-		for pi, n := range rep.Eligible[pt] {
-			if n == 0 {
+	for pt, arms := range rep.Points {
+		for pi, a := range arms {
+			if a.EligibleDests == 0 {
 				t.Errorf("point %d proto %s: no eligible destinations", pt, rep.Protos[pi])
 			}
 		}

@@ -43,12 +43,6 @@ func QuickClusteringConfig() ClusteringConfig {
 	return cc
 }
 
-// clusterCell accumulates one (protocol, spread) hop sum.
-type clusterCell struct {
-	hops  float64
-	tasks int
-}
-
 // RunClustering measures mean total hops per task against the destination
 // cluster spread (the last X, 0, denotes uniform drawing and is rendered as
 // the field diagonal for plotting sanity). (network × spread) cells run on
@@ -61,14 +55,14 @@ func RunClustering(cc ClusteringConfig, protos []string) (*stats.Table, error) {
 	bs := newBenches(cc.Base)
 	s := cc.Base.seeds()
 	grid, err := runCells(newCampaign(cc.Base), cc.Base.Networks, len(cc.Spreads),
-		func(netIdx, si int) ([]clusterCell, error) {
+		func(netIdx, si int) ([]Tally, error) {
 			b, err := bs.bench(netIdx)
 			if err != nil {
 				return nil, err
 			}
 			spread := cc.Spreads[si]
 			taskR := s.clusterTasks(netIdx, si)
-			cells := make([]clusterCell, len(protos))
+			cells := make([]Tally, len(protos))
 			for t := 0; t < cc.Base.TasksPerNet; t++ {
 				var task workload.Task
 				var err error
@@ -82,8 +76,7 @@ func RunClustering(cc ClusteringConfig, protos []string) (*stats.Table, error) {
 				}
 				for pi, proto := range protos {
 					m := b.en.RunTask(makeProtocol(b.nw, proto, cc.PBMLambda), task.Source, task.Dests)
-					cells[pi].hops += float64(m.TotalHops())
-					cells[pi].tasks++
+					cells[pi].add(&m)
 				}
 			}
 			return cells, nil
@@ -101,13 +94,9 @@ func RunClustering(cc ClusteringConfig, protos []string) (*stats.Table, error) {
 			xs[i] = spread
 		}
 	}
+	sum := mergeNetworks(grid)
 	return protoTable("E-X7: total hops vs destination cluster spread",
 		"cluster spread (m)", "mean transmissions/task", xs, protos, func(pi, si int) float64 {
-			var c clusterCell
-			for netIdx := range grid {
-				c.hops += grid[netIdx][si][pi].hops
-				c.tasks += grid[netIdx][si][pi].tasks
-			}
-			return ratio(c.hops, float64(c.tasks))
+			return sum[si][pi].MeanTransmissions()
 		}), nil
 }

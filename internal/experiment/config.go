@@ -130,14 +130,6 @@ func (c Config) workerCount() int {
 	return 1
 }
 
-// engineRadio returns the radio parameters with the campaign's range
-// applied — the physics every engine the campaign builds runs under.
-func (c Config) engineRadio() sim.RadioParams {
-	r := c.Radio
-	r.RangeM = c.RadioRange
-	return r
-}
-
 // Default returns the paper's Table 1 setup.
 func Default() Config {
 	return Config{

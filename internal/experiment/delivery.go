@@ -145,25 +145,12 @@ type DeliveryArm struct {
 	// Topology and Proto identify the arm.
 	Topology string
 	Proto    string
-	// Tasks run, and how many missed at least one destination.
-	Tasks       int
-	FailedTasks int
-	// DeliveredDests / DestCount is the arm's delivery ratio.
-	DeliveredDests int
-	DestCount      int
-	// DestDropsByReason bills every undelivered destination to the reason
-	// its last copy died — ReasonWatchdog is the bounded-recovery giveup.
-	DestDropsByReason [sim.NumDropReasons]int
+	// Tally sums the arm's tasks. Its DestDropsByReason bills every
+	// undelivered destination to the reason its last copy died —
+	// ReasonWatchdog is the bounded-recovery giveup.
+	Tally
 	// Violations lists accounting-oracle failures and replay divergences.
 	Violations []string
-}
-
-// Ratio returns the arm's delivery ratio in [0, 1].
-func (a DeliveryArm) Ratio() float64 {
-	if a.DestCount == 0 {
-		return 0
-	}
-	return float64(a.DeliveredDests) / float64(a.DestCount)
 }
 
 // DeliveryReport summarizes a delivery campaign: arms in (topology, protocol)
@@ -178,7 +165,7 @@ func (r *DeliveryReport) Render() string {
 		fmt.Sprintf("  %-8s %-8s %10s %10s %10s\n", "topology", "proto", "delivered", "ratio", "wd-drops")
 	for _, a := range r.Arms {
 		s += fmt.Sprintf("  %-8s %-8s %5d/%-4d %9.1f%% %10d\n",
-			a.Topology, a.Proto, a.DeliveredDests, a.DestCount, 100*a.Ratio(),
+			a.Topology, a.Proto, a.DeliveredDests, a.DestCount, 100*a.DeliveryRatio(),
 			a.DestDropsByReason[sim.ReasonWatchdog])
 	}
 	return s + oracleVerdict("  oracle   ", "PASS (0 violations)", r.Violations())
@@ -283,9 +270,7 @@ func buildDeliveryCell(cfg DeliveryConfig, ai int) (*deliveryCellData, error) {
 // order. It is a pure function of (cfg, data, proto) — the replay check
 // calls it twice.
 func runDeliveryArm(cfg DeliveryConfig, data *deliveryCellData, proto string) []sim.TaskMetrics {
-	radio := cfg.Radio
-	radio.RangeM = cfg.RadioRange
-	en := sim.NewEngine(data.nw, radio, cfg.MaxHops)
+	en := sim.NewEngine(data.nw, cfg.Radio, cfg.MaxHops)
 	o := view.NewOracle(data.nw, data.pg)
 	o.SetWatchdog(cfg.Watchdog)
 	en.SetViews(o)
@@ -322,16 +307,7 @@ func RunDelivery(cfg DeliveryConfig) (*DeliveryReport, error) {
 					func() ([]sim.TaskMetrics, error) { return runDeliveryArm(cfg, data, proto), nil })
 				arm.Violations = violations
 				for ti := range metrics {
-					m := &metrics[ti]
-					arm.Tasks++
-					if m.Failed() {
-						arm.FailedTasks++
-					}
-					arm.DeliveredDests += len(m.Delivered)
-					arm.DestCount += m.DestCount
-					for reason, cnt := range m.DestDropsByReason {
-						arm.DestDropsByReason[reason] += cnt
-					}
+					arm.add(&metrics[ti])
 				}
 				cell.arms = append(cell.arms, arm)
 			}

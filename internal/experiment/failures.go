@@ -58,7 +58,7 @@ func RunFailures(fc FailureConfig, protos []string) (*stats.Table, error) {
 	}
 
 	grid, err := runCells(newCampaign(fc.Base), fc.Base.Networks, len(fc.NodeCounts),
-		func(netIdx, di int) ([]int, error) {
+		func(netIdx, di int) ([]Tally, error) {
 			cfg := fc.Base
 			cfg.Nodes = fc.NodeCounts[di]
 			// Mix the density into the seed so each density sweeps fresh
@@ -72,17 +72,16 @@ func RunFailures(fc FailureConfig, protos []string) (*stats.Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			failures := make([]int, len(protos))
+			cells := make([]Tally, len(protos))
 			for pi, proto := range protos {
 				for _, task := range tasks {
 					// PBM runs at a fixed λ here (the sweep would hide
 					// failures behind best-case picks).
-					if m := b.en.RunTask(makeProtocol(b.nw, proto, fc.PBMLambda), task.Source, task.Dests); m.Failed() {
-						failures[pi]++
-					}
+					m := b.en.RunTask(makeProtocol(b.nw, proto, fc.PBMLambda), task.Source, task.Dests)
+					cells[pi].add(&m)
 				}
 			}
-			return failures, nil
+			return cells, nil
 		})
 	if err != nil {
 		return nil, err
@@ -92,13 +91,10 @@ func RunFailures(fc FailureConfig, protos []string) (*stats.Table, error) {
 	for i, n := range fc.NodeCounts {
 		xs[i] = float64(n)
 	}
+	sum := mergeNetworks(grid)
 	return protoTable("Figure 15: number of failed tasks for different network densities",
 		"nodes", "failed tasks", xs, protos, func(pi, di int) float64 {
-			sum := 0
-			for netIdx := range grid {
-				sum += grid[netIdx][di][pi]
-			}
-			return float64(sum)
+			return float64(sum[di][pi].FailedTasks)
 		}), nil
 }
 

@@ -114,7 +114,6 @@ func runLifetimeStream(lc LifetimeConfig, bs *benches, proto string, batteryJ fl
 		return 0, 0, err
 	}
 	base := d.nw
-	radio := lc.Base.engineRadio()
 
 	remaining := make([]float64, lc.Base.Nodes)
 	for i := range remaining {
@@ -123,7 +122,7 @@ func runLifetimeStream(lc LifetimeConfig, bs *benches, proto string, batteryJ fl
 
 	nw := base
 	pg := d.pg
-	en := sim.NewEngine(nw, radio, lc.Base.MaxHops)
+	en := sim.NewEngine(nw, lc.Base.Radio, lc.Base.MaxHops)
 	en.SetViews(lc.Base.views(nw, pg))
 	en.SetEnergyLedger(true)
 	var dead []int
@@ -162,7 +161,7 @@ func runLifetimeStream(lc LifetimeConfig, bs *benches, proto string, batteryJ fl
 		if died {
 			nw = base.WithFailures(dead)
 			pg = planar.Planarize(nw, lc.Base.Planarizer)
-			en = sim.NewEngine(nw, radio, lc.Base.MaxHops)
+			en = sim.NewEngine(nw, lc.Base.Radio, lc.Base.MaxHops)
 			en.SetViews(lc.Base.views(nw, pg))
 			en.SetEnergyLedger(true)
 		}

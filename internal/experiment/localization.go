@@ -54,13 +54,6 @@ type LocalizationResult struct {
 	TotalHops *stats.Table
 }
 
-// locCell accumulates one (protocol, σ) count set.
-type locCell struct {
-	delivered, total int
-	hops             int
-	tasks            int
-}
-
 // RunLocalization measures protocol behavior under position noise.
 // (network × σ) cells run on the campaign runner's pool; each cell perturbs
 // the shared deployment's reported positions under its own noise stream and
@@ -73,7 +66,7 @@ func RunLocalization(lc LocalizationConfig, protos []string) (*LocalizationResul
 	bs := newBenches(lc.Base)
 	s := lc.Base.seeds()
 	grid, err := runCells(newCampaign(lc.Base), lc.Base.Networks, len(lc.Sigmas),
-		func(netIdx, si int) ([]locCell, error) {
+		func(netIdx, si int) ([]Tally, error) {
 			d, err := bs.deployment(netIdx)
 			if err != nil {
 				return nil, err
@@ -83,21 +76,18 @@ func RunLocalization(lc LocalizationConfig, protos []string) (*LocalizationResul
 			r := s.noise(netIdx, si)
 			noisy := d.nw.WithPositionNoise(lc.Sigmas[si], r)
 			pg := planar.Planarize(noisy, lc.Base.Planarizer)
-			en := sim.NewEngine(noisy, lc.Base.engineRadio(), lc.Base.MaxHops)
+			en := sim.NewEngine(noisy, lc.Base.Radio, lc.Base.MaxHops)
 			en.SetViews(lc.Base.views(noisy, pg))
 
 			tasks, err := workload.GenerateBatch(r, lc.Base.Nodes, lc.K, lc.Base.TasksPerNet)
 			if err != nil {
 				return nil, err
 			}
-			cells := make([]locCell, len(protos))
+			cells := make([]Tally, len(protos))
 			for _, task := range tasks {
 				for pi, proto := range protos {
 					m := en.RunTask(makeProtocol(noisy, proto, lc.PBMLambda), task.Source, task.Dests)
-					cells[pi].delivered += len(m.Delivered)
-					cells[pi].total += m.DestCount
-					cells[pi].hops += m.Transmissions
-					cells[pi].tasks++
+					cells[pi].add(&m)
 				}
 			}
 			return cells, nil
@@ -107,26 +97,15 @@ func RunLocalization(lc LocalizationConfig, protos []string) (*LocalizationResul
 	}
 
 	xs := append([]float64(nil), lc.Sigmas...)
-	sum := func(pi, si int) (c locCell) {
-		for netIdx := range grid {
-			g := grid[netIdx][si][pi]
-			c.delivered += g.delivered
-			c.total += g.total
-			c.hops += g.hops
-			c.tasks += g.tasks
-		}
-		return c
-	}
+	sum := mergeNetworks(grid)
 	return &LocalizationResult{
 		Delivery: protoTable("E-X2: delivery ratio under localization error",
 			"sigma (m)", "delivered destinations fraction", xs, protos, func(pi, si int) float64 {
-				c := sum(pi, si)
-				return ratio(float64(c.delivered), float64(c.total))
+				return sum[si][pi].DeliveryRatio()
 			}),
 		TotalHops: protoTable("E-X2: total hops under localization error",
 			"sigma (m)", "mean transmissions/task", xs, protos, func(pi, si int) float64 {
-				c := sum(pi, si)
-				return ratio(float64(c.hops), float64(c.tasks))
+				return sum[si][pi].MeanTransmissions()
 			}),
 	}, nil
 }

@@ -62,14 +62,6 @@ type LossResults struct {
 	Energy *stats.Table
 }
 
-// lossCell accumulates one (series, rate) sample set.
-type lossCell struct {
-	failures int
-	tx       float64
-	energy   float64
-	tasks    int
-}
-
 // RunLoss sweeps per-link loss rates and measures failed tasks,
 // transmissions and energy for every protocol with and without ARQ.
 // (network × rate) cells run on the campaign runner's pool over shared
@@ -85,7 +77,7 @@ func RunLoss(lc LossConfig, protos []string) (*LossResults, error) {
 	bs := newBenches(lc.Base)
 	s := lc.Base.seeds()
 	grid, err := runCells(newCampaign(lc.Base), lc.Base.Networks, len(lc.LossRates),
-		func(netIdx, ri int) ([]lossCell, error) {
+		func(netIdx, ri int) ([]Tally, error) {
 			b, err := bs.bench(netIdx)
 			if err != nil {
 				return nil, err
@@ -98,7 +90,7 @@ func RunLoss(lc LossConfig, protos []string) (*LossResults, error) {
 				LossRate: lc.LossRates[ri],
 				Seed:     s.lossFault(netIdx, ri),
 			}
-			cells := make([]lossCell, nSeries)
+			cells := make([]Tally, nSeries)
 			for arm := 0; arm < 2; arm++ {
 				arq := sim.ARQConfig{}
 				if arm == 1 {
@@ -117,12 +109,7 @@ func RunLoss(lc LossConfig, protos []string) (*LossResults, error) {
 					c := &cells[2*pi+arm]
 					for _, task := range tasks {
 						m := b.en.RunTask(makeProtocol(b.nw, proto, lc.PBMLambda), task.Source, task.Dests)
-						if m.Failed() {
-							c.failures++
-						}
-						c.tx += float64(m.Transmissions)
-						c.energy += m.EnergyJ
-						c.tasks++
+						c.add(&m)
 					}
 				}
 			}
@@ -142,6 +129,7 @@ func RunLoss(lc LossConfig, protos []string) (*LossResults, error) {
 		Transmissions: mkTable("Loss sweep: mean transmissions per task", "mean transmissions/task"),
 		Energy:        mkTable("Loss sweep: mean energy per task", "mean energy/task (J)"),
 	}
+	sum := mergeNetworks(grid)
 	for pi, proto := range protos {
 		for arm, suffix := range []string{"", "+arq"} {
 			si := 2*pi + arm
@@ -149,19 +137,10 @@ func RunLoss(lc LossConfig, protos []string) (*LossResults, error) {
 			tx := make([]float64, len(lc.LossRates))
 			energy := make([]float64, len(lc.LossRates))
 			for ri := range lc.LossRates {
-				var sum lossCell
-				for netIdx := range grid {
-					c := grid[netIdx][ri][si]
-					sum.failures += c.failures
-					sum.tx += c.tx
-					sum.energy += c.energy
-					sum.tasks += c.tasks
-				}
-				fail[ri] = float64(sum.failures)
-				if sum.tasks > 0 {
-					tx[ri] = sum.tx / float64(sum.tasks)
-					energy[ri] = sum.energy / float64(sum.tasks)
-				}
+				c := sum[ri][si]
+				fail[ri] = float64(c.FailedTasks)
+				tx[ri] = c.MeanTransmissions()
+				energy[ri] = c.MeanEnergyJ()
 			}
 			label := proto + suffix
 			res.Failures.Series = append(res.Failures.Series, stats.Series{Label: label, Y: fail})

@@ -51,9 +51,6 @@ func QuickRobustnessConfig() RobustnessConfig {
 	return rc
 }
 
-// robustCell accumulates one (protocol, fraction) delivery count.
-type robustCell struct{ delivered, total int }
-
 // RunRobustness measures the mean per-destination delivery ratio under each
 // failure fraction. Sources and destinations are drawn from the surviving
 // nodes, so the metric isolates routing resilience from dead endpoints.
@@ -67,7 +64,7 @@ func RunRobustness(rc RobustnessConfig, protos []string) (*stats.Table, error) {
 	bs := newBenches(rc.Base)
 	s := rc.Base.seeds()
 	grid, err := runCells(newCampaign(rc.Base), rc.Base.Networks, len(rc.FailFractions),
-		func(netIdx, fi int) ([]robustCell, error) {
+		func(netIdx, fi int) ([]Tally, error) {
 			d, err := bs.deployment(netIdx)
 			if err != nil {
 				return nil, err
@@ -77,17 +74,16 @@ func RunRobustness(rc RobustnessConfig, protos []string) (*stats.Table, error) {
 			failed := pickFailures(r, rc.Base.Nodes, rc.FailFractions[fi])
 			degraded := d.nw.WithFailures(failed)
 			pg := planar.Planarize(degraded, rc.Base.Planarizer)
-			en := sim.NewEngine(degraded, rc.Base.engineRadio(), rc.Base.MaxHops)
+			en := sim.NewEngine(degraded, rc.Base.Radio, rc.Base.MaxHops)
 			en.SetViews(rc.Base.views(degraded, pg))
 
 			alive := degraded.AliveIDs()
-			cells := make([]robustCell, len(protos))
+			cells := make([]Tally, len(protos))
 			for t := 0; t < rc.Base.TasksPerNet; t++ {
 				src, dests := pickAliveTask(r, alive, rc.K)
 				for pi, proto := range protos {
 					m := en.RunTask(makeProtocol(degraded, proto, rc.PBMLambda), src, dests)
-					cells[pi].delivered += len(m.Delivered)
-					cells[pi].total += m.DestCount
+					cells[pi].add(&m)
 				}
 			}
 			return cells, nil
@@ -97,14 +93,10 @@ func RunRobustness(rc RobustnessConfig, protos []string) (*stats.Table, error) {
 	}
 
 	xs := append([]float64(nil), rc.FailFractions...)
+	sum := mergeNetworks(grid)
 	return protoTable("E-X1: delivery ratio under random node failures",
 		"failed fraction", "delivered destinations fraction", xs, protos, func(pi, fi int) float64 {
-			var c robustCell
-			for netIdx := range grid {
-				c.delivered += grid[netIdx][fi][pi].delivered
-				c.total += grid[netIdx][fi][pi].total
-			}
-			return ratio(float64(c.delivered), float64(c.total))
+			return sum[fi][pi].DeliveryRatio()
 		}), nil
 }
 

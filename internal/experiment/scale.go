@@ -45,8 +45,7 @@ type ScaleConfig struct {
 	AreaPerNodeM2 float64
 	// RadioRange in meters.
 	RadioRange float64
-	// Radio supplies the remaining radio parameters (RangeM is overridden
-	// by RadioRange).
+	// Radio supplies the remaining radio parameters.
 	Radio sim.RadioParams
 	// Planarizer selects the perimeter substrate.
 	Planarizer planar.Kind
@@ -165,22 +164,10 @@ type ScaleArm struct {
 	// parallelism (a pure function of geometry, so deterministic).
 	Tiles int
 
-	// Deterministic outcomes (identical for every shard count).
-	Sessions          int
-	Transmissions     int
-	Retransmissions   int
-	LinkFailures      int
-	Acks              int
-	DeliveredDests    int
-	DeliveredHopsSum  int
-	DestCount         int
-	FailedSessions    int
-	DropsByReason     [sim.NumDropReasons]int
-	DestDropsByReason [sim.NumDropReasons]int
-	JoinsSpliced      int
-	JoinsMissed       int
-	EnergyJ           float64
-	MaxLatencySec     float64
+	// Deterministic outcomes (identical for every shard count): the
+	// sessions' tally and the worst session latency.
+	Tally
+	MaxLatencySec float64
 	// Violations lists accounting-oracle failures (sim.AuditTask), in
 	// session order. Empty means the arm passed.
 	Violations []string
@@ -216,9 +203,9 @@ func (r *ScaleReport) Fingerprint() string {
 		s += fmt.Sprintf("n=%d proto=%s faulted=%t tiles=%d sessions=%d tx=%d retx=%d linkfail=%d acks=%d "+
 			"delivered=%d hopsum=%d dests=%d failed=%d drops=%v destdrops=%v spliced=%d missed=%d "+
 			"energy=%v maxlat=%v violations=%d\n",
-			a.Nodes, a.Proto, a.Faulted, a.Tiles, a.Sessions, a.Transmissions, a.Retransmissions,
+			a.Nodes, a.Proto, a.Faulted, a.Tiles, a.Tasks, a.Transmissions, a.Retransmissions,
 			a.LinkFailures, a.Acks, a.DeliveredDests, a.DeliveredHopsSum, a.DestCount,
-			a.FailedSessions, a.DropsByReason, a.DestDropsByReason, a.JoinsSpliced, a.JoinsMissed,
+			a.FailedTasks, a.DropsByReason, a.DestDropsByReason, a.JoinsSpliced, a.JoinsMissed,
 			a.EnergyJ, a.MaxLatencySec, len(a.Violations))
 	}
 	return s
@@ -331,9 +318,9 @@ func scaleFaultPlans(cfg ScaleConfig, b *scaleBench) (sim.FaultPlan, sim.ChurnPl
 func runScaleArm(cfg ScaleConfig, b *scaleBench, proto string, faulted bool) (ScaleArm, error) {
 	arm := ScaleArm{
 		Nodes: b.nw.Len(), Proto: proto, Faulted: faulted,
-		Tiles: b.nw.Tiles(), Sessions: len(b.tasks), BuildSec: b.buildSec,
+		Tiles: b.nw.Tiles(), BuildSec: b.buildSec,
 	}
-	en := sim.NewEngine(b.nw, cfg.engineRadio(), cfg.MaxHops)
+	en := sim.NewEngine(b.nw, cfg.Radio, cfg.MaxHops)
 	en.SetViews(b.prov)
 	if faulted {
 		fp, cp := scaleFaultPlans(cfg, b)
@@ -371,27 +358,7 @@ func runScaleArm(cfg ScaleConfig, b *scaleBench, proto string, faulted bool) (Sc
 	audit := sim.AuditConfig{MaxHops: cfg.MaxHops, AllowDuplicates: concurrentProto(proto)}
 	for si := range metrics {
 		m := &metrics[si]
-		arm.Transmissions += m.Transmissions
-		arm.Retransmissions += m.Retransmissions
-		arm.LinkFailures += m.LinkFailures
-		arm.Acks += m.Acks
-		arm.DeliveredDests += len(m.Delivered)
-		for _, h := range m.Delivered {
-			arm.DeliveredHopsSum += h
-		}
-		arm.DestCount += m.DestCount
-		if m.Failed() {
-			arm.FailedSessions++
-		}
-		for reason, cnt := range m.DropsByReason {
-			arm.DropsByReason[reason] += cnt
-		}
-		for reason, cnt := range m.DestDropsByReason {
-			arm.DestDropsByReason[reason] += cnt
-		}
-		arm.JoinsSpliced += m.JoinsSpliced
-		arm.JoinsMissed += m.JoinsMissed
-		arm.EnergyJ += m.EnergyJ
+		arm.add(&m.TaskMetrics)
 		if l := m.MaxLatency(); l > arm.MaxLatencySec {
 			arm.MaxLatencySec = l
 		}
@@ -405,13 +372,6 @@ func runScaleArm(cfg ScaleConfig, b *scaleBench, proto string, faulted bool) (Sc
 	}
 	arm.PeakRSSBytes = peakRSSBytes()
 	return arm, nil
-}
-
-// engineRadio resolves the arm radio parameters.
-func (cfg ScaleConfig) engineRadio() sim.RadioParams {
-	r := cfg.Radio
-	r.RangeM = cfg.RadioRange
-	return r
 }
 
 // RunScale executes the scale sweep. Arms run sequentially — the sharded

@@ -69,7 +69,7 @@ func RunStaleness(sc StalenessConfig, protos []string) (*stats.Table, error) {
 	}
 
 	nets, err := runNetworks(newCampaign(sc.Base), sc.Base.Networks,
-		func(netIdx int) ([][]stalenessCell, error) {
+		func(netIdx int) ([][]Tally, error) {
 			return runStalenessNetwork(sc, protos, netIdx)
 		})
 	if err != nil {
@@ -77,21 +77,16 @@ func RunStaleness(sc StalenessConfig, protos []string) (*stats.Table, error) {
 	}
 
 	xs := append([]float64(nil), sc.StalenessSec...)
+	sum := mergeNetworks(nets)
 	return protoTable("E-X3: delivery ratio vs destination-coordinate staleness",
 		"staleness (s)", "delivered destinations fraction", xs, protos, func(pi, si int) float64 {
-			var c stalenessCell
-			for _, local := range nets {
-				c.delivered += local[pi][si].delivered
-				c.total += local[pi][si].total
-			}
-			return ratio(float64(c.delivered), float64(c.total))
+			return sum[si][pi].DeliveryRatio()
 		}), nil
 }
 
-// stalenessCell mirrors the accumulator layout: [proto][staleness].
-type stalenessCell struct{ delivered, total int }
-
-func runStalenessNetwork(sc StalenessConfig, protos []string, netIdx int) ([][]stalenessCell, error) {
+// runStalenessNetwork runs network netIdx's whole sweep and returns its
+// tallies as [staleness][proto].
+func runStalenessNetwork(sc StalenessConfig, protos []string, netIdx int) ([][]Tally, error) {
 	s := sc.Base.seeds()
 	r := s.deployment(netIdx)
 	initial := network.DeployUniform(sc.Base.Nodes, sc.Base.Width, sc.Base.Height, r)
@@ -104,9 +99,9 @@ func runStalenessNetwork(sc StalenessConfig, protos []string, netIdx int) ([][]s
 		return nil, err
 	}
 
-	out := make([][]stalenessCell, len(protos))
-	for pi := range out {
-		out[pi] = make([]stalenessCell, len(sc.StalenessSec))
+	out := make([][]Tally, len(sc.StalenessSec))
+	for si := range out {
+		out[si] = make([]Tally, len(protos))
 	}
 
 	elapsed := 0.0
@@ -124,7 +119,6 @@ func runStalenessNetwork(sc StalenessConfig, protos []string, netIdx int) ([][]s
 			return nil, fmt.Errorf("staleness network: %w", err)
 		}
 		pg := planar.Planarize(nw, sc.Base.Planarizer)
-		radio := sc.Base.engineRadio()
 
 		tasks, err := workload.GenerateBatch(s.staleTasks(netIdx, si), sc.Base.Nodes, sc.K, sc.Base.TasksPerNet)
 		if err != nil {
@@ -138,12 +132,11 @@ func runStalenessNetwork(sc StalenessConfig, protos []string, netIdx int) ([][]s
 				overrides[d] = initPts[d]
 			}
 			overlay := nw.WithReportedPositions(overrides)
-			en := sim.NewEngine(overlay, radio, sc.Base.MaxHops)
+			en := sim.NewEngine(overlay, sc.Base.Radio, sc.Base.MaxHops)
 			en.SetViews(sc.Base.views(overlay, pg))
 			for pi, proto := range protos {
 				m := en.RunTask(makeProtocol(overlay, proto, 0.3), task.Source, task.Dests)
-				out[pi][si].delivered += len(m.Delivered)
-				out[pi][si].total += m.DestCount
+				out[si][pi].add(&m)
 			}
 		}
 	}

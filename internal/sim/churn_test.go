@@ -73,6 +73,31 @@ func TestChurnLeaveRetiresDestination(t *testing.T) {
 	}
 }
 
+// TestChurnLeaverIsNotAFailure: when the only undelivered destination is
+// one that left mid-session, the task delivered everything it still owed
+// and is not a Figure 15 failure.
+func TestChurnLeaverIsNotAFailure(t *testing.T) {
+	nw := chainNet(t, 6)
+	e := NewEngine(nw, DefaultRadioParams(), 0)
+	if err := e.SetChurn(ChurnPlan{Leaves: []Membership{{Node: 5, At: 0.0015}}}); err != nil {
+		t.Fatal(err)
+	}
+	m := e.RunTask(chainHandler{}, 0, []int{3, 5})
+	if len(m.Delivered) != 1 || m.DestCount != 2 || m.EligibleDests() != 1 {
+		t.Fatalf("delivered %v of %d (eligible %d), want destination 3 of 2 (eligible 1)",
+			m.Delivered, m.DestCount, m.EligibleDests())
+	}
+	if m.Failed() {
+		t.Fatal("task whose only missing destination left counts as failed")
+	}
+	// A plan-free run that misses a destination still fails.
+	m = NewEngine(nw, DefaultRadioParams(), 2).RunTask(chainHandler{}, 0, []int{1, 5})
+	if len(m.Delivered) != 1 || !m.Failed() {
+		t.Fatalf("hop-budget miss: delivered %v, Failed() = %t, want one delivery and a failure",
+			m.Delivered, m.Failed())
+	}
+}
+
 func TestChurnLeaveAfterDeliveryIsNoop(t *testing.T) {
 	nw := chainNet(t, 6)
 	e := NewEngine(nw, DefaultRadioParams(), 0)

@@ -343,9 +343,11 @@ type TaskMetrics struct {
 	EnergyByNode map[int]float64
 }
 
-// Failed reports whether the task missed at least one destination — the
-// paper's failure criterion for Figure 15.
-func (m *TaskMetrics) Failed() bool { return len(m.Delivered) < m.DestCount }
+// Failed reports whether the task missed at least one eligible destination
+// — the paper's failure criterion for Figure 15. A destination that left
+// mid-session (churn) is not a miss; without churn every destination is
+// eligible.
+func (m *TaskMetrics) Failed() bool { return len(m.Delivered) < m.EligibleDests() }
 
 // Drops counts packet copies the routing layer gave up on: hop budget
 // exhausted, protocol-intentional abandonment, or a watchdog kill.

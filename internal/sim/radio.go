@@ -14,9 +14,6 @@ type RadioParams struct {
 	TxPowerW float64
 	// RxPowerW is the receive/listen power draw (Table 1: 0.9 W).
 	RxPowerW float64
-	// RangeM is the radio range (Table 1: 150 m). Kept here for reference
-	// output; connectivity itself lives in the network package.
-	RangeM float64
 }
 
 // DefaultRadioParams returns the Table 1 configuration.
@@ -26,7 +23,6 @@ func DefaultRadioParams() RadioParams {
 		MessageBytes: 128,
 		TxPowerW:     1.3,
 		RxPowerW:     0.9,
-		RangeM:       150,
 	}
 }
 

@@ -54,21 +54,6 @@ type Analysis struct {
 // ErrNoEvents is returned when an analysis is requested for an empty trace.
 var ErrNoEvents = errors.New("trace: no transmission events")
 
-// Collector accumulates engine trace events for later analysis. Install
-// with engine.SetTracer(c.Record).
-type Collector struct {
-	events []sim.TraceEvent
-}
-
-// Record implements sim.TraceFunc.
-func (c *Collector) Record(ev sim.TraceEvent) { c.events = append(c.events, ev) }
-
-// Events returns the recorded events in send order.
-func (c *Collector) Events() []sim.TraceEvent { return c.events }
-
-// Reset clears the collector for reuse.
-func (c *Collector) Reset() { c.events = c.events[:0] }
-
 // Analyze digests the events of one task run. src is the task's source and
 // delivered the engine's per-destination delivery hop counts.
 func Analyze(nw *network.Network, src int, events []sim.TraceEvent, delivered map[int]int) (*Analysis, error) {

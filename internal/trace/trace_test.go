@@ -33,11 +33,11 @@ func runTraced(t *testing.T, nw *network.Network, src int, dests []int) (*Analys
 	pg := planar.Planarize(nw, planar.Gabriel)
 	en := sim.NewEngine(nw, sim.DefaultRadioParams(), 100)
 	en.SetViews(view.NewOracle(nw, pg))
-	var c Collector
-	en.SetTracer(c.Record)
+	var events []sim.TraceEvent
+	en.SetTracer(func(ev sim.TraceEvent) { events = append(events, ev) })
 	m := en.RunTask(routing.NewGMP(), src, dests)
 	en.SetTracer(nil)
-	a, err := Analyze(nw, src, c.Events(), m.Delivered)
+	a, err := Analyze(nw, src, events, m.Delivered)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,28 +156,16 @@ func TestAnalysisJSON(t *testing.T) {
 	}
 }
 
-func TestCollectorReset(t *testing.T) {
-	var c Collector
-	c.Record(sim.TraceEvent{From: 1, To: 2})
-	if len(c.Events()) != 1 {
-		t.Fatal("record")
-	}
-	c.Reset()
-	if len(c.Events()) != 0 {
-		t.Fatal("reset")
-	}
-}
-
 func TestSelfDeliveryIgnoredInPaths(t *testing.T) {
 	nw := lineNetwork(t, 4)
 	pg := planar.Planarize(nw, planar.Gabriel)
 	en := sim.NewEngine(nw, sim.DefaultRadioParams(), 100)
 	en.SetViews(view.NewOracle(nw, pg))
-	var c Collector
-	en.SetTracer(c.Record)
+	var events []sim.TraceEvent
+	en.SetTracer(func(ev sim.TraceEvent) { events = append(events, ev) })
 	m := en.RunTask(routing.NewGMP(), 1, []int{1, 3})
 	en.SetTracer(nil)
-	a, err := Analyze(nw, 1, c.Events(), m.Delivered)
+	a, err := Analyze(nw, 1, events, m.Delivered)
 	if err != nil {
 		t.Fatal(err)
 	}
