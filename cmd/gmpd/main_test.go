@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"os"
 	"strings"
 	"sync"
@@ -8,6 +9,7 @@ import (
 	"time"
 
 	"gmp/internal/geom"
+	"gmp/internal/network"
 	"gmp/internal/serve"
 	"gmp/internal/wire"
 )
@@ -86,6 +88,23 @@ func TestBadFlags(t *testing.T) {
 	var out strings.Builder
 	if err := run([]string{"-planarizer", "delaunay"}, &out, nil, nil); err == nil {
 		t.Fatal("want error for unknown planarizer")
+	}
+}
+
+// TestNonFiniteDeploymentRefused pins that an infinite field dimension is
+// refused as a deployment error before anything listens; it used to panic
+// while sizing the cell grid.
+func TestNonFiniteDeploymentRefused(t *testing.T) {
+	for _, args := range [][]string{
+		{"-width", "Inf"},
+		{"-height", "+Inf"},
+		{"-range", "Inf"},
+	} {
+		var out strings.Builder
+		err := run(append(args, "-addr", "127.0.0.1:0"), &out, nil, nil)
+		if !errors.Is(err, network.ErrBadDimensions) && !errors.Is(err, network.ErrBadRange) {
+			t.Errorf("%v: got %v, want a network range or dimension error", args, err)
+		}
 	}
 }
 

@@ -64,18 +64,35 @@ func (s Segment) CrossingPoint(t Segment) (Point, bool) {
 	return lineIntersection(s.A, s.B, t.A, t.B)
 }
 
-// InDisk reports whether p lies strictly inside the disk with diameter
-// endpoints a and b (the Gabriel-graph witness region).
-func InDisk(a, b, p Point) bool {
-	center := Midpoint(a, b)
-	r2 := a.Dist2(b) / 4
-	return center.Dist2(p) < r2-Eps
+// GabrielDisk is the Gabriel-graph witness region of a segment ab: the open
+// disk with diameter ab, shrunk by Eps. Build it once per candidate edge and
+// test every candidate witness against it.
+type GabrielDisk struct {
+	c  Point   // midpoint of ab
+	r2 float64 // |ab|²/4 − Eps
 }
 
-// InLune reports whether p lies strictly inside the lune of a and b: the
-// intersection of the open disks centered at a and at b with radius d(a,b)
-// (the Relative-Neighborhood-Graph witness region).
-func InLune(a, b, p Point) bool {
-	d2 := a.Dist2(b)
-	return a.Dist2(p) < d2-Eps && b.Dist2(p) < d2-Eps
+// NewGabrielDisk returns the Gabriel witness disk of segment ab. It is
+// symmetric in a and b, bit for bit.
+func NewGabrielDisk(a, b Point) GabrielDisk {
+	return GabrielDisk{c: Midpoint(a, b), r2: a.Dist2(b)/4 - Eps}
 }
+
+// Contains reports whether p lies strictly inside the disk.
+func (d GabrielDisk) Contains(p Point) bool { return d.c.Dist2(p) < d.r2 }
+
+// Lune is the Relative-Neighborhood-Graph witness region of a segment ab:
+// the intersection of the open disks centered at a and at b with radius
+// d(a,b), shrunk by Eps. Build it once per candidate edge and test every
+// candidate witness against it.
+type Lune struct {
+	a, b Point
+	r2   float64 // |ab|² − Eps
+}
+
+// NewLune returns the lune of segment ab. It is symmetric in a and b, bit
+// for bit.
+func NewLune(a, b Point) Lune { return Lune{a: a, b: b, r2: a.Dist2(b) - Eps} }
+
+// Contains reports whether p lies strictly inside the lune.
+func (l Lune) Contains(p Point) bool { return l.a.Dist2(p) < l.r2 && l.b.Dist2(p) < l.r2 }

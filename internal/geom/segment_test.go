@@ -81,29 +81,47 @@ func TestDistToPoint(t *testing.T) {
 
 func TestGabrielAndLuneWitness(t *testing.T) {
 	a, b := Pt(0, 0), Pt(10, 0)
-	if !InDisk(a, b, Pt(5, 1)) {
+	disk, lune := NewGabrielDisk(a, b), NewLune(a, b)
+	if !disk.Contains(Pt(5, 1)) {
 		t.Error("point near midpoint should be in Gabriel disk")
 	}
-	if InDisk(a, b, Pt(5, 6)) {
+	if disk.Contains(Pt(5, 6)) {
 		t.Error("distant point should be outside Gabriel disk")
 	}
-	if InDisk(a, b, Pt(0, 0)) {
+	if disk.Contains(Pt(0, 0)) {
 		t.Error("endpoint is on the boundary, not strictly inside")
 	}
-	if !InLune(a, b, Pt(5, 1)) {
+	if !lune.Contains(Pt(5, 1)) {
 		t.Error("point near midpoint should be inside the lune")
 	}
-	if InLune(a, b, Pt(1, 1)) != (a.Dist2(Pt(1, 1)) < 100 && b.Dist2(Pt(1, 1)) < 100) {
+	if lune.Contains(Pt(1, 1)) != (a.Dist2(Pt(1, 1)) < 100 && b.Dist2(Pt(1, 1)) < 100) {
 		t.Error("lune membership mismatch")
 	}
-	// The lune is a subset of the Gabriel disk's complement relationships:
-	// any point in the lune is also in the disk? No: the disk is a subset of
-	// the lune. Verify disk ⊆ lune on random points.
+	// The Gabriel disk is a subset of the lune. Verify disk ⊆ lune on
+	// random points.
 	r := rand.New(rand.NewSource(3))
 	for i := 0; i < 500; i++ {
 		p := Pt(r.Float64()*20-5, r.Float64()*20-10)
-		if InDisk(a, b, p) && !InLune(a, b, p) {
+		if disk.Contains(p) && !lune.Contains(p) {
 			t.Fatalf("Gabriel disk must be contained in the lune; %v violates", p)
+		}
+	}
+}
+
+// TestWitnessRegionsSymmetric pins the property planarization's edge-once
+// build rests on: both witness regions of segment ab are those of ba, bit
+// for bit, so the two ends of an edge always reach the same verdict.
+func TestWitnessRegionsSymmetric(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	for i := 0; i < 2000; i++ {
+		a := Pt(r.Float64()*2e4, r.Float64()*2e4)
+		b := a.Add(Pt(r.Float64()*300-150, r.Float64()*300-150))
+		if NewGabrielDisk(a, b) != NewGabrielDisk(b, a) {
+			t.Fatalf("Gabriel disk of %v %v is not symmetric", a, b)
+		}
+		p := a.Add(Pt(r.Float64()*300-150, r.Float64()*300-150))
+		if NewLune(a, b).Contains(p) != NewLune(b, a).Contains(p) {
+			t.Fatalf("lune of %v %v disagrees with its mirror at %v", a, b, p)
 		}
 	}
 }

@@ -11,29 +11,18 @@ import "sort"
 // see the failure only through the adjacency (exactly as a real node would:
 // a dead neighbor simply stops being heard).
 func (nw *Network) WithFailures(failed []int) *Network {
-	down := make([]bool, len(nw.nodes))
+	down := make([]bool, len(nw.phys))
 	for _, id := range failed {
 		if id >= 0 && id < len(down) {
 			down[id] = true
 		}
 	}
-	clone := &Network{
-		nodes:    nw.nodes, // immutable, shared
-		rng:      nw.rng,
-		width:    nw.width,
-		height:   nw.height,
-		cellSize: nw.cellSize,
-		cols:     nw.cols,
-		rows:     nw.rows,
-		cells:    nw.cells, // shared; filtered during adjacency rebuild
-		tileCols: nw.tileCols,
-		tileRows: nw.tileRows,
-		tiles:    nw.tiles, // shared: tiles depend on positions alone
-		nodeTile: nw.nodeTile,
-		down:     down,
-		tables:   new(viewTables),
-	}
-	clone.adj = make([][]int, len(nw.nodes))
+	// Positions, reported-position overlay, cells and tiles are shared: they
+	// are immutable and depend on positions alone.
+	clone := *nw
+	clone.down = down
+	clone.tables = new(viewTables)
+	clone.adj = make([][]int, len(nw.phys))
 	for id, nbrs := range nw.adj {
 		if down[id] {
 			continue // dead node: no links at all
@@ -46,7 +35,7 @@ func (nw *Network) WithFailures(failed []int) *Network {
 		}
 		clone.adj[id] = kept
 	}
-	return clone
+	return &clone
 }
 
 // Alive reports whether node id has a working radio in this view.
@@ -56,8 +45,8 @@ func (nw *Network) Alive(id int) bool {
 
 // AliveIDs returns the sorted IDs of all nodes with working radios.
 func (nw *Network) AliveIDs() []int {
-	out := make([]int, 0, len(nw.nodes))
-	for id := range nw.nodes {
+	out := make([]int, 0, len(nw.phys))
+	for id := range nw.phys {
 		if nw.Alive(id) {
 			out = append(out, id)
 		}

@@ -30,7 +30,12 @@ type Node struct {
 // connectivity of a fixed radio range. Build one with New; all query methods
 // are safe for concurrent use afterwards.
 type Network struct {
-	nodes  []Node
+	// pos is the position array Pos reads: node ID -> the position the node
+	// reports. It is phys itself unless a reported-position overlay
+	// (WithPositionNoise, WithReportedPositions) swaps in its own slice.
+	pos []geom.Point
+	// phys is node ID -> true position, the one radio physics reads.
+	phys   []geom.Point
 	rng    float64 // radio range
 	width  float64
 	height float64
@@ -55,10 +60,6 @@ type Network struct {
 	// down marks nodes with failed radios in degraded views produced by
 	// WithFailures; nil in a freshly built network.
 	down []bool
-
-	// reported, when non-nil, overlays the positions nodes *believe* they
-	// are at (WithPositionNoise); physics keeps using true positions.
-	reported []geom.Point
 
 	// tables is set by every constructor, New and each view, to a fresh
 	// value: never inherited, because a view's links and Dist can differ
@@ -91,7 +92,7 @@ func (nw *Network) derived() *viewTables {
 			}
 			t.w[v] = flat[start:len(flat):len(flat)]
 		}
-		t.comp = make([]int32, len(nw.nodes))
+		t.comp = make([]int32, len(nw.phys))
 		for i := range t.comp {
 			t.comp[i] = -1
 		}
@@ -122,33 +123,43 @@ func (nw *Network) derived() *viewTables {
 // Validation errors returned by New.
 var (
 	ErrNoNodes       = errors.New("network: no nodes")
-	ErrBadRange      = errors.New("network: radio range must be positive")
-	ErrBadDimensions = errors.New("network: region dimensions must be positive")
+	ErrBadRange      = errors.New("network: radio range must be positive and finite")
+	ErrBadDimensions = errors.New("network: region dimensions must be positive and finite")
+	ErrBadPosition   = errors.New("network: node position must be finite")
 )
+
+// finite reports whether x is neither NaN nor ±Inf.
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // New builds a network over the given nodes in a width×height region with
 // the given radio range. Node IDs must equal their slice index (deployments
-// from this package guarantee that).
+// from this package guarantee that). The range and dimensions must be
+// positive and finite, and every coordinate finite; a bad position is
+// reported as an error wrapping ErrBadPosition that names the node.
 func New(nodes []Node, width, height, radioRange float64) (*Network, error) {
 	if len(nodes) == 0 {
 		return nil, ErrNoNodes
 	}
-	if radioRange <= 0 {
+	if radioRange <= 0 || !finite(radioRange) {
 		return nil, ErrBadRange
 	}
-	if width <= 0 || height <= 0 {
+	if width <= 0 || height <= 0 || !finite(width) || !finite(height) {
 		return nil, ErrBadDimensions
 	}
+	phys := make([]geom.Point, len(nodes))
 	for i, n := range nodes {
 		if n.ID != i {
 			return nil, fmt.Errorf("network: node at index %d has ID %d; IDs must be dense", i, n.ID)
 		}
+		if !finite(n.Pos.X) || !finite(n.Pos.Y) {
+			return nil, fmt.Errorf("%w: node %d at (%v, %v)", ErrBadPosition, i, n.Pos.X, n.Pos.Y)
+		}
+		phys[i] = n.Pos
 	}
-	owned := make([]Node, len(nodes))
-	copy(owned, nodes)
 
 	nw := &Network{
-		nodes:    owned,
+		pos:      phys,
+		phys:     phys,
 		rng:      radioRange,
 		width:    width,
 		height:   height,
@@ -157,9 +168,9 @@ func New(nodes []Node, width, height, radioRange float64) (*Network, error) {
 		rows:     int(math.Ceil(height/radioRange)) + 1,
 	}
 	nw.cells = make([][]int, nw.cols*nw.rows)
-	for _, n := range owned {
-		c := nw.cellOf(n.Pos)
-		nw.cells[c] = append(nw.cells[c], n.ID)
+	for id, p := range phys {
+		c := nw.cellOf(p)
+		nw.cells[c] = append(nw.cells[c], id)
 	}
 	nw.buildTiles()
 	nw.buildAdjacency()
@@ -183,16 +194,16 @@ func (nw *Network) buildTiles() {
 	nw.tileCols = (nw.cols + TileSpan - 1) / TileSpan
 	nw.tileRows = (nw.rows + TileSpan - 1) / TileSpan
 	nw.tiles = make([][]int, nw.tileCols*nw.tileRows)
-	nw.nodeTile = make([]int32, len(nw.nodes))
-	for _, n := range nw.nodes {
-		c := nw.cellOf(n.Pos)
+	nw.nodeTile = make([]int32, len(nw.phys))
+	for id, p := range nw.phys {
+		c := nw.cellOf(p)
 		cx, cy := c%nw.cols, c/nw.cols
 		t := (cy/TileSpan)*nw.tileCols + cx/TileSpan
-		nw.nodeTile[n.ID] = int32(t)
+		nw.nodeTile[id] = int32(t)
 	}
 	// Nodes are iterated in ID order above, but build the per-tile lists in a
 	// second pass so each list is ascending by construction.
-	for id := range nw.nodes {
+	for id := range nw.phys {
 		t := nw.nodeTile[id]
 		nw.tiles[t] = append(nw.tiles[t], id)
 	}
@@ -240,19 +251,17 @@ const adjParallelThreshold = 4096
 // byte-identical to the serial build, just faster (a 10⁶-node deployment
 // would otherwise spend most of an E-X10 arm's setup here).
 func (nw *Network) buildAdjacency() {
-	nw.adj = make([][]int, len(nw.nodes))
+	n := len(nw.phys)
+	nw.adj = make([][]int, n)
 	workers := runtime.NumCPU()
-	if len(nw.nodes) < adjParallelThreshold || workers < 2 {
-		nw.buildAdjacencyRange(0, len(nw.nodes))
+	if n < adjParallelThreshold || workers < 2 {
+		nw.buildAdjacencyRange(0, n)
 		return
 	}
-	chunk := (len(nw.nodes) + workers - 1) / workers
+	chunk := (n + workers - 1) / workers
 	var wg sync.WaitGroup
-	for lo := 0; lo < len(nw.nodes); lo += chunk {
-		hi := lo + chunk
-		if hi > len(nw.nodes) {
-			hi = len(nw.nodes)
-		}
+	for lo := 0; lo < n; lo += chunk {
+		hi := min(lo+chunk, n)
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
@@ -271,9 +280,9 @@ func (nw *Network) buildAdjacencyRange(lo, hi int) {
 	r2 := nw.rng * nw.rng
 	var flat []int
 	ends := make([]int, hi-lo) // ends[i] is the end of row lo+i in flat
-	for i, n := range nw.nodes[lo:hi] {
-		cx := clampInt(int(n.Pos.X/nw.cellSize), 0, nw.cols-1)
-		cy := clampInt(int(n.Pos.Y/nw.cellSize), 0, nw.rows-1)
+	for i, p := range nw.phys[lo:hi] {
+		cx := clampInt(int(p.X/nw.cellSize), 0, nw.cols-1)
+		cy := clampInt(int(p.Y/nw.cellSize), 0, nw.rows-1)
 		start := len(flat)
 		for dy := -1; dy <= 1; dy++ {
 			for dx := -1; dx <= 1; dx++ {
@@ -282,10 +291,10 @@ func (nw *Network) buildAdjacencyRange(lo, hi int) {
 					continue
 				}
 				for _, id := range nw.cells[y*nw.cols+x] {
-					if id == n.ID {
+					if id == lo+i {
 						continue
 					}
-					if n.Pos.Dist2(nw.nodes[id].Pos) <= r2 {
+					if p.Dist2(nw.phys[id]) <= r2 {
 						flat = append(flat, id)
 					}
 				}
@@ -306,7 +315,7 @@ func (nw *Network) buildAdjacencyRange(lo, hi int) {
 }
 
 // Len returns the number of nodes.
-func (nw *Network) Len() int { return len(nw.nodes) }
+func (nw *Network) Len() int { return len(nw.phys) }
 
 // Range returns the radio range.
 func (nw *Network) Range() float64 { return nw.rng }
@@ -317,17 +326,20 @@ func (nw *Network) Width() float64 { return nw.width }
 // Height returns the region height in meters.
 func (nw *Network) Height() float64 { return nw.height }
 
-// Node returns the node with the given ID.
-func (nw *Network) Node(id int) Node { return nw.nodes[id] }
-
 // Pos returns the position of node id as the node itself reports it. It
-// equals the true position except in views built with WithPositionNoise.
-func (nw *Network) Pos(id int) geom.Point {
-	if nw.reported != nil {
-		return nw.reported[id]
-	}
-	return nw.nodes[id].Pos
-}
+// equals the true position except in views built with WithPositionNoise or
+// WithReportedPositions.
+func (nw *Network) Pos(id int) geom.Point { return nw.pos[id] }
+
+// Positions returns the array Pos reads, indexed by node ID. The slice is
+// shared; callers must not mutate it.
+func (nw *Network) Positions() []geom.Point { return nw.pos }
+
+// ReportsTruePositions reports whether no reported-position overlay lies on
+// this view, so Pos is the true position of every node by construction. An
+// overlay swaps in its own position array, so the two arrays are then
+// distinct.
+func (nw *Network) ReportsTruePositions() bool { return &nw.pos[0] == &nw.phys[0] }
 
 // Dist returns the Euclidean distance between the reported positions of
 // nodes a and b.
@@ -346,7 +358,7 @@ func (nw *Network) AvgDegree() float64 {
 	for _, a := range nw.adj {
 		total += len(a)
 	}
-	return float64(total) / float64(len(nw.nodes))
+	return float64(total) / float64(len(nw.phys))
 }
 
 // InRange reports whether nodes a and b can hear each other: geometrically
@@ -355,7 +367,7 @@ func (nw *Network) InRange(a, b int) bool {
 	if !nw.Alive(a) || !nw.Alive(b) {
 		return false
 	}
-	return nw.nodes[a].Pos.Dist2(nw.nodes[b].Pos) <= nw.rng*nw.rng
+	return nw.phys[a].Dist2(nw.phys[b]) <= nw.rng*nw.rng
 }
 
 // bestInCell scans one grid cell for a node closer to p than (best, bestD),
@@ -363,7 +375,7 @@ func (nw *Network) InRange(a, b int) bool {
 // ascending order, so the in-cell scan already matches a full ID-order scan.
 func (nw *Network) bestInCell(ci int, p geom.Point, best int, bestD float64) (int, float64) {
 	for _, id := range nw.cells[ci] {
-		if d := nw.nodes[id].Pos.Dist2(p); d < bestD || (d == bestD && id < best) {
+		if d := nw.phys[id].Dist2(p); d < bestD || (d == bestD && id < best) {
 			best, bestD = id, d
 		}
 	}
@@ -437,7 +449,7 @@ func (nw *Network) NodesInDisk(p geom.Point, radius float64) []int {
 	for y := y0; y <= y1; y++ {
 		for x := x0; x <= x1; x++ {
 			for _, id := range nw.cells[y*nw.cols+x] {
-				if nw.nodes[id].Pos.Dist2(p) <= r2 {
+				if nw.phys[id].Dist2(p) <= r2 {
 					out = append(out, id)
 				}
 			}
@@ -451,7 +463,7 @@ func (nw *Network) NodesInDisk(p geom.Point, radius float64) []int {
 // expected by the steiner package's KMB heuristic, with Dist as its edge
 // lengths. The lengths are computed once per view and shared.
 func (nw *Network) Graph() steiner.Graph {
-	return steiner.Graph{N: len(nw.nodes), Adj: nw.adj, W: nw.derived().w}
+	return steiner.Graph{N: len(nw.phys), Adj: nw.adj, W: nw.derived().w}
 }
 
 // Component returns the label of node id's connected component: two nodes
@@ -461,13 +473,13 @@ func (nw *Network) Component(id int) int { return int(nw.derived().comp[id]) }
 
 // Connected reports whether the unit-disk graph is connected.
 func (nw *Network) Connected() bool {
-	return len(nw.ReachableFrom(0)) == len(nw.nodes)
+	return len(nw.ReachableFrom(0)) == len(nw.phys)
 }
 
 // ReachableFrom returns the set of node IDs reachable from src over radio
 // links, as a sorted slice including src itself.
 func (nw *Network) ReachableFrom(src int) []int {
-	seen := make([]bool, len(nw.nodes))
+	seen := make([]bool, len(nw.phys))
 	seen[src] = true
 	queue := []int{src}
 	out := []int{src}
@@ -489,7 +501,7 @@ func (nw *Network) ReachableFrom(src int) []int {
 // HopDistances returns BFS hop counts from src to every node; unreachable
 // nodes get -1.
 func (nw *Network) HopDistances(src int) []int {
-	dist := make([]int, len(nw.nodes))
+	dist := make([]int, len(nw.phys))
 	for i := range dist {
 		dist[i] = -1
 	}

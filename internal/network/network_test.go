@@ -38,6 +38,43 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// TestNewRefusesNonFinite pins that a NaN or infinite range, dimension or
+// coordinate is refused with a typed error instead of sizing the cell grid
+// from it (a NaN range or an infinite width used to panic in makeslice).
+func TestNewRefusesNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	ok := FromPoints([]geom.Point{geom.Pt(1, 1), geom.Pt(5, 5)})
+	for _, c := range []struct {
+		name        string
+		nodes       []Node
+		w, h, radio float64
+		want        error
+	}{
+		{"NaN range", ok, 100, 100, nan, ErrBadRange},
+		{"+Inf range", ok, 100, 100, inf, ErrBadRange},
+		{"-Inf range", ok, 100, 100, -inf, ErrBadRange},
+		{"NaN width", ok, nan, 100, 10, ErrBadDimensions},
+		{"+Inf width", ok, inf, 100, 10, ErrBadDimensions},
+		{"NaN height", ok, 100, nan, 10, ErrBadDimensions},
+		{"+Inf height", ok, 100, inf, 10, ErrBadDimensions},
+		{"-Inf height", ok, 100, -inf, 10, ErrBadDimensions},
+		{"NaN x", FromPoints([]geom.Point{geom.Pt(1, 1), geom.Pt(nan, 5)}), 100, 100, 10, ErrBadPosition},
+		{"NaN y", FromPoints([]geom.Point{geom.Pt(1, nan)}), 100, 100, 10, ErrBadPosition},
+		{"+Inf x", FromPoints([]geom.Point{geom.Pt(inf, 1)}), 100, 100, 10, ErrBadPosition},
+		{"-Inf y", FromPoints([]geom.Point{geom.Pt(1, -inf)}), 100, 100, 10, ErrBadPosition},
+	} {
+		nw, err := New(c.nodes, c.w, c.h, c.radio)
+		if !errors.Is(err, c.want) || nw != nil {
+			t.Errorf("%s: got (%v, %v), want %v", c.name, nw, err, c.want)
+		}
+	}
+	// Out-of-region but finite positions stay legal: they clamp to border
+	// cells.
+	if _, err := New(FromPoints([]geom.Point{geom.Pt(-50, 1e6)}), 100, 100, 10); err != nil {
+		t.Errorf("finite out-of-region position refused: %v", err)
+	}
+}
+
 func TestNeighborsMatchBruteForce(t *testing.T) {
 	r := rand.New(rand.NewSource(61))
 	nodes := DeployUniform(300, 1000, 1000, r)

@@ -17,19 +17,25 @@ import (
 // decisions (greedy progress, Steiner construction, planarization) are made
 // from reported positions exactly as real nodes would make them.
 func (nw *Network) WithPositionNoise(sigma float64, r *rand.Rand) *Network {
-	reported := make([]geom.Point, len(nw.nodes))
-	for i, n := range nw.nodes {
-		reported[i] = geom.Pt(n.Pos.X+r.NormFloat64()*sigma, n.Pos.Y+r.NormFloat64()*sigma)
+	reported := make([]geom.Point, len(nw.phys))
+	for i, p := range nw.phys {
+		reported[i] = geom.Pt(p.X+r.NormFloat64()*sigma, p.Y+r.NormFloat64()*sigma)
 	}
+	return nw.withPositions(reported)
+}
+
+// withPositions returns a view of nw that reports the given positions, which
+// the view owns.
+func (nw *Network) withPositions(reported []geom.Point) *Network {
 	clone := *nw
-	clone.reported = reported
+	clone.pos = reported
 	clone.tables = new(viewTables)
 	return &clone
 }
 
 // TruePos returns the node's physical position regardless of any reported-
 // position overlay.
-func (nw *Network) TruePos(id int) geom.Point { return nw.nodes[id].Pos }
+func (nw *Network) TruePos(id int) geom.Point { return nw.phys[id] }
 
 // WithReportedPositions returns a view in which the given nodes report the
 // supplied (for example stale) positions instead of their true ones, while
@@ -37,16 +43,12 @@ func (nw *Network) TruePos(id int) geom.Point { return nw.nodes[id].Pos }
 // truthfully. Used by the location-staleness experiment: a mobile
 // destination's advertised coordinates lag behind where it actually is.
 func (nw *Network) WithReportedPositions(overrides map[int]geom.Point) *Network {
-	reported := make([]geom.Point, len(nw.nodes))
-	for i := range reported {
-		if p, ok := overrides[i]; ok {
+	reported := make([]geom.Point, len(nw.pos))
+	copy(reported, nw.pos) // preserve any existing overlay
+	for i, p := range overrides {
+		if i >= 0 && i < len(reported) {
 			reported[i] = p
-		} else {
-			reported[i] = nw.Pos(i) // preserve any existing overlay
 		}
 	}
-	clone := *nw
-	clone.reported = reported
-	clone.tables = new(viewTables)
-	return &clone
+	return nw.withPositions(reported)
 }

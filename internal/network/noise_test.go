@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"gmp/internal/geom"
 )
 
 func TestWithPositionNoiseSeparatesReportedFromTrue(t *testing.T) {
@@ -84,5 +86,59 @@ func TestNoiseComposesWithFailures(t *testing.T) {
 	}
 	if !view.TruePos(6).Eq(nw.Pos(6)) {
 		t.Fatal("true position lost")
+	}
+}
+
+// TestFailuresKeepNoise is the mirror of TestNoiseComposesWithFailures:
+// failing nodes on a noisy view keeps every node's reported position.
+func TestFailuresKeepNoise(t *testing.T) {
+	r := rand.New(rand.NewSource(61))
+	nw, err := New(DeployUniform(100, 500, 500, r), 500, 500, 150)
+	if err != nil {
+		t.Fatal(err)
+	}
+	noisy := nw.WithPositionNoise(10, rand.New(rand.NewSource(4)))
+	view := noisy.WithFailures([]int{5})
+	if view.Alive(5) || !view.Alive(6) {
+		t.Fatal("failure set wrong")
+	}
+	if view.ReportsTruePositions() {
+		t.Fatal("noise overlay lost through failures")
+	}
+	for id := 0; id < nw.Len(); id++ {
+		if view.Pos(id) != noisy.Pos(id) {
+			t.Fatalf("node %d reports %v, noisy view %v", id, view.Pos(id), noisy.Pos(id))
+		}
+		if view.TruePos(id) != nw.Pos(id) {
+			t.Fatalf("node %d true position %v, want %v", id, view.TruePos(id), nw.Pos(id))
+		}
+	}
+}
+
+// TestReportsTruePositions pins the property planarization selects its
+// rule by: only a reported-position overlay clears it, and it survives
+// failures on either side of the overlay.
+func TestReportsTruePositions(t *testing.T) {
+	r := rand.New(rand.NewSource(67))
+	nw, err := New(DeployUniform(50, 500, 500, r), 500, 500, 150)
+	if err != nil {
+		t.Fatal(err)
+	}
+	noisy := nw.WithPositionNoise(5, rand.New(rand.NewSource(1)))
+	for _, c := range []struct {
+		name string
+		view *Network
+		want bool
+	}{
+		{"base", nw, true},
+		{"failures", nw.WithFailures([]int{1, 2}), true},
+		{"noise", noisy, false},
+		{"noise then failures", noisy.WithFailures([]int{3}), false},
+		{"failures then noise", nw.WithFailures([]int{3}).WithPositionNoise(5, rand.New(rand.NewSource(2))), false},
+		{"reported", nw.WithReportedPositions(map[int]geom.Point{4: geom.Pt(1, 1)}), false},
+	} {
+		if got := c.view.ReportsTruePositions(); got != c.want {
+			t.Errorf("%s: ReportsTruePositions = %v, want %v", c.name, got, c.want)
+		}
 	}
 }

@@ -13,9 +13,9 @@ import (
 // over nodes in ID order, so the lowest ID wins exact distance ties.
 func bruteClosest(nw *Network, p geom.Point) int {
 	best, bestD := -1, math.Inf(1)
-	for _, n := range nw.nodes {
-		if d := n.Pos.Dist2(p); d < bestD {
-			best, bestD = n.ID, d
+	for id, q := range nw.phys {
+		if d := q.Dist2(p); d < bestD {
+			best, bestD = id, d
 		}
 	}
 	return best
@@ -25,9 +25,9 @@ func bruteClosest(nw *Network, p geom.Point) int {
 func bruteDisk(nw *Network, p geom.Point, radius float64) []int {
 	var out []int
 	r2 := radius * radius
-	for _, n := range nw.nodes {
-		if n.Pos.Dist2(p) <= r2 {
-			out = append(out, n.ID)
+	for id, q := range nw.phys {
+		if q.Dist2(p) <= r2 {
+			out = append(out, id)
 		}
 	}
 	return out

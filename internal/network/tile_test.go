@@ -38,7 +38,7 @@ func TestTilePartition(t *testing.T) {
 			t.Fatalf("tiles cover %d of %d nodes", total, nw.Len())
 		}
 		for id := 0; id < nw.Len(); id++ {
-			c := nw.cellOf(nw.nodes[id].Pos)
+			c := nw.cellOf(nw.phys[id])
 			cx, cy := c%nw.cols, c/nw.cols
 			want := (cy/TileSpan)*nw.tileCols + cx/TileSpan
 			if nw.Tile(id) != want {
@@ -121,7 +121,7 @@ func TestParallelAdjacencyMatchesSerial(t *testing.T) {
 		nw := randomTestNet(t, r, n, 2000, 1500, 80)
 		serial := make([][]int, nw.Len())
 		ref := &Network{
-			nodes: nw.nodes, rng: nw.rng, width: nw.width, height: nw.height,
+			pos: nw.pos, phys: nw.phys, rng: nw.rng, width: nw.width, height: nw.height,
 			cellSize: nw.cellSize, cols: nw.cols, rows: nw.rows, cells: nw.cells,
 			adj: serial,
 		}

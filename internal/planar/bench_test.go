@@ -1,6 +1,8 @@
 package planar
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -8,31 +10,51 @@ import (
 	"gmp/internal/network"
 )
 
+// benchNetwork deploys n nodes uniformly at the paper's §5 density (1,000
+// m² per node, radio range 150 m, mean degree about 70), the density of the
+// perfbench fields.
 func benchNetwork(b *testing.B, n int) *network.Network {
 	b.Helper()
+	side := math.Sqrt(float64(n) * 1000)
 	r := rand.New(rand.NewSource(1))
-	nw, err := network.New(network.DeployUniform(n, 1000, 1000, r), 1000, 1000, 150)
+	nw, err := network.New(network.DeployUniform(n, side, side, r), side, side, 150)
 	if err != nil {
 		b.Fatal(err)
 	}
 	return nw
 }
 
-func BenchmarkPlanarizeGabriel(b *testing.B) {
-	nw := benchNetwork(b, 1000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Planarize(nw, Gabriel)
+// Benchmark results land here so the compiler keeps the measured calls.
+var (
+	sinkGraph *Graph
+	sinkRows  [][]int
+)
+
+// benchPlanarize times Planarize at 10³ and 10⁴ nodes. The 10⁴-node case
+// has a /reference twin that runs the per-node rule at every node, so the
+// edge-once build has its own before and after.
+func benchPlanarize(b *testing.B, kind Kind) {
+	for _, n := range []int{1000, 10000} {
+		nw := benchNetwork(b, n)
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				sinkGraph = Planarize(nw, kind)
+			}
+		})
+		if n < 10000 {
+			continue
+		}
+		b.Run(fmt.Sprintf("n=%d/reference", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				sinkRows = planarizePerNode(nw, kind)
+			}
+		})
 	}
 }
 
-func BenchmarkPlanarizeRNG(b *testing.B) {
-	nw := benchNetwork(b, 1000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Planarize(nw, RelativeNeighborhood)
-	}
-}
+func BenchmarkPlanarizeGabriel(b *testing.B) { benchPlanarize(b, Gabriel) }
+
+func BenchmarkPlanarizeRNG(b *testing.B) { benchPlanarize(b, RelativeNeighborhood) }
 
 func BenchmarkNextHop(b *testing.B) {
 	nw := benchNetwork(b, 1000)

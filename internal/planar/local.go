@@ -1,6 +1,8 @@
 package planar
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"gmp/internal/geom"
@@ -18,6 +20,7 @@ func LocalAdjacency(upos geom.Point, nbrs []int, pos func(int) geom.Point, kind 
 	var kept []int
 	for _, v := range nbrs {
 		vpos := pos(v)
+		disk, lune := geom.NewGabrielDisk(upos, vpos), geom.NewLune(upos, vpos)
 		witnessed := false
 		for _, w := range nbrs {
 			if w == v {
@@ -26,9 +29,9 @@ func LocalAdjacency(upos geom.Point, nbrs []int, pos func(int) geom.Point, kind 
 			wpos := pos(w)
 			switch kind {
 			case RelativeNeighborhood:
-				witnessed = geom.InLune(upos, vpos, wpos)
+				witnessed = lune.Contains(wpos)
 			default:
-				witnessed = geom.InDisk(upos, vpos, wpos)
+				witnessed = disk.Contains(wpos)
 			}
 			if witnessed {
 				break
@@ -38,15 +41,32 @@ func LocalAdjacency(upos geom.Point, nbrs []int, pos func(int) geom.Point, kind 
 			kept = append(kept, v)
 		}
 	}
-	sort.Slice(kept, func(i, j int) bool {
-		bi := geom.Bearing(upos, pos(kept[i]))
-		bj := geom.Bearing(upos, pos(kept[j]))
-		if bi != bj {
-			return bi < bj
-		}
-		return kept[i] < kept[j]
-	})
+	keys := make([]ccwKey, len(kept))
+	for i, v := range kept {
+		keys[i] = ccwKey{geom.Bearing(upos, pos(v)), v}
+	}
+	sortCCW(keys, kept)
 	return kept
+}
+
+// ccwKey is one planar neighbor with its bearing from the row's node.
+type ccwKey struct {
+	bearing float64
+	id      int
+}
+
+// sortCCW sorts keys counter-clockwise by bearing, ties broken by ID, and
+// writes the sorted IDs into row. Callers compute each bearing once.
+func sortCCW(keys []ccwKey, row []int) {
+	slices.SortFunc(keys, func(a, b ccwKey) int {
+		if c := cmp.Compare(a.bearing, b.bearing); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.id, b.id)
+	})
+	for i, k := range keys {
+		row[i] = k.id
+	}
 }
 
 // faceCand is one planar neighbor with its sweep angle from the reference

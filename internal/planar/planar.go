@@ -64,12 +64,120 @@ type Graph struct {
 // Both rules are *local*: any witness for edge (u,v) lies within d(u,v) ≤
 // radio range of u, so witnesses are always among u's unit-disk neighbors —
 // a real node could run the same computation from its neighbor table alone.
+//
+// When nw reports true positions, a witness lies strictly closer than
+// d(u,v) to both ends, so it is a neighbor of both, and u and v reach the
+// same verdict on their shared edge: Planarize decides each undirected edge
+// once and gives the verdict to both rows. A view with a reported-position
+// overlay tests true-geometry neighbor sets against reported positions,
+// where that symmetry fails, so each of its nodes runs LocalAdjacency on
+// its own table.
 func Planarize(nw *network.Network, kind Kind) *Graph {
-	g := &Graph{nw: nw, kind: kind, adj: make([][]int, nw.Len())}
-	for u := 0; u < nw.Len(); u++ {
-		g.adj[u] = LocalAdjacency(nw.Pos(u), nw.Neighbors(u), nw.Pos, kind)
+	g := &Graph{nw: nw, kind: kind}
+	if nw.ReportsTruePositions() {
+		g.adj = planarizeEdges(nw, kind)
+	} else {
+		g.adj = planarizePerNode(nw, kind)
 	}
 	return g
+}
+
+// planarizePerNode runs LocalAdjacency at every node on its own table.
+func planarizePerNode(nw *network.Network, kind Kind) [][]int {
+	adj := make([][]int, nw.Len())
+	for u := range adj {
+		adj[u] = LocalAdjacency(nw.Pos(u), nw.Neighbors(u), nw.Pos, kind)
+	}
+	return adj
+}
+
+// planarizeEdges decides every undirected unit-disk edge (u,v), u < v, once
+// over u's neighbor table, and returns the kept edges as rows packed into
+// one exactly sized array, each sorted CCW by bearing as LocalAdjacency
+// sorts. A node with no planar edge keeps a nil row, as LocalAdjacency
+// returns.
+func planarizeEdges(nw *network.Network, kind Kind) [][]int {
+	pos := nw.Positions()
+	n := len(pos)
+	ends := make([]int, n+1) // planar degree of u, then the end of u's row
+	var kept [][2]int32      // kept edges (u, v), u < v
+	var npos []geom.Point    // u's neighbor positions, gathered once per u
+	for u := 0; u < n; u++ {
+		nbrs := nw.Neighbors(u)
+		npos = npos[:0]
+		for _, v := range nbrs {
+			npos = append(npos, pos[v])
+		}
+		for i, v := range nbrs {
+			if v > u && !witnessed(kind, pos[u], npos, i) {
+				kept = append(kept, [2]int32{int32(u), int32(v)})
+				ends[u]++
+				ends[v]++
+			}
+		}
+	}
+	for u := 1; u <= n; u++ {
+		ends[u] += ends[u-1]
+	}
+
+	// Fill each row back from its end; ends[u] then marks u's row start,
+	// which is where row u-1 ends.
+	flat := make([]int, 2*len(kept))
+	for _, e := range kept {
+		u, v := int(e[0]), int(e[1])
+		ends[u]--
+		flat[ends[u]] = v
+		ends[v]--
+		flat[ends[v]] = u
+	}
+	adj := make([][]int, n)
+	var keys []ccwKey
+	for u := range adj {
+		lo, hi := ends[u], ends[u+1]
+		if lo == hi {
+			continue
+		}
+		row := flat[lo:hi:hi]
+		keys = keys[:0]
+		for _, v := range row {
+			keys = append(keys, ccwKey{geom.Bearing(pos[u], pos[v]), v})
+		}
+		sortCCW(keys, row)
+		adj[u] = row
+	}
+	return adj
+}
+
+// witnessed reports whether a neighbor other than the i-th lies in the
+// kind's witness region of the edge from upos to npos[i]. The region is
+// built once for the edge, not once per candidate witness.
+func witnessed(kind Kind, upos geom.Point, npos []geom.Point, i int) bool {
+	if kind == RelativeNeighborhood {
+		l := geom.NewLune(upos, npos[i])
+		for _, w := range npos[:i] {
+			if l.Contains(w) {
+				return true
+			}
+		}
+		for _, w := range npos[i+1:] {
+			if l.Contains(w) {
+				return true
+			}
+		}
+		return false
+	}
+	d := geom.NewGabrielDisk(upos, npos[i])
+	for _, w := range npos[:i] {
+		if d.Contains(w) {
+			return true
+		}
+	}
+	for _, w := range npos[i+1:] {
+		if d.Contains(w) {
+			return true
+		}
+	}
+	return false
 }
 
 // Kind returns the planarization rule the graph was extracted with.
@@ -85,8 +193,12 @@ func (g *Graph) Degree(u int) int { return len(g.adj[u]) }
 // Network returns the underlying network.
 func (g *Graph) Network() *network.Network { return g.nw }
 
-// NumEdges returns the number of undirected planar edges. Symmetric by
-// construction of GG/RNG; counted from the directed lists.
+// NumEdges returns half the number of directed planar adjacencies. On a
+// view that reports true positions the rows are symmetric and this is the
+// number of undirected edges. On a reported-position view each node decides
+// from its own table against reported positions, so u may keep v while v
+// drops u; an edge kept by one end only counts one half, and the total is
+// rounded down.
 func (g *Graph) NumEdges() int {
 	total := 0
 	for _, a := range g.adj {
