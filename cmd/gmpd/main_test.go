@@ -91,14 +91,15 @@ func TestBadFlags(t *testing.T) {
 	}
 }
 
-// TestNonFiniteDeploymentRefused pins that an infinite field dimension is
-// refused as a deployment error before anything listens; it used to panic
-// while sizing the cell grid.
+// TestNonFiniteDeploymentRefused pins that an infinite field dimension, or
+// a finite one too large for the cell grid, is refused as a deployment
+// error before anything listens; both used to panic while sizing the grid.
 func TestNonFiniteDeploymentRefused(t *testing.T) {
 	for _, args := range [][]string{
 		{"-width", "Inf"},
 		{"-height", "+Inf"},
 		{"-range", "Inf"},
+		{"-width", "1e300"},
 	} {
 		var out strings.Builder
 		err := run(append(args, "-addr", "127.0.0.1:0"), &out, nil, nil)

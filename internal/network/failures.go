@@ -3,15 +3,17 @@ package network
 import "sort"
 
 // WithFailures returns a degraded view of the network in which the given
-// nodes' radios are dead: they keep their IDs and positions (so addressing
-// stays stable) but have no links — they can neither send, receive, nor
-// relay. The original network is unchanged.
+// nodes' radios are dead, in addition to any already dead in nw: they keep
+// their IDs and positions (so addressing stays stable) but have no links —
+// they can neither send, receive, nor relay. The original network is
+// unchanged.
 //
 // This models crash/battery failures for robustness experiments; protocols
 // see the failure only through the adjacency (exactly as a real node would:
 // a dead neighbor simply stops being heard).
 func (nw *Network) WithFailures(failed []int) *Network {
 	down := make([]bool, len(nw.phys))
+	copy(down, nw.down)
 	for _, id := range failed {
 		if id >= 0 && id < len(down) {
 			down[id] = true

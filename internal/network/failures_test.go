@@ -40,6 +40,35 @@ func TestWithFailuresIsolatesNodes(t *testing.T) {
 	}
 }
 
+// TestWithFailuresUnionsChains pins that a failure view of a failure view
+// keeps the parent's dead nodes: the chain in either order is the view of
+// the union, on Alive, InRange and Neighbors.
+func TestWithFailuresUnionsChains(t *testing.T) {
+	nw, err := New(FromPoints([]geom.Point{geom.Pt(0, 0), geom.Pt(100, 0), geom.Pt(200, 0)}), 300, 100, 150)
+	if err != nil {
+		t.Fatal(err)
+	}
+	union := nw.WithFailures([]int{0, 2})
+	for name, v := range map[string]*Network{
+		"0 then 2": nw.WithFailures([]int{0}).WithFailures([]int{2}),
+		"2 then 0": nw.WithFailures([]int{2}).WithFailures([]int{0}),
+	} {
+		if v.Alive(0) || v.Alive(2) || !v.Alive(1) {
+			t.Errorf("%s: alive %v %v %v, want false true false", name, v.Alive(0), v.Alive(1), v.Alive(2))
+		}
+		for a := 0; a < 3; a++ {
+			if !reflect.DeepEqual(v.Neighbors(a), union.Neighbors(a)) {
+				t.Errorf("%s: Neighbors(%d) = %v, union %v", name, a, v.Neighbors(a), union.Neighbors(a))
+			}
+			for b := 0; b < 3; b++ {
+				if v.InRange(a, b) != union.InRange(a, b) {
+					t.Errorf("%s: InRange(%d, %d) = %v, union %v", name, a, b, v.InRange(a, b), union.InRange(a, b))
+				}
+			}
+		}
+	}
+}
+
 func TestWithFailuresOriginalUntouched(t *testing.T) {
 	r := rand.New(rand.NewSource(31))
 	nw, err := New(DeployUniform(200, 1000, 1000, r), 1000, 1000, 150)

@@ -131,11 +131,17 @@ var (
 // finite reports whether x is neither NaN nor ±Inf.
 func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
+// maxCells bounds the cell grid New builds, one cell per radio range
+// squared: 2048×2048 cells, about 100 MB of cell lists. A 10⁶-node field at
+// the paper's density and range needs 213×213.
+const maxCells = 1 << 22
+
 // New builds a network over the given nodes in a width×height region with
 // the given radio range. Node IDs must equal their slice index (deployments
 // from this package guarantee that). The range and dimensions must be
-// positive and finite, and every coordinate finite; a bad position is
-// reported as an error wrapping ErrBadPosition that names the node.
+// positive and finite, the region at most maxCells radio-range cells, and
+// every coordinate finite; a bad position is reported as an error wrapping
+// ErrBadPosition that names the node.
 func New(nodes []Node, width, height, radioRange float64) (*Network, error) {
 	if len(nodes) == 0 {
 		return nil, ErrNoNodes
@@ -145,6 +151,12 @@ func New(nodes []Node, width, height, radioRange float64) (*Network, error) {
 	}
 	if width <= 0 || height <= 0 || !finite(width) || !finite(height) {
 		return nil, ErrBadDimensions
+	}
+	// Sized as floats, so that a huge ratio cannot overflow the conversion
+	// to int.
+	cols, rows := math.Ceil(width/radioRange)+1, math.Ceil(height/radioRange)+1
+	if cols*rows > maxCells {
+		return nil, fmt.Errorf("%w: %g×%g m at range %g m needs %g cells, at most %d", ErrBadDimensions, width, height, radioRange, cols*rows, maxCells)
 	}
 	phys := make([]geom.Point, len(nodes))
 	for i, n := range nodes {
@@ -164,8 +176,8 @@ func New(nodes []Node, width, height, radioRange float64) (*Network, error) {
 		width:    width,
 		height:   height,
 		cellSize: radioRange,
-		cols:     int(math.Ceil(width/radioRange)) + 1,
-		rows:     int(math.Ceil(height/radioRange)) + 1,
+		cols:     int(cols),
+		rows:     int(rows),
 	}
 	nw.cells = make([][]int, nw.cols*nw.rows)
 	for id, p := range phys {
@@ -461,9 +473,11 @@ func (nw *Network) NodesInDisk(p geom.Point, radius float64) []int {
 
 // Graph returns the unit-disk connectivity graph in the representation
 // expected by the steiner package's KMB heuristic, with Dist as its edge
-// lengths. The lengths are computed once per view and shared.
+// lengths and the reported positions they are computed from, so that KMB
+// can cut its rows at the straight line. The lengths are computed once per
+// view and shared.
 func (nw *Network) Graph() steiner.Graph {
-	return steiner.Graph{N: len(nw.phys), Adj: nw.adj, W: nw.derived().w}
+	return steiner.Graph{N: len(nw.phys), Adj: nw.adj, W: nw.derived().w, Pos: nw.pos}
 }
 
 // Component returns the label of node id's connected component: two nodes

@@ -62,6 +62,13 @@ func TestNewRefusesNonFinite(t *testing.T) {
 		{"NaN y", FromPoints([]geom.Point{geom.Pt(1, nan)}), 100, 100, 10, ErrBadPosition},
 		{"+Inf x", FromPoints([]geom.Point{geom.Pt(inf, 1)}), 100, 100, 10, ErrBadPosition},
 		{"-Inf y", FromPoints([]geom.Point{geom.Pt(1, -inf)}), 100, 100, 10, ErrBadPosition},
+		// Finite, but too many radio-range cells for the grid.
+		{"1e300 width", ok, 1e300, 100, 15, ErrBadDimensions},
+		{"1e300 height", ok, 100, 1e300, 15, ErrBadDimensions},
+		{"MaxFloat64 both", ok, math.MaxFloat64, math.MaxFloat64, 1, ErrBadDimensions},
+		{"tiny range", ok, 100, 100, 1e-300, ErrBadDimensions},
+		{"1e5 m at 1 m range", ok, 1e5, 1e5, 1, ErrBadDimensions},
+		{"2048×2048 cells", ok, 2048, 2047, 1, ErrBadDimensions},
 	} {
 		nw, err := New(c.nodes, c.w, c.h, c.radio)
 		if !errors.Is(err, c.want) || nw != nil {
@@ -72,6 +79,11 @@ func TestNewRefusesNonFinite(t *testing.T) {
 	// cells.
 	if _, err := New(FromPoints([]geom.Point{geom.Pt(-50, 1e6)}), 100, 100, 10); err != nil {
 		t.Errorf("finite out-of-region position refused: %v", err)
+	}
+	// The largest field in use fits the cell budget: the 10⁶-node scale arm
+	// (1000 m² per node, 150 m range).
+	if _, err := New(ok, math.Sqrt(1e9), math.Sqrt(1e9), 150); err != nil {
+		t.Errorf("10⁶-node scale field refused: %v", err)
 	}
 }
 
@@ -264,7 +276,8 @@ func TestGraphExport(t *testing.T) {
 
 // TestViewTablesFollowEveryView builds the parent's edge lengths and
 // component labels first, then checks that each view kind carries its own:
-// lengths equal to the view's Dist bit for bit, and labels that agree with
+// positions equal to the view's Pos, lengths equal to the view's Dist and
+// to the distances of those positions bit for bit, and labels that agree with
 // the view's BFS reachability. A view sharing its parent's tables would
 // give a noisy or stale view the true-position lengths, and a failure view
 // the intact graph's components.
@@ -286,15 +299,25 @@ func TestViewTablesFollowEveryView(t *testing.T) {
 		"reported": nw.WithReportedPositions(stale),
 		"failures": nw.WithFailures(failed),
 	}
+	views["noise+failures"] = views["noise"].WithFailures(failed)
 	for name, v := range views {
 		g := v.Graph()
+		if len(g.Pos) != v.Len() {
+			t.Fatalf("%s: %d positions for %d nodes", name, len(g.Pos), v.Len())
+		}
 		for id := 0; id < v.Len(); id++ {
 			if len(g.W[id]) != len(g.Adj[id]) {
 				t.Fatalf("%s: node %d has %d lengths for %d links", name, id, len(g.W[id]), len(g.Adj[id]))
 			}
+			if g.Pos[id] != v.Pos(id) {
+				t.Fatalf("%s: Graph position of %d is %v, Pos %v", name, id, g.Pos[id], v.Pos(id))
+			}
+			// The lengths are the graph's positions' distances, which KMB's
+			// straight-line cuts rely on.
 			for i, n := range g.Adj[id] {
-				if math.Float64bits(g.W[id][i]) != math.Float64bits(v.Dist(id, n)) {
-					t.Fatalf("%s: W[%d][%d] = %v, Dist = %v", name, id, i, g.W[id][i], v.Dist(id, n))
+				if math.Float64bits(g.W[id][i]) != math.Float64bits(v.Dist(id, n)) ||
+					math.Float64bits(g.W[id][i]) != math.Float64bits(g.Pos[id].Dist(g.Pos[n])) {
+					t.Fatalf("%s: W[%d][%d] = %v, Dist = %v, position distance %v", name, id, i, g.W[id][i], v.Dist(id, n), g.Pos[id].Dist(g.Pos[n]))
 				}
 			}
 		}

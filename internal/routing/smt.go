@@ -44,17 +44,19 @@ func (s *SMT) Start(v view.NodeView, pkt *sim.Packet) []sim.Forward {
 	sc := v.Scratch()
 	// Destinations unreachable in the connectivity graph can never be
 	// served; compute the tree over the reachable ones so the rest of the
-	// task still completes.
+	// task still completes. The terminals are the source and the reachable
+	// destinations.
 	comp := s.nw.Component(src)
-	reachable := make([]int, 0, len(pkt.Dests))
-	var unreachable []int
+	terminals := append(sc.Worklist[:0], src)
+	var unreachable []int // the drop copy's header: fresh, not scratch
 	for _, d := range pkt.Dests {
 		if s.nw.Component(d) == comp {
-			reachable = append(reachable, d)
+			terminals = append(terminals, d)
 		} else {
 			unreachable = append(unreachable, d)
 		}
 	}
+	sc.Worklist = terminals
 	// Bill the unreachable destinations as an explicit protocol drop so the
 	// conservation invariant (originated ≡ delivered + drops) holds; a silent
 	// discard would leak them from the accounting.
@@ -62,11 +64,9 @@ func (s *SMT) Start(v view.NodeView, pkt *sim.Packet) []sim.Forward {
 	if len(unreachable) > 0 {
 		fwds = dropOnly(pkt.CloneFor(unreachable))
 	}
-	if len(reachable) == 0 {
+	if len(terminals) == 1 {
 		return fwds
 	}
-	terminals := append(append(sc.Worklist[:0], src), reachable...)
-	sc.Worklist = terminals
 	// The paper's SMT computes a close-to-optimal Steiner tree over node
 	// *positions*: KMB under Euclidean edge weights. Short graph edges are
 	// cheap in meters yet each still costs one transmission, which is why
@@ -76,11 +76,13 @@ func (s *SMT) Start(v view.NodeView, pkt *sim.Packet) []sim.Forward {
 	if err != nil {
 		// Cannot happen for reachable terminals; fail the task loudly by
 		// dropping rather than panicking.
-		return append(fwds, dropOnly(pkt.CloneFor(reachable))...)
+		return append(fwds, dropOnly(pkt.CloneFor(slices.Clone(terminals[1:])))...)
 	}
-	copyPkt := pkt.CloneFor(reachable)
-	copyPkt.Route = rootTree(edges, src)
-	return append(fwds, forwardChildren(v, copyPkt)...)
+	// The unreachable destinations lie outside the tree, so the children's
+	// copies leave them out.
+	routed := *pkt
+	routed.Route = rootTree(edges, src, &sc.SMT)
+	return append(fwds, forwardChildren(v, &routed)...)
 }
 
 // Decide implements sim.Handler.
@@ -133,12 +135,14 @@ func forwardChildren(v view.NodeView, pkt *sim.Packet) []sim.Forward {
 }
 
 // rootTree orients a tree's edge list at root into a preorder Route, each
-// vertex's children in ascending ID order.
-func rootTree(edges [][2]int, root int) *sim.Route {
-	arcs := make([][2]int, 0, 2*len(edges))
+// vertex's children in ascending ID order. The walk's storage lives in a;
+// the Route is fresh.
+func rootTree(edges [][2]int, root int, a *view.SMTArena) *sim.Route {
+	arcs := a.Arcs[:0]
 	for _, e := range edges {
 		arcs = append(arcs, e, [2]int{e[1], e[0]})
 	}
+	a.Arcs = arcs
 	slices.SortFunc(arcs, func(x, y [2]int) int { return cmp.Or(cmp.Compare(x[0], y[0]), cmp.Compare(x[1], y[1])) })
 	firstArc := func(v int) int {
 		i, _ := slices.BinarySearchFunc(arcs, v, func(e [2]int, v int) int { return cmp.Compare(e[0], v) })
@@ -149,22 +153,22 @@ func rootTree(edges [][2]int, root int) *sim.Route {
 	rt.Node[0] = root
 	// Depth-first walk: each frame is a vertex, its preorder index, its
 	// parent and its next arc.
-	type frame struct{ v, at, parent, arc int }
-	stack := []frame{{v: root, at: 0, parent: -1, arc: firstArc(root)}}
+	stack := append(a.Stack[:0], view.TreeFrame{V: root, At: 0, Parent: -1, Arc: firstArc(root)})
 	for len(stack) > 0 {
 		f := &stack[len(stack)-1]
-		if f.arc < len(arcs) && arcs[f.arc][0] == f.v {
-			w := arcs[f.arc][1]
-			f.arc++
-			if w != f.parent {
-				stack = append(stack, frame{v: w, at: len(rt.Node), parent: f.v, arc: firstArc(w)})
+		if f.Arc < len(arcs) && arcs[f.Arc][0] == f.V {
+			w := arcs[f.Arc][1]
+			f.Arc++
+			if w != f.Parent {
+				stack = append(stack, view.TreeFrame{V: w, At: len(rt.Node), Parent: f.V, Arc: firstArc(w)})
 				rt.Node = append(rt.Node, w)
 			}
 			continue
 		}
-		rt.End[f.at] = len(rt.Node)
+		rt.End[f.At] = len(rt.Node)
 		stack = stack[:len(stack)-1]
 	}
+	a.Stack = stack
 	rt.ByID = make([]int, len(rt.Node))
 	for i := range rt.ByID {
 		rt.ByID[i] = i

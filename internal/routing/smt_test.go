@@ -84,7 +84,7 @@ func TestSMTTreeFollowsView(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want := rootTree(edges, src); !reflect.DeepEqual(got, want) {
+			if want := rootTree(edges, src, new(view.SMTArena)); !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s trial %d: SMT tree %v, KMB under the view's Dist %v", vw.name, trial, got, want)
 			}
 		}
@@ -107,7 +107,7 @@ func TestSMTForwardsMatchSubtreeWalk(t *testing.T) {
 			t.Fatal(err)
 		}
 		children := mapTree(edges, src)
-		rt := rootTree(edges, src)
+		rt := rootTree(edges, src, new(view.SMTArena))
 		nodes := rt.Node
 		at := nodes[r.Intn(len(nodes))]
 		var aboard []int

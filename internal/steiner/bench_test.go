@@ -103,7 +103,10 @@ func BenchmarkKMBGrid(b *testing.B) {
 
 // BenchmarkKMBWeighted measures one Euclidean-length KMB, the SMT
 // baseline's tree, on a Table 1 unit-disk graph (1000 nodes on 1000×1000 m,
-// 150 m range) at K terminals, against the eager reference twin.
+// 150 m range) at K terminals, in a reused arena as SMT runs it: with the
+// straight-line cuts (positions set, as network.Graph gives them), without
+// them, and for the eager reference twin. The first two arms report the
+// vertices their Dijkstra rows expand per row.
 func BenchmarkKMBWeighted(b *testing.B) {
 	r := rand.New(rand.NewSource(1))
 	pts := make([]geom.Point, 1000)
@@ -111,6 +114,8 @@ func BenchmarkKMBWeighted(b *testing.B) {
 		pts[i] = geom.Pt(r.Float64()*1000, r.Float64()*1000)
 	}
 	g := unitDiskGraph(pts, 150)
+	uncut := g
+	uncut.Pos = nil
 	dist := func(a, b int) float64 { return pts[a].Dist(pts[b]) }
 	for _, k := range []int{4, 12, 25} {
 		sets := make([][]int, 64)
@@ -119,19 +124,27 @@ func BenchmarkKMBWeighted(b *testing.B) {
 		}
 		for _, c := range []struct {
 			name string
-			kmb  func([]int) ([][2]int, error)
+			kmb  func(a *KMBArena, terms []int) ([][2]int, error)
 		}{
-			{"fast", func(terms []int) ([][2]int, error) { return KMBWeighted(g, terms) }},
-			{"reference", func(terms []int) ([][2]int, error) {
+			{"fast", func(a *KMBArena, terms []int) ([][2]int, error) { return a.KMBWeighted(g, terms) }},
+			{"uncut", func(a *KMBArena, terms []int) ([][2]int, error) { return a.KMBWeighted(uncut, terms) }},
+			{"reference", func(_ *KMBArena, terms []int) ([][2]int, error) {
 				return referenceKMBWeighted(Graph{N: g.N, Adj: g.Adj}, terms, dist)
 			}},
 		} {
 			b.Run(fmt.Sprintf("k=%d/%s", k, c.name), func(b *testing.B) {
 				b.ReportAllocs()
+				var a KMBArena
+				expanded := 0
 				for i := 0; i < b.N; i++ {
-					if _, err := c.kmb(sets[i%len(sets)]); err != nil {
+					if _, err := c.kmb(&a, sets[i%len(sets)]); err != nil {
 						b.Fatal(err)
 					}
+					expanded += a.s.expanded
+				}
+				if expanded > 0 {
+					// Each call runs k-1 rows over k distinct terminals.
+					b.ReportMetric(float64(expanded)/float64(b.N*(k-1)), "expanded/row")
 				}
 			})
 		}

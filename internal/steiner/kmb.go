@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"slices"
+
+	"gmp/internal/geom"
 )
 
 // Graph is an undirected graph over vertex indices 0..N-1, given as
@@ -16,6 +18,11 @@ type Graph struct {
 	// W holds edge lengths parallel to Adj: W[v][i] is the length of the
 	// edge between v and Adj[v][i], the same from either end.
 	W [][]float64
+	// Pos, when set, holds N vertex positions whose Euclidean distances
+	// are the edge lengths: W[v][i] is Pos[v].Dist(Pos[Adj[v][i]]). KMB
+	// then cuts its Dijkstra rows at the straight line (see rowSearch).
+	// Only network.Network.Graph sets it; nil means no such positions.
+	Pos []geom.Point
 }
 
 // edgeLen returns the length of the edge from a to its neighbor b.
@@ -87,6 +94,9 @@ type KMBArena struct {
 // Rows share one parent array. A row's parents do not change once it has
 // run, so the path a metric-closure edge expands to in step 4 is read off
 // the row as soon as the row offers that edge, not after the last row.
+// When g carries positions, rows also stop at the straight line: they skip
+// targets too far from the source to get closer, and do not expand
+// vertices too far from every target (see rowSearch). The cuts are exact.
 func (a *KMBArena) KMBWeighted(g Graph, terminals []int) ([][2]int, error) {
 	if len(terminals) == 0 {
 		return nil, nil
@@ -137,15 +147,15 @@ func (a *KMBArena) KMBWeighted(g Graph, terminals []int) ([][2]int, error) {
 	}
 	path := a.path
 	row := func(i int) {
+		src := terms[i]
 		targets, limits := a.targets[:0], a.limits[:0]
 		for j := 0; j < k; j++ {
-			if !inTree[j] {
+			if !inTree[j] && !s.outOfReach(src, terms[j], bestCost[j]) {
 				targets = append(targets, terms[j])
 				limits = append(limits, bestCost[j])
 			}
 		}
 		a.targets, a.limits = targets, limits
-		src := terms[i]
 		s.run(src, targets, limits)
 		for j := 0; j < k; j++ {
 			if d := s.dist[terms[j]]; !inTree[j] && d < bestCost[j] {
@@ -265,6 +275,49 @@ func (a *KMBArena) unionTree(g Graph, union [][2]int, root int, isTerm []bool) [
 // arrays outlive the call in their KMBArena: dist and pos are reset lazily
 // through touched, isTerm is cleared by the caller, and a parent entry is
 // read only for a vertex the current row reached.
+//
+// # Straight-line cuts
+//
+// When the graph carries positions (Graph.Pos), no path is shorter than the
+// straight line between its ends, and rows use that bound (the A* argument)
+// for two cuts:
+//
+//   - Target filter: a row leaves target t out when t lies at least
+//     (1+ε)·limit_t from the row's source (outOfReach).
+//   - Vertex prune: a popped vertex v at distance d is settled but not
+//     expanded when every unsettled target t lies at least
+//     (1+ε)·limit_t − d from v (beyond). The test compares squared
+//     distances, so the hot loop takes no square root.
+//
+// Both test d + |v−t| ≥ (1+ε)·limit_t, up to their own rounding; the
+// filter is the prune's test at the source, where d = 0.
+//
+// Why the cuts are exact. A row distance is the left-fold float sum of the
+// edge lengths along a path, and Dijkstra computes the least such sum,
+// because rounded addition is monotone. With u = 2⁻⁵³, a length
+// W = Hypot(dx, dy) is at least (1−6u) times the exact distance, and a
+// fold of m ≤ N−1 further lengths onto d is at least (1−u)^m times the
+// exact sum. So any path that continues from v to t, in a row that reached
+// v at d, sums to at least (1−(N+5)u)·(d + |v−t|), by the triangle
+// inequality. A passing test gives d + |v−t| ≥ (1−6u)·(1+ε)·limit_t, and
+// with ε = (N+4)·2⁻⁵⁰ = 8(N+4)u every such path sums to at least limit_t.
+// Now call a vertex live when some path from the source through it, along
+// its row parents and then on to an unsettled target t, sums to less than
+// limit_t. A live vertex fails its test for that t, so it is expanded, and
+// by induction over the settle order every live vertex is reached along its
+// true parent chain at its true distance. Every vertex on a shortest or
+// equal-length path to a target that can still beat its limit is live, and
+// so is every vertex that offers it an equal-length tie. Distances below a
+// limit, their lowest-ID parents, and so the trees, are those of the uncut
+// rows. A vertex that is not live may settle late, at a distance too long,
+// or not at all; no target reached through it can beat its limit, and the
+// bound keeps its limit until it settles, so the row does not stop early.
+//
+// Range. The slack ε grows with N; past the N where it would exceed 1e-9,
+// the cuts are off (cutSlack). They are off too when a coordinate is
+// neither 0 nor of magnitude within 2^±300; a limit below 2^-300 is raised
+// to it and one above 2^300 prunes nothing. No square in the tests then
+// overflows or loses precision to underflow.
 type rowSearch struct {
 	g       Graph
 	dist    []float64 // current row; +Inf where untouched
@@ -273,6 +326,20 @@ type rowSearch struct {
 	touched []int32
 	isTerm  []bool // the bound is recomputed when a terminal settles
 	parent  []int32
+	// slack is ε of the straight-line cuts on g, 0 when they are off.
+	slack float64
+	// open holds the row's unsettled targets with their cut radii,
+	// rebuilt with the bound.
+	open []cutTarget
+	// expanded counts the vertices the rows expanded since begin.
+	expanded int
+}
+
+// cutTarget is an unsettled target of a row under the straight-line cuts:
+// its position and its cut radius (1+ε)·limit.
+type cutTarget struct {
+	p   geom.Point
+	cut float64
 }
 
 const (
@@ -284,6 +351,8 @@ const (
 // arrays when the vertex count changed.
 func (s *rowSearch) begin(g Graph) {
 	s.g = g
+	s.slack = cutSlack(g)
+	s.expanded = 0
 	if len(s.dist) == g.N {
 		return
 	}
@@ -298,11 +367,53 @@ func (s *rowSearch) begin(g Graph) {
 	}
 }
 
+// cutSlack returns the relative slack ε = (N+4)·2⁻⁵⁰ of the straight-line
+// cuts on g, or 0 when they are off: g has no positions, ε would exceed
+// 1e-9, or a coordinate lies outside the range rowSearch's doc names.
+func cutSlack(g Graph) float64 {
+	eps := float64(g.N+4) * 0x1p-50
+	if len(g.Pos) != g.N || eps > 1e-9 {
+		return 0
+	}
+	for _, p := range g.Pos {
+		if !cutCoord(p.X) || !cutCoord(p.Y) {
+			return 0
+		}
+	}
+	return eps
+}
+
+// cutCoord reports whether x is 0 or of magnitude within 2^±300.
+func cutCoord(x float64) bool {
+	a := math.Abs(x)
+	return a == 0 || (a >= 0x1p-300 && a <= 0x1p300)
+}
+
+// cutRadius returns the cut radius (1+ε)·limit of a target, the limit
+// raised to at least 2^-300, or +Inf when the limit exceeds 2^300.
+func (s *rowSearch) cutRadius(limit float64) float64 {
+	if limit > 0x1p300 {
+		return math.Inf(1)
+	}
+	return (1 + s.slack) * max(limit, 0x1p-300)
+}
+
+// outOfReach reports whether the target filter leaves target t out of
+// src's row: under the cuts, no path from src to t sums to less than limit.
+func (s *rowSearch) outOfReach(src, t int, limit float64) bool {
+	if s.slack == 0 {
+		return false
+	}
+	r := s.cutRadius(limit)
+	return s.g.Pos[src].Dist2(s.g.Pos[t]) >= r*r
+}
+
 // run computes the row of src: shortest distances from src, settling
 // vertices in (distance, ID) order and keeping the lowest-ID parent among
 // equal-length paths. It stops before settling a vertex no nearer than
 // limits[j] for every unsettled targets[j]: no target can then come out
-// nearer than its limit.
+// nearer than its limit. Under the straight-line cuts it expands only the
+// vertices that are not beyond every unsettled target.
 //
 // The relaxation loop tests for settled neighbors only on a tie. Lengths are
 // non-negative and IEEE addition is monotone, so for the vertex v being
@@ -328,6 +439,10 @@ func (s *rowSearch) run(src int, targets []int, limits []float64) {
 			bound = s.bound(targets, limits)
 		}
 		d := s.dist[v]
+		if s.slack > 0 && s.beyond(v, d) {
+			continue
+		}
+		s.expanded++
 		w := s.g.W[v]
 		for i, n := range s.g.Adj[v] {
 			nd := d + w[i]
@@ -350,15 +465,34 @@ func (s *rowSearch) run(src int, targets []int, limits []float64) {
 }
 
 // bound returns the largest limit among the unsettled targets, or -Inf when
-// every target is settled.
+// every target is settled. Under the straight-line cuts it also rebuilds
+// the open targets.
 func (s *rowSearch) bound(targets []int, limits []float64) float64 {
 	b := math.Inf(-1)
+	s.open = s.open[:0]
 	for j, t := range targets {
-		if s.pos[t] != settled && limits[j] > b {
-			b = limits[j]
+		if s.pos[t] == settled {
+			continue
+		}
+		b = max(b, limits[j])
+		if s.slack > 0 {
+			s.open = append(s.open, cutTarget{s.g.Pos[t], s.cutRadius(limits[j])})
 		}
 	}
 	return b
+}
+
+// beyond reports whether vertex v, popped at distance d, lies at least its
+// cut radius minus d from every open target in a straight line, so that no
+// path through v brings a target under its limit.
+func (s *rowSearch) beyond(v int32, d float64) bool {
+	p := s.g.Pos[v]
+	for _, t := range s.open {
+		if r := t.cut - d; r > 0 && p.Dist2(t.p) < r*r {
+			return false
+		}
+	}
+	return true
 }
 
 // reach adds v, whose distance is set, to the row's heap.

@@ -17,8 +17,10 @@ func kmbHops(g Graph, terminals []int) ([][2]int, error) {
 	return KMBWeighted(unitLengths(g), terminals)
 }
 
-// unitLengths returns g with every edge length 1.
+// unitLengths returns g with every edge length 1 and no positions, which
+// would no longer match the lengths.
 func unitLengths(g Graph) Graph {
+	g.Pos = nil
 	g.W = make([][]float64, len(g.Adj))
 	for v, nbrs := range g.Adj {
 		g.W[v] = make([]float64, len(nbrs))
@@ -207,9 +209,10 @@ type kmbCase struct {
 }
 
 // unitDiskGraph links every pair of points within radius and gives each
-// edge its Euclidean length, computed in both directions.
+// edge its Euclidean length, computed in both directions. It keeps the
+// points as the graph's positions, so KMB runs its straight-line cuts.
 func unitDiskGraph(pts []geom.Point, radius float64) Graph {
-	g := Graph{N: len(pts), Adj: make([][]int, len(pts)), W: make([][]float64, len(pts))}
+	g := Graph{N: len(pts), Adj: make([][]int, len(pts)), W: make([][]float64, len(pts)), Pos: pts}
 	for v, p := range pts {
 		for n, q := range pts {
 			if n != v && p.Dist2(q) <= radius*radius {

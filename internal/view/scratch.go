@@ -41,6 +41,8 @@ type Scratch struct {
 	KMB steiner.KMBArena
 	// PBM holds PBM's subset-search tables.
 	PBM PBMArena
+	// SMT holds the storage that roots SMT's source tree into a route.
+	SMT SMTArena
 
 	// GMP grouping-walk buffers (see routing.forwardGroups): the header
 	// destination records, the pivot worklist, the current group's labels,
@@ -80,6 +82,18 @@ type PBMArena struct {
 	// Taken marks the candidates the greedy forward selection has chosen.
 	Taken []bool
 }
+
+// SMTArena backs the rooting of SMT's source tree into a preorder route
+// (see routing.SMT): the tree's arcs in both directions, sorted by tail,
+// and the depth-first walk's stack.
+type SMTArena struct {
+	Arcs  [][2]int
+	Stack []TreeFrame
+}
+
+// TreeFrame is one frame of that walk: a vertex, its preorder index, its
+// parent and its next arc.
+type TreeFrame struct{ V, At, Parent, Arc int }
 
 // DistMemo memoizes the point-to-destination distance matrix of one
 // forwarding decision: rows are the deciding node (row 0) and its neighbors
