@@ -77,7 +77,7 @@ func run(args []string, out io.Writer, stop <-chan os.Signal, ready func(addr st
 		sendBuf  = fs.Int("send-buffer", 0, "per-session outbound reply queue (0 = 64)")
 		drainBud = fs.Duration("drain-budget", 0, "graceful-drain budget for in-flight work (0 = 5s)")
 		retryAft = fs.Duration("retry-after", 0, "retry hint carried in SHED answers (0 = 50ms)")
-		lambda   = fs.Float64("lambda", 0.5, "PBM λ for FlagLambda protocols")
+		lambda   = fs.Float64("lambda", serve.DefaultLambda, "PBM λ for FlagLambda protocols")
 		k        = fs.Int("k", 0, "LGK group-size bound (0 = protocol default)")
 
 		cacheSize = fs.Int("cache", 0, "decision memo cache entries (0 = default 4096, negative disables)")

@@ -231,10 +231,9 @@ func (bs *benches) bench(netIdx int) (*bench, error) {
 	if err != nil {
 		return nil, err
 	}
-	en := sim.NewEngine(d.nw, bs.cfg.Radio, bs.cfg.MaxHops)
-	en.SetViews(bs.cfg.views(d.nw, d.pg))
+	en := bs.cfg.engine(d.nw, d.pg)
 	if err := applyFaults(bs.cfg, netIdx, en); err != nil {
 		return nil, fmt.Errorf("network %d: %w", netIdx, err)
 	}
-	return &bench{nw: d.nw, pg: d.pg, en: en}, nil
+	return &bench{nw: d.nw, en: en}, nil
 }

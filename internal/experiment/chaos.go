@@ -32,9 +32,6 @@ type ChaosConfig struct {
 	TasksPerPlan int
 	// Protos are the protocols under audit (partition-discipline only).
 	Protos []string
-	// Watchdog arms the perimeter watchdog in every view; corrupted tables
-	// can make face traversals loop, so it must be armed.
-	Watchdog view.WatchdogLimits
 }
 
 // DefaultChaosConfig covers 216 (network × plan × protocol) arms.
@@ -47,7 +44,6 @@ func DefaultChaosConfig() ChaosConfig {
 		Plans:        9,
 		TasksPerPlan: 5,
 		Protos:       AllProtocols(),
-		Watchdog:     view.WatchdogLimits{MaxWalkHops: 40},
 	}
 }
 
@@ -60,7 +56,6 @@ func QuickChaosConfig() ChaosConfig {
 		Plans:        3,
 		TasksPerPlan: 3,
 		Protos:       AllProtocols(),
-		Watchdog:     view.WatchdogLimits{MaxWalkHops: 40},
 	}
 }
 
@@ -203,11 +198,11 @@ func chaosViews(cfg ChaosConfig, d *deployment, p chaosPlan, netIdx, pi int) vie
 		return view.NewLive(selfPos, tables, view.LiveConfig{
 			RadioRange: cfg.Base.RadioRange,
 			Planarizer: cfg.Base.Planarizer,
-			Watchdog:   cfg.Watchdog,
+			Watchdog:   campaignWatchdog,
 		})
 	}
 	o := view.NewOracle(d.nw, d.pg)
-	o.SetWatchdog(cfg.Watchdog)
+	o.SetWatchdog(campaignWatchdog)
 	return o
 }
 
@@ -226,9 +221,7 @@ func runChaosArm(cfg ChaosConfig, d *deployment, p chaosPlan, netIdx, pi int, pr
 	}
 	out := make([]sim.TaskMetrics, len(p.tasks))
 	for ti, task := range p.tasks {
-		// PBM runs at a fixed λ — the best-of-λ rule would run each task
-		// seven times and is irrelevant to invariant checking.
-		out[ti] = en.RunTask(makeProtocol(d.nw, proto, 0.3), task.Source, task.Dests)
+		out[ti] = en.RunTask(makeProtocol(d.nw, proto, fixedLambda), task.Source, task.Dests)
 	}
 	return out, nil
 }

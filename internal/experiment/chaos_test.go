@@ -21,7 +21,6 @@ func chaosTestConfig() ChaosConfig {
 		Plans:        3,
 		TasksPerPlan: 2,
 		Protos:       []string{ProtoGMP, ProtoGRD},
-		Watchdog:     view.WatchdogLimits{MaxWalkHops: 40},
 	}
 	return cfg
 }
@@ -103,8 +102,7 @@ func TestChaosOracleCatchesBrokenHandler(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	en := sim.NewEngine(d.nw, cfg.Base.Radio, cfg.Base.MaxHops)
-	en.SetViews(cfg.Base.views(d.nw, d.pg))
+	en := cfg.Base.engine(d.nw, d.pg)
 	caught := false
 	for _, task := range tasks {
 		m := en.RunTask(leakyHandler{}, task.Source, task.Dests)

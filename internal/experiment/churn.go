@@ -11,7 +11,6 @@ import (
 	"gmp/internal/mobility"
 	"gmp/internal/network"
 	"gmp/internal/sim"
-	"gmp/internal/view"
 	"gmp/internal/workload"
 )
 
@@ -56,9 +55,6 @@ type ChurnConfig struct {
 	LeaseSec float64
 	// Protos are the protocols under audit.
 	Protos []string
-	// Watchdog arms the perimeter watchdog in every view; aged tables can
-	// make face traversals loop, so it must be armed.
-	Watchdog view.WatchdogLimits
 }
 
 // DefaultChurnConfig covers 162 (network × rate × speed × protocol) arms.
@@ -76,7 +72,6 @@ func DefaultChurnConfig() ChurnConfig {
 		Beacon:           beacon.DefaultConfig(),
 		LeaseSec:         3,
 		Protos:           AllProtocols(),
-		Watchdog:         view.WatchdogLimits{MaxWalkHops: 40},
 	}
 }
 
@@ -337,16 +332,15 @@ func runChurnArm(cfg ChurnConfig, data *churnCellData, proto string) ([]sim.Task
 	for i, cs := range data.sessions {
 		en := sim.NewEngine(cs.nw, cfg.Base.Radio, cfg.Base.MaxHops)
 		en.SetViews(beacon.ViewsArmed(cs.self, cs.tables, cfg.Base.RadioRange,
-			cfg.Base.Planarizer, cfg.Watchdog))
+			cfg.Base.Planarizer, campaignWatchdog))
 		if err := en.SetARQ(data.arq); err != nil {
 			return nil, err
 		}
 		if err := en.SetChurn(cs.plan); err != nil {
 			return nil, err
 		}
-		// Each protocol is built over the session's ground-truth network;
-		// PBM runs at a fixed λ, as in the chaos campaign.
-		out[i] = en.RunTask(makeProtocol(cs.nw, proto, 0.3), cs.src, cs.dests)
+		// Each protocol is built over the session's ground-truth network.
+		out[i] = en.RunTask(makeProtocol(cs.nw, proto, fixedLambda), cs.src, cs.dests)
 	}
 	return out, nil
 }

@@ -19,18 +19,15 @@ type ClusteringConfig struct {
 	Spreads []float64
 	// K is the destination count per task.
 	K int
-	// PBMLambda fixes PBM's trade-off parameter.
-	PBMLambda float64
 }
 
 // DefaultClusteringConfig sweeps tight clusters to uniform at Table 1
 // density, k=12.
 func DefaultClusteringConfig() ClusteringConfig {
 	return ClusteringConfig{
-		Base:      Default(),
-		Spreads:   []float64{50, 100, 200, 400, 0},
-		K:         12,
-		PBMLambda: 0.3,
+		Base:    Default(),
+		Spreads: []float64{50, 100, 200, 400, 0},
+		K:       12,
 	}
 }
 
@@ -62,23 +59,19 @@ func RunClustering(cc ClusteringConfig, protos []string) (*stats.Table, error) {
 			}
 			spread := cc.Spreads[si]
 			taskR := s.clusterTasks(netIdx, si)
-			cells := make([]Tally, len(protos))
-			for t := 0; t < cc.Base.TasksPerNet; t++ {
-				var task workload.Task
-				var err error
+			tasks := make([]workload.Task, cc.Base.TasksPerNet)
+			for t := range tasks {
 				if spread <= 0 {
-					task, err = workload.Generate(taskR, cc.Base.Nodes, cc.K)
+					tasks[t], err = workload.Generate(taskR, cc.Base.Nodes, cc.K)
 				} else {
-					task, err = workload.GenerateClustered(taskR, b.nw, cc.K, spread)
+					tasks[t], err = workload.GenerateClustered(taskR, b.nw, cc.K, spread)
 				}
 				if err != nil {
 					return nil, err
 				}
-				for pi, proto := range protos {
-					m := b.en.RunTask(makeProtocol(b.nw, proto, cc.PBMLambda), task.Source, task.Dests)
-					cells[pi].add(&m)
-				}
 			}
+			cells := make([]Tally, len(protos))
+			b.tally(cells, protos, tasks...)
 			return cells, nil
 		})
 	if err != nil {

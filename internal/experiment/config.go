@@ -36,6 +36,23 @@ const (
 	ProtoGMPsmst = "GMPsmst"
 )
 
+// fixedLambda is the λ PBM runs at in every campaign but the paper's §5
+// figures (RunMain and its λ ablation). §5.1 keeps, per task, the λ that
+// minimizes total hops. That pick is a best case chosen after the fact: it
+// would hide failures and detours behind the luckiest λ (the failure, loss,
+// clustering and degraded-view sweeps), has no meaning for a stream or a
+// script of sessions (lifetime, load, scale), and runs every task seven
+// times where only invariants are checked (chaos, churn, delivery). 0.3 is
+// the middle of the paper's sweep.
+const fixedLambda = 0.3
+
+// campaignWatchdog arms the perimeter watchdog in the campaigns whose views
+// can make a face traversal loop (chaos's corrupted tables, churn's aged
+// tables) or whose topologies trap it (delivery): a walk of more than 40
+// hops that has not exited is given up as ReasonWatchdog. MCFR ignores it;
+// concurrent face routing terminates on its own.
+var campaignWatchdog = view.WatchdogLimits{MaxWalkHops: 40}
+
 // AllProtocols lists the paper's protocol set in the order its figures use,
 // derived from the routing registry (the Spec PaperRank ordering).
 func AllProtocols() []string { return routing.PaperSet() }
@@ -111,12 +128,17 @@ type Config struct {
 	Views func(nw *network.Network, pg *planar.Graph) view.Provider `json:"-"`
 }
 
-// views resolves the Views knob for one engine's network and substrate.
-func (c Config) views(nw *network.Network, pg *planar.Graph) view.Provider {
+// engine builds a private engine over network view nw and its perimeter
+// substrate pg: the campaign's radio and hop budget, and the per-node views
+// the Views knob selects.
+func (c Config) engine(nw *network.Network, pg *planar.Graph) *sim.Engine {
+	en := sim.NewEngine(nw, c.Radio, c.MaxHops)
 	if c.Views != nil {
-		return c.Views(nw, pg)
+		en.SetViews(c.Views(nw, pg))
+	} else {
+		en.SetViews(view.NewOracle(nw, pg))
 	}
-	return view.NewOracle(nw, pg)
+	return en
 }
 
 // workerCount resolves the Workers knob to a concrete pool size.

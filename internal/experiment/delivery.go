@@ -62,9 +62,6 @@ type DeliveryConfig struct {
 	Topologies []string
 	// Protos are the protocols under test.
 	Protos []string
-	// Watchdog bounds GMP-family perimeter walks, as in the chaos and churn
-	// campaigns. MCFR ignores it (concurrent face routing self-terminates).
-	Watchdog view.WatchdogLimits
 	// Seed makes the campaign reproducible.
 	Seed int64
 	// Workers caps how many topology arms run at once (see Config.Workers);
@@ -91,7 +88,6 @@ func DefaultDeliveryConfig() DeliveryConfig {
 		K:           5,
 		Topologies:  AllDeliveryTopologies(),
 		Protos:      []string{ProtoGMP, "MCFR"},
-		Watchdog:    view.WatchdogLimits{MaxWalkHops: 40},
 		Seed:        1,
 	}
 }
@@ -272,11 +268,11 @@ func buildDeliveryCell(cfg DeliveryConfig, ai int) (*deliveryCellData, error) {
 func runDeliveryArm(cfg DeliveryConfig, data *deliveryCellData, proto string) []sim.TaskMetrics {
 	en := sim.NewEngine(data.nw, cfg.Radio, cfg.MaxHops)
 	o := view.NewOracle(data.nw, data.pg)
-	o.SetWatchdog(cfg.Watchdog)
+	o.SetWatchdog(campaignWatchdog)
 	en.SetViews(o)
 	out := make([]sim.TaskMetrics, len(data.tasks))
 	for ti, task := range data.tasks {
-		out[ti] = en.RunTask(makeProtocol(data.nw, proto, 0.3), task.Source, task.Dests)
+		out[ti] = en.RunTask(makeProtocol(data.nw, proto, fixedLambda), task.Source, task.Dests)
 	}
 	return out
 }

@@ -14,8 +14,6 @@ type FailureConfig struct {
 	NodeCounts []int
 	// K is the destination count per task (paper: 12).
 	K int
-	// PBMLambda is the fixed λ used for PBM in this experiment.
-	PBMLambda float64
 }
 
 // DefaultFailureConfig reproduces the paper's §5.4 setup: 1000 tasks
@@ -34,7 +32,6 @@ func DefaultFailureConfig() FailureConfig {
 		Base:       Default(),
 		NodeCounts: []int{150, 200, 250, 300, 400, 600, 800, 1000},
 		K:          12,
-		PBMLambda:  0.3,
 	}
 }
 
@@ -75,9 +72,7 @@ func RunFailures(fc FailureConfig, protos []string) (*stats.Table, error) {
 			cells := make([]Tally, len(protos))
 			for pi, proto := range protos {
 				for _, task := range tasks {
-					// PBM runs at a fixed λ here (the sweep would hide
-					// failures behind best-case picks).
-					m := b.en.RunTask(makeProtocol(b.nw, proto, fc.PBMLambda), task.Source, task.Dests)
+					m := b.en.RunTask(makeProtocol(b.nw, proto, fixedLambda), task.Source, task.Dests)
 					cells[pi].add(&m)
 				}
 			}

@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"gmp/internal/planar"
-	"gmp/internal/sim"
 	"gmp/internal/stats"
 )
 
@@ -23,8 +22,6 @@ type LifetimeConfig struct {
 	K int
 	// MaxTasks caps the stream per battery level (safety bound).
 	MaxTasks int
-	// PBMLambda fixes PBM's trade-off parameter.
-	PBMLambda float64
 }
 
 // DefaultLifetimeConfig sweeps 1–4 J batteries at Table 1 density. For
@@ -36,7 +33,6 @@ func DefaultLifetimeConfig() LifetimeConfig {
 		BatteriesJ: []float64{1, 2, 4},
 		K:          12,
 		MaxTasks:   20000,
-		PBMLambda:  0.3,
 	}
 }
 
@@ -121,9 +117,7 @@ func runLifetimeStream(lc LifetimeConfig, bs *benches, proto string, batteryJ fl
 	}
 
 	nw := base
-	pg := d.pg
-	en := sim.NewEngine(nw, lc.Base.Radio, lc.Base.MaxHops)
-	en.SetViews(lc.Base.views(nw, pg))
+	en := lc.Base.engine(nw, d.pg)
 	en.SetEnergyLedger(true)
 	var dead []int
 
@@ -138,7 +132,7 @@ func runLifetimeStream(lc LifetimeConfig, bs *benches, proto string, batteryJ fl
 			break
 		}
 		src, dests := pickAliveTask(taskR, alive, lc.K)
-		m := en.RunTask(makeProtocol(nw, proto, lc.PBMLambda), src, dests)
+		m := en.RunTask(makeProtocol(nw, proto, fixedLambda), src, dests)
 		if m.Failed() && firstFailure == lc.MaxTasks {
 			firstFailure = taskNo
 			break
@@ -160,9 +154,7 @@ func runLifetimeStream(lc LifetimeConfig, bs *benches, proto string, batteryJ fl
 		}
 		if died {
 			nw = base.WithFailures(dead)
-			pg = planar.Planarize(nw, lc.Base.Planarizer)
-			en = sim.NewEngine(nw, lc.Base.Radio, lc.Base.MaxHops)
-			en.SetViews(lc.Base.views(nw, pg))
+			en = lc.Base.engine(nw, planar.Planarize(nw, lc.Base.Planarizer))
 			en.SetEnergyLedger(true)
 		}
 	}

@@ -29,8 +29,6 @@ type LoadConfig struct {
 	WindowSec float64
 	// K is the destination count per session.
 	K int
-	// PBMLambda fixes PBM's trade-off parameter.
-	PBMLambda float64
 }
 
 // DefaultLoadConfig sweeps 1–64 concurrent sessions over a 10 ms window at
@@ -43,7 +41,6 @@ func DefaultLoadConfig() LoadConfig {
 		TotalSessions: 64,
 		WindowSec:     0.01,
 		K:             12,
-		PBMLambda:     0.3,
 	}
 }
 
@@ -108,7 +105,7 @@ func RunLoad(lc LoadConfig, protos []string) (*stats.Table, error) {
 						task := tasks[chunk+i]
 						sessions[i] = sim.Session{
 							Start:   starts[chunk+i],
-							Handler: makeProtocol(b.nw, proto, lc.PBMLambda),
+							Handler: makeProtocol(b.nw, proto, fixedLambda),
 							Src:     task.Source,
 							Dests:   task.Dests,
 						}

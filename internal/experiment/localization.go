@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"gmp/internal/planar"
-	"gmp/internal/sim"
 	"gmp/internal/stats"
 	"gmp/internal/workload"
 )
@@ -22,17 +21,14 @@ type LocalizationConfig struct {
 	Sigmas []float64
 	// K is the destination count per task.
 	K int
-	// PBMLambda fixes PBM's trade-off parameter.
-	PBMLambda float64
 }
 
 // DefaultLocalizationConfig sweeps 0–40 m of GPS error at Table 1 density.
 func DefaultLocalizationConfig() LocalizationConfig {
 	return LocalizationConfig{
-		Base:      Default(),
-		Sigmas:    []float64{0, 5, 10, 20, 40},
-		K:         12,
-		PBMLambda: 0.3,
+		Base:   Default(),
+		Sigmas: []float64{0, 5, 10, 20, 40},
+		K:      12,
 	}
 }
 
@@ -75,21 +71,13 @@ func RunLocalization(lc LocalizationConfig, protos []string) (*LocalizationResul
 			// that order.
 			r := s.noise(netIdx, si)
 			noisy := d.nw.WithPositionNoise(lc.Sigmas[si], r)
-			pg := planar.Planarize(noisy, lc.Base.Planarizer)
-			en := sim.NewEngine(noisy, lc.Base.Radio, lc.Base.MaxHops)
-			en.SetViews(lc.Base.views(noisy, pg))
-
 			tasks, err := workload.GenerateBatch(r, lc.Base.Nodes, lc.K, lc.Base.TasksPerNet)
 			if err != nil {
 				return nil, err
 			}
+			b := bench{nw: noisy, en: lc.Base.engine(noisy, planar.Planarize(noisy, lc.Base.Planarizer))}
 			cells := make([]Tally, len(protos))
-			for _, task := range tasks {
-				for pi, proto := range protos {
-					m := en.RunTask(makeProtocol(noisy, proto, lc.PBMLambda), task.Source, task.Dests)
-					cells[pi].add(&m)
-				}
-			}
+			b.tally(cells, protos, tasks...)
 			return cells, nil
 		})
 	if err != nil {

@@ -19,8 +19,6 @@ type LossConfig struct {
 	LossRates []float64
 	// K is the destination count per task (paper §5.4: 12).
 	K int
-	// PBMLambda fixes PBM's trade-off parameter, as in the failure sweep.
-	PBMLambda float64
 	// ARQ is the acknowledgement configuration used by the "+arq" series.
 	// Its Enabled flag is ignored (the sweep always runs both arms).
 	ARQ sim.ARQConfig
@@ -35,7 +33,6 @@ func DefaultLossConfig() LossConfig {
 		Base:      Default(),
 		LossRates: []float64{0, 0.05, 0.1, 0.2, 0.3},
 		K:         12,
-		PBMLambda: 0.3,
 		ARQ:       sim.DefaultARQ(),
 	}
 }
@@ -108,7 +105,7 @@ func RunLoss(lc LossConfig, protos []string) (*LossResults, error) {
 					}
 					c := &cells[2*pi+arm]
 					for _, task := range tasks {
-						m := b.en.RunTask(makeProtocol(b.nw, proto, lc.PBMLambda), task.Source, task.Dests)
+						m := b.en.RunTask(makeProtocol(b.nw, proto, fixedLambda), task.Source, task.Dests)
 						c.add(&m)
 					}
 				}

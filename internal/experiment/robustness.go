@@ -4,8 +4,8 @@ import (
 	"math/rand"
 
 	"gmp/internal/planar"
-	"gmp/internal/sim"
 	"gmp/internal/stats"
+	"gmp/internal/workload"
 )
 
 // RobustnessConfig parameterizes the node-failure extension experiment
@@ -23,8 +23,6 @@ type RobustnessConfig struct {
 	FailFractions []float64
 	// K is the destination count per task.
 	K int
-	// PBMLambda fixes PBM's trade-off parameter.
-	PBMLambda float64
 }
 
 // DefaultRobustnessConfig sweeps 0–50% failures at a 300-node density
@@ -38,7 +36,6 @@ func DefaultRobustnessConfig() RobustnessConfig {
 		Base:          cfg,
 		FailFractions: []float64{0, 0.1, 0.2, 0.3, 0.4, 0.5},
 		K:             12,
-		PBMLambda:     0.3,
 	}
 }
 
@@ -71,21 +68,15 @@ func RunRobustness(rc RobustnessConfig, protos []string) (*stats.Table, error) {
 			}
 			// One stream drives the failure pick and then the task draws.
 			r := s.failures(netIdx, fi)
-			failed := pickFailures(r, rc.Base.Nodes, rc.FailFractions[fi])
-			degraded := d.nw.WithFailures(failed)
-			pg := planar.Planarize(degraded, rc.Base.Planarizer)
-			en := sim.NewEngine(degraded, rc.Base.Radio, rc.Base.MaxHops)
-			en.SetViews(rc.Base.views(degraded, pg))
-
+			degraded := d.nw.WithFailures(pickFailures(r, rc.Base.Nodes, rc.FailFractions[fi]))
 			alive := degraded.AliveIDs()
-			cells := make([]Tally, len(protos))
-			for t := 0; t < rc.Base.TasksPerNet; t++ {
-				src, dests := pickAliveTask(r, alive, rc.K)
-				for pi, proto := range protos {
-					m := en.RunTask(makeProtocol(degraded, proto, rc.PBMLambda), src, dests)
-					cells[pi].add(&m)
-				}
+			tasks := make([]workload.Task, rc.Base.TasksPerNet)
+			for t := range tasks {
+				tasks[t].Source, tasks[t].Dests = pickAliveTask(r, alive, rc.K)
 			}
+			b := bench{nw: degraded, en: rc.Base.engine(degraded, planar.Planarize(degraded, rc.Base.Planarizer))}
+			cells := make([]Tally, len(protos))
+			b.tally(cells, protos, tasks...)
 			return cells, nil
 		})
 	if err != nil {

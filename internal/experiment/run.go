@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"gmp/internal/network"
-	"gmp/internal/planar"
 	"gmp/internal/sim"
 	"gmp/internal/stats"
 	"gmp/internal/workload"
@@ -129,11 +128,22 @@ func ratio(num, den float64) float64 {
 	return 0
 }
 
-// bench holds one deployed network with its engine and planar graph.
+// bench holds one network view with an engine over it.
 type bench struct {
 	nw *network.Network
-	pg *planar.Graph
 	en *sim.Engine
+}
+
+// tally runs each task under every protocol on b, task-major (one task's
+// runs back to back), PBM at fixedLambda, and adds each run to its
+// protocol's tally in cells.
+func (b *bench) tally(cells []Tally, protos []string, tasks ...workload.Task) {
+	for _, task := range tasks {
+		for pi, proto := range protos {
+			m := b.en.RunTask(makeProtocol(b.nw, proto, fixedLambda), task.Source, task.Dests)
+			cells[pi].add(&m)
+		}
+	}
 }
 
 // buildBench deploys network netIdx of the campaign with a private engine.

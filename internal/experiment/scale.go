@@ -343,10 +343,10 @@ func runScaleArm(cfg ScaleConfig, b *scaleBench, proto string, faulted bool) (Sc
 	script := make([]sim.Session, len(b.tasks))
 	for i, task := range b.tasks {
 		// A fresh handler per session (stateful handlers must never be
-		// shared); PBM runs at a fixed λ, as in the chaos campaign.
+		// shared).
 		script[i] = sim.Session{
 			Start:   float64(i) * cfg.SessionIntervalSec,
-			Handler: makeProtocol(b.nw, proto, 0.3),
+			Handler: makeProtocol(b.nw, proto, fixedLambda),
 			Src:     task.Source,
 			Dests:   task.Dests,
 		}

@@ -7,7 +7,6 @@ import (
 	"gmp/internal/mobility"
 	"gmp/internal/network"
 	"gmp/internal/planar"
-	"gmp/internal/sim"
 	"gmp/internal/stats"
 	"gmp/internal/workload"
 )
@@ -132,12 +131,8 @@ func runStalenessNetwork(sc StalenessConfig, protos []string, netIdx int) ([][]T
 				overrides[d] = initPts[d]
 			}
 			overlay := nw.WithReportedPositions(overrides)
-			en := sim.NewEngine(overlay, sc.Base.Radio, sc.Base.MaxHops)
-			en.SetViews(sc.Base.views(overlay, pg))
-			for pi, proto := range protos {
-				m := en.RunTask(makeProtocol(overlay, proto, 0.3), task.Source, task.Dests)
-				out[si][pi].add(&m)
-			}
+			b := bench{nw: overlay, en: sc.Base.engine(overlay, pg)}
+			b.tally(out[si], protos, task)
 		}
 	}
 	return out, nil

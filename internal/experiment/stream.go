@@ -456,7 +456,7 @@ func runStreamReplay(cfg StreamConfig, dep *serve.Deployment, s seeds, rep *Stre
 		// simulation engine performs for the same task.
 		en := sim.NewEngine(dep.NW, sim.DefaultRadioParams(), cfg.HopBudget)
 		en.SetViews(view.NewOracle(dep.NW, dep.PG))
-		h, err := routing.Make(cfg.Protocol, routing.Ctx{Lambda: 0.5, LambdaSet: true})
+		h, err := routing.Make(cfg.Protocol, routing.Ctx{Lambda: serve.DefaultLambda, LambdaSet: true})
 		if err != nil {
 			return err
 		}
@@ -468,7 +468,7 @@ func runStreamReplay(cfg StreamConfig, dep *serve.Deployment, s seeds, rep *Stre
 		var drops [sim.NumDropReasons]int
 		for _, o := range cold.Outcomes {
 			if o.Status != wire.RouteDelivered {
-				if r, ok := statusDropReason(o.Status); ok {
+				if r, ok := serve.StatusReason(o.Status); ok {
 					drops[r]++
 				} else {
 					bad("route %d: unknown outcome status %d", i, o.Status)
@@ -498,24 +498,6 @@ func runStreamReplay(cfg StreamConfig, dep *serve.Deployment, s seeds, rep *Stre
 		bad("%v", err)
 	}
 	return nil
-}
-
-// statusDropReason inverts the daemon's reason→status mapping for the
-// engine-replay comparison.
-func statusDropReason(status byte) (sim.DropReason, bool) {
-	switch status {
-	case wire.RouteDropProtocol:
-		return sim.ReasonProtocol, true
-	case wire.RouteDropWatchdog:
-		return sim.ReasonWatchdog, true
-	case wire.RouteDropHopBudget:
-		return sim.ReasonHopBudget, true
-	case wire.RouteDropInvalid:
-		return sim.ReasonInvalidSend, true
-	case wire.RouteDropStranded:
-		return sim.ReasonStranded, true
-	}
-	return 0, false
 }
 
 // pickDistinctNodes picks a source and k distinct destination node IDs.

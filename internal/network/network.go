@@ -31,7 +31,7 @@ type Node struct {
 // are safe for concurrent use afterwards.
 type Network struct {
 	// pos is the position array Pos reads: node ID -> the position the node
-	// reports. It is phys itself unless a reported-position overlay
+	// reports. It is phys itself unless a reported-position view
 	// (WithPositionNoise, WithReportedPositions) swaps in its own slice.
 	pos []geom.Point
 	// phys is node ID -> true position, the one radio physics reads.
@@ -57,28 +57,28 @@ type Network struct {
 
 	adj [][]int // node ID -> sorted neighbor IDs
 
-	// down marks nodes with failed radios in degraded views produced by
-	// WithFailures; nil in a freshly built network.
+	// down marks nodes with failed radios in views derived with failures
+	// (WithFailures); nil when no radio is dead.
 	down []bool
 
-	// tables is set by every constructor, New and each view, to a fresh
-	// value: never inherited, because a view's links and Dist can differ
-	// from its parent's.
+	// tables is set fresh by New and by derive, the one constructor of
+	// views (views.go).
 	tables *viewTables
 }
 
-// viewTables are a network view's tables, built once on first use: edge
-// lengths parallel to adj and connected-component labels.
+// viewTables are a network view's derived tables, each built once on first
+// use: edge lengths parallel to adj (only SMT reads them) and
+// connected-component labels.
 type viewTables struct {
-	once sync.Once
-	w    [][]float64 // w[v][i] = Dist(v, adj[v][i])
-	comp []int32     // node ID -> component label
+	wOnce, compOnce sync.Once
+	w               [][]float64 // w[v][i] = Dist(v, adj[v][i])
+	comp            []int32     // node ID -> component label
 }
 
-// derived returns nw's tables, building them on first use.
-func (nw *Network) derived() *viewTables {
+// lengths returns nw's edge lengths, building them on first use.
+func (nw *Network) lengths() [][]float64 {
 	t := nw.tables
-	t.once.Do(func() {
+	t.wOnce.Do(func() {
 		total := 0
 		for _, nbrs := range nw.adj {
 			total += len(nbrs)
@@ -92,6 +92,16 @@ func (nw *Network) derived() *viewTables {
 			}
 			t.w[v] = flat[start:len(flat):len(flat)]
 		}
+	})
+	return t.w
+}
+
+// components returns nw's component labels, building them on first use.
+// Labels are handed out in order of each component's lowest node ID, so
+// node 0's component is label 0.
+func (nw *Network) components() []int32 {
+	t := nw.tables
+	t.compOnce.Do(func() {
 		t.comp = make([]int32, len(nw.phys))
 		for i := range t.comp {
 			t.comp[i] = -1
@@ -117,7 +127,7 @@ func (nw *Network) derived() *viewTables {
 			label++
 		}
 	})
-	return t
+	return t.comp
 }
 
 // Validation errors returned by New.
@@ -477,38 +487,35 @@ func (nw *Network) NodesInDisk(p geom.Point, radius float64) []int {
 // can cut its rows at the straight line. The lengths are computed once per
 // view and shared.
 func (nw *Network) Graph() steiner.Graph {
-	return steiner.Graph{N: len(nw.phys), Adj: nw.adj, W: nw.derived().w, Pos: nw.pos}
+	return steiner.Graph{N: len(nw.phys), Adj: nw.adj, W: nw.lengths(), Pos: nw.pos}
 }
 
 // Component returns the label of node id's connected component: two nodes
 // can reach each other over radio links exactly when their labels are
 // equal. Labels are computed once per view.
-func (nw *Network) Component(id int) int { return int(nw.derived().comp[id]) }
+func (nw *Network) Component(id int) int { return int(nw.components()[id]) }
 
-// Connected reports whether the unit-disk graph is connected.
+// Connected reports whether the unit-disk graph is connected: every node
+// shares node 0's component.
 func (nw *Network) Connected() bool {
-	return len(nw.ReachableFrom(0)) == len(nw.phys)
+	for _, c := range nw.components() {
+		if c != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // ReachableFrom returns the set of node IDs reachable from src over radio
 // links, as a sorted slice including src itself.
 func (nw *Network) ReachableFrom(src int) []int {
-	seen := make([]bool, len(nw.phys))
-	seen[src] = true
-	queue := []int{src}
-	out := []int{src}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, w := range nw.adj[v] {
-			if !seen[w] {
-				seen[w] = true
-				out = append(out, w)
-				queue = append(queue, w)
-			}
+	comp := nw.components()
+	var out []int
+	for id, c := range comp {
+		if c == comp[src] {
+			out = append(out, id)
 		}
 	}
-	sort.Ints(out)
 	return out
 }
 

@@ -13,9 +13,6 @@ type GMPOptions struct {
 	// RadioAware enables the §3.3 radio-range-aware rrSTR cases. Disabling
 	// yields GMPnr.
 	RadioAware bool
-	// OneInRangeProse selects the §3.3 prose variant of the one-endpoint-
-	// in-range case (see steiner.Options); Figure 3 semantics when false.
-	OneInRangeProse bool
 	// MSTGrouping replaces the rrSTR tree with a Euclidean MST while
 	// keeping the rest of the GMP machinery (grouping by children,
 	// progress-constrained next hops, splitting, perimeter mode). Used by
@@ -79,9 +76,8 @@ func (g *GMP) Name() string { return g.name }
 
 func (g *GMP) steinerOpts(v view.NodeView) steiner.Options {
 	return steiner.Options{
-		RadioRange:      v.Range(),
-		RadioAware:      g.opts.RadioAware,
-		OneInRangeProse: g.opts.OneInRangeProse,
+		RadioRange: v.Range(),
+		RadioAware: g.opts.RadioAware,
 	}
 }
 

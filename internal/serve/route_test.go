@@ -341,7 +341,7 @@ func TestWalkMatchesEngineReplay(t *testing.T) {
 							continue
 						}
 						r, ok := m.Dropped[id]
-						if !ok || o.Status != reasonStatus(r) {
+						if !ok || o.Status != ReasonStatus(r) {
 							t.Fatalf("k %d seed %d: dest %d status %d; engine dropped %v as %v",
 								k, seed, id, o.Status, ok, r)
 						}
@@ -349,6 +349,24 @@ func TestWalkMatchesEngineReplay(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRouteDropStatusesRoundTrip pins the one reason ↔ status table: each
+// status a walk reports maps back to the reason it was made from, a
+// delivery is not a drop, and reasons a walk never bills report stranded.
+func TestRouteDropStatusesRoundTrip(t *testing.T) {
+	for r := sim.DropReason(0); r < sim.NumDropReasons; r++ {
+		back, ok := StatusReason(ReasonStatus(r))
+		if !ok {
+			t.Fatalf("%v: status %d is not a drop", r, ReasonStatus(r))
+		}
+		if back != r && back != sim.ReasonStranded {
+			t.Errorf("%v: status %d maps back to %v", r, ReasonStatus(r), back)
+		}
+	}
+	if _, ok := StatusReason(wire.RouteDelivered); ok {
+		t.Error("RouteDelivered maps to a drop reason")
 	}
 }
 

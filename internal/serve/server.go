@@ -25,6 +25,10 @@ import (
 	"gmp/internal/wire"
 )
 
+// DefaultLambda is the λ the daemon hands FlagLambda protocols (PBM) when
+// Config.Lambda is zero.
+const DefaultLambda = 0.5
+
 // Config tunes the daemon's hardening envelope. Zero values select the
 // defaults below.
 type Config struct {
@@ -50,7 +54,8 @@ type Config struct {
 	DrainBudget time.Duration
 	// RetryAfter is the hint carried in SHED answers.
 	RetryAfter time.Duration
-	// Lambda is the λ handed to FlagLambda protocols (PBM).
+	// Lambda is the λ handed to FlagLambda protocols (PBM); zero selects
+	// DefaultLambda.
 	Lambda float64
 	// K is LGK's group-size bound; zero selects the protocol default.
 	K int
@@ -92,7 +97,7 @@ func (c Config) withDefaults() Config {
 		c.RetryAfter = 50 * time.Millisecond
 	}
 	if c.Lambda == 0 {
-		c.Lambda = 0.5
+		c.Lambda = DefaultLambda
 	}
 	if c.RouteBudget <= 0 {
 		c.RouteBudget = DefaultRouteBudget

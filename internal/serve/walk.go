@@ -48,21 +48,41 @@ const (
 // ErrWalkOverrun reports a route walk that exceeded the decision ceiling.
 var ErrWalkOverrun = errors.New("serve: route walk exceeded the step ceiling")
 
-// reasonStatus maps an engine drop reason onto the wire's per-destination
+// routeDrops pairs each engine drop reason a ROUTE summary reports with its
+// per-destination wire status. Every other reason (link loss, crashes, ARQ
+// and leaves, which a walk without faults or churn never bills) is
+// reported as stranded.
+var routeDrops = [...]struct {
+	reason sim.DropReason
+	status byte
+}{
+	{sim.ReasonProtocol, wire.RouteDropProtocol},
+	{sim.ReasonWatchdog, wire.RouteDropWatchdog},
+	{sim.ReasonHopBudget, wire.RouteDropHopBudget},
+	{sim.ReasonInvalidSend, wire.RouteDropInvalid},
+	{sim.ReasonStranded, wire.RouteDropStranded},
+}
+
+// ReasonStatus maps an engine drop reason onto the wire's per-destination
 // route status byte.
-func reasonStatus(r sim.DropReason) byte {
-	switch r {
-	case sim.ReasonProtocol:
-		return wire.RouteDropProtocol
-	case sim.ReasonWatchdog:
-		return wire.RouteDropWatchdog
-	case sim.ReasonHopBudget:
-		return wire.RouteDropHopBudget
-	case sim.ReasonInvalidSend:
-		return wire.RouteDropInvalid
-	default:
-		return wire.RouteDropStranded
+func ReasonStatus(r sim.DropReason) byte {
+	for _, d := range routeDrops {
+		if d.reason == r {
+			return d.status
+		}
 	}
+	return wire.RouteDropStranded
+}
+
+// StatusReason maps a ROUTE drop status back onto the engine's drop
+// reason; ok is false for a status that is not a drop.
+func StatusReason(status byte) (r sim.DropReason, ok bool) {
+	for _, d := range routeDrops {
+		if d.status == status {
+			return d.reason, true
+		}
+	}
+	return 0, false
 }
 
 // walkRoute answers one ROUTE request: decode the start frame, resolve the
@@ -124,7 +144,7 @@ func (d *decider) walkRoute(protoName string, rb wire.RouteBody, emit func(hb wi
 		if hops, ok := m.Delivered[id]; ok {
 			o.Status, o.Hops = wire.RouteDelivered, uint16(min(hops, 0xFFFF))
 		} else if r, ok := m.Dropped[id]; ok {
-			o.Status = reasonStatus(r)
+			o.Status = ReasonStatus(r)
 		} else {
 			return nil, fmt.Errorf("%w: destination %d neither delivered nor dropped", ErrFrameEncode, id)
 		}

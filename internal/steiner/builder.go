@@ -264,13 +264,7 @@ func (b *Builder) applyRadioCases(u, v int, t geom.Point, opts Options) bool {
 	case du < rr:
 		// Case 3 with u in range.
 		if notBeneficial {
-			if opts.OneInRangeProse {
-				tree.AddEdge(0, u)
-				tree.AddEdge(0, v)
-				b.retire(u)
-				b.retire(v)
-			}
-			return true
+			return true // Figure 3: drop the pair, not the nodes
 		}
 		// u itself serves as the Steiner point.
 		tree.AddEdge(u, v)
@@ -280,12 +274,6 @@ func (b *Builder) applyRadioCases(u, v int, t geom.Point, opts Options) bool {
 	case dv < rr:
 		// Case 3 with v in range, symmetric.
 		if notBeneficial {
-			if opts.OneInRangeProse {
-				tree.AddEdge(0, u)
-				tree.AddEdge(0, v)
-				b.retire(u)
-				b.retire(v)
-			}
 			return true
 		}
 		tree.AddEdge(u, v)

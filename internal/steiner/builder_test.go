@@ -38,13 +38,12 @@ func sameTree(got, want *Tree) error {
 	return nil
 }
 
-// equivOptions are the option sets the oracle compares under: basic rrSTR,
-// radio-aware at two ranges, and the §3.3 prose variant.
+// equivOptions are the option sets the oracle compares under: basic rrSTR
+// and radio-aware at two ranges.
 var equivOptions = []Options{
 	{},
 	{RadioRange: 150, RadioAware: true},
 	{RadioRange: 40, RadioAware: true},
-	{RadioRange: 150, RadioAware: true, OneInRangeProse: true},
 }
 
 // equivPoints generates k destinations around source in one of five shapes:
@@ -134,9 +133,8 @@ func FuzzBuildMatchesReference(f *testing.F) {
 			dests[i] = Dest{Pos: p, Label: i}
 		}
 		opts := Options{
-			RadioRange:      1 + float64(radio)*4,
-			RadioAware:      mode&1 != 0,
-			OneInRangeProse: mode&2 != 0,
+			RadioRange: 1 + float64(radio)*4,
+			RadioAware: mode&1 != 0,
 		}
 		if err := sameTree(new(Builder).Build(pts[0], dests, opts), referenceBuild(pts[0], dests, opts)); err != nil {
 			t.Fatal(err)

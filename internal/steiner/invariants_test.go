@@ -91,24 +91,3 @@ func TestRadioAwareNoPairBothInRangeJoined(t *testing.T) {
 
 func cos(a float64) float64 { return geom.Pt(1, 0).Rotate(a).X }
 func sin(a float64) float64 { return geom.Pt(1, 0).Rotate(a).Y }
-
-// TestProseVariantAlsoValid sweeps random instances through the §3.3 prose
-// variant, checking structural validity and the star upper bound.
-func TestProseVariantAlsoValid(t *testing.T) {
-	r := rand.New(rand.NewSource(109))
-	for trial := 0; trial < 100; trial++ {
-		src := geom.Pt(r.Float64()*1000, r.Float64()*1000)
-		dests := randDests(r, 1+r.Intn(15), 1000)
-		tree := Build(src, dests, Options{RadioRange: 150, RadioAware: true, OneInRangeProse: true})
-		if err := tree.Validate(); err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		var star float64
-		for _, d := range dests {
-			star += src.Dist(d.Pos)
-		}
-		if got := tree.TotalLength(); got > star+1e-6 {
-			t.Fatalf("trial %d: prose variant length %v above star %v", trial, got, star)
-		}
-	}
-}

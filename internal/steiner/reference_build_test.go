@@ -149,14 +149,7 @@ func (b *refBuilder) applyRadioCases(it refPairItem, opts Options) bool {
 	case du < rr:
 		// Case 3 with u in range.
 		if notBeneficial {
-			if opts.OneInRangeProse {
-				tree.AddEdge(0, u)
-				tree.AddEdge(0, v)
-				b.active[u] = false
-				b.active[v] = false
-			} else {
-				b.deadPairs[key] = true
-			}
+			b.deadPairs[key] = true
 			return true
 		}
 		// u itself serves as the Steiner point.
@@ -167,14 +160,7 @@ func (b *refBuilder) applyRadioCases(it refPairItem, opts Options) bool {
 	case dv < rr:
 		// Case 3 with v in range, symmetric.
 		if notBeneficial {
-			if opts.OneInRangeProse {
-				tree.AddEdge(0, u)
-				tree.AddEdge(0, v)
-				b.active[u] = false
-				b.active[v] = false
-			} else {
-				b.deadPairs[key] = true
-			}
+			b.deadPairs[key] = true
 			return true
 		}
 		tree.AddEdge(u, v)

@@ -21,12 +21,6 @@ type Options struct {
 	// destinations which would only add hops. Disabling it yields GMPnr,
 	// the paper's ablation variant.
 	RadioAware bool
-	// OneInRangeProse selects the §3.3 prose behaviour for the
-	// "only one endpoint within radio range and the virtual point is not
-	// beneficial" case: attach both destinations directly to the source.
-	// The default (false) follows the normative Figure 3 pseudocode, which
-	// deactivates the pair instead. Kept as an option for the A-1 ablation.
-	OneInRangeProse bool
 }
 
 // pairItem is a candidate destination pair in the reduction-ratio queue. It

@@ -246,27 +246,21 @@ func TestBuildRadioAwareOneInRange(t *testing.T) {
 	}
 }
 
-func TestBuildProseVariantAttachesDirectly(t *testing.T) {
-	// With the §3.3 prose variant, a non-beneficial one-in-range pair is
-	// attached directly to the source and both nodes deactivate; with the
-	// Figure 3 variant the pair deactivates but the nodes stay active and
-	// end up as direct children anyway (no other partners here). Both must
-	// produce valid trees; the prose variant must produce no virtuals.
+func TestBuildOneInRangeDetourDeactivatesPair(t *testing.T) {
+	// Figure 3: a one-in-range pair whose virtual point is not beneficial
+	// deactivates the pair, not the nodes; with no other partners both end
+	// up as direct children of the source, and no virtual is made.
 	src := geom.Pt(0, 0)
 	dests := []Dest{
 		{Pos: geom.Pt(100, 0), Label: 0},
 		{Pos: geom.Pt(0, 400), Label: 1},
 	}
-	for _, prose := range []bool{false, true} {
-		opts := awareOpts()
-		opts.OneInRangeProse = prose
-		tr := Build(src, dests, opts)
-		if err := tr.Validate(); err != nil {
-			t.Fatalf("prose=%v: %v", prose, err)
-		}
-		if len(tr.Pivots()) != 2 {
-			t.Fatalf("prose=%v: pivots = %v, want 2 direct children", prose, tr.Pivots())
-		}
+	tr := Build(src, dests, awareOpts())
+	if err := tr.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if len(tr.Pivots()) != 2 {
+		t.Fatalf("pivots = %v, want 2 direct children", tr.Pivots())
 	}
 }
 
