@@ -77,7 +77,7 @@ func run(args []string, out io.Writer, stop <-chan os.Signal, ready func(addr st
 		sendBuf  = fs.Int("send-buffer", 0, "per-session outbound reply queue (0 = 64)")
 		drainBud = fs.Duration("drain-budget", 0, "graceful-drain budget for in-flight work (0 = 5s)")
 		retryAft = fs.Duration("retry-after", 0, "retry hint carried in SHED answers (0 = 50ms)")
-		lambda   = fs.Float64("lambda", serve.DefaultLambda, "PBM λ for FlagLambda protocols")
+		lambda   = fs.Float64("lambda", serve.DefaultLambda, "PBM λ for FlagLambda protocols, in (0, 1]")
 		k        = fs.Int("k", 0, "LGK group-size bound (0 = protocol default)")
 
 		cacheSize = fs.Int("cache", 0, "decision memo cache entries (0 = default 4096, negative disables)")
@@ -90,6 +90,9 @@ func run(args []string, out io.Writer, stop <-chan os.Signal, ready func(addr st
 	fs.SetOutput(out)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if !(*lambda > 0 && *lambda <= 1) {
+		return fmt.Errorf("-lambda %v: want a finite λ in (0, 1]; λ = 0 cannot be served, because serve.Config's zero Lambda selects the default %v", *lambda, serve.DefaultLambda)
 	}
 
 	stopProf, err := profiling.Start(profiling.Config{

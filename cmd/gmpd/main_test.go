@@ -2,6 +2,7 @@ package main
 
 import (
 	"errors"
+	"io"
 	"os"
 	"strings"
 	"sync"
@@ -88,6 +89,31 @@ func TestBadFlags(t *testing.T) {
 	var out strings.Builder
 	if err := run([]string{"-planarizer", "delaunay"}, &out, nil, nil); err == nil {
 		t.Fatal("want error for unknown planarizer")
+	}
+}
+
+// TestLambdaOutOfRangeRefused pins that gmpd never answers at a λ it was
+// not given: λ = 0 (which serve.Config reads as "the default"), a
+// non-finite λ and one above 1 are usage errors, refused before anything
+// listens.
+func TestLambdaOutOfRangeRefused(t *testing.T) {
+	for _, lambda := range []string{"0", "NaN", "2"} {
+		stop := make(chan os.Signal, 1)
+		listening := make(chan struct{}, 1)
+		done := make(chan error, 1)
+		go func() {
+			done <- run([]string{"-lambda", lambda, "-addr", "127.0.0.1:0"}, io.Discard, stop,
+				func(string) { listening <- struct{}{} })
+		}()
+		select {
+		case err := <-done:
+			if err == nil || !strings.Contains(err.Error(), "-lambda") {
+				t.Errorf("-lambda %s: got %v, want a -lambda usage error", lambda, err)
+			}
+		case <-listening:
+			stop <- os.Interrupt
+			t.Errorf("-lambda %s: gmpd started serving", lambda)
+		}
 	}
 }
 

@@ -69,11 +69,11 @@ type leakyHandler struct{}
 func (leakyHandler) Name() string { return "LEAKY" }
 
 func (leakyHandler) Start(v view.NodeView, pkt *sim.Packet) []sim.Forward {
-	keep := pkt.CloneFor(pkt.Dests[:1])
+	keep := pkt.Sub(pkt.Dests[:1])
 	if len(v.Neighbors()) == 0 {
 		return nil
 	}
-	return []sim.Forward{{To: v.Neighbors()[0], Pkt: keep}}
+	return []sim.Forward{{To: v.Neighbors()[0], Header: keep}}
 }
 
 func (leakyHandler) Decide(v view.NodeView, pkt *sim.Packet) []sim.Forward {
@@ -85,9 +85,9 @@ func (leakyHandler) Decide(v view.NodeView, pkt *sim.Packet) []sim.Forward {
 		}
 	}
 	if best == -1 {
-		return []sim.Forward{{To: sim.DropCopy, Pkt: pkt}}
+		return []sim.Forward{{To: sim.DropCopy, Header: pkt.Header}}
 	}
-	return []sim.Forward{{To: best, Pkt: pkt.Clone()}}
+	return []sim.Forward{{To: best, Header: pkt.Header}}
 }
 
 // TestChaosOracleCatchesBrokenHandler: a handler that leaks destinations

@@ -33,7 +33,7 @@ func TestGMPDecisionAllocBudget(t *testing.T) {
 	for i, d := range dests {
 		locs[i] = nw.Pos(d)
 	}
-	pkt := &sim.Packet{Dests: dests, Locs: locs, Anchor: -1}
+	pkt := &sim.Packet{Header: sim.Header{Dests: dests, Locs: locs, Anchor: -1}}
 	avg := testing.AllocsPerRun(200, func() {
 		if fwds := gmp.Start(v, pkt); len(fwds) == 0 {
 			t.Fatal("no forwards")

@@ -100,8 +100,8 @@ func BenchmarkSingleMCFRDecision(b *testing.B) {
 	}
 	anchor := dests[0]
 	st := view.PerimeterEnter(v, nw.Pos(anchor))
-	pkt := &sim.Packet{Dests: dests, Locs: locs, Anchor: anchor,
-		Perimeter: true, Peri: st}
+	pkt := &sim.Packet{Header: sim.Header{Dests: dests, Locs: locs, Anchor: anchor,
+		Perimeter: true, Peri: st}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if fwds := mcfr.Decide(v, pkt); len(fwds) == 0 {
@@ -129,7 +129,7 @@ func BenchmarkSingleGMPDecision(b *testing.B) {
 	for i, d := range dests {
 		locs[i] = nw.Pos(d)
 	}
-	pkt := &sim.Packet{Dests: dests, Locs: locs, Anchor: -1}
+	pkt := &sim.Packet{Header: sim.Header{Dests: dests, Locs: locs, Anchor: -1}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if fwds := gmp.Start(v, pkt); len(fwds) == 0 {

@@ -90,7 +90,7 @@ func TestPBMGreedySubsetLargeCandidateSet(t *testing.T) {
 	// Verify the construction actually exceeds the exact-enumeration cap
 	// at the source (otherwise the test loses its purpose).
 	s := new(view.Scratch)
-	pkt := &sim.Packet{Dests: sortedCopy(dests), Anchor: -1}
+	pkt := &sim.Packet{Header: sim.Header{Dests: sortedCopy(dests), Anchor: -1}}
 	for _, d := range pkt.Dests {
 		pkt.Locs = append(pkt.Locs, bed.nw.Pos(d))
 	}

@@ -16,10 +16,10 @@ import (
 // LGK, MCFR).
 
 // faceStep advances the supervised face traversal one hop from v under
-// state st and emits out, a copy the caller built for this decision. A dead
-// end or a watchdog kill abandons only out — any copies the decision already
-// emitted for recovered destinations are unaffected.
-func faceStep(v view.NodeView, st planar.State, out *sim.Packet) []sim.Forward {
+// state st and emits out, the copy's header. A dead end or a watchdog kill
+// abandons only out — any copies the decision already emitted for recovered
+// destinations are unaffected.
+func faceStep(v view.NodeView, st planar.State, out sim.Header) []sim.Forward {
 	next, nst, verdict := view.PerimeterStep(v, st)
 	switch verdict {
 	case view.StepDead:
@@ -29,12 +29,12 @@ func faceStep(v view.NodeView, st planar.State, out *sim.Packet) []sim.Forward {
 	}
 	out.Perimeter = true
 	out.Peri = nst
-	return []sim.Forward{{To: next, Pkt: out}}
+	return []sim.Forward{{To: next, Header: out}}
 }
 
 // faceStart enters perimeter mode at v aiming at target and takes the
 // walk's first step with out.
-func faceStart(v view.NodeView, target geom.Point, out *sim.Packet) []sim.Forward {
+func faceStart(v view.NodeView, target geom.Point, out sim.Header) []sim.Forward {
 	return faceStep(v, view.PerimeterEnter(v, target), out)
 }
 
@@ -72,7 +72,7 @@ func enterFace(v view.NodeView, pkt *sim.Packet, voids []int) []sim.Forward {
 		locs = append(locs, pkt.LocOf(d))
 	}
 	s.LocBuf = locs
-	return faceStart(v, geom.Centroid(locs), pkt.CloneFor(sortedCopy(voids)))
+	return faceStart(v, geom.Centroid(locs), pkt.Sub(sortedCopy(voids)))
 }
 
 // recoverFace handles a perimeter-mode copy (§4.1 steps 4–7). Until the
@@ -83,14 +83,14 @@ func enterFace(v view.NodeView, pkt *sim.Packet, voids []int) []sim.Forward {
 // toward the new average of the still-void destinations.
 func recoverFace(v view.NodeView, pkt *sim.Packet, greedy greedyPhase) []sim.Forward {
 	if !faceExited(v, pkt.Peri.Target, pkt.Peri) {
-		return faceStep(v, pkt.Peri, pkt.CloneFor(sortedCopy(pkt.Dests)))
+		return faceStep(v, pkt.Peri, pkt.Sub(sortedCopy(pkt.Dests)))
 	}
 	fwds, voids := greedy(v, pkt)
 	switch {
 	case len(voids) == 0:
 		return fwds
 	case len(voids) == len(pkt.Dests):
-		return append(fwds, faceStep(v, pkt.Peri, pkt.CloneFor(sortedCopy(voids)))...)
+		return append(fwds, faceStep(v, pkt.Peri, pkt.Sub(sortedCopy(voids)))...)
 	default:
 		return append(fwds, enterFace(v, pkt, voids)...)
 	}
@@ -99,12 +99,12 @@ func recoverFace(v view.NodeView, pkt *sim.Packet, greedy greedyPhase) []sim.For
 // relayToAnchor takes one greedy step toward the copy's anchor (whose
 // location is in the header — the anchor is always one of the copy's own
 // destinations), dropping the copy at a void.
-func relayToAnchor(v view.NodeView, pkt *sim.Packet) []sim.Forward {
-	next := greedyNextHop(v, pkt.LocOf(pkt.Anchor))
+func relayToAnchor(v view.NodeView, h sim.Header) []sim.Forward {
+	next := greedyNextHop(v, h.LocOf(h.Anchor))
 	if next == -1 {
-		return dropOnly(pkt)
+		return dropOnly(h)
 	}
-	return []sim.Forward{{To: next, Pkt: pkt}}
+	return []sim.Forward{{To: next, Header: h}}
 }
 
 // mstGroups partitions the header's destinations as LGS and MCFR do: it

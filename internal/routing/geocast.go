@@ -81,7 +81,7 @@ func (g *Geocast) Decide(v view.NodeView, pkt *sim.Packet) []sim.Forward {
 		return g.flood(v, pkt, prev)
 	}
 	if pkt.Perimeter && !faceExited(v, g.region.Anchor(), pkt.Peri) {
-		return faceStep(v, pkt.Peri, pkt.Clone())
+		return faceStep(v, pkt.Peri, pkt.Header)
 	}
 	return g.approach(v, pkt)
 }
@@ -90,12 +90,12 @@ func (g *Geocast) Decide(v view.NodeView, pkt *sim.Packet) []sim.Forward {
 // perimeter mode at local minima.
 func (g *Geocast) approach(v view.NodeView, pkt *sim.Packet) []sim.Forward {
 	if next := greedyNextHop(v, g.region.Anchor()); next != -1 {
-		copyPkt := pkt.Clone()
-		copyPkt.Perimeter = false
-		copyPkt.Anchor = v.Self()
-		return []sim.Forward{{To: next, Pkt: copyPkt}}
+		h := pkt.Header
+		h.Perimeter = false
+		h.Anchor = v.Self()
+		return []sim.Forward{{To: next, Header: h}}
 	}
-	return faceStart(v, g.region.Anchor(), pkt.Clone())
+	return faceStart(v, g.region.Anchor(), pkt.Header)
 }
 
 // flood emits region-restricted copies to every in-region neighbor except
@@ -107,15 +107,15 @@ func (g *Geocast) flood(v view.NodeView, pkt *sim.Packet, prev int) []sim.Forwar
 		return nil
 	}
 	g.flooded[v.Self()] = true
+	h := pkt.Header
+	h.Perimeter = false
+	h.Anchor = v.Self()
 	var fwds []sim.Forward
 	for _, n := range v.Neighbors() {
 		if n == prev || !g.inPt(v.NbrPos(n)) {
 			continue
 		}
-		copyPkt := pkt.Clone()
-		copyPkt.Perimeter = false
-		copyPkt.Anchor = v.Self()
-		fwds = append(fwds, sim.Forward{To: n, Pkt: copyPkt})
+		fwds = append(fwds, sim.Forward{To: n, Header: h})
 	}
 	return fwds
 }

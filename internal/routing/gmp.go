@@ -114,8 +114,8 @@ func (g *GMP) Decide(v view.NodeView, pkt *sim.Packet) []sim.Forward {
 func (g *GMP) forwardGroups(v view.NodeView, pkt *sim.Packet) (fwds []sim.Forward, voids []int) {
 	// Everything transient below lives in the decision arena: the tree,
 	// the pivot worklist, the per-group label buffer, and the batches. All of
-	// it is clobbered by the next decision; only the CloneFor'd packets and
-	// the forward list itself are freshly allocated (the engine keeps them).
+	// it is clobbered by the next decision; only the copies' destination and
+	// location lists and the forward list itself are freshly allocated.
 	s := v.Scratch()
 	s.DestBuf = appendHeaderDests(s.DestBuf[:0], pkt)
 	var tree *steiner.Tree
@@ -192,9 +192,9 @@ func (g *GMP) forwardGroups(v view.NodeView, pkt *sim.Packet) (fwds []sim.Forwar
 		}
 	}
 	for i, next := range batchNext {
-		copyPkt := pkt.CloneFor(sortedCopy(batches[i]))
-		copyPkt.Perimeter = false
-		fwds = append(fwds, sim.Forward{To: next, Pkt: copyPkt})
+		h := pkt.Sub(sortedCopy(batches[i]))
+		h.Perimeter = false
+		fwds = append(fwds, sim.Forward{To: next, Header: h})
 	}
 	s.Worklist = wl[:0]
 	s.BatchNext = batchNext[:0]

@@ -29,7 +29,7 @@ func (g *GRD) Name() string { return "GRD" }
 func (g *GRD) Start(v view.NodeView, pkt *sim.Packet) []sim.Forward {
 	fwds := make([]sim.Forward, 0, len(pkt.Dests))
 	for _, d := range pkt.Dests {
-		fwds = append(fwds, g.forward(v, pkt.CloneFor([]int{d}))...)
+		fwds = append(fwds, g.forward(v, pkt.Sub([]int{d}))...)
 	}
 	return fwds
 }
@@ -38,27 +38,27 @@ func (g *GRD) Start(v view.NodeView, pkt *sim.Packet) []sim.Forward {
 // failed link, so v masks the dead neighbor — retry greedy forwarding
 // (falling back to perimeter mode) over the remaining neighbors.
 func (g *GRD) Nack(v view.NodeView, to int, pkt *sim.Packet) []sim.Forward {
-	return g.forward(v, pkt)
+	return g.forward(v, pkt.Header)
 }
 
 // Decide implements sim.Handler.
 func (g *GRD) Decide(v view.NodeView, pkt *sim.Packet) []sim.Forward {
 	if len(pkt.Dests) != 1 {
-		return dropOnly(pkt) // GRD packets always carry exactly one destination
+		return dropOnly(pkt.Header) // GRD packets always carry exactly one destination
 	}
 	if pkt.Perimeter && !faceExited(v, pkt.Locs[0], pkt.Peri) {
-		return faceStep(v, pkt.Peri, pkt.Clone())
+		return faceStep(v, pkt.Peri, pkt.Header)
 	}
-	return g.forward(v, pkt)
+	return g.forward(v, pkt.Header)
 }
 
-// forward takes one greedy step, entering perimeter mode at local minima.
-func (g *GRD) forward(v view.NodeView, pkt *sim.Packet) []sim.Forward {
-	target := pkt.Locs[0]
+// forward takes the copy h one greedy step, entering perimeter mode at
+// local minima.
+func (g *GRD) forward(v view.NodeView, h sim.Header) []sim.Forward {
+	target := h.Locs[0]
 	if next := greedyNextHop(v, target); next != -1 {
-		copyPkt := pkt.Clone()
-		copyPkt.Perimeter = false
-		return []sim.Forward{{To: next, Pkt: copyPkt}}
+		h.Perimeter = false
+		return []sim.Forward{{To: next, Header: h}}
 	}
-	return faceStart(v, target, pkt.Clone())
+	return faceStart(v, target, h)
 }

@@ -56,7 +56,7 @@ func (l *LGS) Decide(v view.NodeView, pkt *sim.Packet) []sim.Forward {
 	if pkt.Anchor == v.Self() {
 		return l.partition(v, pkt)
 	}
-	return relayToAnchor(v, pkt)
+	return relayToAnchor(v, pkt.Header)
 }
 
 // partition rebuilds the MST at a subtree root and launches one copy per
@@ -65,9 +65,9 @@ func (l *LGS) Decide(v view.NodeView, pkt *sim.Packet) []sim.Forward {
 func (l *LGS) partition(v view.NodeView, pkt *sim.Packet) []sim.Forward {
 	var fwds []sim.Forward
 	mstGroups(v, pkt, func(anchor int, group []int) {
-		copyPkt := pkt.CloneFor(append([]int(nil), group...))
-		copyPkt.Anchor = anchor
-		fwds = append(fwds, relayToAnchor(v, copyPkt)...)
+		h := pkt.Sub(append([]int(nil), group...))
+		h.Anchor = anchor
+		fwds = append(fwds, relayToAnchor(v, h)...)
 	})
 	return fwds
 }
@@ -103,7 +103,7 @@ func (l *LGK) Decide(v view.NodeView, pkt *sim.Packet) []sim.Forward {
 	if pkt.Anchor == v.Self() {
 		return l.partition(v, pkt)
 	}
-	return relayToAnchor(v, pkt)
+	return relayToAnchor(v, pkt.Header)
 }
 
 func (l *LGK) partition(v view.NodeView, pkt *sim.Packet) []sim.Forward {
@@ -134,9 +134,9 @@ func (l *LGK) partition(v view.NodeView, pkt *sim.Packet) []sim.Forward {
 	}
 	var fwds []sim.Forward
 	for _, r := range roots {
-		copyPkt := pkt.CloneFor(sortedCopy(groups[r]))
-		copyPkt.Anchor = r
-		fwds = append(fwds, relayToAnchor(v, copyPkt)...)
+		h := pkt.Sub(sortedCopy(groups[r]))
+		h.Anchor = r
+		fwds = append(fwds, relayToAnchor(v, h)...)
 	}
 	return fwds
 }

@@ -68,7 +68,7 @@ func (m *MCFR) Start(v view.NodeView, pkt *sim.Packet) []sim.Forward {
 func (m *MCFR) Decide(v view.NodeView, pkt *sim.Packet) []sim.Forward {
 	if pkt.Anchor == v.Self() {
 		if pkt.Peri.Junior {
-			return dropOnly(pkt)
+			return dropOnly(pkt.Header)
 		}
 		return m.partition(v, pkt)
 	}
@@ -82,7 +82,7 @@ func (m *MCFR) Nack(v view.NodeView, to int, pkt *sim.Packet) []sim.Forward {
 	st := planar.EnterAt(v.PlanarSelfPos(), pkt.Peri.Target)
 	st.Reverse = pkt.Peri.Reverse
 	st.Junior = pkt.Peri.Junior
-	return m.advance(v, pkt, st, false)
+	return m.advance(v, pkt.Header, st)
 }
 
 // partition rebuilds the MST at a subtree root and launches one concurrent
@@ -90,13 +90,13 @@ func (m *MCFR) Nack(v view.NodeView, to int, pkt *sim.Packet) []sim.Forward {
 func (m *MCFR) partition(v view.NodeView, pkt *sim.Packet) []sim.Forward {
 	var fwds []sim.Forward
 	mstGroups(v, pkt, func(anchor int, group []int) {
+		h := pkt.Sub(append([]int(nil), group...))
+		h.Anchor = anchor
 		for _, junior := range []bool{false, true} {
-			cp := pkt.CloneFor(append([]int(nil), group...))
-			cp.Anchor = anchor
-			st := planar.EnterAt(v.PlanarSelfPos(), cp.LocOf(anchor))
+			st := planar.EnterAt(v.PlanarSelfPos(), h.LocOf(anchor))
 			st.Reverse = junior
 			st.Junior = junior
-			fwds = append(fwds, m.advance(v, cp, st, true)...)
+			fwds = append(fwds, m.advance(v, h, st)...)
 		}
 	})
 	return fwds
@@ -112,18 +112,16 @@ func (m *MCFR) relay(v view.NodeView, pkt *sim.Packet) []sim.Forward {
 			st.Prev = -1
 		}
 	}
-	return m.advance(v, pkt, st, false)
+	return m.advance(v, pkt.Header, st)
 }
 
-// advance executes one face-routing step from this node under state st and
-// forwards the thread, detecting full-face tours. owned marks copies built
-// by this decision, which may be stamped in place; arriving packets are
-// cloned first (decisions never mutate their input).
-func (m *MCFR) advance(v view.NodeView, pkt *sim.Packet, st planar.State, owned bool) []sim.Forward {
+// advance executes one face-routing step of the thread h from this node
+// under state st and forwards it, detecting full-face tours.
+func (m *MCFR) advance(v view.NodeView, h sim.Header, st planar.State) []sim.Forward {
 	next, nst, ok := view.FaceNextHop(v, st)
 	if !ok {
 		// No planar neighbors: the thread cannot proceed.
-		return dropOnly(pkt)
+		return dropOnly(h)
 	}
 	if nst.FaceEntry != st.FaceEntry || st.FirstFrom == -1 {
 		// New face (or first step of the walk): record its first directed
@@ -133,13 +131,9 @@ func (m *MCFR) advance(v view.NodeView, pkt *sim.Packet, st planar.State, owned 
 		// The walk is about to retake the face's first directed edge with no
 		// face change in between: the whole face was toured and no crossing
 		// brings the thread closer — the anchor is unreachable from here.
-		return dropOnly(pkt)
+		return dropOnly(h)
 	}
-	out := pkt
-	if !owned {
-		out = pkt.Clone()
-	}
-	out.Perimeter = true
-	out.Peri = nst
-	return []sim.Forward{{To: next, Pkt: out}}
+	h.Perimeter = true
+	h.Peri = nst
+	return []sim.Forward{{To: next, Header: h}}
 }

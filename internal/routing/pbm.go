@@ -140,7 +140,7 @@ func (p *PBM) greedy(v view.NodeView, pkt *sim.Packet) ([]sim.Forward, []int) {
 	}
 	if len(members) == 0 {
 		// Only a subset whose f is not below +Inf leaves this empty.
-		return dropOnly(pkt), voids
+		return dropOnly(pkt.Header), voids
 	}
 	return srch.forward(a, pkt, nbrs, members), voids
 }
@@ -301,9 +301,9 @@ func (s *pbmSearch) forward(a *view.PBMArena, pkt *sim.Packet, nbrs, members []i
 			}
 		}
 		sort.Ints(sub)
-		copyPkt := pkt.CloneFor(sub)
-		copyPkt.Perimeter = false
-		fwds = append(fwds, sim.Forward{To: nbrs[a.Cands[c]], Pkt: copyPkt})
+		h := pkt.Sub(sub)
+		h.Perimeter = false
+		fwds = append(fwds, sim.Forward{To: nbrs[a.Cands[c]], Header: h})
 	}
 	return fwds
 }

@@ -63,7 +63,7 @@ func (p *referencePBM) forwardSubset(v view.NodeView, loc map[int]geom.Point, pk
 	subset := p.chooseSubset(v, loc, dests)
 	if len(subset) == 0 {
 		// Cannot happen for routable destinations, but fail safe.
-		return dropOnly(pkt)
+		return dropOnly(pkt.Header)
 	}
 	assign := make(map[int][]int, len(subset))
 	for _, d := range dests {
@@ -83,9 +83,9 @@ func (p *referencePBM) forwardSubset(v view.NodeView, loc map[int]geom.Point, pk
 	sort.Ints(members)
 	fwds := make([]sim.Forward, 0, len(members))
 	for _, n := range members {
-		copyPkt := pkt.CloneFor(sortedCopy(assign[n]))
+		copyPkt := pkt.Sub(sortedCopy(assign[n]))
 		copyPkt.Perimeter = false
-		fwds = append(fwds, sim.Forward{To: n, Pkt: copyPkt})
+		fwds = append(fwds, sim.Forward{To: n, Header: copyPkt})
 	}
 	return fwds
 }

@@ -54,7 +54,7 @@ func sameForwards(got, want []sim.Forward) error {
 		return fmt.Errorf("%d forwards, reference %d: %s vs %s", len(got), len(want), fwdString(got), fwdString(want))
 	}
 	for i := range got {
-		if got[i].To != want[i].To || !reflect.DeepEqual(*got[i].Pkt, *want[i].Pkt) {
+		if got[i].To != want[i].To || !reflect.DeepEqual(got[i].Header, want[i].Header) {
 			return fmt.Errorf("forward %d: %s, reference %s", i, fwdString(got), fwdString(want))
 		}
 	}
@@ -64,7 +64,7 @@ func sameForwards(got, want []sim.Forward) error {
 func fwdString(fwds []sim.Forward) string {
 	s := "["
 	for _, f := range fwds {
-		s += fmt.Sprintf(" %d:%v", f.To, f.Pkt.Dests)
+		s += fmt.Sprintf(" %d:%v", f.To, f.Dests)
 	}
 	return s + " ]"
 }
@@ -162,7 +162,7 @@ func TestPBMMatchesReference(t *testing.T) {
 		}
 		o := view.NewOracle(nw, planar.Planarize(nw, planar.Gabriel))
 		self := r.Intn(nw.Len())
-		pkt := &sim.Packet{Anchor: -1}
+		pkt := &sim.Packet{Header: sim.Header{Anchor: -1}}
 		for len(pkt.Dests) < 1+r.Intn(20) {
 			d := r.Intn(nw.Len())
 			if d == self || slices.Contains(pkt.Dests, d) {
@@ -200,7 +200,7 @@ func TestPBMMatchesReferenceEdgeCases(t *testing.T) {
 	at := nw.Pos(self)
 
 	fan := func(n int, radius, spread float64) *sim.Packet {
-		pkt := &sim.Packet{Anchor: -1}
+		pkt := &sim.Packet{Header: sim.Header{Anchor: -1}}
 		for i := 0; i < n; i++ {
 			a := spread * float64(i) / float64(n)
 			pkt.Dests = append(pkt.Dests, 10000+i)
@@ -208,7 +208,7 @@ func TestPBMMatchesReferenceEdgeCases(t *testing.T) {
 		}
 		return pkt
 	}
-	voids := &sim.Packet{Anchor: -1}
+	voids := &sim.Packet{Header: sim.Header{Anchor: -1}}
 	for i := 0; i < 5; i++ {
 		voids.Dests = append(voids.Dests, 10000+i)
 		voids.Locs = append(voids.Locs, at) // no neighbor is strictly closer

@@ -93,16 +93,16 @@ func greedyNextHop(v view.NodeView, target geom.Point) int {
 	return best
 }
 
-// dropOnly is the single-element forward list abandoning pkt.
-func dropOnly(pkt *sim.Packet) []sim.Forward {
-	return []sim.Forward{{To: sim.DropCopy, Pkt: pkt}}
+// dropOnly is the single-element forward list abandoning the copy h.
+func dropOnly(h sim.Header) []sim.Forward {
+	return []sim.Forward{{To: sim.DropCopy, Header: h}}
 }
 
-// watchdogDrop abandons pkt with watchdog attribution: the perimeter
+// watchdogDrop abandons the copy h with watchdog attribution: the perimeter
 // watchdog detected a non-terminating face traversal and its bounded
 // recovery is spent.
-func watchdogDrop(pkt *sim.Packet) []sim.Forward {
-	return []sim.Forward{{To: sim.DropWatchdog, Pkt: pkt}}
+func watchdogDrop(h sim.Header) []sim.Forward {
+	return []sim.Forward{{To: sim.DropWatchdog, Header: h}}
 }
 
 // sortedCopy returns a sorted copy of ids (protocol output must not depend

@@ -372,10 +372,10 @@ func TestGRDMalformedPacketDropped(t *testing.T) {
 	// Direct decision call with a malformed multi-destination packet: GRD
 	// unicasts carry exactly one destination, so the copy must be dropped.
 	v := view.NewOracle(bed.nw, bed.pg).At(0, new(view.Scratch))
-	pkt := &sim.Packet{
+	pkt := &sim.Packet{Header: sim.Header{
 		Dests: []int{1, 2},
 		Locs:  []geom.Point{bed.nw.Pos(1), bed.nw.Pos(2)},
-	}
+	}}
 	fwds := grd.Decide(v, pkt)
 	if len(fwds) != 1 || fwds[0].To != sim.DropCopy {
 		t.Fatalf("malformed packet must yield one drop, got %+v", fwds)

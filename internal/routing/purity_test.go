@@ -55,9 +55,9 @@ func (c purityChecker) compare(step string, v view.NodeView, a, b []sim.Forward)
 			c.t.Fatalf("%s %s at node %d: forward %d to %d vs %d",
 				c.p.Name(), step, v.Self(), i, a[i].To, b[i].To)
 		}
-		pa, pb := a[i].Pkt, b[i].Pkt
+		pa, pb := a[i].Header, b[i].Header
 		if !reflect.DeepEqual(pa.Dests, pb.Dests) || !reflect.DeepEqual(pa.Locs, pb.Locs) ||
-			pa.Hops != pb.Hops || pa.Perimeter != pb.Perimeter || pa.Peri != pb.Peri ||
+			pa.Perimeter != pb.Perimeter || pa.Peri != pb.Peri ||
 			pa.Anchor != pb.Anchor || !reflect.DeepEqual(pa.Route, pb.Route) {
 			c.t.Fatalf("%s %s at node %d: forward %d packets differ:\n%+v\nvs\n%+v",
 				c.p.Name(), step, v.Self(), i, pa, pb)

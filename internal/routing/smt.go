@@ -62,7 +62,7 @@ func (s *SMT) Start(v view.NodeView, pkt *sim.Packet) []sim.Forward {
 	// discard would leak them from the accounting.
 	var fwds []sim.Forward
 	if len(unreachable) > 0 {
-		fwds = dropOnly(pkt.CloneFor(unreachable))
+		fwds = dropOnly(pkt.Sub(unreachable))
 	}
 	if len(terminals) == 1 {
 		return fwds
@@ -76,11 +76,11 @@ func (s *SMT) Start(v view.NodeView, pkt *sim.Packet) []sim.Forward {
 	if err != nil {
 		// Cannot happen for reachable terminals; fail the task loudly by
 		// dropping rather than panicking.
-		return append(fwds, dropOnly(pkt.CloneFor(slices.Clone(terminals[1:])))...)
+		return append(fwds, dropOnly(pkt.Sub(slices.Clone(terminals[1:])))...)
 	}
 	// The unreachable destinations lie outside the tree, so the children's
 	// copies leave them out.
-	routed := *pkt
+	routed := pkt.Header
 	routed.Route = rootTree(edges, src, &sc.SMT)
 	return append(fwds, forwardChildren(v, &routed)...)
 }
@@ -88,9 +88,9 @@ func (s *SMT) Start(v view.NodeView, pkt *sim.Packet) []sim.Forward {
 // Decide implements sim.Handler.
 func (s *SMT) Decide(v view.NodeView, pkt *sim.Packet) []sim.Forward {
 	if pkt.Route == nil {
-		return dropOnly(pkt)
+		return dropOnly(pkt.Header)
 	}
-	return forwardChildren(v, pkt)
+	return forwardChildren(v, &pkt.Header)
 }
 
 // forwardChildren emits one copy per child of v in the packet's tree whose
@@ -99,15 +99,15 @@ func (s *SMT) Decide(v view.NodeView, pkt *sim.Packet) []sim.Forward {
 // index lies in the child's run; one spliced aboard after the source built
 // the tree counts wherever it sits in the tree, and nowhere if it is not in
 // it.
-func forwardChildren(v view.NodeView, pkt *sim.Packet) []sim.Forward {
-	rt := pkt.Route
+func forwardChildren(v view.NodeView, h *sim.Header) []sim.Forward {
+	rt := h.Route
 	i := rt.Find(v.Self())
 	if i < 0 {
 		return nil
 	}
 	sc := v.Scratch()
 	at := sc.GroupBuf[:0] // preorder index of each destination aboard
-	for _, d := range pkt.Dests {
+	for _, d := range h.Dests {
 		at = append(at, rt.Find(d))
 	}
 	sc.GroupBuf = at
@@ -125,11 +125,11 @@ func forwardChildren(v view.NodeView, pkt *sim.Packet) []sim.Forward {
 		sub := make([]int, 0, n)
 		for j, p := range at {
 			if p >= c && p < rt.End[c] {
-				sub = append(sub, pkt.Dests[j])
+				sub = append(sub, h.Dests[j])
 			}
 		}
 		sort.Ints(sub)
-		fwds = append(fwds, sim.Forward{To: rt.Node[c], Pkt: pkt.CloneFor(sub)})
+		fwds = append(fwds, sim.Forward{To: rt.Node[c], Header: h.Sub(sub)})
 	}
 	return fwds
 }

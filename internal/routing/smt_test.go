@@ -65,13 +65,13 @@ func TestSMTTreeFollowsView(t *testing.T) {
 					reachable = append(reachable, d)
 				}
 			}
-			fwds := NewSMT(v).Start(oracle.At(src, new(view.Scratch)), &sim.Packet{Dests: dests, Locs: locs, Anchor: -1})
+			fwds := NewSMT(v).Start(oracle.At(src, new(view.Scratch)), &sim.Packet{Header: sim.Header{Dests: dests, Locs: locs, Anchor: -1}})
 			var got *sim.Route
 			served := 0
 			for _, f := range fwds {
 				if f.To != sim.DropCopy {
-					got = f.Pkt.Route
-					served += len(f.Pkt.Dests)
+					got = f.Route
+					served += len(f.Dests)
 				}
 			}
 			if served != len(reachable) {
@@ -119,11 +119,11 @@ func TestSMTForwardsMatchSubtreeWalk(t *testing.T) {
 		if len(aboard) == 0 {
 			continue
 		}
-		pkt := &sim.Packet{Dests: aboard, Route: rt, Anchor: -1}
+		pkt := &sim.Packet{Header: sim.Header{Dests: aboard, Route: rt, Anchor: -1}}
 		for _, d := range aboard {
 			pkt.Locs = append(pkt.Locs, bed.nw.Pos(d))
 		}
-		got := forwardChildren(o.At(at, new(view.Scratch)), pkt)
+		got := forwardChildren(o.At(at, new(view.Scratch)), &pkt.Header)
 		var want [][]int
 		var wantTo []int
 		for _, c := range children[at] {
@@ -147,8 +147,8 @@ func TestSMTForwardsMatchSubtreeWalk(t *testing.T) {
 			t.Fatalf("trial %d at %d: %d forwards, want %d (%v to %v)", trial, at, len(got), len(want), want, wantTo)
 		}
 		for i, f := range got {
-			if f.To != wantTo[i] || !slices.Equal(f.Pkt.Dests, want[i]) {
-				t.Fatalf("trial %d at %d: forward %d is %v to %d, want %v to %d", trial, at, i, f.Pkt.Dests, f.To, want[i], wantTo[i])
+			if f.To != wantTo[i] || !slices.Equal(f.Dests, want[i]) {
+				t.Fatalf("trial %d at %d: forward %d is %v to %d, want %v to %d", trial, at, i, f.Dests, f.To, want[i], wantTo[i])
 			}
 		}
 	}

@@ -103,7 +103,7 @@ type decider struct {
 	lambda  float64
 	k       int
 
-	// cache, when non-nil, memoizes normalized decisions across all
+	// cache, when non-nil, memoizes decisions across all
 	// workers (see cache.go).
 	cache *decisionCache
 	// routeBudget / routeMaxSteps are the walk limits applied to ROUTE
@@ -120,7 +120,6 @@ type decider struct {
 	ids      []int               // reqPkt.Dests backing
 	locs     []geom.Point        // reqPkt.Locs backing
 	seen     map[int]bool        // co-location merge set
-	recs     []fwdRec            // normalized decision (aliases decision output)
 	replies  []wire.ForwardReply // DECIDE answer buffer
 	arena    []byte              // encoded outgoing frames
 	outFrame wire.Frame          // per-forward encode scratch
@@ -142,7 +141,6 @@ func newDecider(dep *Deployment, lambda float64, k int) *decider {
 		ids:     make([]int, 0, sizeHint),
 		locs:    make([]geom.Point, 0, sizeHint),
 		seen:    make(map[int]bool, sizeHint),
-		recs:    make([]fwdRec, 0, 64),
 		replies: make([]wire.ForwardReply, 0, 64),
 		arena:   make([]byte, 0, 64<<10),
 		keyBuf:  make([]byte, 0, 8<<10),
@@ -153,32 +151,17 @@ func newDecider(dep *Deployment, lambda float64, k int) *decider {
 	return d
 }
 
-// fwdRec is one forward of a normalized decision: exactly the
-// request-independent fields that reply encoding and walk continuation
-// read. Everything else in an outgoing frame — source, payload, hop
-// count — comes from the request, so one record serves every request that
-// hits the same decision. Records held by the cache own their slices;
-// records returned on a cache miss alias the decision's output packets and
-// the decider's scratch, valid only until the decider's next decision.
-type fwdRec struct {
-	To        int
-	Dests     []int
-	Locs      []geom.Point
-	Perimeter bool
-	Peri      planar.State
-	Anchor    int
-}
-
-// run computes — or recalls from the memo cache — the normalized decision
-// for op at node on pkt. It reports whether the result came from the
-// cache. The returned records are read-only for the caller.
-func (d *decider) run(p routing.Protocol, protoName string, op byte, node int, pkt *sim.Packet) ([]fwdRec, bool) {
+// run computes — or recalls from the memo cache — the decision for op at
+// node on pkt. It reports whether the result came from the cache. The
+// returned forwards are read-only for the caller: cached ones are shared
+// with every worker, and a fresh decision's may alias pkt.
+func (d *decider) run(p routing.Protocol, protoName string, op byte, node int, pkt *sim.Packet) ([]sim.Forward, bool) {
 	var key []byte
 	if d.cache != nil {
 		key = d.appendCacheKey(d.keyBuf[:0], protoName, op, node, pkt)
 		d.keyBuf = key
-		if recs := d.cache.get(key); recs != nil {
-			return recs, true
+		if fwds := d.cache.get(key); fwds != nil {
+			return fwds, true
 		}
 	}
 	var fwds []sim.Forward
@@ -187,32 +170,23 @@ func (d *decider) run(p routing.Protocol, protoName string, op byte, node int, p
 	} else {
 		fwds = p.Decide(d.views.At(node, &d.scratch), pkt)
 	}
-	recs := d.recs[:0]
-	for _, f := range fwds {
-		fp := f.Pkt
-		r := fwdRec{To: f.To, Dests: fp.Dests, Locs: fp.Locs,
-			Perimeter: fp.Perimeter, Anchor: fp.Anchor}
-		if fp.Perimeter {
-			r.Peri = fp.Peri
-		}
-		recs = append(recs, r)
-	}
-	d.recs = recs
 	if d.cache != nil {
-		d.cache.put(key, deepCopyRecs(recs))
+		d.cache.put(key, deepCopyForwards(fwds))
 	}
-	return recs, false
+	return fwds, false
 }
 
-// deepCopyRecs clones records for cache ownership: no slice may alias a
-// decision output or decider scratch. The result is non-nil even when
-// empty, so a memoized stranded decision is distinguishable from a miss.
-func deepCopyRecs(recs []fwdRec) []fwdRec {
-	out := make([]fwdRec, len(recs))
-	for i, r := range recs {
-		out[i] = r
-		out[i].Dests = append([]int(nil), r.Dests...)
-		out[i].Locs = append([]geom.Point(nil), r.Locs...)
+// deepCopyForwards clones a decision's forwards for cache ownership: no
+// slice may alias the request packet, whose storage the next request (or
+// the walk's kernel) reuses. Route is immutable and stays shared. The
+// result is non-nil even when empty, so a memoized stranded decision is
+// distinguishable from a miss.
+func deepCopyForwards(fwds []sim.Forward) []sim.Forward {
+	out := make([]sim.Forward, len(fwds))
+	for i, f := range fwds {
+		out[i] = f
+		out[i].Dests = slices.Clone(f.Dests)
+		out[i].Locs = slices.Clone(f.Locs)
 	}
 	return out
 }
@@ -340,8 +314,8 @@ func (d *decider) decide(protoName string, req wire.DecideBody) ([]wire.ForwardR
 	if pkt == nil { // every destination resolved to the deciding node
 		return []wire.ForwardReply{}, nil
 	}
-	recs, _ := d.run(p, protoName, req.Op, node, pkt)
-	return d.recsToReplies(f, node, recs)
+	fwds, _ := d.run(p, protoName, req.Op, node, pkt)
+	return d.forwardReplies(f, node, fwds)
 }
 
 // frameToPacket reconstructs the deciding node and the in-flight packet from
@@ -370,7 +344,7 @@ func (d *decider) frameToPacket(op byte, f *wire.Frame) (int, *sim.Packet, error
 	nw := d.dep.NW
 	node := nw.ClosestNode(f.NextHop)
 	pkt := &d.reqPkt
-	*pkt = sim.Packet{Hops: int(f.Hops), Anchor: -1}
+	*pkt = sim.Packet{Header: sim.Header{Anchor: -1}, Hops: int(f.Hops)}
 	if d.seen == nil {
 		d.seen = make(map[int]bool, 64)
 	}
@@ -447,13 +421,13 @@ func (d *decider) frameToPacket(op byte, f *wire.Frame) (int, *sim.Packet, error
 	return node, pkt, nil
 }
 
-// recsToReplies re-encodes a normalized decision as wire replies, each
+// forwardReplies re-encodes a decision as wire replies, each
 // frame ready to transmit: hop count bumped (saturating, as the engine does
 // per transmission), next hop marked with the receiver's advertised
 // position, routing state (PERIMODE, anchor) carried per copy, and the
 // request's source and payload preserved. The replies alias the decider's
 // reply buffer and encode arena.
-func (d *decider) recsToReplies(req *wire.Frame, node int, recs []fwdRec) ([]wire.ForwardReply, error) {
+func (d *decider) forwardReplies(req *wire.Frame, node int, fwds []sim.Forward) ([]wire.ForwardReply, error) {
 	out := d.replies[:0]
 	arena := d.arena[:0]
 	hops := req.Hops
@@ -461,16 +435,16 @@ func (d *decider) recsToReplies(req *wire.Frame, node int, recs []fwdRec) ([]wir
 		hops++
 	}
 	var err error
-	for i := range recs {
+	for i := range fwds {
 		start := len(arena)
-		arena, err = d.appendForwardFrame(arena, req.Source, req.Payload, hops, node, &recs[i])
+		arena, err = d.appendForwardFrame(arena, req.Source, req.Payload, hops, node, &fwds[i])
 		if err != nil {
 			return nil, err
 		}
 		// A mid-loop arena regrow leaves earlier replies pointing at the old
 		// backing array — still valid, never mutated again.
 		out = append(out, wire.ForwardReply{
-			To:    int32(recs[i].To),
+			To:    int32(fwds[i].To),
 			Frame: arena[start:len(arena):len(arena)],
 		})
 	}
@@ -478,12 +452,11 @@ func (d *decider) recsToReplies(req *wire.Frame, node int, recs []fwdRec) ([]wir
 	return out, nil
 }
 
-// appendForwardFrame encodes the outgoing frame for one forward record
-// into arena and returns the extended arena. It is the single encode path
+// appendForwardFrame encodes the outgoing frame for one forward into arena and returns the extended arena. It is the single encode path
 // for per-hop FORWARDS replies and streamed HOP frames, so the two modes
 // are byte-identical by construction. node is where the copy currently
 // sits (a dropped copy's frame dies there).
-func (d *decider) appendForwardFrame(arena []byte, source geom.Point, payload []byte, hops byte, node int, r *fwdRec) ([]byte, error) {
+func (d *decider) appendForwardFrame(arena []byte, source geom.Point, payload []byte, hops byte, node int, r *sim.Forward) ([]byte, error) {
 	nw := d.dep.NW
 	of := &d.outFrame
 	dests := append(of.Dests[:0], r.Locs...)

@@ -9,17 +9,19 @@ package serve
 // (PAPERS.md, cs/9809102: dynamic multicast trees are largely shared work).
 //
 // The cache is a *pure memo*: the key canonicalizes every input the
-// decision reads, the value holds deep copies of every output field reply
-// encoding and walk continuation read, and a hit is byte-identical to a
-// cold recompute (enforced by TestCacheHitMatchesColdRecompute across all
-// servable protocols). λ and k are per-Server constants, so one cache per
-// Server needs no λ/k in the key; the deployment is immutable for the
-// server's lifetime. Hash collisions cannot break purity because the map
-// key is the full canonical byte string, not a digest.
+// decision reads, the value is a deep copy of the decision's forwards, and
+// a hit is byte-identical to a cold recompute (enforced by
+// TestCacheHitMatchesColdRecompute across all servable protocols). λ and k
+// are per-Server constants, so one cache per Server needs no λ/k in the
+// key; the deployment is immutable for the server's lifetime. Hash
+// collisions cannot break purity because the map key is the full canonical
+// byte string, not a digest.
 
 import (
 	"container/list"
 	"sync"
+
+	"gmp/internal/sim"
 )
 
 // DefaultCacheSize bounds the decision memo cache when Config.CacheSize is
@@ -41,11 +43,11 @@ type decisionCache struct {
 }
 
 // cacheEntry is one memoized decision: the full canonical key and the
-// normalized forward set. fwds and everything it references are immutable
-// after insertion — concurrent readers share them without copying.
+// forward set. fwds and everything it references are immutable after
+// insertion — concurrent readers share them without copying.
 type cacheEntry struct {
 	key  string
-	fwds []fwdRec
+	fwds []sim.Forward
 }
 
 func newDecisionCache(max int) *decisionCache {
@@ -57,7 +59,7 @@ func newDecisionCache(max int) *decisionCache {
 
 // get returns the memoized forward set for key, or nil on a miss. The
 // returned slice is shared and read-only.
-func (c *decisionCache) get(key []byte) []fwdRec {
+func (c *decisionCache) get(key []byte) []sim.Forward {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	// map[string([]byte)] compiles to an allocation-free lookup.
@@ -74,7 +76,7 @@ func (c *decisionCache) get(key []byte) []fwdRec {
 // put memoizes fwds under key. fwds must be fully owned by the cache —
 // deep copies, never aliasing any scratch. A concurrent duplicate insert
 // keeps the first entry (by purity both hold identical values).
-func (c *decisionCache) put(key []byte, fwds []fwdRec) {
+func (c *decisionCache) put(key []byte, fwds []sim.Forward) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, ok := c.byKey[string(key)]; ok {

@@ -163,11 +163,11 @@ func TestCacheEvictionDeterministic(t *testing.T) {
 		key := func(i int) []byte { return []byte{byte(i)} }
 		for i := 1; i <= 5; i++ {
 			c.get(key(i)) // miss
-			c.put(key(i), []fwdRec{{To: i}})
+			c.put(key(i), []sim.Forward{{To: i}})
 		}
-		c.get(key(5))                    // hit; 5 most recent
-		c.get(key(3))                    // hit
-		c.put(key(6), []fwdRec{{To: 6}}) // evicts 4 (LRU among 3,4,5)
+		c.get(key(5))                         // hit; 5 most recent
+		c.get(key(3))                         // hit
+		c.put(key(6), []sim.Forward{{To: 6}}) // evicts 4 (LRU among 3,4,5)
 		var trace []byte
 		for i := 1; i <= 6; i++ {
 			if recs := c.get(key(i)); recs != nil {
@@ -200,8 +200,8 @@ func TestCacheEvictionDeterministic(t *testing.T) {
 // TestCacheDuplicatePutKeepsFirst pins the concurrent-duplicate rule.
 func TestCacheDuplicatePutKeepsFirst(t *testing.T) {
 	c := newDecisionCache(3)
-	c.put([]byte("k"), []fwdRec{{To: 1}})
-	c.put([]byte("k"), []fwdRec{{To: 2}})
+	c.put([]byte("k"), []sim.Forward{{To: 1}})
+	c.put([]byte("k"), []sim.Forward{{To: 2}})
 	if recs := c.get([]byte("k")); len(recs) != 1 || recs[0].To != 1 {
 		t.Fatalf("duplicate put replaced the first entry: %+v", recs)
 	}
@@ -376,8 +376,8 @@ func TestRouteDropStatusesRoundTrip(t *testing.T) {
 // until the key covers it (or the test learns its kind).
 func TestCacheKeyCoversPerimeterState(t *testing.T) {
 	d := newDecider(testDeployment(t), 0.5, 0)
-	pkt := &sim.Packet{Dests: []int{3}, Locs: []geom.Point{{X: 1, Y: 2}},
-		Anchor: -1, Perimeter: true}
+	pkt := &sim.Packet{Header: sim.Header{Dests: []int{3}, Locs: []geom.Point{{X: 1, Y: 2}},
+		Anchor: -1, Perimeter: true}}
 	base := string(d.appendCacheKey(nil, "MCFR", wire.OpDecide, 0, pkt))
 	st := reflect.TypeOf(planar.State{})
 	for i := 0; i < st.NumField(); i++ {

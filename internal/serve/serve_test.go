@@ -52,10 +52,10 @@ func (gateProto) Name() string { return "GATE" }
 func (gateProto) Start(v view.NodeView, pkt *sim.Packet) []sim.Forward {
 	gateEntered <- struct{}{}
 	<-gateRelease
-	return []sim.Forward{{To: sim.DropCopy, Pkt: pkt}}
+	return []sim.Forward{{To: sim.DropCopy, Header: pkt.Header}}
 }
 func (gateProto) Decide(v view.NodeView, pkt *sim.Packet) []sim.Forward {
-	return []sim.Forward{{To: sim.DropCopy, Pkt: pkt}}
+	return []sim.Forward{{To: sim.DropCopy, Header: pkt.Header}}
 }
 
 // panicProto panics on every decision: the worker's isolation must convert

@@ -131,7 +131,7 @@ func (d *decider) walkRoute(protoName string, rb wire.RouteBody, emit func(hb wi
 		d.engine.SetViews(d.views)
 	}
 	h := &d.walk
-	*h = routeHandler{d: d, p: p, name: protoName, emit: emit, pkts: h.pkts, fwds: h.fwds}
+	*h = routeHandler{d: d, p: p, name: protoName, emit: emit}
 	m := d.engine.RunTask(h, src, dests)
 	if h.err != nil {
 		return nil, h.err
@@ -154,9 +154,9 @@ func (d *decider) walkRoute(protoName string, rb wire.RouteBody, emit func(hb wi
 }
 
 // routeHandler is the sim.Handler a ROUTE walk runs: each decision is the
-// decider's memo-cached run, returned as forwards whose packets alias the
-// decision's records (the kernel clones each on send), and its copy events
-// stream out as HOPs. It lives on the decider, keeping its scratch.
+// decider's memo-cached run, whose forwards go to the kernel as they are
+// (it copies each on send), and its copy events stream out as HOPs. It
+// lives on the decider, keeping its scratch.
 type routeHandler struct {
 	d    *decider
 	p    routing.Protocol
@@ -167,12 +167,6 @@ type routeHandler struct {
 	// err is the walk's first failure; from then on every decision strands
 	// its copy, so the kernel drains quickly.
 	err error
-	// recycle is the last cache-hit arrival: no protocol saw it and the
-	// kernel is done with it once its forwards are applied, so it returns
-	// to the packet pool at the next decision.
-	recycle *sim.Packet
-	pkts    []sim.Packet
-	fwds    []sim.Forward
 }
 
 // Start implements sim.Handler.
@@ -197,10 +191,6 @@ func (h *routeHandler) RedundantCopies() bool {
 // copy events the kernel makes of the returned forwards. A refused emit
 // stops the stream but never the walk.
 func (h *routeHandler) decide(op byte, node int, pkt *sim.Packet) []sim.Forward {
-	if h.recycle != nil {
-		sim.PutPacket(h.recycle)
-		h.recycle = nil
-	}
 	if h.err != nil {
 		return nil
 	}
@@ -208,37 +198,28 @@ func (h *routeHandler) decide(op byte, node int, pkt *sim.Packet) []sim.Forward 
 		h.err = ErrWalkOverrun
 		return nil
 	}
-	recs, hit := h.d.run(h.p, h.name, op, node, pkt)
+	fwds, hit := h.d.run(h.p, h.name, op, node, pkt)
 	h.done.Decisions++
 	if hit {
 		h.done.CacheHits++
-		if op == wire.OpDecide {
-			h.recycle = pkt // a kernel clone; the start packet is not pooled
-		}
 	}
 	hops := pkt.Hops + 1
-	h.pkts, h.fwds = h.pkts[:0], h.fwds[:0]
-	for i := range recs {
-		r := &recs[i]
-		_, dropped := sim.SentinelReason(r.To)
-		if _, ok := sim.CheckSend(h.d.dep.NW, node, r.To, hops, h.d.engine.MaxHops()); h.emit != nil && (dropped || ok) {
+	for i := range fwds {
+		f := &fwds[i]
+		_, dropped := sim.SentinelReason(f.To)
+		if _, ok := sim.CheckSend(h.d.dep.NW, node, f.To, hops, h.d.engine.MaxHops()); h.emit != nil && (dropped || ok) {
 			// Per-hop replies encode drop frames with the bumped hop count
 			// too; the stream matches them byte for byte.
 			h.d.arena, h.err = h.d.appendForwardFrame(h.d.arena[:0], h.d.frame.Source,
-				h.d.frame.Payload, byte(min(hops, 255)), node, r)
+				h.d.frame.Payload, byte(min(hops, 255)), node, f)
 			if h.err != nil {
 				return nil
 			}
-			if !h.emit(wire.HopBody{Seq: h.seq, From: int32(node), To: int32(r.To), Frame: h.d.arena}) {
+			if !h.emit(wire.HopBody{Seq: h.seq, From: int32(node), To: int32(f.To), Frame: h.d.arena}) {
 				h.emit = nil
 			}
 			h.seq++
 		}
-		h.pkts = append(h.pkts, sim.Packet{Dests: r.Dests, Locs: r.Locs, Hops: pkt.Hops,
-			Perimeter: r.Perimeter, Peri: r.Peri, Anchor: r.Anchor, Session: pkt.Session})
 	}
-	for i := range h.pkts {
-		h.fwds = append(h.fwds, sim.Forward{To: recs[i].To, Pkt: &h.pkts[i]})
-	}
-	return h.fwds
+	return fwds
 }

@@ -40,11 +40,11 @@ func (h *bounceHandler) greedy(v view.NodeView, pkt *Packet) []Forward {
 		h.chosen = append(h.chosen, best)
 	}
 	if best == -1 {
-		return []Forward{{To: DropCopy, Pkt: pkt}}
+		return []Forward{{To: DropCopy, Header: pkt.Header}}
 	}
-	q := pkt.Clone()
+	q := pkt.Header
 	q.Anchor = -1
-	return []Forward{{To: best, Pkt: q}}
+	return []Forward{{To: best, Header: q}}
 }
 
 func (h *bounceHandler) Start(v view.NodeView, pkt *Packet) []Forward {
@@ -54,9 +54,9 @@ func (h *bounceHandler) Start(v view.NodeView, pkt *Packet) []Forward {
 func (h *bounceHandler) Decide(v view.NodeView, pkt *Packet) []Forward {
 	switch pkt.Anchor {
 	case bounceOut:
-		q := pkt.Clone()
+		q := pkt.Header
 		q.Anchor = bounceBack
-		return []Forward{{To: h.origin, Pkt: q}}
+		return []Forward{{To: h.origin, Header: q}}
 	case bounceBack:
 		return h.greedy(v, pkt)
 	}
@@ -64,9 +64,9 @@ func (h *bounceHandler) Decide(v view.NodeView, pkt *Packet) []Forward {
 }
 
 func (h *bounceHandler) Nack(v view.NodeView, to int, pkt *Packet) []Forward {
-	q := pkt.Clone()
+	q := pkt.Header
 	q.Anchor = bounceOut
-	return []Forward{{To: h.relay, Pkt: q}}
+	return []Forward{{To: h.relay, Header: q}}
 }
 
 // TestBlacklistMasksLaterDecisions is the dead-link blacklist contract: after

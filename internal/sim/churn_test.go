@@ -267,11 +267,11 @@ func TestChurnMotionLoss(t *testing.T) {
 type partialHandler struct{ keep int }
 
 func (h partialHandler) Start(v view.NodeView, pkt *Packet) []Forward {
-	return []Forward{{To: v.Self() + 1, Pkt: pkt}}
+	return []Forward{{To: v.Self() + 1, Header: pkt.Header}}
 }
 
 func (h partialHandler) Decide(v view.NodeView, pkt *Packet) []Forward {
-	return []Forward{{To: v.Self() + 1, Pkt: pkt.CloneFor([]int{h.keep})}}
+	return []Forward{{To: v.Self() + 1, Header: pkt.Sub([]int{h.keep})}}
 }
 
 func TestChurnUncoveredSpliceBilledStranded(t *testing.T) {
@@ -299,7 +299,7 @@ func TestChurnUncoveredSpliceBilledStranded(t *testing.T) {
 type twoCopyHandler struct{}
 
 func (twoCopyHandler) Start(v view.NodeView, pkt *Packet) []Forward {
-	return []Forward{{To: 1, Pkt: pkt}, {To: 1, Pkt: pkt}}
+	return []Forward{{To: 1, Header: pkt.Header}, {To: 1, Header: pkt.Header}}
 }
 
 func (twoCopyHandler) Decide(v view.NodeView, pkt *Packet) []Forward {
@@ -394,9 +394,9 @@ func (anchoredHandler) Decide(v view.NodeView, pkt *Packet) []Forward {
 func anchoredRelay(v view.NodeView, pkt *Packet) []Forward {
 	loc := pkt.LocOf(pkt.Anchor)
 	if loc.X <= v.Pos().X {
-		return []Forward{{To: DropCopy, Pkt: pkt}}
+		return []Forward{{To: DropCopy, Header: pkt.Header}}
 	}
-	return []Forward{{To: v.Self() + 1, Pkt: pkt}}
+	return []Forward{{To: v.Self() + 1, Header: pkt.Header}}
 }
 
 // TestChurnLeaveOfAnchorReanchors: retiring the destination an anchor-steered

@@ -12,12 +12,12 @@ import (
 	"gmp/internal/wire"
 )
 
-// Packet is one multicast packet copy in flight. It carries exactly the
-// state the paper's protocols put on the wire: the remaining destination
-// list with its header locations, the hop count, the PERIMODE flag with its
-// perimeter-traversal state, and — for the source-routed SMT baseline only —
-// the embedded routing tree.
-type Packet struct {
+// Header is the wire state of one packet copy: exactly the state the
+// paper's protocols put on the wire — the remaining destination list with
+// its header locations, the PERIMODE flag with its perimeter-traversal
+// state, the LGT anchor and, for the source-routed SMT baseline only, the
+// embedded routing tree. A decision's copies are Header values.
+type Header struct {
 	// Dests are the node IDs this copy is still responsible for.
 	Dests []int
 	// Locs are the destination locations as the wire header carries them,
@@ -26,8 +26,6 @@ type Packet struct {
 	// error in the header is exactly what the protocols see. The engine
 	// stamps them at Start from its network's advertised positions.
 	Locs []geom.Point
-	// Hops is the number of transmissions this copy has undergone.
-	Hops int
 	// Perimeter is the paper's PERIMODE flag.
 	Perimeter bool
 	// Peri is the face-traversal state, valid while Perimeter is set.
@@ -40,6 +38,14 @@ type Packet struct {
 	// re-partition at subtree roots; relays in between forward greedily
 	// toward the anchor.
 	Anchor int
+}
+
+// Packet is one multicast packet copy in flight: its wire header plus the
+// state the kernel stamps on every transmission.
+type Packet struct {
+	Header
+	// Hops is the number of transmissions this copy has undergone.
+	Hops int
 	// Session indexes the concurrent session this copy belongs to (always
 	// 0 in single-task runs).
 	Session int
@@ -68,96 +74,87 @@ func (r *Route) Find(id int) int {
 	return r.ByID[i]
 }
 
-// packetPool recycles Packet structs together with their Dests/Locs backing
-// arrays. Clone and CloneFor draw from it, so the per-transmission copy in
-// the engine's hot path reuses storage instead of allocating. Packets return
-// to the pool only at the engine's release points (freePacket) — sites where
-// the engine provably holds the sole reference to both the struct and its
-// slice backing. The pool is shared by all engines in the process; sync.Pool
-// is safe for the parallel campaign workers.
+// packetPool recycles the kernel's in-flight packets together with their
+// Dests/Locs backing arrays. The kernel makes every in-flight packet (the
+// session's start packet, and one per transmission, copying the forward's
+// header in) and frees each exactly once, when the event that consumes it
+// has finished: a delivery plus its decision, an ARQ give-up plus its Nack,
+// or a kill. Handlers must not keep the packet they are shown, and
+// forwards carry headers, not packets, so nothing else holds one by then. The
+// pool is shared by all engines in the process; sync.Pool is safe for the
+// parallel campaign workers.
 var packetPool = sync.Pool{New: func() any { return new(Packet) }}
 
-// getPacket returns a recycled (or fresh) packet whose Dests/Locs retain
-// capacity from a previous life.
-func getPacket() *Packet { return packetPool.Get().(*Packet) }
+// newPacket returns a pooled packet holding a copy of h. Its Dests/Locs
+// never alias h's; Route is immutable after the source builds it, so it is
+// shared.
+func newPacket(h *Header, hops, session int) *Packet {
+	p := packetPool.Get().(*Packet)
+	dests := append(p.Dests[:0], h.Dests...)
+	locs := append(p.Locs[:0], h.Locs...)
+	*p = Packet{Header: *h, Hops: hops, Session: session}
+	p.Dests, p.Locs = dests, locs
+	return p
+}
 
-// freePacket recycles p. The caller must own the only live reference to p
-// AND to its Dests/Locs backing arrays: the engine calls this only for
-// copies it created itself (Clone in send) that were never handed to any
-// handler — a handler may legally retain or alias a packet it was shown
-// (decisions may stash copies, and CloneFor adopts caller slices), so
-// handler-exposed packets are left to the garbage collector.
+// freePacket returns a packet the kernel has finished with to the pool.
 func freePacket(p *Packet) {
-	*p = Packet{Dests: p.Dests[:0], Locs: p.Locs[:0]}
+	*p = Packet{Header: Header{Dests: p.Dests[:0], Locs: p.Locs[:0]}}
 	packetPool.Put(p)
 }
 
-// PutPacket recycles a packet built by Clone/CloneFor — for a handler
-// handed an arriving kernel clone that it never showed to a protocol (the
-// decision service's memo-cache hits). The caller must hold the only live
-// reference to p and to its Dests/Locs backing arrays — the same contract
-// the engine's own release points obey; packets that were shown to a
-// protocol must be left to the garbage collector instead.
-func PutPacket(p *Packet) { freePacket(p) }
-
-// Clone deep-copies the packet, so every transmitted copy owns its state.
-// The copy comes from the packet pool; its Dests/Locs never alias p's.
+// Clone deep-copies the packet: the copy's Dests/Locs never alias p's.
 func (p *Packet) Clone() *Packet {
-	q := getPacket()
-	dests := append(q.Dests[:0], p.Dests...)
-	locs := append(q.Locs[:0], p.Locs...)
-	*q = *p
-	q.Dests = dests
-	q.Locs = locs
-	// Route is immutable after the source builds it; sharing is safe.
-	return q
+	q := *p
+	q.Dests = slices.Clone(p.Dests)
+	q.Locs = slices.Clone(p.Locs)
+	return &q
 }
 
 // LocOf returns the header location carried for destination id. The id must
 // be present in Dests; asking for anything else is a protocol bug.
-func (p *Packet) LocOf(id int) geom.Point {
-	for i, d := range p.Dests {
+func (h *Header) LocOf(id int) geom.Point {
+	for i, d := range h.Dests {
 		if d == id {
-			return p.Locs[i]
+			return h.Locs[i]
 		}
 	}
 	panic(fmt.Sprintf("sim: destination %d not in packet header", id))
 }
 
-// CloneFor returns a clone of p carrying only the given destinations (each
-// must be present in p.Dests); the header locations follow the subset. The
-// ids slice is adopted, not copied — pass a fresh slice.
-func (p *Packet) CloneFor(ids []int) *Packet {
-	q := getPacket()
-	locs := q.Locs[:0]
-	for _, id := range ids {
-		locs = append(locs, p.LocOf(id))
+// Sub returns a copy of the header carrying only the given destinations
+// (each must be present in h.Dests), with fresh header locations that
+// follow the subset. The ids slice is adopted, not copied.
+func (h *Header) Sub(ids []int) Header {
+	locs := make([]geom.Point, len(ids))
+	for i, id := range ids {
+		locs[i] = h.LocOf(id)
 	}
-	*q = *p
-	q.Dests = ids
-	q.Locs = locs
-	return q
+	s := *h
+	s.Dests, s.Locs = ids, locs
+	return s
 }
 
-// Forward is one element of a decision's output: transmit Pkt to neighbor
-// To, or abandon the copy when To is DropCopy.
+// Forward is one element of a decision's output: transmit a copy with this
+// header to neighbor To, or abandon it when To is a drop sentinel. The
+// kernel copies the header into a packet of its own on send, so a forward
+// may alias the packet the decision was shown, or share slices with other
+// forwards; the copy's hop count and session come from that packet.
 type Forward struct {
-	// To is the next-hop node ID, or DropCopy.
+	// To is the next-hop node ID, or DropCopy/DropWatchdog.
 	To int
-	// Pkt is the copy to transmit (the engine clones it on send, so
-	// decisions may share one packet across forwards).
-	Pkt *Packet
+	Header
 }
 
 // DropCopy, used as Forward.To, records that the protocol intentionally
 // abandoned the copy (for example LGS upon meeting a void destination). The
-// drop is billed to the packet's own session.
+// drop is billed to the session being decided.
 const DropCopy = -1
 
 // DropWatchdog, used as Forward.To, records that the perimeter watchdog
 // killed a looping face traversal after exhausting its bounded recovery
 // (view.PerimeterStep returning StepWatchdog). Billed as ReasonWatchdog to
-// the packet's own session.
+// the session being decided.
 const DropWatchdog = -2
 
 // SentinelReason maps a drop sentinel used as Forward.To (DropCopy,
@@ -250,8 +247,11 @@ func (r DropReason) String() string {
 // function from (local view, packet) to a forward list that the engine
 // applies in order; handlers never touch the engine and never see beyond
 // the view's 1-hop horizon. Decisions must not mutate the packet they are
-// given — derive copies via Clone/CloneFor. Implementations live in the
-// routing package.
+// given, and must not keep it, or any slice of it, past the call: the
+// kernel frees it once the forwards are applied. A decision's copies are
+// Header values — pkt.Header, edited as the copy needs, or pkt.Sub(ids) —
+// and may alias pkt, since the kernel copies each on send. Implementations
+// live in the routing package.
 type Handler interface {
 	// Start makes the source's forwarding decision. The engine has already
 	// built the packet: destinations (minus the source itself) sorted

@@ -31,17 +31,17 @@ func TestRadioParams(t *testing.T) {
 type chainHandler struct{}
 
 func (chainHandler) Start(v view.NodeView, pkt *Packet) []Forward {
-	return []Forward{{To: v.Self() + 1, Pkt: pkt}}
+	return []Forward{{To: v.Self() + 1, Header: pkt.Header}}
 }
 
 func (chainHandler) Decide(v view.NodeView, pkt *Packet) []Forward {
 	next := v.Self() + 1
 	for _, nb := range v.Neighbors() {
 		if nb == next {
-			return []Forward{{To: next, Pkt: pkt}}
+			return []Forward{{To: next, Header: pkt.Header}}
 		}
 	}
-	return []Forward{{To: DropCopy, Pkt: pkt}}
+	return []Forward{{To: DropCopy, Header: pkt.Header}}
 }
 
 func chainNet(t *testing.T, n int) *network.Network {
@@ -128,8 +128,8 @@ type invalidHandler struct{ far int }
 
 func (h invalidHandler) Start(v view.NodeView, pkt *Packet) []Forward {
 	return []Forward{
-		{To: h.far, Pkt: pkt},    // far node, out of range
-		{To: v.Self(), Pkt: pkt}, // self
+		{To: h.far, Header: pkt.Header},    // far node, out of range
+		{To: v.Self(), Header: pkt.Header}, // self
 	}
 }
 func (invalidHandler) Decide(view.NodeView, *Packet) []Forward { return nil }
@@ -181,7 +181,7 @@ func (dupHandler) Start(v view.NodeView, pkt *Packet) []Forward {
 	// Two direct copies to the same next hop; the second must not
 	// double-count the delivery.
 	next := v.Self() + 1
-	return []Forward{{To: next, Pkt: pkt}, {To: next, Pkt: pkt}}
+	return []Forward{{To: next, Header: pkt.Header}, {To: next, Header: pkt.Header}}
 }
 func (dupHandler) Decide(view.NodeView, *Packet) []Forward { return nil }
 
@@ -198,7 +198,7 @@ func TestEngineDuplicateDeliveryCountsOnce(t *testing.T) {
 }
 
 func TestPacketClone(t *testing.T) {
-	p := &Packet{Dests: []int{1, 2, 3}, Hops: 2, Perimeter: true}
+	p := &Packet{Header: Header{Dests: []int{1, 2, 3}, Perimeter: true}, Hops: 2}
 	q := p.Clone()
 	q.Dests[0] = 99
 	q.Hops = 7

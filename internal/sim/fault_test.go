@@ -375,19 +375,19 @@ type nackRecorder struct {
 }
 
 func (h *nackRecorder) Start(v view.NodeView, pkt *Packet) []Forward {
-	return []Forward{{To: h.direct, Pkt: pkt}}
+	return []Forward{{To: h.direct, Header: pkt.Header}}
 }
 
 func (h *nackRecorder) Decide(v view.NodeView, pkt *Packet) []Forward {
 	if v.Self() == h.detour {
-		return []Forward{{To: h.dest, Pkt: pkt}}
+		return []Forward{{To: h.dest, Header: pkt.Header}}
 	}
 	return nil
 }
 
 func (h *nackRecorder) Nack(v view.NodeView, to int, pkt *Packet) []Forward {
 	h.nacks++
-	return []Forward{{To: h.detour, Pkt: pkt}}
+	return []Forward{{To: h.detour, Header: pkt.Header}}
 }
 
 func TestARQNackReroutesAroundDeadHop(t *testing.T) {

@@ -8,12 +8,12 @@ import (
 )
 
 // redundantChain chains the packet like chainHandler but declares redundant
-// copies and, at start, additionally kills cloned copies per drops — the
+// copies and, at start, additionally kills copies per drops — the
 // minimal shape of a concurrent protocol whose losing threads die while a
 // winning thread still delivers.
 type redundantChain struct {
 	// drops are the Forward.To drop sentinels emitted at start (DropCopy,
-	// DropWatchdog), each carrying a clone with the full destination set.
+	// DropWatchdog), each carrying the full header.
 	drops []int
 	// deliver controls whether a live chain copy is launched at all.
 	deliver bool
@@ -28,11 +28,11 @@ func (h redundantChain) Start(v view.NodeView, pkt *Packet) []Forward {
 	var fwds []Forward
 	if h.deliver {
 		for c := 0; c < h.copies; c++ {
-			fwds = append(fwds, Forward{To: v.Self() + 1, Pkt: pkt.Clone()})
+			fwds = append(fwds, Forward{To: v.Self() + 1, Header: pkt.Header})
 		}
 	}
 	for _, to := range h.drops {
-		fwds = append(fwds, Forward{To: to, Pkt: pkt.Clone()})
+		fwds = append(fwds, Forward{To: to, Header: pkt.Header})
 	}
 	return fwds
 }

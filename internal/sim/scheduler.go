@@ -52,7 +52,6 @@ type event struct {
 	from, to int
 	attempt  int
 	lost     bool
-	sess     int
 	pkt      *Packet
 }
 

@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"testing"
-
-	"gmp/internal/view"
-)
+import "testing"
 
 // TestScriptMetricsPerSessionAttribution runs two overlapping sessions over
 // shared relays and asserts that every counter lands on its own session:
@@ -48,62 +44,5 @@ func TestScriptMetricsPerSessionAttribution(t *testing.T) {
 	if a.EnergyJ != sa.EnergyJ || b.EnergyJ != sb.EnergyJ {
 		t.Fatalf("energy bled across sessions: %v/%v vs solo %v/%v",
 			a.EnergyJ, b.EnergyJ, sa.EnergyJ, sb.EnergyJ)
-	}
-}
-
-// pktStash lets one session hand a live packet to another, to exercise a
-// DropCopy forward emitted while another session's handler executes.
-type pktStash struct{ pkt *Packet }
-
-// stashingHandler (session A) parks its copy at the first relay instead of
-// forwarding it.
-type stashingHandler struct{ s *pktStash }
-
-func (h stashingHandler) Start(v view.NodeView, pkt *Packet) []Forward {
-	return []Forward{{To: v.Self() + 1, Pkt: pkt}}
-}
-
-func (h stashingHandler) Decide(v view.NodeView, pkt *Packet) []Forward {
-	h.s.pkt = pkt
-	return nil
-}
-
-// droppingHandler (session B) drops whatever session A parked.
-type droppingHandler struct{ s *pktStash }
-
-func (h droppingHandler) Start(v view.NodeView, pkt *Packet) []Forward {
-	return []Forward{{To: v.Self() + 1, Pkt: pkt}}
-}
-
-func (h droppingHandler) Decide(v view.NodeView, pkt *Packet) []Forward {
-	if h.s.pkt != nil {
-		stashed := h.s.pkt
-		h.s.pkt = nil
-		return []Forward{{To: DropCopy, Pkt: stashed}}
-	}
-	return nil
-}
-
-// TestDropBillsPacketSession is the regression test for the Drop-attribution
-// fix: a drop recorded while another session's handler executes must still be
-// billed to the dropped packet's own session.
-func TestDropBillsPacketSession(t *testing.T) {
-	nw := chainNet(t, 8)
-	e := NewEngine(nw, DefaultRadioParams(), 0)
-	s := &pktStash{}
-	res := e.RunScript([]Session{
-		{Start: 0, Handler: stashingHandler{s}, Src: 0, Dests: []int{5}},
-		// Session B starts after A's copy is parked at node 1.
-		{Start: 0.005, Handler: droppingHandler{s}, Src: 2, Dests: []int{6}},
-	})
-	a, b := res[0], res[1]
-	if a.Drops() != 1 {
-		t.Fatalf("session A drops = %d, want 1 (billed to the packet's session)", a.Drops())
-	}
-	if b.Drops() != 0 {
-		t.Fatalf("session B drops = %d, want 0", b.Drops())
-	}
-	if a.Transmissions != 1 || b.Transmissions != 1 {
-		t.Fatalf("tx %d/%d, want 1/1", a.Transmissions, b.Transmissions)
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"gmp/internal/geom"
 	"gmp/internal/view"
 )
 
@@ -185,7 +184,6 @@ type lane struct {
 	// and all, for reuse.
 	sess  []*laneSession
 	spare []*laneSession
-	cur   int // session whose handler is currently executing
 	// uncovered is billUncovered's scratch.
 	uncovered []int
 	// trace buffers the tile's trace events until the next barrier.
@@ -395,12 +393,11 @@ func (e *Engine) RunScript(sessions []Session) []SessionMetrics {
 		}
 		sort.Ints(remaining)
 		if len(remaining) > 0 {
-			locs := make([]geom.Point, len(remaining))
-			for j, d := range remaining {
-				locs[j] = e.net.Pos(d)
+			pkt := newPacket(&Header{Dests: remaining, Anchor: -1}, 0, i)
+			for _, d := range pkt.Dests {
+				pkt.Locs = append(pkt.Locs, e.net.Pos(d))
 			}
-			pkt := &Packet{Dests: remaining, Locs: locs, Session: i, Anchor: -1}
-			r.laneOf(s.Src).schedule(event{time: s.Start, kind: evStart, from: s.Src, sess: i, pkt: pkt})
+			r.laneOf(s.Src).schedule(event{time: s.Start, kind: evStart, from: s.Src, pkt: pkt})
 		}
 	}
 
@@ -520,35 +517,35 @@ func (r *kernel) advance(ln *lane, horizon float64) {
 	}
 }
 
-// dispatch executes one event in lane context.
+// dispatch executes one event in lane context. Every event but a crash or
+// a recovery carries a packet, which it either hands on to a follow-up
+// event (a frame on the air, a queued retry or give-up) or consumes; a
+// consumed packet returns to the pool once the event has finished — its
+// decision's forwards applied, each copied into a packet of its own.
 func (r *kernel) dispatch(ln *lane, ev event) {
-	switch ev.kind {
-	case evCrash:
+	pkt := ev.pkt
+	carried := false
+	switch {
+	case ev.kind == evCrash:
 		r.dead[ev.from] = true
-	case evRecover:
+		return
+	case ev.kind == evRecover:
 		r.dead[ev.from] = false
-	case evStart:
-		ln.cur = ev.sess
-		pkt := ev.pkt
-		if len(pkt.Dests) == 0 {
-			// A barrier leave retired every destination before the start;
-			// the retirements are already billed.
-			return
-		}
-		r.act(ln, ev.from, pkt, r.sess[ev.sess].handler.Start(r.viewAt(ln, ev.sess, ev.from), pkt))
-	case evReceive:
-		r.receive(ln, ev)
-	case evRetransmit, evGiveUp:
-		if len(ev.pkt.Dests) == 0 {
-			// A barrier leave emptied the copy while it was queued.
-			freePacket(ev.pkt)
-			return
-		}
-		if ev.kind == evRetransmit {
-			r.transmit(ln, ev.from, ev.to, ev.pkt, ev.attempt)
-		} else {
-			r.giveUp(ln, ev.from, ev.to, ev.pkt)
-		}
+		return
+	case ev.kind == evReceive:
+		carried = r.receive(ln, ev)
+	case len(pkt.Dests) == 0:
+		// A barrier leave retired every destination while the copy was
+		// queued; the retirements are already billed.
+	case ev.kind == evStart:
+		r.act(ln, ev.from, pkt, r.sess[pkt.Session].handler.Start(r.viewAt(ln, pkt.Session, ev.from), pkt), ReasonStranded)
+	case ev.kind == evRetransmit:
+		carried = r.transmit(ln, ev.from, ev.to, pkt, ev.attempt)
+	default: // evGiveUp
+		r.giveUp(ln, ev.from, ev.to, pkt)
+	}
+	if !carried {
+		freePacket(pkt)
 	}
 }
 
@@ -608,15 +605,15 @@ func (r *kernel) drop(ln *lane, si int, dests []int, reason DropReason) {
 }
 
 // act applies a decision made at node for pkt. A decision that returns no
-// forwards while destinations remain strands the copy, billed as
-// ReasonStranded.
-func (r *kernel) act(ln *lane, node int, pkt *Packet, fwds []Forward) {
+// forwards kills the copy, billed under none: ReasonStranded for an
+// arrival's decision, ReasonARQExhausted for a give-up's.
+func (r *kernel) act(ln *lane, node int, pkt *Packet, fwds []Forward, none DropReason) {
 	if len(fwds) == 0 {
-		r.kill(ln, pkt, ReasonStranded)
+		r.kill(ln, pkt, none)
 		return
 	}
 	r.billUncovered(ln, pkt, fwds)
-	r.apply(ln, node, fwds)
+	r.apply(ln, node, pkt, fwds)
 }
 
 // billUncovered bills destinations aboard pkt that no forward in fwds
@@ -635,8 +632,8 @@ func (r *kernel) billUncovered(ln *lane, pkt *Packet, fwds []Forward) {
 	for _, d := range pkt.Dests {
 		covered := false
 	scan:
-		for _, f := range fwds {
-			for _, fd := range f.Pkt.Dests {
+		for i := range fwds {
+			for _, fd := range fwds[i].Dests {
 				if fd == d {
 					covered = true
 					break scan
@@ -652,53 +649,52 @@ func (r *kernel) billUncovered(ln *lane, pkt *Packet, fwds []Forward) {
 	}
 }
 
-// apply executes a decision's forward list from node `from`, in order:
-// transmissions via send, DropCopy/DropWatchdog entries via kill. This is
-// the only path from a protocol decision to the air — handlers return data,
-// the kernel acts on it. Kills are attributed to the packet's own session,
-// not whichever handler happens to be executing, so deferred drops in
-// concurrent scripts cannot be mis-billed.
-func (r *kernel) apply(ln *lane, from int, fwds []Forward) {
-	for _, f := range fwds {
+// apply executes the forward list of a decision made at node `from` for
+// pkt, in order: transmissions via send, DropCopy/DropWatchdog entries as
+// kills. This is the only path from a protocol decision to the air —
+// handlers return data, the kernel acts on it. Every copy belongs to pkt's
+// session, so handlers never stamp session IDs and no kill can be billed
+// to another session.
+func (r *kernel) apply(ln *lane, from int, pkt *Packet, fwds []Forward) {
+	for i := range fwds {
+		f := &fwds[i]
 		if reason, ok := SentinelReason(f.To); ok {
-			r.kill(ln, f.Pkt, reason)
+			r.drop(ln, pkt.Session, f.Dests, reason)
 		} else {
-			r.send(ln, from, f.To, f.Pkt)
+			r.send(ln, from, pkt, f)
 		}
 	}
 }
 
-// send transmits a copy of pkt from node `from` to its neighbor `to`,
-// attributed to the session whose handler is executing — handlers never
-// need to stamp session IDs themselves. A send that CheckSend refuses dies
-// before the air; an invalid send also counts in InvalidSends (a protocol
-// bug; tests assert the counter stays zero).
-func (r *kernel) send(ln *lane, from, to int, pkt *Packet) {
-	if reason, ok := CheckSend(r.e.net, from, to, pkt.Hops+1, r.e.maxHops); !ok {
+// send transmits a copy of forward f, decided for pkt, from node `from` to
+// its neighbor f.To: the kernel copies f's header into a packet of its own,
+// one hop further than pkt, in pkt's session. A send that CheckSend refuses
+// dies before the air; an invalid send also counts in InvalidSends (a
+// protocol bug; tests assert the counter stays zero).
+func (r *kernel) send(ln *lane, from int, pkt *Packet, f *Forward) {
+	hops := pkt.Hops + 1
+	if reason, ok := CheckSend(r.e.net, from, f.To, hops, r.e.maxHops); !ok {
 		if reason == ReasonInvalidSend {
-			ln.session(ln.cur).m.InvalidSends++
+			ln.session(pkt.Session).m.InvalidSends++
 		}
-		r.drop(ln, ln.cur, pkt.Dests, reason)
+		r.drop(ln, pkt.Session, f.Dests, reason)
 		return
 	}
-	copyPkt := pkt.Clone()
-	copyPkt.Session = ln.cur
-	copyPkt.Hops++
-	r.transmit(ln, from, to, copyPkt, 0)
+	r.transmit(ln, from, f.To, newPacket(&f.Header, hops, pkt.Session), 0)
 }
 
 // transmit puts one data frame on the air (attempt 0 is the original send,
-// higher attempts are ARQ retransmissions). It charges airtime and energy,
-// serializes on the sender's half-duplex radio, draws the frame's fault
-// fate, and schedules the reception. It always runs in the sender's lane,
-// so the radio state and the fault stream are lane-local.
-func (r *kernel) transmit(ln *lane, from, to int, pkt *Packet, attempt int) {
+// higher attempts are ARQ retransmissions) and reports whether it did. It
+// charges airtime and energy, serializes on the sender's half-duplex radio,
+// draws the frame's fault fate, and schedules the reception, which carries
+// pkt on. It always runs in the sender's lane, so the radio state and the
+// fault stream are lane-local.
+func (r *kernel) transmit(ln *lane, from, to int, pkt *Packet, attempt int) bool {
 	e := r.e
 	if r.isDead(from) {
 		// The sender's radio died before this (re)transmission went out.
 		r.kill(ln, pkt, ReasonSenderCrashed)
-		freePacket(pkt) // kernel clone, still unexposed to any handler
-		return
+		return false
 	}
 	m := &ln.session(pkt.Session).m
 	txStart, airtime := r.air(ln, m, from, e.frameBytes(pkt))
@@ -737,6 +733,7 @@ func (r *kernel) transmit(ln *lane, from, to int, pkt *Packet, attempt int) {
 		time: txStart + airtime, kind: evReceive,
 		from: from, to: to, attempt: attempt, lost: lost, pkt: pkt,
 	})
+	return true
 }
 
 // air puts one frame of the given size on node's half-duplex radio — it
@@ -768,12 +765,12 @@ func (r *kernel) air(ln *lane, m *SessionMetrics, node, bytes int) (start, airti
 func (r *kernel) isDead(node int) bool { return r.dead != nil && r.dead[node] }
 
 // receive resolves one frame's fate at its arrival time, in the receiver's
-// lane: deliver (plus ACK under ARQ), schedule a retransmission, or schedule
-// the give-up: an event in the *sender's* lane one backed-off timeout later
-// — physically, the sender's last timer expiring — because bans and
-// re-route decisions are sender-tile state the receiver's tile must not
-// touch directly.
-func (r *kernel) receive(ln *lane, ev event) {
+// lane, and reports whether a follow-up event carries the copy on: deliver
+// (plus ACK under ARQ), schedule a retransmission, or schedule the give-up:
+// an event in the *sender's* lane one backed-off timeout later — physically,
+// the sender's last timer expiring — because bans and re-route decisions are
+// sender-tile state the receiver's tile must not touch directly.
+func (r *kernel) receive(ln *lane, ev event) bool {
 	e := r.e
 	pkt := ev.pkt
 	if !ev.lost && !r.isDead(ev.to) {
@@ -784,7 +781,7 @@ func (r *kernel) receive(ln *lane, ev event) {
 			m.Acks++
 		}
 		r.arrive(ln, ev.to, pkt)
-		return
+		return false
 	}
 	if !e.arq.Enabled {
 		// Without ARQ the sender never learns; the copy silently dies.
@@ -793,8 +790,7 @@ func (r *kernel) receive(ln *lane, ev event) {
 		} else {
 			r.kill(ln, pkt, ReasonCrashedReceiver)
 		}
-		freePacket(pkt) // kernel clone, died in flight: no handler saw it
-		return
+		return false
 	}
 	rto := e.arq.Timeout * math.Pow(e.arq.Backoff, float64(ev.attempt))
 	next := event{time: ln.now + rto, kind: evGiveUp, from: ev.from, to: ev.to, pkt: pkt}
@@ -802,6 +798,7 @@ func (r *kernel) receive(ln *lane, ev event) {
 		next.kind, next.attempt = evRetransmit, ev.attempt+1
 	}
 	r.enqueue(ln, ev.from, next)
+	return true
 }
 
 // giveUp executes ARQ exhaustion on the link from→to: count the link
@@ -811,22 +808,11 @@ func (r *kernel) giveUp(ln *lane, from, to int, pkt *Packet) {
 	st := ln.session(pkt.Session)
 	st.m.LinkFailures++
 	st.ban(from, to)
-	nh, hasNack := r.sess[pkt.Session].handler.(NackHandler)
-	if !hasNack {
-		r.kill(ln, pkt, ReasonARQExhausted)
-		freePacket(pkt) // no NackHandler: the copy never reached a handler
-		return
+	var fwds []Forward
+	if nh, ok := r.sess[pkt.Session].handler.(NackHandler); ok {
+		fwds = nh.Nack(r.viewAt(ln, pkt.Session, from), to, pkt)
 	}
-	ln.cur = pkt.Session
-	fwds := nh.Nack(r.viewAt(ln, pkt.Session, from), to, pkt)
-	if len(fwds) == 0 {
-		// The handler declined the copy; it has still *seen* it (and may
-		// alias it), so the kill is billed but the storage is left to GC.
-		r.kill(ln, pkt, ReasonARQExhausted)
-		return
-	}
-	r.billUncovered(ln, pkt, fwds)
-	r.apply(ln, from, fwds)
+	r.act(ln, from, pkt, fwds, ReasonARQExhausted)
 }
 
 // arrive records deliveries at the receiving node, strips it from the
@@ -835,7 +821,6 @@ func (r *kernel) giveUp(ln *lane, from, to int, pkt *Packet) {
 // them). Deliveries of a destination always happen in the destination's own
 // lane, so the duplicate check needs only the lane partial.
 func (r *kernel) arrive(ln *lane, node int, pkt *Packet) {
-	ln.cur = pkt.Session
 	if n := pkt.StripAt(node); n > 0 {
 		m := &ln.session(pkt.Session).m
 		if m.Delivered == nil {
@@ -849,13 +834,9 @@ func (r *kernel) arrive(ln *lane, node int, pkt *Packet) {
 		}
 		m.DuplicateDeliveries += n
 	}
-	if len(pkt.Dests) == 0 {
-		// Fully delivered: this kernel clone was never shown to a handler at
-		// this node (and each hop gets its own clone), so it can be recycled.
-		freePacket(pkt)
-		return
+	if len(pkt.Dests) > 0 {
+		r.act(ln, node, pkt, r.sess[pkt.Session].handler.Decide(r.viewAt(ln, pkt.Session, node), pkt), ReasonStranded)
 	}
-	r.act(ln, node, pkt, r.sess[pkt.Session].handler.Decide(r.viewAt(ln, pkt.Session, node), pkt))
 }
 
 // merge folds every lane's session partials into the result, in lane index

@@ -7,12 +7,12 @@ package sim
 // bookkeeping mid-round, so churn fires at window barriers, when no worker
 // is running and a key invariant holds: every live packet copy of a session
 // is attached to exactly one queued event (a copy popped during a round
-// either dissolves, delivers, or reappears as clones on follow-up events
+// either dissolves, delivers, or reappears as copies on follow-up events
 // before the round ends). The barrier can therefore enumerate and edit every
 // in-flight header directly:
 //
 //   - A fired leave strips the destination from every queued copy, billed as
-//     ReasonLeft once per destination. Copies cloned later inherit stripped
+//     ReasonLeft once per destination. Copies made later inherit stripped
 //     parents, so one sweep per leave-firing barrier is complete. Emptied
 //     copies dissolve when their event fires.
 //   - A fired join is boarded onto the earliest queued copy of its session —

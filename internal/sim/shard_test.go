@@ -23,7 +23,7 @@ type backstepChain struct{ chainHandler }
 func (backstepChain) Nack(v view.NodeView, to int, pkt *Packet) []Forward {
 	for _, nb := range v.Neighbors() {
 		if nb != to {
-			return []Forward{{To: nb, Pkt: pkt}}
+			return []Forward{{To: nb, Header: pkt.Header}}
 		}
 	}
 	return nil

@@ -21,9 +21,10 @@ import (
 //
 // Buffer validity: every exported buffer below is valid for the duration of
 // one forwarding decision and is clobbered by the next decision on the same
-// arena. Decisions must never return scratch-backed slices to the engine —
-// anything that outlives the decision (forward lists, packet destination
-// slices) must be freshly allocated or pooled via the sim layer.
+// arena. Decisions must never return scratch-backed slices: a forward list
+// and its headers' slices are freshly allocated or the arriving packet's
+// own. The purity test runs one decision twice on one arena, so a
+// scratch-backed output would compare a buffer with itself.
 type Scratch struct {
 	// Memo caches per-decision distance terms for the group next-hop
 	// selection (see DistMemo).

@@ -3,7 +3,7 @@
 // location, its 1-hop neighbors' advertised locations (learned from HELLO
 // beacons), and the locally computed planar adjacency used by perimeter
 // mode. Destination locations are NOT part of the view; they travel in the
-// packet header (sim.Packet.Locs), exactly as the wire format carries them.
+// packet header (sim.Header.Locs), exactly as the wire format carries them.
 //
 // Protocol decision cores compile against NodeView only, so the type system
 // enforces the locality contract: a decision physically cannot look up the
