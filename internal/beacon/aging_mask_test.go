@@ -10,9 +10,9 @@ import (
 )
 
 // hasID reports whether id appears in ids.
-func hasID(ids []int, id int) bool {
+func hasID[T int | int32](ids []T, id int) bool {
 	for _, n := range ids {
-		if n == id {
+		if int(n) == id {
 			return true
 		}
 	}

@@ -155,12 +155,12 @@ func corruptTables(nw networkLike, p chaosPlan, seed int64) [][]view.Neighbor {
 			if r.Float64() < p.pDrop {
 				continue
 			}
-			pos := nw.Pos(nb)
+			pos := nw.Pos(int(nb))
 			if p.posSigma > 0 {
 				pos = geom.Pt(pos.X+(r.Float64()*2-1)*p.posSigma,
 					pos.Y+(r.Float64()*2-1)*p.posSigma)
 			}
-			tbl = append(tbl, view.Neighbor{ID: nb, Pos: pos})
+			tbl = append(tbl, view.Neighbor{ID: int(nb), Pos: pos})
 		}
 		if r.Float64() < p.pGhost {
 			// A ghost: a fabricated entry for a random node, placed at a
@@ -180,7 +180,7 @@ func corruptTables(nw networkLike, p chaosPlan, seed int64) [][]view.Neighbor {
 // corruptTables trivially testable.
 type networkLike interface {
 	Len() int
-	Neighbors(id int) []int
+	Neighbors(id int) []int32
 	Pos(id int) geom.Point
 }
 

@@ -73,15 +73,15 @@ func (leakyHandler) Start(v view.NodeView, pkt *sim.Packet) []sim.Forward {
 	if len(v.Neighbors()) == 0 {
 		return nil
 	}
-	return []sim.Forward{{To: v.Neighbors()[0], Header: keep}}
+	return []sim.Forward{{To: int(v.Neighbors()[0]), Header: keep}}
 }
 
 func (leakyHandler) Decide(v view.NodeView, pkt *sim.Packet) []sim.Forward {
 	target := pkt.Locs[0]
 	best, bestD := -1, v.Pos().Dist(target)
 	for _, n := range v.Neighbors() {
-		if d := v.NbrPos(n).Dist(target); d < bestD {
-			best, bestD = n, d
+		if d := v.NbrPos(int(n)).Dist(target); d < bestD {
+			best, bestD = int(n), d
 		}
 	}
 	if best == -1 {

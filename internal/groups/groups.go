@@ -149,8 +149,8 @@ func (s *Service) route(src int, target geom.Point) (hops int, err error) {
 func (s *Service) greedyToward(cur int, target geom.Point) int {
 	best, bestD := -1, s.nw.Pos(cur).Dist(target)
 	for _, n := range s.nw.Neighbors(cur) {
-		if d := s.nw.Pos(n).Dist(target); d < bestD {
-			best, bestD = n, d
+		if d := s.nw.Pos(int(n)).Dist(target); d < bestD {
+			best, bestD = int(n), d
 		}
 	}
 	return best

@@ -138,8 +138,8 @@ func TestWithFailuresSymmetry(t *testing.T) {
 	for u := 0; u < degraded.Len(); u++ {
 		for _, v := range degraded.Neighbors(u) {
 			found := false
-			for _, w := range degraded.Neighbors(v) {
-				if w == u {
+			for _, w := range degraded.Neighbors(int(v)) {
+				if int(w) == u {
 					found = true
 					break
 				}

@@ -11,7 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
@@ -55,7 +55,12 @@ type Network struct {
 	tiles    [][]int // tile index -> node IDs, ascending
 	nodeTile []int32 // node ID -> tile index
 
-	adj [][]int // node ID -> sorted neighbor IDs
+	// off and nbr hold the adjacency in compressed sparse rows: node id's
+	// neighbors, sorted ascending, are nbr[off[id]:off[id+1]]. IDs are
+	// int32, so New refuses a field whose nodes or entries int32 cannot
+	// count (checkInt32).
+	off []int32
+	nbr []int32
 
 	// down marks nodes with failed radios in views derived with failures
 	// (WithFailures); nil when no radio is dead.
@@ -67,30 +72,23 @@ type Network struct {
 }
 
 // viewTables are a network view's derived tables, each built once on first
-// use: edge lengths parallel to adj (only SMT reads them) and
+// use: edge lengths parallel to nbr (only SMT reads them) and
 // connected-component labels.
 type viewTables struct {
 	wOnce, compOnce sync.Once
-	w               [][]float64 // w[v][i] = Dist(v, adj[v][i])
-	comp            []int32     // node ID -> component label
+	w               []float64 // w[i] = Dist(v, nbr[i]) for i in v's row
+	comp            []int32   // node ID -> component label
 }
 
 // lengths returns nw's edge lengths, building them on first use.
-func (nw *Network) lengths() [][]float64 {
+func (nw *Network) lengths() []float64 {
 	t := nw.tables
 	t.wOnce.Do(func() {
-		total := 0
-		for _, nbrs := range nw.adj {
-			total += len(nbrs)
-		}
-		flat := make([]float64, 0, total)
-		t.w = make([][]float64, len(nw.adj))
-		for v, nbrs := range nw.adj {
-			start := len(flat)
-			for _, n := range nbrs {
-				flat = append(flat, nw.Dist(v, n))
+		t.w = make([]float64, len(nw.nbr))
+		for v := range nw.phys {
+			for i := nw.off[v]; i < nw.off[v+1]; i++ {
+				t.w[i] = nw.Dist(v, int(nw.nbr[i]))
 			}
-			t.w[v] = flat[start:len(flat):len(flat)]
 		}
 	})
 	return t.w
@@ -106,18 +104,18 @@ func (nw *Network) components() []int32 {
 		for i := range t.comp {
 			t.comp[i] = -1
 		}
-		var queue []int
+		var queue []int32
 		label := int32(0)
 		for src := range t.comp {
 			if t.comp[src] >= 0 {
 				continue
 			}
 			t.comp[src] = label
-			queue = append(queue[:0], src)
+			queue = append(queue[:0], int32(src))
 			for len(queue) > 0 {
 				v := queue[0]
 				queue = queue[1:]
-				for _, n := range nw.adj[v] {
+				for _, n := range nw.Neighbors(int(v)) {
 					if t.comp[n] < 0 {
 						t.comp[n] = label
 						queue = append(queue, n)
@@ -151,10 +149,15 @@ const maxCells = 1 << 22
 // from this package guarantee that). The range and dimensions must be
 // positive and finite, the region at most maxCells radio-range cells, and
 // every coordinate finite; a bad position is reported as an error wrapping
-// ErrBadPosition that names the node.
+// ErrBadPosition that names the node. A field with more nodes or adjacency
+// entries than an int32 can count is refused with an error wrapping
+// ErrBadDimensions.
 func New(nodes []Node, width, height, radioRange float64) (*Network, error) {
 	if len(nodes) == 0 {
 		return nil, ErrNoNodes
+	}
+	if err := checkInt32(len(nodes), 0); err != nil {
+		return nil, err
 	}
 	if radioRange <= 0 || !finite(radioRange) {
 		return nil, ErrBadRange
@@ -195,7 +198,9 @@ func New(nodes []Node, width, height, radioRange float64) (*Network, error) {
 		nw.cells[c] = append(nw.cells[c], id)
 	}
 	nw.buildTiles()
-	nw.buildAdjacency()
+	if err := nw.buildAdjacency(); err != nil {
+		return nil, err
+	}
 	nw.tables = new(viewTables)
 	return nw, nil
 }
@@ -261,47 +266,55 @@ func clampInt(v, lo, hi int) int {
 	return v
 }
 
-// adjParallelThreshold is the node count above which buildAdjacency fans out
-// over all CPUs. Small networks stay on the serial path: the goroutine setup
-// would dominate, and tests compare the two paths for equivalence anyway.
-const adjParallelThreshold = 4096
+// adjChunk is the number of consecutive node IDs whose rows buildAdjacency
+// builds in one goroutine. A network below it is built as one chunk, where
+// goroutine setup would dominate; the chunk count depends on the node count
+// alone, never on the machine, so New allocates the same on every host.
+const adjChunk = 4096
 
-// buildAdjacency precomputes sorted unit-disk neighbor lists using the grid:
-// candidates for a node can only lie in its own or the eight adjacent cells.
-// Each node's list is an independent, deterministic function of the (already
-// built) cell index, so large networks compute rows in parallel chunks —
-// byte-identical to the serial build, just faster (a 10⁶-node deployment
-// would otherwise spend most of an E-X10 arm's setup here).
-func (nw *Network) buildAdjacency() {
+// buildAdjacency precomputes the sorted unit-disk neighbor rows using the
+// grid: candidates for a node can only lie in its own or the eight adjacent
+// cells. Each row is an independent, deterministic function of the
+// (already built) cell index, so the rows are computed in chunks of
+// adjChunk consecutive IDs, in parallel, and concatenated into the one CSR:
+// byte-identical for any chunk size, just faster. It refuses a field with
+// more adjacency entries than int32 offsets can count.
+func (nw *Network) buildAdjacency() error {
 	n := len(nw.phys)
-	nw.adj = make([][]int, n)
-	workers := runtime.NumCPU()
-	if n < adjParallelThreshold || workers < 2 {
-		nw.buildAdjacencyRange(0, n)
-		return
-	}
-	chunk := (n + workers - 1) / workers
+	nw.off = make([]int32, n+1)
+	rows := make([][]int32, (n+adjChunk-1)/adjChunk)
 	var wg sync.WaitGroup
-	for lo := 0; lo < n; lo += chunk {
-		hi := min(lo+chunk, n)
+	for i := range rows {
 		wg.Add(1)
-		go func(lo, hi int) {
+		go func(i int) {
 			defer wg.Done()
-			nw.buildAdjacencyRange(lo, hi)
-		}(lo, hi)
+			rows[i] = nw.adjacencyRows(i*adjChunk, min((i+1)*adjChunk, n))
+		}(i)
 	}
 	wg.Wait()
+	entries := 0
+	for _, r := range rows {
+		entries += len(r)
+	}
+	if err := checkInt32(n, entries); err != nil {
+		return err
+	}
+	nw.nbr = make([]int32, 0, entries)
+	for _, r := range rows {
+		nw.nbr = append(nw.nbr, r...)
+	}
+	for id := range n {
+		nw.off[id+1] += nw.off[id]
+	}
+	return nil
 }
 
-// buildAdjacencyRange fills adjacency rows for node IDs in [lo, hi). Rows are
-// disjoint across ranges, so concurrent calls on disjoint ranges are safe.
-// The range's rows are packed into one exactly sized backing array and
-// handed out as capped sub-slices, so an append to a row can never
-// overwrite the next; an isolated node keeps a nil row.
-func (nw *Network) buildAdjacencyRange(lo, hi int) {
+// adjacencyRows returns the neighbor rows of node IDs [lo, hi), packed in
+// ID order, and writes each node's degree to off[id+1]. Chunks write
+// disjoint entries of off, so concurrent calls on disjoint ranges are safe.
+func (nw *Network) adjacencyRows(lo, hi int) []int32 {
 	r2 := nw.rng * nw.rng
-	var flat []int
-	ends := make([]int, hi-lo) // ends[i] is the end of row lo+i in flat
+	var flat []int32
 	for i, p := range nw.phys[lo:hi] {
 		cx := clampInt(int(p.X/nw.cellSize), 0, nw.cols-1)
 		cy := clampInt(int(p.Y/nw.cellSize), 0, nw.rows-1)
@@ -317,23 +330,24 @@ func (nw *Network) buildAdjacencyRange(lo, hi int) {
 						continue
 					}
 					if p.Dist2(nw.phys[id]) <= r2 {
-						flat = append(flat, id)
+						flat = append(flat, int32(id))
 					}
 				}
 			}
 		}
-		sort.Ints(flat[start:])
-		ends[i] = len(flat)
+		slices.Sort(flat[start:])
+		nw.off[lo+i+1] = int32(len(flat) - start)
 	}
-	packed := make([]int, len(flat))
-	copy(packed, flat)
-	start := 0
-	for i, end := range ends {
-		if end > start {
-			nw.adj[lo+i] = packed[start:end:end]
-		}
-		start = end
+	return flat
+}
+
+// checkInt32 refuses a field whose node count or adjacency entries do not
+// fit the int32 IDs and offsets of the CSR.
+func checkInt32(nodes, entries int) error {
+	if nodes > math.MaxInt32 || entries > math.MaxInt32 {
+		return fmt.Errorf("%w: %d nodes with %d adjacency entries, at most %d of each", ErrBadDimensions, nodes, entries, math.MaxInt32)
 	}
+	return nil
 }
 
 // Len returns the number of nodes.
@@ -368,19 +382,19 @@ func (nw *Network) ReportsTruePositions() bool { return &nw.pos[0] == &nw.phys[0
 func (nw *Network) Dist(a, b int) float64 { return nw.Pos(a).Dist(nw.Pos(b)) }
 
 // Neighbors returns the IDs of all nodes within radio range of node id,
-// sorted ascending. The returned slice is shared; callers must not mutate it.
-func (nw *Network) Neighbors(id int) []int { return nw.adj[id] }
+// sorted ascending. The returned slice is shared and capped at its length,
+// so an append copies; callers must not mutate it.
+func (nw *Network) Neighbors(id int) []int32 {
+	lo, hi := nw.off[id], nw.off[id+1]
+	return nw.nbr[lo:hi:hi]
+}
 
 // Degree returns the number of neighbors of node id.
-func (nw *Network) Degree(id int) int { return len(nw.adj[id]) }
+func (nw *Network) Degree(id int) int { return int(nw.off[id+1] - nw.off[id]) }
 
 // AvgDegree returns the mean neighbor count over all nodes.
 func (nw *Network) AvgDegree() float64 {
-	var total int
-	for _, a := range nw.adj {
-		total += len(a)
-	}
-	return float64(total) / float64(len(nw.phys))
+	return float64(len(nw.nbr)) / float64(len(nw.phys))
 }
 
 // InRange reports whether nodes a and b can hear each other: geometrically
@@ -487,7 +501,7 @@ func (nw *Network) NodesInDisk(p geom.Point, radius float64) []int {
 // can cut its rows at the straight line. The lengths are computed once per
 // view and shared.
 func (nw *Network) Graph() steiner.Graph {
-	return steiner.Graph{N: len(nw.phys), Adj: nw.adj, W: nw.lengths(), Pos: nw.pos}
+	return steiner.Graph{N: len(nw.phys), Off: nw.off, Nbr: nw.nbr, W: nw.lengths(), Pos: nw.pos}
 }
 
 // Component returns the label of node id's connected component: two nodes
@@ -531,10 +545,10 @@ func (nw *Network) HopDistances(src int) []int {
 	for len(queue) > 0 {
 		v := queue[0]
 		queue = queue[1:]
-		for _, w := range nw.adj[v] {
+		for _, w := range nw.Neighbors(v) {
 			if dist[w] == -1 {
 				dist[w] = dist[v] + 1
-				queue = append(queue, w)
+				queue = append(queue, int(w))
 			}
 		}
 	}

@@ -103,7 +103,7 @@ func TestNeighborsMatchBruteForce(t *testing.T) {
 			t.Fatalf("node %d: %d neighbors, want %d", n.ID, len(got), len(want))
 		}
 		for _, id := range got {
-			if !want[id] {
+			if !want[int(id)] {
 				t.Fatalf("node %d: unexpected neighbor %d", n.ID, id)
 			}
 		}
@@ -269,8 +269,8 @@ func TestGraphExport(t *testing.T) {
 	if g.N != 3 {
 		t.Fatalf("Graph.N = %d", g.N)
 	}
-	if len(g.Adj[1]) != 2 {
-		t.Fatalf("middle node adjacency = %v", g.Adj[1])
+	if len(g.Neighbors(1)) != 2 {
+		t.Fatalf("middle node adjacency = %v", g.Neighbors(1))
 	}
 }
 
@@ -306,18 +306,19 @@ func TestViewTablesFollowEveryView(t *testing.T) {
 			t.Fatalf("%s: %d positions for %d nodes", name, len(g.Pos), v.Len())
 		}
 		for id := 0; id < v.Len(); id++ {
-			if len(g.W[id]) != len(g.Adj[id]) {
-				t.Fatalf("%s: node %d has %d lengths for %d links", name, id, len(g.W[id]), len(g.Adj[id]))
+			if len(g.W) != len(g.Nbr) {
+				t.Fatalf("%s: %d lengths for %d links", name, len(g.W), len(g.Nbr))
 			}
 			if g.Pos[id] != v.Pos(id) {
 				t.Fatalf("%s: Graph position of %d is %v, Pos %v", name, id, g.Pos[id], v.Pos(id))
 			}
 			// The lengths are the graph's positions' distances, which KMB's
 			// straight-line cuts rely on.
-			for i, n := range g.Adj[id] {
-				if math.Float64bits(g.W[id][i]) != math.Float64bits(v.Dist(id, n)) ||
-					math.Float64bits(g.W[id][i]) != math.Float64bits(g.Pos[id].Dist(g.Pos[n])) {
-					t.Fatalf("%s: W[%d][%d] = %v, Dist = %v, position distance %v", name, id, i, g.W[id][i], v.Dist(id, n), g.Pos[id].Dist(g.Pos[n]))
+			w := g.W[g.Off[id]:g.Off[id+1]]
+			for i, n := range g.Neighbors(id) {
+				if math.Float64bits(w[i]) != math.Float64bits(v.Dist(id, int(n))) ||
+					math.Float64bits(w[i]) != math.Float64bits(g.Pos[id].Dist(g.Pos[n])) {
+					t.Fatalf("%s: W[%d][%d] = %v, Dist = %v, position distance %v", name, id, i, w[i], v.Dist(id, int(n)), g.Pos[id].Dist(g.Pos[n]))
 				}
 			}
 		}

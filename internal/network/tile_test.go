@@ -80,7 +80,7 @@ func TestTileBorderExactness(t *testing.T) {
 		t.Fatal("border node landed in the left tile; must belong to the higher tile")
 	}
 	// The border must not affect radio adjacency: 0↔1 are 1 m apart.
-	if got := nw.Neighbors(0); !reflect.DeepEqual(got, []int{1, 2}) {
+	if got := nw.Neighbors(0); !reflect.DeepEqual(got, []int32{1, 2}) {
 		t.Fatalf("Neighbors(0) = %v, want [1 2]", got)
 	}
 }
@@ -110,35 +110,34 @@ func TestTilingIndependentOfNodes(t *testing.T) {
 }
 
 // TestParallelAdjacencyMatchesSerial is the satellite equivalence test:
-// the chunked parallel adjacency build must produce exactly the rows of the
-// serial build, on networks both below and above the parallel threshold.
-// Every row must also be exactly sized (cap == len): rows are capped views
-// into a packed chunk array, so an append to one can never overwrite the
-// next.
+// the adjacency built in chunks of adjChunk IDs must be exactly the CSR of
+// one chunk over every node, on networks both below and above one chunk. Every row must also be capped at its length, so an append to
+// one can never overwrite the next, and the neighbor array exactly sized.
 func TestParallelAdjacencyMatchesSerial(t *testing.T) {
 	r := rand.New(rand.NewSource(29))
-	for _, n := range []int{300, adjParallelThreshold + 500} {
+	for _, n := range []int{300, adjChunk + 500} {
 		nw := randomTestNet(t, r, n, 2000, 1500, 80)
-		serial := make([][]int, nw.Len())
 		ref := &Network{
 			pos: nw.pos, phys: nw.phys, rng: nw.rng, width: nw.width, height: nw.height,
 			cellSize: nw.cellSize, cols: nw.cols, rows: nw.rows, cells: nw.cells,
-			adj: serial,
+			off: make([]int32, nw.Len()+1),
 		}
-		ref.buildAdjacencyRange(0, nw.Len())
-		if !reflect.DeepEqual(nw.adj, serial) {
-			for i := range serial {
-				if !reflect.DeepEqual(nw.adj[i], serial[i]) {
-					t.Fatalf("n=%d: adjacency row %d differs: parallel %v, serial %v",
-						n, i, nw.adj[i], serial[i])
-				}
+		ref.nbr = ref.adjacencyRows(0, nw.Len())
+		for id := range nw.Len() {
+			ref.off[id+1] += ref.off[id]
+		}
+		for i := range nw.Len() {
+			if !reflect.DeepEqual(nw.Neighbors(i), ref.Neighbors(i)) {
+				t.Fatalf("n=%d: adjacency row %d differs: parallel %v, serial %v",
+					n, i, nw.Neighbors(i), ref.Neighbors(i))
+			}
+			if row := nw.Neighbors(i); cap(row) != len(row) {
+				t.Fatalf("n=%d: row %d has len %d but cap %d", n, i, len(row), cap(row))
 			}
 		}
-		for i, row := range nw.adj {
-			if cap(row) != len(row) || cap(serial[i]) != len(serial[i]) {
-				t.Fatalf("n=%d: row %d has len %d but cap %d (serial cap %d)",
-					n, i, len(row), cap(row), cap(serial[i]))
-			}
+		if !reflect.DeepEqual(nw.off, ref.off) || len(nw.nbr) != len(ref.nbr) || cap(nw.nbr) != len(nw.nbr) {
+			t.Fatalf("n=%d: %d offsets, %d entries (cap %d); serial %d offsets, %d entries",
+				n, len(nw.off), len(nw.nbr), cap(nw.nbr), len(ref.off), len(ref.nbr))
 		}
 	}
 }

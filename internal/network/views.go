@@ -40,20 +40,33 @@ func (nw *Network) derive(failed []int, pos []geom.Point) *Network {
 			v.down[id] = true
 		}
 	}
-	// nw.adj already lacks nw's dead radios, so filtering it for the union
-	// equals filtering the intact adjacency.
-	v.adj = make([][]int, len(nw.adj))
-	for id, nbrs := range nw.adj {
-		if v.down[id] {
-			continue // dead node: no links at all
-		}
-		kept := make([]int, 0, len(nbrs))
-		for _, n := range nbrs {
-			if !v.down[n] {
-				kept = append(kept, n)
+	// nw's rows already lack nw's dead radios, so filtering them for the
+	// union equals filtering the intact adjacency. The rows are symmetric:
+	// each entry a dead node's row loses also leaves the row of its
+	// neighbor, if that neighbor is live. So the kept entries are counted
+	// from the dead rows alone, and one pass fills an exactly sized CSR.
+	kept := len(nw.nbr)
+	for id, dead := range v.down {
+		if dead {
+			for _, n := range nw.Neighbors(id) {
+				kept--
+				if !v.down[n] {
+					kept--
+				}
 			}
 		}
-		v.adj[id] = kept
+	}
+	v.off = make([]int32, len(nw.off))
+	v.nbr = make([]int32, 0, kept)
+	for id := range nw.phys {
+		if !v.down[id] { // a dead node has no links at all
+			for _, n := range nw.Neighbors(id) {
+				if !v.down[n] {
+					v.nbr = append(v.nbr, n)
+				}
+			}
+		}
+		v.off[id+1] = int32(len(v.nbr))
 	}
 	return &v
 }

@@ -82,7 +82,7 @@ type viewObs struct {
 	Pos       []geom.Point
 	Alive     []bool
 	InRange   [][]bool
-	Neighbors [][]int
+	Neighbors [][]int32
 	Tiles     int
 	Tile      []int
 	Component []int
@@ -103,11 +103,11 @@ func observe(v *Network) viewObs {
 		}
 		o.InRange = append(o.InRange, row)
 		// A row with no links may be nil or empty; both are the empty set.
-		o.Neighbors = append(o.Neighbors, append([]int{}, v.Neighbors(a)...))
+		o.Neighbors = append(o.Neighbors, append([]int32{}, v.Neighbors(a)...))
 		o.Tile = append(o.Tile, v.Tile(a))
 		o.Component = append(o.Component, v.Component(a))
 		w := []uint64{}
-		for _, x := range g.W[a] {
+		for _, x := range g.W[g.Off[a]:g.Off[a+1]] {
 			w = append(w, math.Float64bits(x))
 		}
 		o.W = append(o.W, w)
@@ -195,21 +195,22 @@ func checkModel(base, v *Network, m viewModel) error {
 		if v.Pos(a) != m.pos[a] || v.Alive(a) == m.down[a] || v.Tile(a) != base.Tile(a) || v.TruePos(a) != base.TruePos(a) {
 			return fmt.Errorf("node %d: Pos %v Alive %v Tile %d, want %v %v %d", a, v.Pos(a), v.Alive(a), v.Tile(a), m.pos[a], !m.down[a], base.Tile(a))
 		}
-		var want []int
+		var want []int32
 		for b := 0; b < n; b++ {
 			if v.InRange(a, b) != hears(a, b) {
 				return fmt.Errorf("InRange(%d, %d) = %v", a, b, v.InRange(a, b))
 			}
 			if b != a && hears(a, b) {
-				want = append(want, b)
+				want = append(want, int32(b))
 			}
 		}
-		if !slices.Equal(v.Neighbors(a), want) || !slices.Equal(g.Adj[a], want) {
+		if !slices.Equal(v.Neighbors(a), want) || !slices.Equal(g.Neighbors(a), want) {
 			return fmt.Errorf("Neighbors(%d) = %v, want %v", a, v.Neighbors(a), want)
 		}
+		w := g.W[g.Off[a]:g.Off[a+1]]
 		for i, b := range want {
-			if math.Float64bits(g.W[a][i]) != math.Float64bits(m.pos[a].Dist(m.pos[b])) {
-				return fmt.Errorf("W[%d][%d] = %v, want %v", a, i, g.W[a][i], m.pos[a].Dist(m.pos[b]))
+			if math.Float64bits(w[i]) != math.Float64bits(m.pos[a].Dist(m.pos[b])) {
+				return fmt.Errorf("W[%d][%d] = %v, want %v", a, i, w[i], m.pos[a].Dist(m.pos[b]))
 			}
 		}
 	}

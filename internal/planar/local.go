@@ -16,17 +16,17 @@ import (
 //
 // The result is sorted counter-clockwise by bearing from upos (ties broken
 // by ID), the order the right-hand rule consumes.
-func LocalAdjacency(upos geom.Point, nbrs []int, pos func(int) geom.Point, kind Kind) []int {
+func LocalAdjacency(upos geom.Point, nbrs []int32, pos func(int) geom.Point, kind Kind) []int {
 	var kept []int
 	for _, v := range nbrs {
-		vpos := pos(v)
+		vpos := pos(int(v))
 		disk, lune := geom.NewGabrielDisk(upos, vpos), geom.NewLune(upos, vpos)
 		witnessed := false
 		for _, w := range nbrs {
 			if w == v {
 				continue
 			}
-			wpos := pos(w)
+			wpos := pos(int(w))
 			switch kind {
 			case RelativeNeighborhood:
 				witnessed = lune.Contains(wpos)
@@ -38,7 +38,7 @@ func LocalAdjacency(upos geom.Point, nbrs []int, pos func(int) geom.Point, kind 
 			}
 		}
 		if !witnessed {
-			kept = append(kept, v)
+			kept = append(kept, int(v))
 		}
 	}
 	keys := make([]ccwKey, len(kept))

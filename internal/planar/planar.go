@@ -109,8 +109,8 @@ func planarizeEdges(nw *network.Network, kind Kind) [][]int {
 			npos = append(npos, pos[v])
 		}
 		for i, v := range nbrs {
-			if v > u && !witnessed(kind, pos[u], npos, i) {
-				kept = append(kept, [2]int32{int32(u), int32(v)})
+			if int(v) > u && !witnessed(kind, pos[u], npos, i) {
+				kept = append(kept, [2]int32{int32(u), v})
 				ends[u]++
 				ends[v]++
 			}

@@ -37,7 +37,7 @@ func TestPlanarizeSubsetChain(t *testing.T) {
 	for u := 0; u < nw.Len(); u++ {
 		udg := map[int]bool{}
 		for _, v := range nw.Neighbors(u) {
-			udg[v] = true
+			udg[int(v)] = true
 		}
 		ggSet := map[int]bool{}
 		for _, v := range gg.Neighbors(u) {

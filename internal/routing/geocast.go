@@ -111,7 +111,8 @@ func (g *Geocast) flood(v view.NodeView, pkt *sim.Packet, prev int) []sim.Forwar
 	h.Perimeter = false
 	h.Anchor = v.Self()
 	var fwds []sim.Forward
-	for _, n := range v.Neighbors() {
+	for _, nb := range v.Neighbors() {
+		n := int(nb)
 		if n == prev || !g.inPt(v.NbrPos(n)) {
 			continue
 		}

@@ -94,7 +94,7 @@ func (p *PBM) greedy(v view.NodeView, pkt *sim.Packet) ([]sim.Forward, []int) {
 		row := nbrDist[j*deg : (j+1)*deg]
 		best, bestD := -1, math.Inf(1)
 		for i, n := range nbrs {
-			d := v.NbrPos(n).Dist(dp)
+			d := v.NbrPos(int(n)).Dist(dp)
 			row[i] = d
 			if d < bestD {
 				best, bestD = i, d
@@ -268,7 +268,7 @@ func (s *pbmSearch) greedy(a *view.PBMArena) []int {
 // forward assigns every routable destination to its closest member (the
 // lowest-ID one on a tie) and emits one copy per member that got any, in
 // ascending neighbor-ID order.
-func (s *pbmSearch) forward(a *view.PBMArena, pkt *sim.Packet, nbrs, members []int) []sim.Forward {
+func (s *pbmSearch) forward(a *view.PBMArena, pkt *sim.Packet, nbrs []int32, members []int) []sim.Forward {
 	r := s.r
 	owner := resize(a.Owner, r)
 	a.Owner = owner
@@ -303,7 +303,7 @@ func (s *pbmSearch) forward(a *view.PBMArena, pkt *sim.Packet, nbrs, members []i
 		sort.Ints(sub)
 		h := pkt.Sub(sub)
 		h.Perimeter = false
-		fwds = append(fwds, sim.Forward{To: nbrs[a.Cands[c]], Header: h})
+		fwds = append(fwds, sim.Forward{To: int(nbrs[a.Cands[c]]), Header: h})
 	}
 	return fwds
 }

@@ -70,8 +70,8 @@ func (p *referencePBM) forwardSubset(v view.NodeView, loc map[int]geom.Point, pk
 		dp := loc[d]
 		best, bestD := subset[0], math.Inf(1)
 		for _, n := range subset {
-			if dd := v.NbrPos(n).Dist(dp); dd < bestD {
-				best, bestD = n, dd
+			if dd := v.NbrPos(int(n)).Dist(dp); dd < bestD {
+				best, bestD = int(n), dd
 			}
 		}
 		assign[best] = append(assign[best], d)
@@ -98,8 +98,8 @@ func (p *referencePBM) candidates(v view.NodeView, loc map[int]geom.Point, dests
 		dp := loc[d]
 		best, bestD := -1, math.Inf(1)
 		for _, n := range v.Neighbors() {
-			if dd := v.NbrPos(n).Dist(dp); dd < bestD {
-				best, bestD = n, dd
+			if dd := v.NbrPos(int(n)).Dist(dp); dd < bestD {
+				best, bestD = int(n), dd
 			}
 		}
 		if best != -1 {

@@ -67,12 +67,12 @@ func groupNextHop(v view.NodeView, pivot geom.Point, group []int) int {
 	curTotal := s.Memo.SumRow(0, v.Pos(), cols)
 	best, bestD := -1, math.Inf(1)
 	for i, n := range v.Neighbors() {
-		np := v.NbrPos(n)
+		np := v.NbrPos(int(n))
 		if s.Memo.SumRow(i+1, np, cols) >= curTotal {
 			continue
 		}
 		if d := np.Dist(pivot); d < bestD {
-			best, bestD = n, d
+			best, bestD = int(n), d
 		}
 	}
 	return best
@@ -86,8 +86,8 @@ func greedyNextHop(v view.NodeView, target geom.Point) int {
 	curD := v.Pos().Dist(target)
 	best, bestD := -1, curD
 	for _, n := range v.Neighbors() {
-		if d := v.NbrPos(n).Dist(target); d < bestD {
-			best, bestD = n, d
+		if d := v.NbrPos(int(n)).Dist(target); d < bestD {
+			best, bestD = int(n), d
 		}
 	}
 	return best

@@ -42,12 +42,13 @@ func TestSMTTreeFollowsView(t *testing.T) {
 	for _, vw := range views {
 		v := vw.nw
 		oracle := view.NewOracle(v, planar.Planarize(v, planar.Gabriel))
-		g := steiner.Graph{N: v.Len(), Adj: make([][]int, v.Len()), W: make([][]float64, v.Len())}
-		for id := range g.Adj {
-			g.Adj[id] = v.Neighbors(id)
-			for _, n := range g.Adj[id] {
-				g.W[id] = append(g.W[id], v.Dist(id, n))
+		g := steiner.Graph{N: v.Len(), Off: make([]int32, v.Len()+1)}
+		for id := range v.Len() {
+			for _, n := range v.Neighbors(id) {
+				g.Nbr = append(g.Nbr, n)
+				g.W = append(g.W, v.Dist(id, int(n)))
 			}
+			g.Off[id+1] = int32(len(g.Nbr))
 		}
 		for trial := 0; trial < 10; trial++ {
 			src := 1 + 9*r.Intn(v.Len()/9) // never a failed node

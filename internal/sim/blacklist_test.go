@@ -23,7 +23,7 @@ const (
 // origin.
 type bounceHandler struct {
 	origin, relay int
-	seenAtOrigin  [][]int
+	seenAtOrigin  [][]int32
 	chosen        []int
 }
 
@@ -31,12 +31,12 @@ func (h *bounceHandler) greedy(v view.NodeView, pkt *Packet) []Forward {
 	target := pkt.Locs[0]
 	best, bestD := -1, v.Pos().Dist(target)
 	for _, n := range v.Neighbors() {
-		if d := v.NbrPos(n).Dist(target); d < bestD {
-			best, bestD = n, d
+		if d := v.NbrPos(int(n)).Dist(target); d < bestD {
+			best, bestD = int(n), d
 		}
 	}
 	if v.Self() == h.origin {
-		h.seenAtOrigin = append(h.seenAtOrigin, append([]int(nil), v.Neighbors()...))
+		h.seenAtOrigin = append(h.seenAtOrigin, append([]int32(nil), v.Neighbors()...))
 		h.chosen = append(h.chosen, best)
 	}
 	if best == -1 {

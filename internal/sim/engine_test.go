@@ -37,7 +37,7 @@ func (chainHandler) Start(v view.NodeView, pkt *Packet) []Forward {
 func (chainHandler) Decide(v view.NodeView, pkt *Packet) []Forward {
 	next := v.Self() + 1
 	for _, nb := range v.Neighbors() {
-		if nb == next {
+		if int(nb) == next {
 			return []Forward{{To: next, Header: pkt.Header}}
 		}
 	}

@@ -52,8 +52,8 @@ func toward(v view.NodeView, c Header) Forward {
 	target := c.Locs[len(c.Locs)-1]
 	best, bestD := DropCopy, v.Pos().Dist(target)
 	for _, nb := range v.Neighbors() {
-		if d := v.NbrPos(nb).Dist(target); d < bestD {
-			best, bestD = nb, d
+		if d := v.NbrPos(int(nb)).Dist(target); d < bestD {
+			best, bestD = int(nb), d
 		}
 	}
 	return Forward{To: best, Header: c}

@@ -190,8 +190,11 @@ type lane struct {
 	trace []tracedEvent
 	// scratch is the decision arena lent to every node this lane decides
 	// at. The lane runs one decision at a time, and the lane is reused
-	// across runs, so the arena stays warm.
-	scratch view.Scratch
+	// across runs, so the arena stays warm. It is an allocation of its own,
+	// not part of the lane: a provider keeps the arena it was last lent, so
+	// a provider that outlives the engine pins only the arenas, never the
+	// lane's sessions and queues.
+	scratch *view.Scratch
 }
 
 // reset prepares ln for a run of the given number of sessions. With an
@@ -337,7 +340,7 @@ func (e *Engine) RunScript(sessions []Session) []SessionMetrics {
 	if e.lanes == nil {
 		e.lanes = make([]*lane, e.net.Tiles())
 		for i := range e.lanes {
-			e.lanes[i] = &lane{id: i}
+			e.lanes[i] = &lane{id: i, scratch: new(view.Scratch)}
 		}
 	}
 	r.lanes = e.lanes
@@ -557,7 +560,7 @@ func (r *kernel) dispatch(ln *lane, ev event) {
 // bans live in its own lane, so the decorator cache is lane-private. Either
 // way the decision runs on the lane's arena.
 func (r *kernel) viewAt(ln *lane, sess, node int) view.NodeView {
-	base := r.e.views.At(node, &ln.scratch)
+	base := r.e.views.At(node, ln.scratch)
 	st := ln.sess[sess]
 	if st == nil {
 		return base
@@ -755,7 +758,7 @@ func (r *kernel) air(ln *lane, m *SessionMetrics, node, bytes int) (start, airti
 		}
 		m.EnergyByNode[node] += e.radio.TxPowerW * airtime
 		for _, l := range e.net.Neighbors(node) {
-			m.EnergyByNode[l] += e.radio.RxPowerW * airtime
+			m.EnergyByNode[int(l)] += e.radio.RxPowerW * airtime
 		}
 	}
 	return start, airtime

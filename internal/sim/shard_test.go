@@ -22,8 +22,8 @@ type backstepChain struct{ chainHandler }
 
 func (backstepChain) Nack(v view.NodeView, to int, pkt *Packet) []Forward {
 	for _, nb := range v.Neighbors() {
-		if nb != to {
-			return []Forward{{To: nb, Header: pkt.Header}}
+		if int(nb) != to {
+			return []Forward{{To: int(nb), Header: pkt.Header}}
 		}
 	}
 	return nil

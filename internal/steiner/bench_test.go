@@ -129,7 +129,7 @@ func BenchmarkKMBWeighted(b *testing.B) {
 			{"fast", func(a *KMBArena, terms []int) ([][2]int, error) { return a.KMBWeighted(g, terms) }},
 			{"uncut", func(a *KMBArena, terms []int) ([][2]int, error) { return a.KMBWeighted(uncut, terms) }},
 			{"reference", func(_ *KMBArena, terms []int) ([][2]int, error) {
-				return referenceKMBWeighted(Graph{N: g.N, Adj: g.Adj}, terms, dist)
+				return referenceKMBWeighted(Graph{N: g.N, Off: g.Off, Nbr: g.Nbr}, terms, dist)
 			}},
 		} {
 			b.Run(fmt.Sprintf("k=%d/%s", k, c.name), func(b *testing.B) {

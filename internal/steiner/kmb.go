@@ -10,24 +10,33 @@ import (
 )
 
 // Graph is an undirected graph over vertex indices 0..N-1, given as
-// adjacency lists. It models the sensor connectivity graph (unit-disk
-// links).
+// compressed sparse rows. It models the sensor connectivity graph
+// (unit-disk links).
 type Graph struct {
-	N   int
-	Adj [][]int
-	// W holds edge lengths parallel to Adj: W[v][i] is the length of the
-	// edge between v and Adj[v][i], the same from either end.
-	W [][]float64
+	N int
+	// Off and Nbr hold the adjacency: v's neighbors are
+	// Nbr[Off[v]:Off[v+1]], and Off has N+1 entries.
+	Off []int32
+	Nbr []int32
+	// W holds edge lengths parallel to Nbr: W[i] is the length of the edge
+	// between v and Nbr[i] for i in v's row, the same from either end.
+	W []float64
 	// Pos, when set, holds N vertex positions whose Euclidean distances
-	// are the edge lengths: W[v][i] is Pos[v].Dist(Pos[Adj[v][i]]). KMB
-	// then cuts its Dijkstra rows at the straight line (see rowSearch).
-	// Only network.Network.Graph sets it; nil means no such positions.
+	// are the edge lengths: W[i] is Pos[v].Dist(Pos[Nbr[i]]). KMB then cuts
+	// its Dijkstra rows at the straight line (see rowSearch). Only
+	// network.Network.Graph sets it; nil means no such positions.
 	Pos []geom.Point
+}
+
+// Neighbors returns v's row of Nbr, capped at its length.
+func (g Graph) Neighbors(v int) []int32 {
+	lo, hi := g.Off[v], g.Off[v+1]
+	return g.Nbr[lo:hi:hi]
 }
 
 // edgeLen returns the length of the edge from a to its neighbor b.
 func (g Graph) edgeLen(a, b int) float64 {
-	return g.W[a][slices.Index(g.Adj[a], b)]
+	return g.W[int(g.Off[a])+slices.Index(g.Neighbors(a), int32(b))]
 }
 
 // ErrUnreachableTerminal is returned by KMBWeighted when some terminal
@@ -443,8 +452,9 @@ func (s *rowSearch) run(src int, targets []int, limits []float64) {
 			continue
 		}
 		s.expanded++
-		w := s.g.W[v]
-		for i, n := range s.g.Adj[v] {
+		lo, hi := s.g.Off[v], s.g.Off[v+1]
+		w := s.g.W[lo:hi]
+		for i, n := range s.g.Nbr[lo:hi] {
 			nd := d + w[i]
 			switch dn := s.dist[n]; {
 			case nd < dn:

@@ -239,7 +239,8 @@ func refDijkstra(g Graph, src int, weight func(a, b int) float64) ([]float64, []
 			continue
 		}
 		done[it.v] = true
-		for _, n := range g.Adj[it.v] {
+		for _, nb := range g.Neighbors(it.v) {
+			n := int(nb)
 			if done[n] {
 				continue
 			}

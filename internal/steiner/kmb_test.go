@@ -17,16 +17,30 @@ func kmbHops(g Graph, terminals []int) ([][2]int, error) {
 	return KMBWeighted(unitLengths(g), terminals)
 }
 
+// csrGraph packs adjacency lists, edge lengths parallel to them (nil for
+// none) and positions (nil for none) into a Graph: every test graph is
+// built through it.
+func csrGraph(adj [][]int, w [][]float64, pos []geom.Point) Graph {
+	g := Graph{N: len(adj), Off: make([]int32, len(adj)+1), Pos: pos}
+	for v, nbrs := range adj {
+		for _, n := range nbrs {
+			g.Nbr = append(g.Nbr, int32(n))
+		}
+		if w != nil {
+			g.W = append(g.W, w[v]...)
+		}
+		g.Off[v+1] = int32(len(g.Nbr))
+	}
+	return g
+}
+
 // unitLengths returns g with every edge length 1 and no positions, which
 // would no longer match the lengths.
 func unitLengths(g Graph) Graph {
 	g.Pos = nil
-	g.W = make([][]float64, len(g.Adj))
-	for v, nbrs := range g.Adj {
-		g.W[v] = make([]float64, len(nbrs))
-		for i := range nbrs {
-			g.W[v][i] = 1
-		}
+	g.W = make([]float64, len(g.Nbr))
+	for i := range g.W {
+		g.W[i] = 1
 	}
 	return g
 }
@@ -38,11 +52,14 @@ func lineGraph(n int) Graph {
 		adj[i] = append(adj[i], i+1)
 		adj[i+1] = append(adj[i+1], i)
 	}
-	return Graph{N: n, Adj: adj}
+	return csrGraph(adj, nil, nil)
 }
 
 // gridGraph returns the w×h grid graph; vertex (x,y) has index y*w+x.
-func gridGraph(w, h int) Graph {
+func gridGraph(w, h int) Graph { return csrGraph(gridAdj(w, h), nil, nil) }
+
+// gridAdj returns the adjacency lists of the w×h grid graph.
+func gridAdj(w, h int) [][]int {
 	n := w * h
 	adj := make([][]int, n)
 	idx := func(x, y int) int { return y*w + x }
@@ -59,7 +76,7 @@ func gridGraph(w, h int) Graph {
 			}
 		}
 	}
-	return Graph{N: n, Adj: adj}
+	return adj
 }
 
 func treeStats(t *testing.T, edges [][2]int, terminals []int) (numEdges int) {
@@ -173,7 +190,7 @@ func TestKMBPrunesNonTerminalLeaves(t *testing.T) {
 
 func TestKMBUnreachable(t *testing.T) {
 	// Two disconnected line segments.
-	g := Graph{N: 4, Adj: [][]int{{1}, {0}, {3}, {2}}}
+	g := csrGraph([][]int{{1}, {0}, {3}, {2}}, nil, nil)
 	if _, err := kmbHops(g, []int{0, 3}); !errors.Is(err, ErrUnreachableTerminal) {
 		t.Fatalf("err = %v, want ErrUnreachableTerminal", err)
 	}
@@ -212,16 +229,16 @@ type kmbCase struct {
 // edge its Euclidean length, computed in both directions. It keeps the
 // points as the graph's positions, so KMB runs its straight-line cuts.
 func unitDiskGraph(pts []geom.Point, radius float64) Graph {
-	g := Graph{N: len(pts), Adj: make([][]int, len(pts)), W: make([][]float64, len(pts)), Pos: pts}
+	adj, w := make([][]int, len(pts)), make([][]float64, len(pts))
 	for v, p := range pts {
 		for n, q := range pts {
 			if n != v && p.Dist2(q) <= radius*radius {
-				g.Adj[v] = append(g.Adj[v], n)
-				g.W[v] = append(g.W[v], p.Dist(q))
+				adj[v] = append(adj[v], n)
+				w[v] = append(w[v], p.Dist(q))
 			}
 		}
 	}
-	return g
+	return csrGraph(adj, w, pts)
 }
 
 // genKMBCase draws a KMB input of one of five shapes: a unit-disk graph on
@@ -261,18 +278,18 @@ func genKMBCase(r *rand.Rand, shape, size, k int) kmbCase {
 		c.weight = func(a, b int) float64 { return pts[a].Dist(pts[b]) }
 	case 1, 2:
 		w, h := 2+size%12, 2+(size/12)%12
-		c.g = gridGraph(w, h)
+		adj := gridAdj(w, h)
 		if shape%5 == 2 {
 			for holes := r.Intn(1 + w*h/10); holes > 0; holes-- {
 				v := r.Intn(w * h)
-				for _, n := range c.g.Adj[v] {
-					c.g.Adj[n] = slices.DeleteFunc(c.g.Adj[n], func(x int) bool { return x == v })
+				for _, n := range adj[v] {
+					adj[n] = slices.DeleteFunc(adj[n], func(x int) bool { return x == v })
 				}
-				c.g.Adj[v] = nil
+				adj[v] = nil
 			}
 			c.weight = func(a, b int) float64 { return 1 }
 		}
-		c.g = unitLengths(c.g)
+		c.g = unitLengths(csrGraph(adj, nil, nil))
 	}
 	for i := 0; i < k%16; i++ {
 		if i > 0 && r.Intn(4) == 0 {
@@ -292,7 +309,7 @@ func genKMBCase(r *rand.Rand, shape, size, k int) kmbCase {
 // order.
 func sameKMB(a *KMBArena, c kmbCase) error {
 	got, gotErr := a.KMBWeighted(c.g, c.terms)
-	want, wantErr := referenceKMBWeighted(Graph{N: c.g.N, Adj: c.g.Adj}, c.terms, c.weight)
+	want, wantErr := referenceKMBWeighted(Graph{N: c.g.N, Off: c.g.Off, Nbr: c.g.Nbr}, c.terms, c.weight)
 	if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
 		return fmt.Errorf("error %v, reference %v", gotErr, wantErr)
 	}
@@ -332,7 +349,7 @@ func TestKMBIgnoresLengths(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		c := genKMBCase(r, 0, r.Intn(300), 2+r.Intn(20))
 		got, gotErr := kmbHops(c.g, c.terms)
-		want, wantErr := referenceKMBWeighted(Graph{N: c.g.N, Adj: c.g.Adj}, c.terms, nil)
+		want, wantErr := referenceKMBWeighted(Graph{N: c.g.N, Off: c.g.Off, Nbr: c.g.Nbr}, c.terms, nil)
 		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || !slices.Equal(got, want) {
 			t.Fatalf("trial %d: KMB = %v, %v; reference %v, %v", trial, got, gotErr, want, wantErr)
 		}
@@ -348,7 +365,7 @@ func TestUnionTreeMatchesReference(t *testing.T) {
 	for trial := 0; trial < 300; trial++ {
 		c := genKMBCase(r, []int{0, 2, 4}[trial%3], r.Intn(300), 0)
 		root := r.Intn(c.g.N)
-		if len(c.g.Adj[root]) == 0 {
+		if len(c.g.Neighbors(root)) == 0 {
 			continue
 		}
 		isTerm := make([]bool, c.g.N)
@@ -358,10 +375,11 @@ func TestUnionTreeMatchesReference(t *testing.T) {
 		edgeSet := map[[2]int]bool{}
 		for steps := 1 + r.Intn(3*c.g.N); steps > 0; steps-- {
 			v := reached[r.Intn(len(reached))]
-			if len(c.g.Adj[v]) == 0 {
+			nbrs := c.g.Neighbors(v)
+			if len(nbrs) == 0 {
 				continue
 			}
-			n := c.g.Adj[v][r.Intn(len(c.g.Adj[v]))]
+			n := int(nbrs[r.Intn(len(nbrs))])
 			if !slices.Contains(reached, n) {
 				reached = append(reached, n)
 				if r.Intn(4) == 0 {
@@ -411,7 +429,7 @@ func TestRowSearchStopsExactly(t *testing.T) {
 			weight = func(a, b int) float64 { return 1 }
 		}
 		src := r.Intn(c.g.N)
-		dist, parent := refDijkstra(Graph{N: c.g.N, Adj: c.g.Adj}, src, weight)
+		dist, parent := refDijkstra(Graph{N: c.g.N, Off: c.g.Off, Nbr: c.g.Nbr}, src, weight)
 		isTerm := make([]bool, c.g.N)
 		var targets []int
 		var limits []float64

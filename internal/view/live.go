@@ -1,6 +1,8 @@
 package view
 
 import (
+	"fmt"
+	"slices"
 	"sort"
 
 	"gmp/internal/geom"
@@ -45,15 +47,20 @@ type LiveConfig struct {
 // NewLive builds a table-backed provider. selfPos[i] is node i's own
 // (GPS-known) position; tables[i] is node i's neighbor table, which NewLive
 // sorts by ID. The planar adjacency of each node is derived lazily from its
-// table on first perimeter use.
+// table on first perimeter use. Node IDs are int32 in every view, so a table
+// entry whose ID does not fit int32 panics rather than alias the neighbor its
+// low bits name.
 func NewLive(selfPos []geom.Point, tables [][]Neighbor, cfg LiveConfig) *Live {
 	l := &Live{nodes: make([]liveView, len(selfPos))}
 	for i := range l.nodes {
 		tbl := tables[i]
 		sort.Slice(tbl, func(a, b int) bool { return tbl[a].ID < tbl[b].ID })
-		ids := make([]int, len(tbl))
+		ids := make([]int32, len(tbl))
 		for j, e := range tbl {
-			ids[j] = e.ID
+			if e.ID != int(int32(e.ID)) {
+				panic(fmt.Sprintf("view: node %d's table holds ID %d, beyond int32", i, e.ID))
+			}
+			ids[j] = int32(e.ID)
 		}
 		l.nodes[i] = liveView{
 			id:  i,
@@ -79,7 +86,7 @@ type liveView struct {
 	id  int
 	pos geom.Point
 	tbl []Neighbor // sorted by ID
-	ids []int      // tbl[i].ID, shared with Neighbors()
+	ids []int32    // tbl[i].ID, shared with Neighbors()
 	cfg LiveConfig
 
 	planarOnce bool
@@ -90,12 +97,12 @@ type liveView struct {
 	s          *Scratch // lent by the last At
 }
 
-func (v *liveView) Self() int         { return v.id }
-func (v *liveView) Pos() geom.Point   { return v.pos }
-func (v *liveView) Neighbors() []int  { return v.ids }
-func (v *liveView) Degree() int       { return len(v.ids) }
-func (v *liveView) Range() float64    { return v.cfg.RadioRange }
-func (v *liveView) Scratch() *Scratch { return v.s }
+func (v *liveView) Self() int          { return v.id }
+func (v *liveView) Pos() geom.Point    { return v.pos }
+func (v *liveView) Neighbors() []int32 { return v.ids }
+func (v *liveView) Degree() int        { return len(v.ids) }
+func (v *liveView) Range() float64     { return v.cfg.RadioRange }
+func (v *liveView) Scratch() *Scratch  { return v.s }
 
 // NbrPos looks the ID up in the table (binary search — the table is sorted).
 // Self's own position is always known; IDs absent from the table are outside
@@ -107,13 +114,16 @@ func (v *liveView) NbrPos(id int) geom.Point {
 }
 
 // NbrPosOK implements the miss-distinguishing lookup: ok is false when id is
-// neither Self nor in the neighbor table.
+// neither Self nor in the neighbor table. An id outside int32 is in no
+// table, rather than the neighbor its low bits name.
 func (v *liveView) NbrPosOK(id int) (geom.Point, bool) {
 	if id == v.id {
 		return v.pos, true
 	}
-	i := sort.SearchInts(v.ids, id)
-	if i < len(v.ids) && v.ids[i] == id {
+	if id != int(int32(id)) {
+		return geom.Point{}, false
+	}
+	if i, ok := slices.BinarySearch(v.ids, int32(id)); ok {
 		return v.tbl[i].Pos, true
 	}
 	return geom.Point{}, false

@@ -22,7 +22,7 @@ type Masked struct {
 	base   NodeView
 	banned map[int]bool
 
-	nbrs       []int
+	nbrs       []int32
 	planarOnce bool
 	planarAdj  []int
 	bearings   []float64 // parallel to planarAdj; nil = not yet computed
@@ -50,11 +50,12 @@ func (m *Masked) NbrPosOK(id int) (geom.Point, bool) { return m.base.NbrPosOK(id
 func (m *Masked) PlanarSelfPos() geom.Point          { return m.base.PlanarSelfPos() }
 func (m *Masked) PlanarPos(id int) geom.Point        { return m.base.PlanarPos(id) }
 
-// filter returns ids minus the banned set, preserving order.
-func (m *Masked) filter(ids []int) []int {
-	kept := make([]int, 0, len(ids))
+// filter returns ids minus the banned set, preserving order. It serves the
+// int32 neighbor rows and the int planar rows alike.
+func filter[T int | int32](ids []T, banned map[int]bool) []T {
+	kept := make([]T, 0, len(ids))
 	for _, n := range ids {
-		if !m.banned[n] {
+		if !banned[int(n)] {
 			kept = append(kept, n)
 		}
 	}
@@ -62,9 +63,9 @@ func (m *Masked) filter(ids []int) []int {
 }
 
 // Neighbors returns the base neighbors minus the banned set.
-func (m *Masked) Neighbors() []int {
+func (m *Masked) Neighbors() []int32 {
 	if m.nbrs == nil {
-		m.nbrs = m.filter(m.base.Neighbors())
+		m.nbrs = filter(m.base.Neighbors(), m.banned)
 	}
 	return m.nbrs
 }
@@ -76,7 +77,7 @@ func (m *Masked) Degree() int { return len(m.Neighbors()) }
 // (CCW order is preserved by filtering).
 func (m *Masked) PlanarNeighbors() []int {
 	if !m.planarOnce {
-		m.planarAdj = m.filter(m.base.PlanarNeighbors())
+		m.planarAdj = filter(m.base.PlanarNeighbors(), m.banned)
 		m.planarOnce = true
 	}
 	return m.planarAdj
@@ -104,7 +105,7 @@ func (m *Masked) PerimeterWatchdog() WatchdogLimits {
 func (m *Masked) AltPlanarNeighbors() []int {
 	if !m.altOnce {
 		if av, ok := m.base.(AltPlanarView); ok {
-			m.altAdj = m.filter(av.AltPlanarNeighbors())
+			m.altAdj = filter(av.AltPlanarNeighbors(), m.banned)
 		}
 		m.altOnce = true
 	}

@@ -83,12 +83,12 @@ type oracleView struct {
 	s  *Scratch // lent by the last At
 }
 
-func (v *oracleView) Self() int         { return v.id }
-func (v *oracleView) Pos() geom.Point   { return v.o.nw.Pos(v.id) }
-func (v *oracleView) Neighbors() []int  { return v.o.nw.Neighbors(v.id) }
-func (v *oracleView) Degree() int       { return v.o.nw.Degree(v.id) }
-func (v *oracleView) Range() float64    { return v.o.nw.Range() }
-func (v *oracleView) Scratch() *Scratch { return v.s }
+func (v *oracleView) Self() int          { return v.id }
+func (v *oracleView) Pos() geom.Point    { return v.o.nw.Pos(v.id) }
+func (v *oracleView) Neighbors() []int32 { return v.o.nw.Neighbors(v.id) }
+func (v *oracleView) Degree() int        { return v.o.nw.Degree(v.id) }
+func (v *oracleView) Range() float64     { return v.o.nw.Range() }
+func (v *oracleView) Scratch() *Scratch  { return v.s }
 
 func (v *oracleView) NbrPos(id int) geom.Point { return v.o.nw.Pos(id) }
 

@@ -42,9 +42,10 @@ type NodeView interface {
 	Self() int
 	// Pos returns this node's own advertised position.
 	Pos() geom.Point
-	// Neighbors returns the 1-hop neighbor IDs in ascending order. The
+	// Neighbors returns the 1-hop neighbor IDs in ascending order, as the
+	// int32 IDs of the network's CSR adjacency (or of a live table). The
 	// slice is shared; callers must not mutate it.
-	Neighbors() []int
+	Neighbors() []int32
 	// NbrPos returns the advertised position of a neighbor (or of Self).
 	// The argument must come from Neighbors() or Self(); anything else is
 	// outside the view's knowledge and yields the zero Point — which is

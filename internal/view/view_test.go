@@ -55,6 +55,56 @@ func TestLiveNbrPosOKAtOrigin(t *testing.T) {
 	}
 }
 
+// TestLiveNbrPosOKBeyondInt32: the table holds int32 IDs, so an ID whose
+// low 32 bits name a real neighbor must still miss, not alias it.
+func TestLiveNbrPosOKBeyondInt32(t *testing.T) {
+	l := NewLive(
+		[]geom.Point{geom.Pt(0, 0), geom.Pt(50, 0)},
+		[][]Neighbor{
+			{{ID: 1, Pos: geom.Pt(50, 0)}},
+			{{ID: 0, Pos: geom.Pt(0, 0)}},
+		},
+		LiveConfig{RadioRange: 100, Planarizer: planar.Gabriel},
+	)
+	v := l.At(0, new(Scratch))
+	wide := int64(1)<<32 + 1
+	if int64(int(wide)) != wide {
+		t.Skip("int is 32 bits wide")
+	}
+	if _, ok := v.NbrPosOK(1); !ok {
+		t.Fatal("test premise broken: neighbor 1 must be in view")
+	}
+	if p, ok := v.NbrPosOK(int(wide)); ok || p != (geom.Point{}) {
+		t.Fatalf("ID 1<<32 + 1: pos=%v ok=%v, want the zero Point and false", p, ok)
+	}
+	if p := v.NbrPos(int(wide)); p != (geom.Point{}) {
+		t.Fatalf("NbrPos(1<<32 + 1) = %v, want the zero Point", p)
+	}
+}
+
+// TestNewLiveRefusesIDBeyondInt32: a table entry whose ID does not fit
+// int32 panics in NewLive instead of being narrowed to the neighbor its low
+// bits name.
+func TestNewLiveRefusesIDBeyondInt32(t *testing.T) {
+	wide := int64(1)<<32 + 1
+	if int64(int(wide)) != wide {
+		t.Skip("int is 32 bits wide")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewLive accepted table entry ID 1<<32 + 1")
+		}
+	}()
+	NewLive(
+		[]geom.Point{geom.Pt(0, 0), geom.Pt(50, 0)},
+		[][]Neighbor{
+			{{ID: 1, Pos: geom.Pt(50, 0)}, {ID: int(wide), Pos: geom.Pt(60, 0)}},
+			{{ID: 0, Pos: geom.Pt(0, 0)}},
+		},
+		LiveConfig{RadioRange: 100, Planarizer: planar.Gabriel},
+	)
+}
+
 // TestOracleNbrPosOK: every valid node ID is in an oracle view; out-of-range
 // IDs are not.
 func TestOracleNbrPosOK(t *testing.T) {
@@ -92,7 +142,7 @@ func TestMaskedFiltersAllAdjacencies(t *testing.T) {
 	base := l.At(0, new(Scratch))
 	m := NewMasked(base, map[int]bool{1: true})
 
-	if got := m.Neighbors(); !reflect.DeepEqual(got, []int{2, 3}) {
+	if got := m.Neighbors(); !reflect.DeepEqual(got, []int32{2, 3}) {
 		t.Fatalf("masked Neighbors = %v, want [2 3]", got)
 	}
 	if m.Degree() != 2 {
@@ -118,7 +168,7 @@ func TestMaskedFiltersAllAdjacencies(t *testing.T) {
 		t.Fatalf("watchdog limits not delegated: %+v", wd)
 	}
 	// Unmasked accessors unchanged.
-	if got := base.Neighbors(); !reflect.DeepEqual(got, []int{1, 2, 3}) {
+	if got := base.Neighbors(); !reflect.DeepEqual(got, []int32{1, 2, 3}) {
 		t.Fatalf("base Neighbors mutated: %v", got)
 	}
 }

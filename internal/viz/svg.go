@@ -128,8 +128,8 @@ func (c *Canvas) DrawNodes(nw *network.Network) {
 func (c *Canvas) DrawLinks(nw *network.Network) {
 	for u := 0; u < nw.Len(); u++ {
 		for _, v := range nw.Neighbors(u) {
-			if u < v {
-				c.Line(nw.Pos(u), nw.Pos(v), linkStyle)
+			if u < int(v) {
+				c.Line(nw.Pos(u), nw.Pos(int(v)), linkStyle)
 			}
 		}
 	}
