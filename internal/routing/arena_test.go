@@ -153,9 +153,10 @@ func TestScriptRetainsNoPerNodeArena(t *testing.T) {
 // FuzzDeploymentAudit runs every registered protocol on generated
 // deployments — uniform, uniform around a void, and uniform around a
 // concave obstacle — through the kernel at one and at two workers. Every
-// task must pass the engine's accounting audit, and both worker counts must
-// produce identical metrics, with the lanes' shared decision arenas serving
-// every tile.
+// task must pass the engine's accounting audit and every traced hop its
+// protocol's declared progress rule (AuditProgress), and both worker counts
+// must produce identical metrics, with the lanes' shared decision arenas
+// serving every tile.
 func FuzzDeploymentAudit(f *testing.F) {
 	f.Add(int64(1), uint8(0), uint16(300), uint8(8))
 	f.Add(int64(2), uint8(1), uint16(350), uint8(20))
@@ -198,10 +199,15 @@ func FuzzDeploymentAudit(f *testing.F) {
 						t.Fatal(err)
 					}
 				}
+				var events []sim.TraceEvent
+				en.SetTracer(func(ev sim.TraceEvent) { events = append(events, ev) })
 				ms[w] = en.RunTask(p, src, dests)
 				audit := sim.AuditConfig{MaxHops: en.MaxHops(), AllowDuplicates: sp.Flags&FlagConcurrent != 0}
 				if err := sim.AuditTask(&ms[w], audit); err != nil {
 					t.Fatalf("%s, %d worker(s), kind %d, n=%d, K=%d: audit: %v", sp.Name, w+1, kind%3, n, kk, err)
+				}
+				if err := AuditProgress(nw, sp.Progress, events); err != nil {
+					t.Fatalf("%s, %d worker(s), kind %d, n=%d, K=%d: %v", sp.Name, w+1, kind%3, n, kk, err)
 				}
 			}
 			if !reflect.DeepEqual(ms[0], ms[1]) {

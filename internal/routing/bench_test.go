@@ -113,7 +113,8 @@ func BenchmarkSingleMCFRDecision(b *testing.B) {
 // BenchmarkSingleGMPDecision measures one bare GMP decision core — group
 // split plus next-hop selection for 12 destinations — invoked directly on a
 // NodeView with no engine around it. Steady-state allocations exercise the
-// decision arena's caches (DistMemo); BENCH.json gates its allocs/op.
+// decision arena's buffers (the tree builder and the grouping walk);
+// BENCH.json gates its allocs/op.
 func BenchmarkSingleGMPDecision(b *testing.B) {
 	b.ReportAllocs()
 	r := rand.New(rand.NewSource(1))

@@ -1,6 +1,8 @@
 package routing
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"gmp/internal/sim"
@@ -44,13 +46,13 @@ type GMP struct {
 var _ Protocol = (*GMP)(nil)
 
 func init() {
-	MustRegister(Spec{Name: "GMP", PaperRank: 3,
+	MustRegister(Spec{Name: "GMP", PaperRank: 3, Progress: ProgressSum,
 		New: func(Ctx) Protocol { return NewGMP() }})
-	MustRegister(Spec{Name: "GMPnr", PaperRank: 4,
+	MustRegister(Spec{Name: "GMPnr", PaperRank: 4, Progress: ProgressSum,
 		New: func(Ctx) Protocol { return NewGMPnr() }})
-	MustRegister(Spec{Name: "GMPmst",
+	MustRegister(Spec{Name: "GMPmst", Progress: ProgressSum,
 		New: func(Ctx) Protocol { return NewGMPWithOptions(GMPOptions{MSTGrouping: true}, "GMPmst") }})
-	MustRegister(Spec{Name: "GMPsmst",
+	MustRegister(Spec{Name: "GMPsmst", Progress: ProgressSum,
 		New: func(Ctx) Protocol { return NewGMPWithOptions(GMPOptions{SteinerizedGrouping: true}, "GMPsmst") }})
 }
 
@@ -130,10 +132,6 @@ func (g *GMP) forwardGroups(v view.NodeView, pkt *sim.Packet) (fwds []sim.Forwar
 	// FIFO worklist over a reused buffer; wi is the virtual "pop front".
 	wl := tree.AppendChildren(0, -1, s.Worklist[:0])
 
-	// The split loop evaluates heavily overlapping groups; the view's memo
-	// computes each (point, destination) distance at most once per decision.
-	s.Memo.Begin(v.Degree()+1, pkt.Dests, pkt.Locs)
-
 	// Groups whose chosen next hop coincides are batched into a single
 	// transmission: the receiver re-partitions the union anyway, so two
 	// copies over the same link would only double the transmission count.
@@ -147,7 +145,7 @@ func (g *GMP) forwardGroups(v view.NodeView, pkt *sim.Packet) (fwds []sim.Forwar
 	for wi := 0; wi < len(wl); wi++ {
 		p := wl[wi]
 		for {
-			group := g.groupLabels(s, tree, p)
+			group := groupDests(s, tree, p)
 			next := groupNextHop(v, tree.Vertex(p).Pos, group)
 			if next != -1 {
 				bi := -1
@@ -162,7 +160,9 @@ func (g *GMP) forwardGroups(v view.NodeView, pkt *sim.Packet) (fwds []sim.Forwar
 					batches = growBatch(batches)
 					bi = len(batchNext) - 1
 				}
-				batches[bi] = append(batches[bi], group...)
+				for _, d := range group {
+					batches[bi] = append(batches[bi], d.Label)
+				}
 				break
 			}
 			// §4.1 splitting: promote the last child of p to a pivot.
@@ -217,12 +217,13 @@ func growBatch(b [][]int) [][]int {
 	return append(b, nil)
 }
 
-// groupLabels returns the sorted node IDs of the non-virtual destinations in
-// the subtree rooted at pivot p. The result lives in the scratch GroupBuf and
-// is valid until the next groupLabels or split-check call.
-func (g *GMP) groupLabels(s *view.Scratch, tree *steiner.Tree, p int) []int {
-	group := tree.AppendSubtreeLabels(p, 0, s.GroupBuf[:0])
-	sort.Ints(group)
-	s.GroupBuf = group
+// groupDests returns the non-virtual destinations in the subtree rooted at
+// pivot p, sorted by label, at the locations the tree was built from (the
+// header's). The result lives in the scratch GroupDests and is valid until
+// the next groupDests call.
+func groupDests(s *view.Scratch, tree *steiner.Tree, p int) []steiner.Dest {
+	group := tree.AppendSubtreeDests(p, 0, s.GroupDests[:0])
+	slices.SortFunc(group, func(a, b steiner.Dest) int { return cmp.Compare(a.Label, b.Label) })
+	s.GroupDests = group
 	return group
 }

@@ -15,7 +15,7 @@ type GRD struct{}
 var _ Protocol = (*GRD)(nil)
 
 func init() {
-	MustRegister(Spec{Name: "GRD", PaperRank: 6,
+	MustRegister(Spec{Name: "GRD", PaperRank: 6, Progress: ProgressPerDest,
 		New: func(Ctx) Protocol { return NewGRD() }})
 }
 

@@ -26,9 +26,9 @@ type LGS struct{}
 var _ Protocol = (*LGS)(nil)
 
 func init() {
-	MustRegister(Spec{Name: "LGS", PaperRank: 2,
+	MustRegister(Spec{Name: "LGS", PaperRank: 2, Progress: ProgressNone,
 		New: func(Ctx) Protocol { return NewLGS() }})
-	MustRegister(Spec{Name: "LGK",
+	MustRegister(Spec{Name: "LGK", Progress: ProgressNone,
 		New: func(c Ctx) Protocol {
 			k := c.K
 			if k == 0 {

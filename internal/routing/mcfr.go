@@ -7,7 +7,7 @@ import (
 )
 
 func init() {
-	MustRegister(Spec{Name: "MCFR", Flags: FlagConcurrent,
+	MustRegister(Spec{Name: "MCFR", Flags: FlagConcurrent, Progress: ProgressNone,
 		New: func(Ctx) Protocol { return NewMCFR() }})
 }
 

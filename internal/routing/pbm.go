@@ -39,8 +39,13 @@ type PBM struct {
 
 var _ Protocol = (*PBM)(nil)
 
+// PBM declares no progress rule: for λ > 0 the subset search trades
+// progress for fewer copies, so a destination may ride a copy to a chosen
+// neighbor farther from it than the current node. At λ = 0 every
+// destination goes to its closest neighbor, which is strictly nearer
+// (TestPBMProgressAtLambdaZero).
 func init() {
-	MustRegister(Spec{Name: "PBM", PaperRank: 1, Flags: FlagLambda,
+	MustRegister(Spec{Name: "PBM", PaperRank: 1, Flags: FlagLambda, Progress: ProgressNone,
 		New: func(c Ctx) Protocol { return NewPBM(c.Lambda) }})
 }
 

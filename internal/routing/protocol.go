@@ -57,40 +57,82 @@ func locIndex(pkt *sim.Packet) map[int]geom.Point {
 // appear: after an ARQ give-up the engine hands out views that mask the
 // blacklisted link.
 //
-// Callers must have primed the view's distance memo for the current packet
-// (Scratch().Memo.Begin) — the Σ-distance terms are memoized there because
-// GMP's split loop re-evaluates heavily overlapping groups.
-func groupNextHop(v view.NodeView, pivot geom.Point, group []int) int {
-	s := v.Scratch()
-	s.ColBuf = s.Memo.Cols(group, s.ColBuf[:0])
-	cols := s.ColBuf
-	curTotal := s.Memo.SumRow(0, v.Pos(), cols)
-	best, bestD := -1, math.Inf(1)
-	for i, n := range v.Neighbors() {
+// group holds the group's destinations sorted by label, at their header
+// locations; every total adds the same terms in that order. The scan asks
+// who can win before who qualifies: a neighbor whose squared distance to the
+// pivot rules it out (see cutFor) costs no square root, one not strictly
+// closer than the best so far costs no totals, and the node's own total is
+// computed at the first neighbor that needs it. The answer is that of the
+// full scan: the first neighbor, in neighbor order, at the least pivot
+// distance among those that qualify.
+func groupNextHop(v view.NodeView, pivot geom.Point, group []steiner.Dest) int {
+	best, bestD, cut := -1, math.Inf(1), math.Inf(1)
+	curTotal, haveCur := 0.0, false
+	for _, n := range v.Neighbors() {
 		np := v.NbrPos(int(n))
-		if s.Memo.SumRow(i+1, np, cols) >= curTotal {
+		dx, dy := np.X-pivot.X, np.Y-pivot.Y
+		if dx*dx+dy*dy > cut {
 			continue
 		}
-		if d := np.Dist(pivot); d < bestD {
-			best, bestD = int(n), d
+		d := math.Hypot(dx, dy)
+		if !(d < bestD) {
+			continue
 		}
+		if !haveCur {
+			curTotal, haveCur = groupTotal(v.Pos(), group), true
+		}
+		if groupTotal(np, group) >= curTotal {
+			continue
+		}
+		best, bestD, cut = int(n), d, cutFor(d)
 	}
 	return best
+}
+
+// groupTotal is Σ dist(p, d) over the group, accumulated in group order.
+func groupTotal(p geom.Point, group []steiner.Dest) float64 {
+	var total float64
+	for _, d := range group {
+		total += p.Dist(d.Pos)
+	}
+	return total
 }
 
 // greedyNextHop returns the neighbor of the deciding node closest to target,
 // provided it is strictly closer to target than the node itself; -1
 // otherwise. This is the classical greedy geographic forwarding step used by
-// GRD and LGS.
+// GRD and LGS. A neighbor whose squared distance rules it out (see cutFor)
+// costs no square root; ties still go to the first neighbor.
 func greedyNextHop(v view.NodeView, target geom.Point) int {
-	curD := v.Pos().Dist(target)
-	best, bestD := -1, curD
+	bestD := v.Pos().Dist(target)
+	best, cut := -1, cutFor(bestD)
 	for _, n := range v.Neighbors() {
-		if d := v.NbrPos(int(n)).Dist(target); d < bestD {
-			best, bestD = int(n), d
+		p := v.NbrPos(int(n))
+		dx, dy := p.X-target.X, p.Y-target.Y
+		if dx*dx+dy*dy > cut {
+			continue
+		}
+		if d := math.Hypot(dx, dy); d < bestD {
+			best, bestD, cut = int(n), d, cutFor(d)
 		}
 	}
 	return best
+}
+
+// cutFor returns the squared-distance cut for a best distance b: a
+// neighbor at offset (dx, dy) with dx²+dy² > cutFor(b) has
+// math.Hypot(dx, dy) ≥ b, so it cannot pass the scans' strict d < b test.
+// The cut is b²·(1+2⁻⁴⁰), and it is exact: the squares, their sum, b² and
+// math.Hypot each round by a few ulps (about 1e-15 relative), far below
+// the 2⁻⁴⁰ ≈ 9e-13 slack. For 2⁻⁴⁰⁰ < b < 2⁴⁰⁰ the cut is a normal float,
+// so a square that underflows errs by far less than the slack, and one that
+// overflows to +Inf belongs to a neighbor farther than 2⁵¹² > b. Outside
+// that range, and for b = +Inf or NaN, the cut is +Inf and skips nothing.
+func cutFor(b float64) float64 {
+	if b > 0x1p-400 && b < 0x1p400 {
+		return b * b * (1 + 0x1p-40)
+	}
+	return math.Inf(1)
 }
 
 // dropOnly is the single-element forward list abandoning the copy h.

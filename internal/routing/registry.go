@@ -58,6 +58,9 @@ type Spec struct {
 	New func(Ctx) Protocol
 	// Flags are the protocol's traits (see the Flag constants).
 	Flags Flags
+	// Progress is the per-hop progress rule the protocol's greedy-mode
+	// copies obey (see AuditProgress).
+	Progress Progress
 	// PaperRank orders the paper's §5 protocol set (1-based) for PaperSet
 	// and Specs; zero marks extras (ablations, post-paper families) listed
 	// after the ranked set in name order.

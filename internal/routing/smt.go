@@ -27,7 +27,7 @@ type SMT struct {
 var _ Protocol = (*SMT)(nil)
 
 func init() {
-	MustRegister(Spec{Name: "SMT", PaperRank: 5, Flags: FlagCentralized,
+	MustRegister(Spec{Name: "SMT", PaperRank: 5, Flags: FlagCentralized, Progress: ProgressSourceRouted,
 		New: func(c Ctx) Protocol { return NewSMT(c.Network) }})
 }
 

@@ -8,7 +8,9 @@ package serve
 // what holds the wire format to the engine: a frame that drops any state a
 // decision reads (the perimeter walk's previous hop, say) shows up here as
 // a divergent walk. Redundant protocols walk only by ROUTE, so for them the
-// per-hop walk must end in the typed refusal instead.
+// per-hop walk must end in the typed refusal instead. Every kernel's traced
+// hops must also keep the protocol's declared progress rule
+// (routing.AuditProgress).
 
 import (
 	"errors"
@@ -113,6 +115,11 @@ func TestExecutionModesAgree(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				spec, _ := routing.Lookup(proto)
+				var events []sim.TraceEvent
+				for _, en := range kernels {
+					en.SetTracer(func(ev sim.TraceEvent) { events = append(events, ev) })
+				}
 				d := newDecider(dep, 0.5, 0)
 				d.routeBudget = budget
 				servable := CheckPerHop(proto) == nil
@@ -126,7 +133,11 @@ func TestExecutionModesAgree(t *testing.T) {
 
 						var want walkResult
 						for i, en := range kernels {
+							events = events[:0]
 							m := en.RunTask(h, src, dests)
+							if err := routing.AuditProgress(dep.NW, spec.Progress, events); err != nil {
+								t.Fatalf("k %d seed %d, the %d-worker kernel: %v", k, seed, en.Sharding().Shards, err)
+							}
 							got := walkResult{tx: m.Transmissions, delivered: m.Delivered}
 							if i == 0 {
 								want = got

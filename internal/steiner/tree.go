@@ -321,6 +321,20 @@ func (t *Tree) SubtreeTerminals(root, parent int) []int {
 // capacity; the append order is unspecified — callers that need a
 // deterministic order must sort (GMP's grouping does).
 func (t *Tree) AppendSubtreeLabels(root, parent int, buf []int) []int {
+	return appendTerminals(t, root, parent, buf, func(v *Vertex) int { return v.Label })
+}
+
+// AppendSubtreeDests is AppendSubtreeLabels for the terminals' destination
+// records: each terminal's Label with its Pos, which is the location it was
+// added with.
+func (t *Tree) AppendSubtreeDests(root, parent int, buf []Dest) []Dest {
+	return appendTerminals(t, root, parent, buf, func(v *Vertex) Dest { return Dest{Pos: v.Pos, Label: v.Label} })
+}
+
+// appendTerminals appends rec(v) for every terminal v in the subtree hanging
+// off root (excluding the parent side), walking it iteratively on the tree's
+// stack buffer.
+func appendTerminals[T any](t *Tree, root, parent int, buf []T, rec func(*Vertex) T) []T {
 	st := append(t.stackBuf[:0], root, parent)
 	for len(st) > 0 {
 		p := st[len(st)-1]
@@ -328,7 +342,7 @@ func (t *Tree) AppendSubtreeLabels(root, parent int, buf []int) []int {
 		st = st[:len(st)-2]
 		vert := &t.verts[v]
 		if vert.Kind == Terminal {
-			buf = append(buf, vert.Label)
+			buf = append(buf, rec(vert))
 		}
 		for _, i := range t.adj[v] {
 			e := t.edges[i]
