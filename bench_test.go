@@ -15,6 +15,7 @@ import (
 	"gmp/internal/experiment"
 	"gmp/internal/planar"
 	"gmp/internal/stats"
+	"gmp/internal/workload"
 )
 
 // newBenchRand gives every benchmark the same deployment stream.
@@ -370,6 +371,37 @@ func BenchmarkMulticastTask(b *testing.B) {
 		res := sys.Multicast(proto, 0, dests)
 		if res.InvalidSends != 0 {
 			b.Fatal("invalid sends")
+		}
+	}
+}
+
+// BenchmarkScriptReused runs one script of 200 overlapping sessions,
+// alternating GMP and GRD with 10 destinations each, on a Table 1 network,
+// again on the same engine every iteration: the lane kernel's per-run
+// session state — slab, index slots and delivery records — is reused, so
+// allocs/op counts what a run still allocates.
+func BenchmarkScriptReused(b *testing.B) {
+	b.ReportAllocs()
+	sys := benchSystem(b)
+	tasks, err := workload.GenerateBatch(newBenchRand(), sys.Network().Len(), 10, 200)
+	if err != nil {
+		b.Fatal(err)
+	}
+	script := make([]ScriptSession, len(tasks))
+	for i, task := range tasks {
+		p := sys.GMP()
+		if i%2 == 1 {
+			p = sys.GRD()
+		}
+		script[i] = ScriptSession{Start: float64(i) * 0.002, Handler: p, Src: task.Source, Dests: task.Dests}
+	}
+	sys.RunScript(script)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, m := range sys.RunScript(script) {
+			if m.InvalidSends != 0 {
+				b.Fatal("invalid sends")
+			}
 		}
 	}
 }

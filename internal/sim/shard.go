@@ -98,12 +98,36 @@ func (e *Engine) SetSharding(c ShardConfig) error {
 // Sharding returns the installed shard configuration (zero = the default).
 func (e *Engine) Sharding() ShardConfig { return e.sharding }
 
-// laneSession is one lane's share of a session's mutable state: metric
-// partials, and the dead-link blacklist entries of the nodes the lane owns.
+// laneSession is one lane's metric partial for one session: the counters
+// almost every (tile, session) pair a script reaches touches, in 72 bytes
+// that hold no pointer, so the collector never scans the slab. What only
+// some pairs need — drop counters, deferred drops, bans, the per-node energy
+// ledger — is a laneRare the pair takes on first use, so a fault-free pair
+// has none. Deliveries are records in the lane (see delivery).
 type laneSession struct {
-	// m receives the lane's metric partials, merged into the session's
-	// result at the end of the run.
-	m SessionMetrics
+	// si is the session's index in the script: merge adds the partial there.
+	si int32
+	// deliveries heads the session's chain of delivery records in the lane:
+	// an index into lane.deliv plus one, 0 for none.
+	deliveries int32
+	// rare is the pair's entry in lane.rare plus one, 0 for none.
+	rare int32
+
+	transmissions, retransmissions, acks   int
+	linkFailures, invalidSends, duplicates int
+	energyJ                                float64
+}
+
+// laneRare is the part of a lane's session share that only drops, faults and
+// the per-node energy ledger reach. The lane keeps its entries, maps and
+// all, across runs.
+type laneRare struct {
+	drops, destDrops [NumDropReasons]int
+	// pending records each destination's first drop observed in this lane,
+	// with its lane time so merge can settle the globally-first one
+	// deterministically (TaskMetrics.Dropped; the deferred per-destination
+	// billing of redundant-copy sessions).
+	pending map[int]pendingDrop
 	// banned holds the session's dead-link blacklist: sender node → set of
 	// neighbors ARQ gave up on from there. All later decisions at that node
 	// (greedy, grouping, perimeter) exclude the dead neighbor via a masking
@@ -112,41 +136,31 @@ type laneSession struct {
 	// masks caches the masking views, one per banned-at node, invalidated
 	// whenever that node's ban set grows.
 	masks map[int]*view.Masked
-	// pending records each destination's first drop observed in this lane,
-	// with its lane time so merge can settle the globally-first one
-	// deterministically (TaskMetrics.Dropped; the deferred per-destination
-	// billing of redundant-copy sessions). Lazily allocated.
-	pending map[int]pendingDrop
+	// energyByNode is the lane's share of TaskMetrics.EnergyByNode.
+	energyByNode map[int]float64
 }
 
-// reset empties the session state for a new run, keeping the maps'
-// storage.
-func (ls *laneSession) reset() {
-	m := &ls.m
-	clear(m.Delivered)
-	clear(m.DeliveredAt)
-	clear(m.EnergyByNode)
-	*m = SessionMetrics{
-		TaskMetrics: TaskMetrics{Delivered: m.Delivered, EnergyByNode: m.EnergyByNode},
-		DeliveredAt: m.DeliveredAt,
-	}
-	clear(ls.banned)
-	clear(ls.masks)
-	clear(ls.pending)
+// reset empties rs for a new pair, keeping the maps' storage.
+func (rs *laneRare) reset() {
+	rs.drops, rs.destDrops = [NumDropReasons]int{}, [NumDropReasons]int{}
+	clear(rs.pending)
+	clear(rs.banned)
+	clear(rs.masks)
+	clear(rs.energyByNode)
 }
 
 // ban adds (from → to) to the session's dead-link blacklist.
-func (ls *laneSession) ban(from, to int) {
-	if ls.banned == nil {
-		ls.banned = make(map[int]map[int]bool)
+func (rs *laneRare) ban(from, to int) {
+	if rs.banned == nil {
+		rs.banned = make(map[int]map[int]bool)
 	}
-	b := ls.banned[from]
+	b := rs.banned[from]
 	if b == nil {
 		b = make(map[int]bool)
-		ls.banned[from] = b
+		rs.banned[from] = b
 	}
 	b[to] = true
-	delete(ls.masks, from)
+	delete(rs.masks, from)
 }
 
 // pendingDrop is one deferred per-destination drop charge.
@@ -155,12 +169,25 @@ type pendingDrop struct {
 	at     float64
 }
 
+// delivery is a session's first arrival at one of its destinations, kept in
+// the destination's lane, where every delivery of that node happens.
+type delivery struct {
+	session, node, hops int32
+	// next is the session's previous record in the lane: an index into
+	// lane.deliv plus one, 0 at the end of the chain.
+	next int32
+	at   float64
+}
+
 // tracedEvent is one buffered trace event under the key of the event whose
 // dispatch emitted it.
 type tracedEvent struct {
 	key event
 	ev  TraceEvent
 }
+
+// sessChunk is the number of session shares in one chunk of a lane's slab.
+const sessChunk = 16
 
 // lane is one tile's event queue and the state of the nodes it owns. During
 // a round a lane is advanced by exactly one worker goroutine; between rounds
@@ -178,12 +205,21 @@ type lane struct {
 	inbox []event
 
 	rng *rand.Rand // the tile's fault stream; nil until a plan is active
-	// sess holds the lane's share of each session, taken on the lane's
-	// first touch of the session (see session): most sessions of a large
-	// script never reach most tiles. spare keeps earlier runs' states, maps
-	// and all, for reuse.
-	sess  []*laneSession
-	spare []*laneSession
+	// chunks is the slab of the lane's session shares: the first used of
+	// them, in the order the lane first touched their sessions (see
+	// session). Most sessions of a large script never reach most tiles, so
+	// the slab grows with the pairs reached. A chunk never moves, so a
+	// *laneSession stays valid for the run; the lane keeps its chunks across
+	// runs.
+	chunks []*[sessChunk]laneSession
+	used   int
+	// slot maps a session index to its share's slab position plus one, 0
+	// while the lane has not touched the session in this run.
+	slot []int32
+	// rare holds the run's rare states, in the order their pairs took them.
+	rare []laneRare
+	// deliv holds the run's delivery records, chained per session.
+	deliv []delivery
 	// uncovered is billUncovered's scratch.
 	uncovered []int
 	// trace buffers the tile's trace events until the next barrier.
@@ -211,34 +247,74 @@ func (ln *lane) reset(sessions int, faults bool, seed int64) {
 			ln.rng.Seed(seed)
 		}
 	}
-	for i, ls := range ln.sess {
-		if ls != nil {
-			ls.reset()
-			ln.spare = append(ln.spare, ls)
-			ln.sess[i] = nil
-		}
+	for s := 0; s < ln.used; s++ {
+		ln.slot[ln.share(s).si] = 0
 	}
-	if cap(ln.sess) < sessions {
-		ln.sess = make([]*laneSession, sessions)
+	ln.used = 0
+	ln.rare = ln.rare[:0]
+	ln.deliv = ln.deliv[:0]
+	if cap(ln.slot) < sessions {
+		ln.slot = make([]int32, sessions)
 	} else {
-		ln.sess = ln.sess[:sessions]
+		ln.slot = ln.slot[:sessions]
 	}
 }
 
-// session returns the lane's state for session si, taking a spare (or a
-// new) one on the lane's first touch of the session in this run.
-func (ln *lane) session(si int) *laneSession {
-	ls := ln.sess[si]
-	if ls == nil {
-		if n := len(ln.spare); n > 0 {
-			ls = ln.spare[n-1]
-			ln.spare = ln.spare[:n-1]
-		} else {
-			ls = new(laneSession)
-		}
-		ln.sess[si] = ls
+// share returns the session share at slab position s.
+func (ln *lane) share(s int) *laneSession {
+	return &ln.chunks[s/sessChunk][s%sessChunk]
+}
+
+// lookup returns the lane's state for session si, or nil when the lane has
+// not touched the session in this run.
+func (ln *lane) lookup(si int) *laneSession {
+	if s := ln.slot[si]; s > 0 {
+		return ln.share(int(s) - 1)
 	}
+	return nil
+}
+
+// session returns the lane's state for session si, taking the next slab
+// position, zeroed, on the lane's first touch of the session in this run.
+func (ln *lane) session(si int) *laneSession {
+	if ls := ln.lookup(si); ls != nil {
+		return ls
+	}
+	if ln.used == len(ln.chunks)*sessChunk {
+		ln.chunks = append(ln.chunks, new([sessChunk]laneSession))
+	}
+	ls := ln.share(ln.used)
+	*ls = laneSession{si: int32(si)}
+	ln.used++
+	ln.slot[si] = int32(ln.used)
 	return ls
+}
+
+// rareState returns ls's rare state, taking the lane's next entry, emptied,
+// on first use. The pointer is valid until the lane's next take.
+func (ln *lane) rareState(ls *laneSession) *laneRare {
+	if ls.rare == 0 {
+		n := len(ln.rare)
+		if n < cap(ln.rare) {
+			ln.rare = ln.rare[:n+1]
+			ln.rare[n].reset()
+		} else {
+			ln.rare = append(ln.rare, laneRare{})
+		}
+		ls.rare = int32(n + 1)
+	}
+	return &ln.rare[ls.rare-1]
+}
+
+// delivered reports whether ls's session has a delivery record at node in
+// this lane.
+func (ln *lane) delivered(ls *laneSession, node int) bool {
+	for i := ls.deliveries; i > 0; i = ln.deliv[i-1].next {
+		if int(ln.deliv[i-1].node) == node {
+			return true
+		}
+	}
+	return false
 }
 
 // schedule enqueues an event on ln's own queue, stamping the lane's
@@ -288,6 +364,11 @@ type kernelSession struct {
 	// churn is nil when the installed plan schedules no membership change
 	// for the session.
 	churn *sessionChurn
+	// firstDrops is merge's fold of the lanes' deferred drops: each
+	// destination's globally-first one, at the earliest lane time, ties
+	// going to the lower lane (a later lane replaces an entry only on a
+	// strictly earlier time). Nil while no lane dropped a copy.
+	firstDrops map[int]pendingDrop
 }
 
 // shardTileSeedStride separates per-tile fault streams; like the experiment
@@ -561,21 +642,22 @@ func (r *kernel) dispatch(ln *lane, ev event) {
 // way the decision runs on the lane's arena.
 func (r *kernel) viewAt(ln *lane, sess, node int) view.NodeView {
 	base := r.e.views.At(node, ln.scratch)
-	st := ln.sess[sess]
-	if st == nil {
+	ls := ln.lookup(sess)
+	if ls == nil || ls.rare == 0 {
 		return base
 	}
-	b := st.banned[node]
+	rs := &ln.rare[ls.rare-1]
+	b := rs.banned[node]
 	if len(b) == 0 {
 		return base
 	}
-	mv, ok := st.masks[node]
+	mv, ok := rs.masks[node]
 	if !ok {
 		mv = view.NewMasked(base, b)
-		if st.masks == nil {
-			st.masks = make(map[int]*view.Masked)
+		if rs.masks == nil {
+			rs.masks = make(map[int]*view.Masked)
 		}
-		st.masks[node] = mv
+		rs.masks[node] = mv
 	}
 	return mv
 }
@@ -592,17 +674,17 @@ func (r *kernel) kill(ln *lane, pkt *Packet, reason DropReason) {
 // sessions bill them only at settlement — another live copy may still
 // deliver the destination.
 func (r *kernel) drop(ln *lane, si int, dests []int, reason DropReason) {
-	ls := ln.session(si)
-	ls.m.DropsByReason[reason]++
+	rs := ln.rareState(ln.session(si))
+	rs.drops[reason]++
 	if !r.sess[si].redundant {
-		ls.m.DestDropsByReason[reason] += len(dests)
+		rs.destDrops[reason] += len(dests)
 	}
-	if ls.pending == nil {
-		ls.pending = make(map[int]pendingDrop)
+	if rs.pending == nil {
+		rs.pending = make(map[int]pendingDrop)
 	}
 	for _, d := range dests {
-		if _, seen := ls.pending[d]; !seen {
-			ls.pending[d] = pendingDrop{reason: reason, at: ln.now}
+		if _, seen := rs.pending[d]; !seen {
+			rs.pending[d] = pendingDrop{reason: reason, at: ln.now}
 		}
 	}
 }
@@ -678,7 +760,7 @@ func (r *kernel) send(ln *lane, from int, pkt *Packet, f *Forward) {
 	hops := pkt.Hops + 1
 	if reason, ok := CheckSend(r.e.net, from, f.To, hops, r.e.maxHops); !ok {
 		if reason == ReasonInvalidSend {
-			ln.session(pkt.Session).m.InvalidSends++
+			ln.session(pkt.Session).invalidSends++
 		}
 		r.drop(ln, pkt.Session, f.Dests, reason)
 		return
@@ -699,11 +781,11 @@ func (r *kernel) transmit(ln *lane, from, to int, pkt *Packet, attempt int) bool
 		r.kill(ln, pkt, ReasonSenderCrashed)
 		return false
 	}
-	m := &ln.session(pkt.Session).m
-	txStart, airtime := r.air(ln, m, from, e.frameBytes(pkt))
-	m.Transmissions++
+	ls := ln.session(pkt.Session)
+	txStart, airtime := r.air(ln, ls, from, e.frameBytes(pkt))
+	ls.transmissions++
 	if attempt > 0 {
-		m.Retransmissions++
+		ls.retransmissions++
 	}
 	if e.tracer != nil {
 		ln.trace = append(ln.trace, tracedEvent{key: ln.key, ev: TraceEvent{
@@ -741,9 +823,9 @@ func (r *kernel) transmit(ln *lane, from, to int, pkt *Packet, attempt int) bool
 
 // air puts one frame of the given size on node's half-duplex radio — it
 // starts once the radio's previous frame is out — and charges its energy to
-// m: the transmitter, plus every listener when the per-node ledger is on.
+// ls: the transmitter, plus every listener when the per-node ledger is on.
 // Returns the frame's start time and airtime.
-func (r *kernel) air(ln *lane, m *SessionMetrics, node, bytes int) (start, airtime float64) {
+func (r *kernel) air(ln *lane, ls *laneSession, node, bytes int) (start, airtime float64) {
 	e := r.e
 	airtime = e.radio.TxTimeBytes(bytes)
 	start = ln.now
@@ -751,14 +833,15 @@ func (r *kernel) air(ln *lane, m *SessionMetrics, node, bytes int) (start, airti
 		start = r.busyUntil[node]
 	}
 	r.busyUntil[node] = start + airtime
-	m.EnergyJ += e.radio.TxEnergyBytes(bytes, e.net.Degree(node))
+	ls.energyJ += e.radio.TxEnergyBytes(bytes, e.net.Degree(node))
 	if e.perNode {
-		if m.EnergyByNode == nil {
-			m.EnergyByNode = make(map[int]float64)
+		rs := ln.rareState(ls)
+		if rs.energyByNode == nil {
+			rs.energyByNode = make(map[int]float64)
 		}
-		m.EnergyByNode[node] += e.radio.TxPowerW * airtime
+		rs.energyByNode[node] += e.radio.TxPowerW * airtime
 		for _, l := range e.net.Neighbors(node) {
-			m.EnergyByNode[int(l)] += e.radio.RxPowerW * airtime
+			rs.energyByNode[int(l)] += e.radio.RxPowerW * airtime
 		}
 	}
 	return start, airtime
@@ -779,9 +862,9 @@ func (r *kernel) receive(ln *lane, ev event) bool {
 	if !ev.lost && !r.isDead(ev.to) {
 		if e.arq.Enabled {
 			// ACKs are modeled loss-free (see ARQConfig).
-			m := &ln.session(pkt.Session).m
-			r.air(ln, m, ev.to, e.arq.AckBytes)
-			m.Acks++
+			ls := ln.session(pkt.Session)
+			r.air(ln, ls, ev.to, e.arq.AckBytes)
+			ls.acks++
 		}
 		r.arrive(ln, ev.to, pkt)
 		return false
@@ -808,9 +891,9 @@ func (r *kernel) receive(ln *lane, ev event) bool {
 // failure, ban the link, offer the copy to the NackHandler — whose view
 // already masks the dead neighbor — and bill it if no re-route salvages it.
 func (r *kernel) giveUp(ln *lane, from, to int, pkt *Packet) {
-	st := ln.session(pkt.Session)
-	st.m.LinkFailures++
-	st.ban(from, to)
+	ls := ln.session(pkt.Session)
+	ls.linkFailures++
+	ln.rareState(ls).ban(from, to)
 	var fwds []Forward
 	if nh, ok := r.sess[pkt.Session].handler.(NackHandler); ok {
 		fwds = nh.Nack(r.viewAt(ln, pkt.Session, from), to, pkt)
@@ -822,98 +905,94 @@ func (r *kernel) giveUp(ln *lane, from, to int, pkt *Packet) {
 // destination list, and asks the protocol for the next decision if work
 // remains. Crashed nodes receive nothing (receive never calls arrive for
 // them). Deliveries of a destination always happen in the destination's own
-// lane, so the duplicate check needs only the lane partial.
+// lane, so the duplicate check needs only the session's records there.
 func (r *kernel) arrive(ln *lane, node int, pkt *Packet) {
 	if n := pkt.StripAt(node); n > 0 {
-		m := &ln.session(pkt.Session).m
-		if m.Delivered == nil {
-			m.Delivered = make(map[int]int)
-			m.DeliveredAt = make(map[int]float64)
-		}
-		if _, dup := m.Delivered[node]; !dup {
-			m.Delivered[node] = pkt.Hops
-			m.DeliveredAt[node] = ln.now
+		ls := ln.session(pkt.Session)
+		if !ln.delivered(ls, node) {
+			ln.deliv = append(ln.deliv, delivery{
+				session: int32(pkt.Session), node: int32(node), hops: int32(pkt.Hops),
+				next: ls.deliveries, at: ln.now,
+			})
+			ls.deliveries = int32(len(ln.deliv))
 			n--
 		}
-		m.DuplicateDeliveries += n
+		ls.duplicates += n
 	}
 	if len(pkt.Dests) > 0 {
 		r.act(ln, node, pkt, r.sess[pkt.Session].handler.Decide(r.viewAt(ln, pkt.Session, node), pkt), ReasonStranded)
 	}
 }
 
-// merge folds every lane's session partials into the result, in lane index
-// order — the canonical reduction that makes even floating-point
-// accumulation independent of the shard count — and settles deferred drops.
+// merge folds every lane's session partials and delivery records into the
+// result, in lane index order — the canonical reduction that makes even
+// floating-point accumulation independent of the shard count — and settles
+// deferred drops. Within a lane each session has one partial, so the order
+// of a lane's partials does not matter.
 func (r *kernel) merge() []SessionMetrics {
 	for _, ln := range r.lanes {
-		for si, ls := range ln.sess {
-			if ls == nil {
+		for s := 0; s < ln.used; s++ {
+			p := ln.share(s)
+			o := &r.base[p.si]
+			o.Transmissions += p.transmissions
+			o.EnergyJ += p.energyJ
+			o.DuplicateDeliveries += p.duplicates
+			o.Retransmissions += p.retransmissions
+			o.LinkFailures += p.linkFailures
+			o.Acks += p.acks
+			o.InvalidSends += p.invalidSends
+			if p.rare == 0 {
 				continue
 			}
-			p := &ls.m
-			o := &r.base[si]
-			o.Transmissions += p.Transmissions
-			o.EnergyJ += p.EnergyJ
-			o.DuplicateDeliveries += p.DuplicateDeliveries
-			o.Retransmissions += p.Retransmissions
-			o.LinkFailures += p.LinkFailures
-			o.Acks += p.Acks
-			o.InvalidSends += p.InvalidSends
-			for i := range p.DropsByReason {
-				o.DropsByReason[i] += p.DropsByReason[i]
-				o.DestDropsByReason[i] += p.DestDropsByReason[i]
+			rs := &ln.rare[p.rare-1]
+			for i := range rs.drops {
+				o.DropsByReason[i] += rs.drops[i]
+				o.DestDropsByReason[i] += rs.destDrops[i]
 			}
-			for d, h := range p.Delivered {
-				o.Delivered[d] = h
-				o.DeliveredAt[d] = p.DeliveredAt[d]
-			}
-			if len(p.EnergyByNode) > 0 {
+			if len(rs.energyByNode) > 0 {
 				if o.EnergyByNode == nil {
-					o.EnergyByNode = make(map[int]float64, len(p.EnergyByNode))
+					o.EnergyByNode = make(map[int]float64, len(rs.energyByNode))
 				}
-				for n, j := range p.EnergyByNode {
+				for n, j := range rs.energyByNode {
 					o.EnergyByNode[n] += j
 				}
 			}
+			ks := &r.sess[p.si]
+			for d, pd := range rs.pending {
+				if ks.firstDrops == nil {
+					ks.firstDrops = make(map[int]pendingDrop)
+				}
+				if cur, ok := ks.firstDrops[d]; !ok || pd.at < cur.at {
+					ks.firstDrops[d] = pd
+				}
+			}
+		}
+		for _, d := range ln.deliv {
+			o := &r.base[d.session]
+			o.Delivered[int(d.node)] = int(d.hops)
+			o.DeliveredAt[int(d.node)] = d.at
 		}
 	}
 
-	// Settle each destination's globally-first drop — earliest lane time,
-	// ties broken by lane order (the scan keeps the first lane's entry on
-	// equal times) — against the now-complete delivered set: destinations
-	// some copy delivered, or churn retired (billed as ReasonLeft), keep no
-	// drop. Redundant-copy sessions bill their deferred per-destination
-	// drops here.
-	for si := range r.base {
-		var best map[int]pendingDrop
-		for _, ln := range r.lanes {
-			ls := ln.sess[si]
-			if ls == nil {
-				continue
-			}
-			for d, pd := range ls.pending {
-				if best == nil {
-					best = make(map[int]pendingDrop)
-				}
-				if cur, ok := best[d]; !ok || pd.at < cur.at {
-					best[d] = pd
-				}
-			}
-		}
+	// Settle each destination's globally-first drop against the
+	// now-complete delivered set: destinations some copy delivered, or churn
+	// retired (billed as ReasonLeft), keep no drop. Redundant-copy sessions
+	// bill their deferred per-destination drops here.
+	for si := range r.sess {
+		ks := &r.sess[si]
 		o := &r.base[si]
-		for d, pd := range best {
+		for d, pd := range ks.firstDrops {
 			if _, ok := o.Delivered[d]; ok {
 				continue
 			}
-			if sc := r.sess[si].churn; sc != nil && sc.retired[d] {
+			if ks.churn != nil && ks.churn.retired[d] {
 				continue
 			}
 			if o.Dropped == nil {
-				o.Dropped = make(map[int]DropReason, len(best))
+				o.Dropped = make(map[int]DropReason, len(ks.firstDrops))
 			}
 			o.Dropped[d] = pd.reason
-			if r.sess[si].redundant {
+			if ks.redundant {
 				o.DestDropsByReason[pd.reason]++
 			}
 		}
